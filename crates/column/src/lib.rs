@@ -118,32 +118,14 @@ fn next_instance() -> u64 {
     NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How a bounded [`ColumnInterner`] reacts when a stream exceeds its
-/// [`StreamBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BudgetPolicy {
-    /// Evict the coldest (least-recently-interned) distinct values at the
-    /// next chunk boundary, recycling their id slots. Evicted values are
-    /// transparently re-interned if they reappear (under a fresh slot
-    /// generation). The default.
-    #[default]
-    Evict,
-    /// Never evict. The interner itself only *reports* the condition via
-    /// [`ColumnInterner::over_budget`] — by itself it keeps interning
-    /// whatever it is handed, because degrading needs a per-row execution
-    /// path the interner does not have. Enforcement is the chunk
-    /// producer's job: `clx-engine`'s `ColumnStream` checks
-    /// `over_budget()` after each chunk, stops interning, and degrades to
-    /// the per-row `&[String]` path. Callers driving a `Fallback` interner
-    /// by hand must do the same, or the budget is inert.
-    Fallback,
-}
-
 /// A memory budget for streaming ingest over untrusted input.
 ///
-/// The default budget is unbounded — exactly the pre-budget behavior. A
-/// bounded interner enforces the budget at chunk boundaries; see the
-/// crate-level *bounded streams* docs for the versioning this implies.
+/// The default budget is unbounded. A bounded interner enforces the budget
+/// at chunk boundaries by evicting the coldest (least-recently-interned)
+/// distinct values and recycling their id slots; evicted values are
+/// transparently re-interned if they reappear (under a fresh slot
+/// generation). See the crate-level *bounded streams* docs for the
+/// versioning this implies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamBudget {
     /// Maximum live distinct values retained between chunks.
@@ -151,8 +133,6 @@ pub struct StreamBudget {
     /// Maximum bytes of live interned distinct-value text (the arena size)
     /// retained between chunks.
     pub max_arena_bytes: usize,
-    /// What to do when the stream exceeds the budget.
-    pub policy: BudgetPolicy,
 }
 
 impl Default for StreamBudget {
@@ -167,7 +147,6 @@ impl StreamBudget {
         StreamBudget {
             max_distinct: usize::MAX,
             max_arena_bytes: usize::MAX,
-            policy: BudgetPolicy::Evict,
         }
     }
 
@@ -182,12 +161,6 @@ impl StreamBudget {
     /// Additionally cap the live interned text bytes.
     pub fn with_max_arena_bytes(mut self, max_arena_bytes: usize) -> Self {
         self.max_arena_bytes = max_arena_bytes;
-        self
-    }
-
-    /// Select the [`BudgetPolicy::Fallback`] degradation policy.
-    pub fn fallback(mut self) -> Self {
-        self.policy = BudgetPolicy::Fallback;
         self
     }
 
@@ -516,10 +489,8 @@ impl ColumnInterner {
                 .sum::<usize>()
     }
 
-    /// `true` when the live state exceeds the budget. Under
-    /// [`BudgetPolicy::Evict`] the next chunk boundary clears this; under
-    /// [`BudgetPolicy::Fallback`] it is the owning stream's signal to stop
-    /// interning and degrade to a per-row path.
+    /// `true` when the live state exceeds the budget; the next chunk
+    /// boundary clears this.
     pub fn over_budget(&self) -> bool {
         self.live > self.budget.max_distinct || self.live_bytes > self.budget.max_arena_bytes
     }
@@ -684,9 +655,8 @@ impl ColumnInterner {
     }
 
     /// Evict cold distinct values until the live state fits the budget,
-    /// returning how many were evicted. A no-op for unbounded budgets, for
-    /// [`BudgetPolicy::Fallback`] (which never evicts), and while within
-    /// budget. Runs automatically at every [`ColumnInterner::chunk`]
+    /// returning how many were evicted. A no-op for unbounded budgets and
+    /// while within budget. Runs automatically at every [`ColumnInterner::chunk`]
     /// boundary; callers driving [`ColumnInterner::intern`] directly can
     /// invoke it at their own batch boundaries.
     ///
@@ -695,7 +665,7 @@ impl ColumnInterner {
     /// interner-wide [`generation`](ColumnInterner::generation), and
     /// compacts the arena so the freed text bytes are actually released.
     pub fn enforce_budget(&mut self) -> usize {
-        if self.budget.policy != BudgetPolicy::Evict || !self.over_budget() {
+        if !self.over_budget() {
             return 0;
         }
         // Coldest-first victim selection over the live slots via a
@@ -2066,18 +2036,6 @@ mod tests {
         assert!(interner.memory_used() < peak);
         assert!(interner.live_distinct_count() <= 8);
         assert_eq!(interner.interned_bytes(), 8 * "value-000".len());
-    }
-
-    #[test]
-    fn fallback_budget_never_evicts() {
-        let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(1).fallback());
-        drop(interner.chunk(&["a-1", "b-2"]));
-        assert!(interner.over_budget());
-        drop(interner.chunk(&["c-3"]));
-        assert_eq!(interner.evictions(), 0);
-        assert_eq!(interner.live_distinct_count(), 3);
-        assert_eq!(interner.enforce_budget(), 0);
-        assert_eq!(interner.generation(), 0);
     }
 
     #[test]

@@ -19,16 +19,14 @@
 //!   Calling one before labelling is a compile error, not a runtime `Err` —
 //!   the strongest form of the paper's verifiability protocol.
 //!
-//! Dynamic callers (REPLs, services) hold an [`AnySession`] and match on
-//! the phase at their boundary.
-//!
 //! Applying a program produces a **columnar** [`TransformReport`]: one
 //! [`RowOutcome`] per *distinct* value plus the column's shared row map, so
 //! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
 //! execution beyond the interactive loop, [`ClxSession::compile`] hands the
 //! program to the `clx-engine` batch subsystem (parallel chunked execution,
-//! streaming, program caching); [`ClxSession::apply_parallel`] is the
-//! drop-in engine-backed counterpart of [`ClxSession::apply`].
+//! program caching, and [`CompiledProgram::execute_column`] over the
+//! session's column, which agrees with [`ClxSession::apply`] row for row);
+//! [`ClxSession::stream_columns`] opens a [`ColumnStream`] over it.
 //!
 //! ```
 //! use clx_core::ClxSession;
@@ -65,17 +63,14 @@ mod session;
 
 pub use preview::{PreviewRow, PreviewTable};
 pub use report::{RowOutcome, TransformReport};
-pub use session::{
-    AnySession, Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, Phase,
-};
+pub use session::{Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, Phase};
 
 // Re-export the key types a downstream user needs so that `clx-core` (or the
 // `clx` facade) is a one-stop dependency.
 pub use clx_cluster::{ClusterNode, PatternHierarchy, PatternProfiler, ProfilerOptions};
 pub use clx_column::{Column, ColumnBuilder, ColumnChunk, ColumnInterner, DistinctValue};
 pub use clx_engine::{
-    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ExecOptions, ProgramCache,
-    RowOutcomes, StreamSession,
+    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ExecOptions, ProgramCache, RowOutcomes,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{RankedPlan, Synthesis, SynthesisOptions};

@@ -14,10 +14,6 @@
 //! [`compile`]: ClxSession::compile
 //! [`explanation`]: ClxSession::explanation
 //! [`repair`]: ClxSession::repair
-//!
-//! Dynamic callers that cannot pin the phase at compile time (a REPL loop,
-//! a service holding many sessions) use the type-erased [`AnySession`]
-//! enum and match on the phase at their boundary.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -405,15 +401,14 @@ impl ClxSession<Labelled> {
     /// O(affected-distincts) path (ROADMAP item 5).
     ///
     /// The report must carry provenance (be a product of
-    /// [`ClxSession::apply`] or [`ClxSession::apply_parallel`]);
-    /// otherwise [`ClxError::MissingProvenance`] is returned. Both the
-    /// originating and the current program are compiled, a
-    /// [`ProgramDelta`] is built between them, and a clone of the report
-    /// is patched in place: distinct values the delta proves unaffected
-    /// keep their stored outcome verbatim, everything else is re-decided
-    /// through the new program. The result is row-for-row equal to a
-    /// fresh [`ClxSession::apply`] — at a cost proportional to the number
-    /// of *affected* distincts, not the number of rows.
+    /// [`ClxSession::apply`]); otherwise [`ClxError::MissingProvenance`]
+    /// is returned. Both the originating and the current program are
+    /// compiled, a [`ProgramDelta`] is built between them, and a clone of
+    /// the report is patched in place: distinct values the delta proves
+    /// unaffected keep their stored outcome verbatim, everything else is
+    /// re-decided through the new program. The result is row-for-row equal
+    /// to a fresh [`ClxSession::apply`] — at a cost proportional to the
+    /// number of *affected* distincts, not the number of rows.
     ///
     /// Under a session sink the step is timed as `core.phase.reverify_ns`
     /// and the delta publishes
@@ -468,9 +463,9 @@ impl ClxSession<Labelled> {
     /// A branch whose expression fails to evaluate on some value (possible
     /// only for programs repaired by hand into an ill-formed state) is
     /// skipped for that value, exactly as the compiled engine's plan
-    /// interpreter skips it — `apply`, [`ClxSession::apply_parallel`] and
-    /// [`ClxSession::compile`] agree row for row; the worst case is a
-    /// `Flagged` outcome, never an aborted column.
+    /// interpreter skips it — `apply` and [`ClxSession::compile`] agree row
+    /// for row; the worst case is a `Flagged` outcome, never an aborted
+    /// column.
     pub fn apply(&self) -> Result<TransformReport, ClxError> {
         let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
         let target = &self.phase.target;
@@ -502,9 +497,11 @@ impl ClxSession<Labelled> {
     /// The returned [`CompiledProgram`] is immutable and `Send + Sync`: it
     /// can be cached (see [`clx_engine::ProgramCache`]), shared across
     /// threads, executed over other columns in parallel chunks
-    /// ([`CompiledProgram::execute`]), or streamed over columns larger than
-    /// memory ([`CompiledProgram::stream`]). Its semantics on any column are
-    /// exactly those of [`ClxSession::apply`].
+    /// ([`CompiledProgram::execute`]), executed over this session's column
+    /// ([`CompiledProgram::execute_column`] on [`ClxSession::data`]), or
+    /// streamed over columns larger than memory through a [`ColumnStream`]
+    /// (see [`ClxSession::stream_columns`]). Its semantics on any column
+    /// are exactly those of [`ClxSession::apply`].
     pub fn compile(&self) -> Result<CompiledProgram, ClxError> {
         let _compile = Span::start(self.telemetry.as_ref(), "core.phase.compile_ns");
         // Under a session sink the fused-automaton construction also
@@ -555,24 +552,6 @@ impl ClxSession<Labelled> {
         })
     }
 
-    /// [`ClxSession::apply`] through the compiled engine: same report,
-    /// produced by deciding each distinct value once via its cached leaf
-    /// signature ([`CompiledProgram::execute_column`], dispatching on the
-    /// dense integer leaf-ids the column's interner assigned) — compile +
-    /// execute of a session column never re-tokenizes a row and never
-    /// hashes a pattern, and the report shares the column's row map. The
-    /// column itself was built by the sharded [`ColumnBuilder`] (see
-    /// [`ClxSession::with_options`]), so on a multi-core host the whole
-    /// path from raw rows to report runs parallel. Sessions over large
-    /// columns should prefer this.
-    pub fn apply_parallel(&self) -> Result<TransformReport, ClxError> {
-        let compiled = self.compile()?;
-        let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
-        let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
-        report.set_provenance(self.program());
-        Ok(report)
-    }
-
     /// Open a columnar ingest stream executing this session's program:
     /// chunks pushed through the returned [`ColumnStream`] are interned
     /// into a persistent, cross-chunk id space, so streaming inherits the
@@ -601,13 +580,10 @@ impl ClxSession<Labelled> {
     /// high-cardinality streams whose distinct values would otherwise grow
     /// the stream's interned state without bound.
     ///
-    /// Under the default [`BudgetPolicy::Evict`](clx_column::BudgetPolicy)
-    /// the stream evicts its coldest interned values at each chunk
-    /// boundary (re-interning them if they reappear); under
-    /// [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy) it degrades to
-    /// the per-row path once over budget. Either way every pushed row's
-    /// outcome is row-for-row identical to the unbounded stream — only the
-    /// retained memory changes, observable via
+    /// The stream evicts its coldest interned values at each chunk
+    /// boundary (re-interning them if they reappear), so every pushed
+    /// row's outcome is row-for-row identical to the unbounded stream —
+    /// only the retained memory changes, observable via
     /// [`ColumnStream::memory_used`], [`ColumnStream::evictions`] and the
     /// final [`StreamSummary`](clx_engine::StreamSummary)'s
     /// memory/eviction fields.
@@ -728,157 +704,6 @@ impl ClxSession<Labelled> {
             checked += value.multiplicity();
         }
         Ok(checked)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Type-erased sessions for dynamic callers.
-// ---------------------------------------------------------------------------
-
-/// A type-erased session for callers that cannot pin the phase at compile
-/// time — a REPL loop, a service holding a map of live sessions.
-///
-/// The phase discipline does not disappear: it is concentrated into the one
-/// `match` (or [`AnySession::as_labelled`]) at the dynamic boundary,
-/// instead of being re-checked inside every method.
-///
-/// ```
-/// use clx_core::{AnySession, ClxSession};
-///
-/// let mut session = AnySession::from(ClxSession::new(vec![
-///     "(734) 645-8397".to_string(),
-///     "734-422-8073".to_string(),
-/// ]));
-/// assert!(!session.is_labelled());
-/// session.label_by_example("734-422-8073").unwrap();
-/// let labelled = session.as_labelled().expect("just labelled");
-/// assert!(labelled.apply().unwrap().is_perfect());
-/// ```
-#[derive(Debug, Clone)]
-pub enum AnySession {
-    /// A session in the cluster phase.
-    Clustered(ClxSession<Clustered>),
-    /// A session in the transform phase.
-    Labelled(ClxSession<Labelled>),
-}
-
-impl From<ClxSession<Clustered>> for AnySession {
-    fn from(session: ClxSession<Clustered>) -> Self {
-        AnySession::Clustered(session)
-    }
-}
-
-impl From<ClxSession<Labelled>> for AnySession {
-    fn from(session: ClxSession<Labelled>) -> Self {
-        AnySession::Labelled(session)
-    }
-}
-
-impl AnySession {
-    /// Start a clustered session (see [`ClxSession::new`]).
-    pub fn new(data: Vec<String>) -> Self {
-        AnySession::Clustered(ClxSession::new(data))
-    }
-
-    /// The session's column, in any phase.
-    pub fn data(&self) -> &Column {
-        match self {
-            AnySession::Clustered(s) => s.data(),
-            AnySession::Labelled(s) => s.data(),
-        }
-    }
-
-    /// The pattern-cluster hierarchy, in any phase.
-    pub fn hierarchy(&self) -> &PatternHierarchy {
-        match self {
-            AnySession::Clustered(s) => s.hierarchy(),
-            AnySession::Labelled(s) => s.hierarchy(),
-        }
-    }
-
-    /// The pattern list shown to the user, in any phase.
-    pub fn patterns(&self) -> Vec<(Pattern, usize)> {
-        match self {
-            AnySession::Clustered(s) => s.patterns(),
-            AnySession::Labelled(s) => s.patterns(),
-        }
-    }
-
-    /// `true` when the session is in the transform phase.
-    pub fn is_labelled(&self) -> bool {
-        matches!(self, AnySession::Labelled(_))
-    }
-
-    /// The clustered session, if the label transition has not happened.
-    pub fn as_clustered(&self) -> Option<&ClxSession<Clustered>> {
-        match self {
-            AnySession::Clustered(s) => Some(s),
-            AnySession::Labelled(_) => None,
-        }
-    }
-
-    /// The labelled session — the gateway to every transform-phase method.
-    pub fn as_labelled(&self) -> Option<&ClxSession<Labelled>> {
-        match self {
-            AnySession::Clustered(_) => None,
-            AnySession::Labelled(s) => Some(s),
-        }
-    }
-
-    /// Mutable access to the labelled session (for [`ClxSession::repair`]).
-    pub fn as_labelled_mut(&mut self) -> Option<&mut ClxSession<Labelled>> {
-        match self {
-            AnySession::Clustered(_) => None,
-            AnySession::Labelled(s) => Some(s),
-        }
-    }
-
-    /// A throwaway empty session used to take ownership of `self` during
-    /// in-place phase transitions (profiling zero rows is trivial).
-    fn placeholder() -> AnySession {
-        AnySession::Clustered(ClxSession::from_column(
-            Column::default(),
-            ClxOptions::default(),
-        ))
-    }
-
-    /// Label (or re-label) in place: transitions the session to the
-    /// transform phase and returns the synthesis result.
-    pub fn label(&mut self, target: Pattern) -> Result<&Synthesis, ClxError> {
-        if target.is_empty() {
-            return Err(ClxError::EmptyTargetPattern);
-        }
-        let clustered = match std::mem::replace(self, Self::placeholder()) {
-            AnySession::Clustered(s) => s,
-            AnySession::Labelled(s) => s.unlabel(),
-        };
-        match clustered.label(target) {
-            Ok(labelled) => {
-                *self = AnySession::Labelled(labelled);
-                match self {
-                    AnySession::Labelled(s) => Ok(s.synthesis()),
-                    AnySession::Clustered(_) => unreachable!("just set"),
-                }
-            }
-            Err(LabelError { session, error }) => {
-                *self = AnySession::Clustered(*session);
-                Err(error)
-            }
-        }
-    }
-
-    /// [`AnySession::label`] from one example value in the desired format.
-    pub fn label_by_example(&mut self, example: &str) -> Result<&Synthesis, ClxError> {
-        self.label(tokenize(example))
-    }
-
-    /// Drop the label (if any) in place, returning to the cluster phase.
-    pub fn unlabel(&mut self) {
-        if let AnySession::Labelled(_) = self {
-            if let AnySession::Labelled(s) = std::mem::replace(self, Self::placeholder()) {
-                *self = AnySession::Clustered(s.unlabel());
-            }
-        }
     }
 }
 
@@ -1295,12 +1120,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_parallel_equals_apply() {
+    fn compiled_execution_equals_apply() {
         let session = labelled(phone_data(), tokenize("734-422-8073"));
-        let sequential = session.apply().unwrap();
-        let parallel = session.apply_parallel().unwrap();
-        assert_eq!(sequential, parallel);
-        assert_eq!(parallel.flagged_values(), vec!["N/A"]);
+        let interpreted = session.apply().unwrap();
+        let compiled =
+            TransformReport::from_batch(session.compile().unwrap().execute_column(session.data()));
+        assert_eq!(interpreted, compiled);
+        assert_eq!(compiled.flagged_values(), vec!["N/A"]);
     }
 
     #[test]
@@ -1405,45 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn any_session_walks_the_phases_dynamically() {
-        let mut session = AnySession::new(phone_data());
-        assert!(!session.is_labelled());
-        assert!(session.as_clustered().is_some());
-        assert!(session.as_labelled().is_none());
-        assert_eq!(session.patterns().len(), 5);
-        assert_eq!(session.data().len(), 7);
-
-        // Labelling an empty target fails and leaves the phase unchanged.
-        assert_eq!(
-            session.label(Pattern::empty()).unwrap_err(),
-            ClxError::EmptyTargetPattern
-        );
-        assert!(!session.is_labelled());
-
-        session.label(tokenize("734-422-8073")).unwrap();
-        assert!(session.is_labelled());
-        let report = session.as_labelled().unwrap().apply().unwrap();
-        assert_eq!(report.flagged_count(), 1);
-
-        // Re-labelling in place re-synthesizes against the new target.
-        session.label_by_example("(734) 645-8397").unwrap();
-        assert_eq!(
-            session.as_labelled().unwrap().target(),
-            &tokenize("(734) 645-8397")
-        );
-
-        // Repair goes through the mutable accessor.
-        assert!(!session
-            .as_labelled_mut()
-            .unwrap()
-            .repair(&tokenize("zzz"), 0));
-
-        session.unlabel();
-        assert!(!session.is_labelled());
-        assert_eq!(session.hierarchy().total_rows(), 7);
-    }
-
-    #[test]
     fn observed_session_records_every_phase() {
         let sink = clx_telemetry::InMemorySink::shared();
         let session = ClxSession::with_telemetry(
@@ -1454,7 +1241,6 @@ mod tests {
         assert!(session.telemetry().is_some());
         let session = session.label(tokenize("734-422-8073")).unwrap();
         session.apply().unwrap();
-        session.apply_parallel().unwrap();
         let mut stream = session.stream_columns().unwrap();
         stream.push_rows(&["(111) 222-3333", "(111) 222-3333"]);
         stream.finish();
@@ -1472,8 +1258,8 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing phase histogram {phase}; snapshot: {snap:?}"));
             assert!(h.count >= 1, "{phase} recorded no samples");
         }
-        // apply + apply_parallel both time the apply phase.
-        assert_eq!(snap.histogram("core.phase.apply_ns").unwrap().count, 2);
+        // One apply call, one apply-phase sample.
+        assert_eq!(snap.histogram("core.phase.apply_ns").unwrap().count, 1);
         // The column build and the stream reported through the same sink.
         assert!(snap.histogram("column.builder.build_ns").is_some());
         assert_eq!(snap.counter("engine.stream.rows"), Some(2));

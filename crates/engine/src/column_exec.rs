@@ -45,10 +45,9 @@ impl CompiledProgram {
     /// [`interner_id`](clx_column::Column::interner_id) — re-executing the
     /// same column (or its clones). Handing in a column from a different
     /// interner resets the tier and re-decides its leaves; for cross-chunk
-    /// reuse over a *stream* of data, intern the chunks through one
-    /// persistent interner and use
-    /// [`StreamSession::push_column_chunk`](crate::StreamSession::push_column_chunk)
-    /// or [`ColumnStream`](crate::ColumnStream) instead.
+    /// reuse over a *stream* of data, push the chunks through a
+    /// [`ColumnStream`](crate::ColumnStream) instead, which interns them
+    /// through one persistent interner.
     pub fn execute_column_pooled(&self, column: &Column, cache: &mut DispatchCache) -> BatchReport {
         // One decision per distinct value, dispatched by dense leaf-id.
         let decided: Vec<RowOutcome> = column

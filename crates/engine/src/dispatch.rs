@@ -146,7 +146,7 @@ pub(crate) struct SplitPlan {
 /// * the **dense path** — a plain `Vec` indexed by the integer *leaf-id* a
 ///   [`clx_column::ColumnInterner`] hands out per distinct leaf pattern.
 ///   The column executors ([`crate::CompiledProgram::execute_column`],
-///   [`crate::StreamSession::push_column_chunk`]) dispatch through it, so a
+///   [`crate::ColumnStream::push_rows`]) dispatch through it, so a
 ///   plan lookup on the column path is an array index: no `Pattern` is ever
 ///   hashed or compared.
 ///

@@ -29,14 +29,13 @@
 //! * [`CompiledProgram::execute`] runs whole columns in parallel chunks
 //!   over `std::thread::scope` workers, merging per-chunk
 //!   [`ChunkReport`]s into an order-preserving [`BatchReport`];
-//! * [`CompiledProgram::stream`] (then [`StreamSession::push_chunk`] /
-//!   [`StreamSession::finish`]) processes columns larger than memory,
-//!   retaining only O(1) counters; [`ColumnStream`] (and
-//!   [`StreamSession::push_column_chunk`]) is the columnar ingest variant —
+//! * [`ColumnStream`] (then [`ColumnStream::push_rows`] /
+//!   [`ColumnStream::finish`]) processes columns larger than memory:
 //!   chunks are interned through a persistent
 //!   [`ColumnInterner`](clx_column::ColumnInterner), so a distinct value is
-//!   tokenized and decided once per *stream* and dispatch is an integer
-//!   leaf-id array index;
+//!   tokenized and decided once per *stream*, dispatch is an integer
+//!   leaf-id array index, and an optional
+//!   [`StreamBudget`](clx_column::StreamBudget) bounds the retained state;
 //! * [`CompiledProgram::execute_column`] executes a `clx-column`
 //!   [`Column`](clx_column::Column) by deciding each *distinct* value once
 //!   through its cached leaf signature — no row of a session column is
@@ -100,4 +99,4 @@ pub use error::CompileError;
 pub use fused::{FusedFallback, FUSED_MAX_WIDTH};
 pub use parallel::ExecOptions;
 pub use report::{BatchReport, ChunkReport, ChunkStats, PatchStats, RowOutcome, RowOutcomes};
-pub use stream::{ColumnStream, StreamSession, StreamSummary, SwapSummary};
+pub use stream::{ColumnStream, StreamSummary, SwapSummary};

@@ -2,10 +2,10 @@
 //!
 //! This is the per-row half of the executor: every row is tokenized to
 //! dispatch it. Callers holding a [`clx_column::Column`] (or streaming
-//! interned chunks) should prefer the column paths
+//! chunks) should prefer the column paths
 //! ([`CompiledProgram::execute_column`],
-//! [`crate::StreamSession::push_column_chunk`]), which decide each
-//! *distinct* value once and dispatch by dense integer leaf-id.
+//! [`crate::ColumnStream::push_rows`]), which decide each *distinct* value
+//! once and dispatch by dense integer leaf-id.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -54,20 +54,6 @@ impl CompiledProgram {
     /// [`DispatchCache`]), and the per-chunk reports merge back in input
     /// order.
     pub fn execute_with(&self, column: &[String], options: ExecOptions) -> BatchReport {
-        let mut caches = Vec::new();
-        self.execute_pooled(column, options, &mut caches)
-    }
-
-    /// [`CompiledProgram::execute_with`] reusing caller-owned per-worker
-    /// dispatch caches across calls (worker `i` uses `caches[i]`, growing
-    /// the vector as needed). The streaming API threads its caches through
-    /// here so leaf decisions are made once per stream, not once per chunk.
-    pub(crate) fn execute_pooled(
-        &self,
-        column: &[String],
-        options: ExecOptions,
-        caches: &mut Vec<DispatchCache>,
-    ) -> BatchReport {
         if column.is_empty() {
             return BatchReport::empty(self.target.clone());
         }
@@ -75,9 +61,7 @@ impl CompiledProgram {
         let chunk_size = options.resolved_chunk_size(column.len(), threads);
         let chunks: Vec<&[String]> = column.chunks(chunk_size).collect();
         let workers = threads.min(chunks.len());
-        if caches.len() < workers {
-            caches.resize_with(workers, DispatchCache::new);
-        }
+        let mut caches: Vec<DispatchCache> = (0..workers).map(|_| DispatchCache::new()).collect();
 
         if workers <= 1 {
             let cache = &mut caches[0];
@@ -94,7 +78,7 @@ impl CompiledProgram {
             &(0..chunks.len()).map(|_| Mutex::new(None)).collect();
         let chunks = &chunks;
         std::thread::scope(|scope| {
-            for cache in caches.iter_mut().take(workers) {
+            for cache in &mut caches {
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= chunks.len() {

@@ -148,7 +148,7 @@ impl ChunkStats {
 ///
 /// Like [`BatchReport`], a chunk report stores its outcomes *columnar*: the
 /// per-row paths store one outcome per row (an identity map), while the
-/// column-chunk path ([`crate::StreamSession::push_column_chunk`]) stores
+/// streaming path ([`crate::ColumnStream::push_rows`]) stores
 /// one outcome per distinct value appearing in the chunk plus the chunk's
 /// row→distinct map — O(distinct-in-chunk), no per-duplicate clones.
 /// Row-oriented access ([`ChunkReport::iter_rows`], [`ChunkReport::row`],
@@ -173,21 +173,6 @@ impl ChunkReport {
         for row in &rows {
             stats.record(row);
         }
-        ChunkReport {
-            index,
-            outcomes: rows,
-            map: None,
-            stats,
-        }
-    }
-
-    /// Reassemble a per-row report whose counters are already known (the
-    /// streaming `&[String]` path re-wraps a merged batch).
-    pub(crate) fn from_rows_with_stats(
-        index: usize,
-        rows: Vec<RowOutcome>,
-        stats: ChunkStats,
-    ) -> Self {
         ChunkReport {
             index,
             outcomes: rows,

@@ -1,23 +1,16 @@
 //! Streaming execution for columns larger than memory.
 //!
-//! Two ingest paths share the machinery here:
+//! [`ColumnStream`] interns each pushed chunk of raw strings through a
+//! persistent [`ColumnInterner`](clx_column::ColumnInterner), so streaming
+//! inherits the whole O(distinct) column path: a distinct value is
+//! tokenized once per *stream* (by the interner), decided once per stream
+//! (the stream caches the outcome per distinct-id), and dispatched by
+//! integer leaf-id (a dense array index — no `Pattern` hashing).
 //!
-//! * [`StreamSession::push_chunk`] takes `&[String]`, re-tokenizing every
-//!   row to dispatch it — the zero-setup path for callers that only hold
-//!   raw strings;
-//! * [`StreamSession::push_column_chunk`] takes a
-//!   [`ColumnChunk`](clx_column::ColumnChunk) interned through a persistent
-//!   [`ColumnInterner`](clx_column::ColumnInterner), so streaming inherits
-//!   the whole O(distinct) column path: a distinct value is tokenized once
-//!   per *stream* (by the interner), decided once per stream (the session
-//!   caches the outcome per distinct-id), and dispatched by integer leaf-id
-//!   (a dense array index — no `Pattern` hashing). [`ColumnStream`] bundles
-//!   the interner and a session into one owning handle.
-//!
-//! Either way each pushed chunk is transformed and *returned* to the caller
-//! — to be written to a sink immediately — while the session retains only
-//! mergeable counters plus (on the column path) the O(distinct) per-id
-//! decision cache.
+//! Each pushed chunk is transformed and *returned* to the caller — to be
+//! written to a sink immediately — while the stream retains only mergeable
+//! counters plus the O(distinct) interner and per-id decision cache, both
+//! capped by an optional [`StreamBudget`].
 
 use std::mem::size_of;
 use std::sync::Arc;
@@ -30,7 +23,6 @@ use clx_telemetry::MetricSink;
 use crate::compiled::CompiledProgram;
 use crate::delta::ProgramDelta;
 use crate::dispatch::DispatchCache;
-use crate::parallel::ExecOptions;
 use crate::report::{ChunkReport, ChunkStats, RowOutcome};
 
 /// Estimated heap bytes retained by one stored outcome.
@@ -214,150 +206,6 @@ impl DistinctDecisions {
     }
 }
 
-/// An in-progress streaming run over one compiled program.
-///
-/// The session owns its workers' dispatch caches and its per-distinct-id
-/// decision cache, so leaf decisions *and* per-value outcomes made in one
-/// pushed chunk are reused by every later chunk of the stream.
-pub struct StreamSession<'p> {
-    program: &'p CompiledProgram,
-    options: ExecOptions,
-    caches: Vec<DispatchCache>,
-    decisions: DistinctDecisions,
-    stats: ChunkStats,
-    chunks: usize,
-    /// Eviction count reported by the last pushed chunk's interner (the
-    /// session does not own the interner; the caller does).
-    evictions: u64,
-    /// Peak of `decisions.memory_used()` + the pushed interners'
-    /// `memory_used()` across the stream.
-    peak_memory: usize,
-}
-
-impl CompiledProgram {
-    /// Start a streaming run with default execution options.
-    pub fn stream(&self) -> StreamSession<'_> {
-        self.stream_with(ExecOptions::default())
-    }
-
-    /// Start a streaming run with explicit execution options.
-    pub fn stream_with(&self, options: ExecOptions) -> StreamSession<'_> {
-        StreamSession {
-            program: self,
-            options,
-            caches: Vec::new(),
-            decisions: DistinctDecisions::default(),
-            stats: ChunkStats::default(),
-            chunks: 0,
-            evictions: 0,
-            peak_memory: 0,
-        }
-    }
-}
-
-impl StreamSession<'_> {
-    /// Transform the next chunk of the column and hand its rows back to the
-    /// caller. Only the counters are retained by the session.
-    ///
-    /// Every row is re-tokenized to dispatch it; callers that can intern
-    /// their chunks through a persistent
-    /// [`ColumnInterner`](clx_column::ColumnInterner) should push
-    /// [`StreamSession::push_column_chunk`] (or use [`ColumnStream`])
-    /// instead and skip that work entirely.
-    pub fn push_chunk(&mut self, rows: &[String]) -> ChunkReport {
-        let batch = self
-            .program
-            .execute_pooled(rows, self.options, &mut self.caches);
-        let stats = batch.stats;
-        let report =
-            ChunkReport::from_rows_with_stats(self.chunks, batch.into_row_outcomes(), stats);
-        self.stats.absorb(&report.stats);
-        self.chunks += 1;
-        report
-    }
-
-    /// Transform the next chunk of an *interned* stream: each distinct-id
-    /// appearing in the chunk is decided at most once per stream (cached
-    /// outcomes replay for ids seen in earlier chunks), dispatch runs on
-    /// the dense leaf-id tier of the [`DispatchCache`], and the returned
-    /// [`ChunkReport`] is columnar — one stored outcome per distinct value
-    /// in the chunk, sharing the chunk's row map shape.
-    ///
-    /// The rows the report describes are exactly what
-    /// [`StreamSession::push_chunk`] would produce for the same text; the
-    /// session's counters absorb the chunk either way.
-    ///
-    /// Chunks from a bounded ([`BudgetPolicy::Evict`](clx_column::BudgetPolicy))
-    /// interner are fully supported: the per-id decision cache validates
-    /// every replay against the id's slot generation and prunes decisions
-    /// for evicted values, so the session's retained state tracks the
-    /// interner's live set instead of growing without bound. Note the
-    /// session only follows the interner it is handed — under a
-    /// [`Fallback`](clx_column::BudgetPolicy::Fallback) budget the
-    /// *caller* owns the interner and must watch
-    /// [`over_budget`](clx_column::ColumnInterner::over_budget) and stop
-    /// pushing interned chunks itself (or use [`ColumnStream`], which
-    /// does).
-    pub fn push_column_chunk(&mut self, chunk: &ColumnChunk<'_>) -> ChunkReport {
-        if self.caches.is_empty() {
-            self.caches.push(DispatchCache::new());
-        }
-        let report = self.decisions.execute_chunk(
-            self.program,
-            &mut self.caches[0],
-            chunk,
-            self.chunks,
-            None,
-        );
-        self.stats.absorb(&report.stats);
-        self.chunks += 1;
-        self.evictions = chunk.interner().evictions();
-        self.peak_memory = self
-            .peak_memory
-            .max(self.decisions.memory_used() + chunk.interner().memory_used());
-        report
-    }
-
-    /// Distinct values decided so far on the column path (the size of the
-    /// per-stream outcome cache; `0` for pure `&[String]` streams).
-    pub fn distinct_decided(&self) -> usize {
-        self.decisions.len()
-    }
-
-    /// Estimated heap bytes retained by the session's per-distinct-id
-    /// decision cache (`0` for pure `&[String]` streams). The interner's
-    /// own footprint is its owner's to report
-    /// ([`clx_column::ColumnInterner::memory_used`]); [`ColumnStream`]
-    /// owns both and sums them.
-    pub fn memory_used(&self) -> usize {
-        self.decisions.memory_used()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> &ChunkStats {
-        &self.stats
-    }
-
-    /// Chunks pushed so far.
-    pub fn chunks_pushed(&self) -> usize {
-        self.chunks
-    }
-
-    /// Finish the run, returning the whole-stream summary.
-    pub fn finish(self) -> StreamSummary {
-        StreamSummary {
-            target: self.program.target().clone(),
-            chunks: self.chunks,
-            stats: self.stats,
-            evictions: self.evictions,
-            peak_memory_bytes: self.peak_memory,
-            degraded: false,
-            decision_cache_hits: self.decisions.hits,
-            decision_cache_misses: self.decisions.misses,
-        }
-    }
-}
-
 /// An owning columnar ingest stream: a persistent
 /// [`ColumnInterner`](clx_column::ColumnInterner) plus the per-stream
 /// execution state, bundled so callers can push raw string chunks and get
@@ -393,21 +241,14 @@ impl StreamSession<'_> {
 ///
 /// The interner and decision cache are O(distinct) — unbounded on
 /// adversarial high-cardinality streams. [`ColumnStream::with_budget`]
-/// caps them with a [`StreamBudget`]:
+/// caps them with a [`StreamBudget`]: each pushed chunk first evicts the
+/// coldest interned values down to the budget. Evicted values are
+/// re-interned (and re-decided) if they reappear, so outcomes are
+/// row-for-row identical to the unbounded stream, at bounded memory.
 ///
-/// * under [`BudgetPolicy::Evict`](clx_column::BudgetPolicy::Evict) (the
-///   default), each pushed chunk first evicts the coldest interned values
-///   down to the budget — evicted values are re-interned (and re-decided)
-///   if they reappear, so outcomes are row-for-row identical to the
-///   unbounded stream, at bounded memory;
-/// * under [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy::Fallback),
-///   the stream stops interning once over budget and degrades to the
-///   per-row `&[String]` path — same outcomes, per-row reports, frozen
-///   interner.
-///
-/// [`ColumnStream::memory_used`], [`ColumnStream::evictions`] and
-/// [`ColumnStream::is_degraded`] expose the bounded-stream state; the
-/// final [`StreamSummary`] records the eviction count and peak memory.
+/// [`ColumnStream::memory_used`] and [`ColumnStream::evictions`] expose the
+/// bounded-stream state; the final [`StreamSummary`] records the eviction
+/// count and peak memory.
 pub struct ColumnStream {
     program: Arc<CompiledProgram>,
     interner: ColumnInterner,
@@ -415,9 +256,6 @@ pub struct ColumnStream {
     decisions: DistinctDecisions,
     stats: ChunkStats,
     chunks: usize,
-    /// `true` once a `Fallback`-policy stream exceeded its budget and
-    /// switched to the per-row path.
-    degraded: bool,
     /// Peak of [`ColumnStream::memory_used`] across the stream.
     peak_memory: usize,
     /// Optional metrics destination. `None` (the default) keeps every push
@@ -455,7 +293,6 @@ impl ColumnStream {
             decisions: DistinctDecisions::default(),
             stats: ChunkStats::default(),
             chunks: 0,
-            degraded: false,
             peak_memory: 0,
             telemetry: None,
             published_dispatch: crate::dispatch::DispatchStats::default(),
@@ -570,13 +407,9 @@ impl ColumnStream {
     /// re-tokenized nor re-transformed.
     ///
     /// On a budgeted stream the interner enforces the budget at this chunk
-    /// boundary first (under `Evict`), or the stream degrades to the
-    /// per-row path once over budget (under `Fallback`); either way the
-    /// report's rows are exactly the unbounded stream's.
+    /// boundary first; the report's rows are exactly the unbounded
+    /// stream's.
     pub fn push_rows<S: AsRef<str>>(&mut self, rows: &[S]) -> ChunkReport {
-        if self.degraded {
-            return self.push_rows_degraded(rows);
-        }
         // The only disabled-path cost of telemetry: this `is_some()`.
         let start = self.telemetry.is_some().then(Instant::now);
         // chunk() runs enforce_budget() before interning a single row.
@@ -589,30 +422,6 @@ impl ColumnStream {
             self.telemetry.as_ref(),
         );
         drop(chunk);
-        self.stats.absorb(&report.stats);
-        self.chunks += 1;
-        if self.interner.budget().policy == clx_column::BudgetPolicy::Fallback
-            && self.interner.over_budget()
-        {
-            self.degraded = true;
-        }
-        self.peak_memory = self.peak_memory.max(self.memory_used());
-        self.publish_chunk_metrics(rows.len(), start);
-        report
-    }
-
-    /// The per-row path a `Fallback`-policy stream degrades to: nothing new
-    /// is interned or cached per distinct value, so retained memory stops
-    /// growing. Outcomes are identical ([`CompiledProgram::transform_one`]
-    /// is the same pure function of the row text); the report is per-row
-    /// rather than columnar.
-    fn push_rows_degraded<S: AsRef<str>>(&mut self, rows: &[S]) -> ChunkReport {
-        let start = self.telemetry.is_some().then(Instant::now);
-        let outcomes: Vec<RowOutcome> = rows
-            .iter()
-            .map(|row| self.program.transform_one(&mut self.cache, row.as_ref()))
-            .collect();
-        let report = ChunkReport::new(self.chunks, outcomes);
         self.stats.absorb(&report.stats);
         self.chunks += 1;
         self.peak_memory = self.peak_memory.max(self.memory_used());
@@ -711,15 +520,9 @@ impl ColumnStream {
     }
 
     /// Distinct values evicted by the interner so far (always `0` for
-    /// unbounded and `Fallback` streams).
+    /// unbounded streams).
     pub fn evictions(&self) -> u64 {
         self.interner.evictions()
-    }
-
-    /// `true` once a [`BudgetPolicy::Fallback`](clx_column::BudgetPolicy)
-    /// stream has exceeded its budget and switched to the per-row path.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Counters accumulated so far.
@@ -740,7 +543,6 @@ impl ColumnStream {
             stats: self.stats,
             evictions: self.interner.evictions(),
             peak_memory_bytes: self.peak_memory,
-            degraded: self.degraded,
             decision_cache_hits: self.decisions.hits,
             decision_cache_misses: self.decisions.misses,
         }
@@ -776,23 +578,18 @@ pub struct StreamSummary {
     /// Counters over every row pushed.
     pub stats: ChunkStats,
     /// Distinct values evicted under the stream's [`StreamBudget`] (`0`
-    /// for unbounded streams; for a [`StreamSession`], the owning
-    /// interner's count as of the last pushed chunk).
+    /// for unbounded streams).
     pub evictions: u64,
     /// Peak estimated bytes retained by the stream's O(distinct) state
     /// (interner + decision cache) across the run.
     pub peak_memory_bytes: usize,
-    /// `true` if a `Fallback`-policy stream exceeded its budget and
-    /// finished on the per-row path.
-    pub degraded: bool,
-    /// Column-path decisions replayed from the per-distinct cache (`0`
-    /// for pure `&[String]` streams). A repeated value costs a replay,
-    /// not a transform — this over
+    /// Decisions replayed from the per-distinct cache. A repeated value
+    /// costs a replay, not a transform — this over
     /// [`decision_cache_misses`](StreamSummary::decision_cache_misses)
     /// is the stream's headline reuse ratio.
     pub decision_cache_hits: u64,
-    /// Column-path decisions that had to run the program (first sight of
-    /// a distinct value, or re-decision after its slot was evicted).
+    /// Decisions that had to run the program (first sight of a distinct
+    /// value, or re-decision after its slot was evicted).
     pub decision_cache_misses: u64,
 }
 
@@ -802,8 +599,8 @@ impl StreamSummary {
         self.stats.rows()
     }
 
-    /// Fraction of column-path decisions served from the per-distinct
-    /// cache, in `[0, 1]`; 0 before any decision.
+    /// Fraction of decisions served from the per-distinct cache, in
+    /// `[0, 1]`; 0 before any decision.
     pub fn decision_cache_hit_rate(&self) -> f64 {
         let total = self.decision_cache_hits + self.decision_cache_misses;
         if total == 0 {
@@ -836,8 +633,7 @@ mod tests {
 
     #[test]
     fn chunks_stream_through_without_whole_column_state() {
-        let program = compiled();
-        let mut stream = program.stream();
+        let mut stream = ColumnStream::from_program(compiled());
         let mut written: Vec<String> = Vec::new();
         for c in 0..10 {
             let chunk: Vec<String> = (0..100)
@@ -847,7 +643,7 @@ mod tests {
                     _ => "???".to_string(),
                 })
                 .collect();
-            let report = stream.push_chunk(&chunk);
+            let report = stream.push_rows(&chunk);
             assert_eq!(report.index, c);
             assert_eq!(report.len(), 100);
             written.extend(report.iter_values().map(str::to_string));
@@ -872,10 +668,10 @@ mod tests {
             .collect();
         let one_shot = program.execute(&column);
 
-        let mut stream = program.stream();
+        let mut stream = ColumnStream::from_program(program);
         let mut streamed = Vec::new();
         for chunk in column.chunks(77) {
-            streamed.extend(stream.push_chunk(chunk).into_row_outcomes());
+            streamed.extend(stream.push_rows(chunk).into_row_outcomes());
         }
         let summary = stream.finish();
         assert_eq!(streamed, one_shot.clone().into_row_outcomes());
@@ -884,24 +680,20 @@ mod tests {
 
     #[test]
     fn worker_caches_persist_across_chunks() {
-        let program = compiled();
-        let mut stream = program.stream_with(crate::ExecOptions {
-            threads: 1,
-            chunk_size: 0,
-        });
+        let mut stream = ColumnStream::from_program(compiled());
         let rows: Vec<String> = (0..10).map(|i| format!("111.222.{:04}", i)).collect();
-        stream.push_chunk(&rows);
-        let decided_after_first = stream.caches[0].len();
+        stream.push_rows(&rows);
+        let decided_after_first = stream.dispatch_cache().dense_len();
         assert!(decided_after_first > 0);
-        stream.push_chunk(&rows);
-        // Same leaves in the second chunk: no new plans were built.
-        assert_eq!(stream.caches[0].len(), decided_after_first);
+        // Fresh values with the same leaf: no new plans are built.
+        let rows: Vec<String> = (10..20).map(|i| format!("111.222.{:04}", i)).collect();
+        stream.push_rows(&rows);
+        assert_eq!(stream.dispatch_cache().dense_len(), decided_after_first);
     }
 
     #[test]
     fn empty_stream() {
-        let program = compiled();
-        let summary = program.stream().finish();
+        let summary = ColumnStream::from_program(compiled()).finish();
         assert_eq!(summary.chunks, 0);
         assert_eq!(summary.rows(), 0);
     }
@@ -919,10 +711,11 @@ mod tests {
             })
             .collect();
 
-        let mut by_strings = program.stream();
+        let mut cache = DispatchCache::new();
         let mut by_columns = ColumnStream::from_program(compiled());
-        for chunk in rows.chunks(128) {
-            let s = by_strings.push_chunk(chunk);
+        let mut stats = ChunkStats::default();
+        for (i, chunk) in rows.chunks(128).enumerate() {
+            let s = program.execute_chunk(i, chunk, &mut cache);
             let c = by_columns.push_rows(chunk);
             assert!(c.is_columnar() && !s.is_columnar());
             assert_eq!(s.len(), c.len());
@@ -931,11 +724,11 @@ mod tests {
                 c.iter_rows().collect::<Vec<_>>()
             );
             assert_eq!(s.stats, c.stats);
+            stats.absorb(&s.stats);
         }
-        let s = by_strings.finish();
         let c = by_columns.finish();
-        assert_eq!(s.stats, c.stats);
-        assert_eq!(s.chunks, c.chunks);
+        assert_eq!(stats, c.stats);
+        assert_eq!(rows.chunks(128).count(), c.chunks);
     }
 
     #[test]
@@ -973,21 +766,17 @@ mod tests {
     }
 
     #[test]
-    fn push_column_chunk_with_external_interner() {
-        let program = compiled();
-        let mut interner = clx_column::ColumnInterner::new();
-        let mut session = program.stream();
-        let chunk = interner.chunk(&["111.222.3333", "111.222.3333"]);
-        let report = session.push_column_chunk(&chunk);
+    fn duplicates_within_and_across_chunks_share_one_decision() {
+        let mut stream = ColumnStream::from_program(compiled());
+        let report = stream.push_rows(&["111.222.3333", "111.222.3333"]);
         assert_eq!(report.len(), 2);
         assert_eq!(report.outcomes().len(), 1);
-        assert_eq!(session.distinct_decided(), 1);
-        drop(chunk);
-        let chunk = interner.chunk(&["111.222.3333", "N/A"]);
-        let report = session.push_column_chunk(&chunk);
+        assert_eq!(stream.distinct_decided(), 1);
+        let report = stream.push_rows(&["111.222.3333", "N/A"]);
         assert_eq!(report.stats.flagged, 1);
-        assert_eq!(session.distinct_decided(), 2);
-        let summary = session.finish();
+        assert_eq!(stream.distinct_decided(), 2);
+        assert_eq!(stream.interner().distinct_count(), 2);
+        let summary = stream.finish();
         assert_eq!(summary.rows(), 4);
         assert_eq!(summary.chunks, 2);
     }
@@ -1021,7 +810,6 @@ mod tests {
             StreamBudget::max_distinct(7),
             StreamBudget::max_distinct(64).with_max_arena_bytes(256),
             StreamBudget::unbounded(),
-            StreamBudget::max_distinct(5).fallback(),
         ] {
             let mut bounded = ColumnStream::with_budget(Arc::new(compiled()), budget);
             let mut unbounded = ColumnStream::from_program(compiled());
@@ -1059,7 +847,6 @@ mod tests {
         let summary = stream.finish();
         assert!(summary.evictions > 0);
         assert!(summary.peak_memory_bytes > 0);
-        assert!(!summary.degraded);
     }
 
     #[test]
@@ -1087,61 +874,24 @@ mod tests {
     }
 
     #[test]
-    fn fallback_stream_degrades_to_the_per_row_path() {
-        let rows = mixed_rows(120);
-        let mut bounded = ColumnStream::with_budget(
-            Arc::new(compiled()),
-            StreamBudget::max_distinct(10).fallback(),
-        );
-        let mut reference = ColumnStream::from_program(compiled());
-        for chunk in rows.chunks(40) {
-            let b = bounded.push_rows(chunk);
-            let r = reference.push_rows(chunk);
-            assert_eq!(
-                b.iter_rows().collect::<Vec<_>>(),
-                r.iter_rows().collect::<Vec<_>>()
-            );
-        }
-        assert!(bounded.is_degraded());
-        assert_eq!(bounded.evictions(), 0);
-        // Degraded chunks are per-row, and the interner is frozen: memory
-        // stops growing no matter how many fresh values stream in.
-        let frozen = bounded.interner().live_distinct_count();
-        let report = bounded.push_rows(&["555.666.7777"]);
-        assert!(!report.is_columnar());
-        assert_eq!(
-            report.iter_values().collect::<Vec<_>>(),
-            vec!["555-666-7777"]
-        );
-        assert_eq!(bounded.interner().live_distinct_count(), frozen);
-        let summary = bounded.finish();
-        assert!(summary.degraded);
-    }
-
-    #[test]
     fn session_tolerates_bounded_interner_evictions() {
-        let program = compiled();
-        let mut session = program.stream();
-        let mut interner = clx_column::ColumnInterner::with_budget(StreamBudget::max_distinct(2));
-        let chunk = interner.chunk(&["111.222.3333", "444.555.6666", "777.888.9999"]);
-        let report = session.push_column_chunk(&chunk);
+        let mut stream =
+            ColumnStream::with_budget(Arc::new(compiled()), StreamBudget::max_distinct(2));
+        let report = stream.push_rows(&["111.222.3333", "444.555.6666", "777.888.9999"]);
         assert_eq!(report.stats.transformed, 3);
-        drop(chunk);
-        assert_eq!(session.distinct_decided(), 3);
-        assert!(session.memory_used() > 0);
+        assert_eq!(stream.distinct_decided(), 3);
+        assert!(stream.memory_used() > 0);
 
-        // The next boundary evicts the coldest value; the session prunes
+        // The next boundary evicts the coldest value; the stream prunes
         // its decision and re-decides on reappearance, identically.
-        let chunk = interner.chunk(&["111.222.3333"]);
-        let report = session.push_column_chunk(&chunk);
+        let report = stream.push_rows(&["111.222.3333"]);
         assert_eq!(
             report.iter_values().collect::<Vec<_>>(),
             vec!["111-222-3333"]
         );
-        drop(chunk);
-        assert!(interner.evictions() > 0);
-        assert!(session.distinct_decided() <= interner.live_distinct_count());
-        let summary = session.finish();
+        assert!(stream.evictions() > 0);
+        assert!(stream.distinct_decided() <= stream.interner().live_distinct_count());
+        let summary = stream.finish();
         assert!(summary.evictions > 0);
         assert!(summary.peak_memory_bytes > 0);
     }
@@ -1160,11 +910,8 @@ mod tests {
         assert_eq!(summary.decision_cache_hits, 4);
         assert!((summary.decision_cache_hit_rate() - 4.0 / 6.0).abs() < 1e-9);
 
-        // The `&[String]` path never touches the decision cache.
-        let program = compiled();
-        let mut session = program.stream();
-        session.push_chunk(&["111.222.3333".to_string()]);
-        let summary = session.finish();
+        // Before any decision the rate is defined as 0.
+        let summary = ColumnStream::from_program(compiled()).finish();
         assert_eq!(summary.decision_cache_hits, 0);
         assert_eq!(summary.decision_cache_misses, 0);
         assert_eq!(summary.decision_cache_hit_rate(), 0.0);
@@ -1307,19 +1054,20 @@ mod tests {
     #[test]
     fn switching_interners_resets_the_decision_cache() {
         let program = compiled();
-        let mut session = program.stream();
-        let mut a = clx_column::ColumnInterner::new();
+        let mut cache = DispatchCache::new();
+        let mut decisions = DistinctDecisions::default();
+        let mut a = ColumnInterner::new();
         let chunk = a.chunk(&["111.222.3333"]);
-        session.push_column_chunk(&chunk);
-        assert_eq!(session.distinct_decided(), 1);
+        decisions.execute_chunk(&program, &mut cache, &chunk, 0, None);
+        assert_eq!(decisions.len(), 1);
 
         // A chunk from a different interner carries ids from a different id
         // space; the per-id decision cache must not alias them.
-        let mut b = clx_column::ColumnInterner::new();
+        let mut b = ColumnInterner::new();
         let chunk = b.chunk(&["N/A", "N/A"]);
-        let report = session.push_column_chunk(&chunk);
+        let report = decisions.execute_chunk(&program, &mut cache, &chunk, 1, None);
         assert_eq!(report.stats.flagged, 2);
-        assert_eq!(session.distinct_decided(), 1);
+        assert_eq!(decisions.len(), 1);
     }
 
     /// Two transparent branches over disjoint leaves, so a repair to one

@@ -1,10 +1,9 @@
 //! Direct coverage of the [`ProgramCache`] LRU eviction order and the
-//! streaming `push_chunk`/`finish` path (previously only exercised
-//! indirectly through the engine-equivalence suite).
+//! streaming [`ColumnStream`] `push_rows`/`finish` path.
 
 use std::sync::Arc;
 
-use clx_engine::{CompiledProgram, ExecOptions, ProgramCache};
+use clx_engine::{ColumnStream, CompiledProgram, ProgramCache};
 use clx_pattern::tokenize;
 use clx_unifi::{Branch, Expr, Program, StringExpr};
 
@@ -124,24 +123,20 @@ fn dotted_to_dashed() -> CompiledProgram {
 
 #[test]
 fn stream_counters_match_pushed_chunks() {
-    let program = dotted_to_dashed();
-    let mut stream = program.stream_with(ExecOptions {
-        threads: 1,
-        chunk_size: 0,
-    });
+    let mut stream = ColumnStream::from_program(dotted_to_dashed());
     assert_eq!(stream.chunks_pushed(), 0);
 
     let transformed: Vec<String> = (0..40).map(|i| format!("111.222.{:04}", i)).collect();
     let conforming: Vec<String> = (0..25).map(|i| format!("111-222-{:04}", i)).collect();
     let flagged: Vec<String> = (0..10).map(|_| "???".to_string()).collect();
 
-    let r1 = stream.push_chunk(&transformed);
+    let r1 = stream.push_rows(&transformed);
     assert_eq!(r1.index, 0);
     assert_eq!(r1.stats.transformed, 40);
-    let r2 = stream.push_chunk(&conforming);
+    let r2 = stream.push_rows(&conforming);
     assert_eq!(r2.index, 1);
     assert_eq!(r2.stats.conforming, 25);
-    let r3 = stream.push_chunk(&flagged);
+    let r3 = stream.push_rows(&flagged);
     assert_eq!(r3.index, 2);
     assert_eq!(r3.stats.flagged, 10);
 
@@ -160,16 +155,15 @@ fn stream_counters_match_pushed_chunks() {
 
 #[test]
 fn stream_handles_empty_chunks_and_empty_runs() {
-    let program = dotted_to_dashed();
-    let mut stream = program.stream();
-    let report = stream.push_chunk(&[]);
+    let mut stream = ColumnStream::from_program(dotted_to_dashed());
+    let report = stream.push_rows::<&str>(&[]);
     assert_eq!(report.len(), 0);
     assert_eq!(stream.chunks_pushed(), 1);
     let summary = stream.finish();
     assert_eq!(summary.rows(), 0);
 
     // A run with no chunks at all.
-    let summary = dotted_to_dashed().stream().finish();
+    let summary = ColumnStream::from_program(dotted_to_dashed()).finish();
     assert_eq!(summary.chunks, 0);
     assert_eq!(summary.rows(), 0);
 }
@@ -192,10 +186,10 @@ fn streamed_rows_equal_one_shot_and_column_execution() {
         by_column.iter_rows().collect::<Vec<_>>()
     );
 
-    let mut stream = program.stream();
+    let mut stream = ColumnStream::from_program(program);
     let mut streamed = Vec::new();
     for chunk in rows.chunks(128) {
-        streamed.extend(stream.push_chunk(chunk).into_row_outcomes());
+        streamed.extend(stream.push_rows(chunk).into_row_outcomes());
     }
     let summary = stream.finish();
     let one_shot_stats = one_shot.stats;

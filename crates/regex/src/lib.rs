@@ -311,6 +311,41 @@ fn slots_to_captures(slots: &[Option<usize>], chars: &[char], byte_offsets: &[us
 mod tests {
     use super::*;
 
+    /// The child half of [`deep_nesting_is_an_error_not_an_abort`]: run on
+    /// its own, a stack overflow here would take the whole test binary
+    /// down, so it is ignored and only ever run in a child process.
+    #[test]
+    #[ignore = "run in a child process by deep_nesting_is_an_error_not_an_abort"]
+    fn deep_nesting_child() {
+        let pattern = "(".repeat(200_000) + &")".repeat(200_000);
+        let start = std::time::Instant::now();
+        let result = Regex::new(&pattern);
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(result, Err(RegexError::Syntax { .. })),
+            "{result:?}"
+        );
+        assert!(elapsed < std::time::Duration::from_secs(1), "{elapsed:?}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        // A stack overflow aborts the process and cannot be caught, so the
+        // 200k-deep pattern is parsed in a child running this test binary.
+        let output = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::deep_nesting_child", "--ignored"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "child exited with {:?}\n{stdout}\n{}",
+            output.status,
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+    }
+
     #[test]
     fn is_match_and_full_match() {
         let re = Regex::new("[0-9]{3}").unwrap();

@@ -16,9 +16,18 @@
 //! * quantifiers `*`, `+`, `?`, `{n}`, `{n,}`, `{n,m}`, each with an optional
 //!   lazy `?` suffix
 //! * anchors `^` and `$`
+//!
+//! Groups nest at most [`MAX_NESTING_DEPTH`] deep. The parser recurses once
+//! per group level, so without the limit a hostile pattern of a few hundred
+//! thousand `(` would overflow the stack and abort the process; with it,
+//! the pattern is rejected with a [`RegexError::Syntax`] at the first group
+//! past the limit.
 
 use crate::ast::{Ast, CharClass};
 use crate::error::RegexError;
+
+/// Deepest group nesting a pattern may use.
+const MAX_NESTING_DEPTH: usize = 250;
 
 /// Parse a pattern string into an [`Ast`], also returning the number of
 /// capture groups it defines.
@@ -28,6 +37,7 @@ pub fn parse(pattern: &str) -> Result<(Ast, usize), RegexError> {
         chars,
         pos: 0,
         group_count: 0,
+        depth: 0,
         input: pattern,
     };
     let ast = parser.parse_alternation()?;
@@ -41,6 +51,8 @@ struct Parser<'a> {
     chars: Vec<char>,
     pos: usize,
     group_count: usize,
+    /// Groups currently open around `pos`.
+    depth: usize,
     input: &'a str,
 }
 
@@ -219,6 +231,11 @@ impl Parser<'_> {
         match self.peek() {
             None => Ok(Ast::Empty),
             Some('(') => {
+                if self.depth == MAX_NESTING_DEPTH {
+                    return Err(self.err(&format!(
+                        "groups nested deeper than {MAX_NESTING_DEPTH} levels"
+                    )));
+                }
                 self.bump();
                 let non_capturing = if self.peek() == Some('?') {
                     if self.chars.get(self.pos + 1) == Some(&':') {
@@ -237,7 +254,9 @@ impl Parser<'_> {
                     self.group_count += 1;
                     self.group_count
                 };
+                self.depth += 1;
                 let inner = self.parse_alternation()?;
+                self.depth -= 1;
                 if !self.eat(')') {
                     return Err(self.err("expected ')'"));
                 }
@@ -570,6 +589,22 @@ mod tests {
         assert!(parse("(?=x)").is_err());
         assert!(parse("^+").is_err());
         assert!(parse("[z-a]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_at_the_first_group_past_the_limit() {
+        let nested = |depth: usize| "(".repeat(depth) + "a" + &")".repeat(depth);
+        let (_, groups) = ok(&nested(MAX_NESTING_DEPTH));
+        assert_eq!(groups, MAX_NESTING_DEPTH);
+        // Siblings do not add depth.
+        ok(&nested(MAX_NESTING_DEPTH).repeat(3));
+        match parse(&nested(MAX_NESTING_DEPTH + 1)) {
+            Err(RegexError::Syntax { position, message }) => {
+                assert_eq!(position, MAX_NESTING_DEPTH);
+                assert!(message.contains("nested deeper"), "{message}");
+            }
+            other => panic!("expected a nesting error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! loop; this example shows the serving side: `ClxSession::compile()` hands
 //! the synthesized program to the `clx-engine` subsystem, which executes it
 //! over large columns in parallel chunks, streams columns that do not fit
-//! in memory, and caches compiled programs across requests.
+//! in memory through a bounded `ColumnStream`, and caches compiled programs
+//! across requests.
 //!
 //! Run with: `cargo run --release --example batch_transform`
 
+use std::sync::Arc;
+
 use clx::datagen::large_case;
 use clx::engine::ProgramCache;
-use clx::{tokenize, ClxSession, TransformReport};
+use clx::{tokenize, ClxSession, ColumnStream, StreamBudget, TransformReport};
 
 fn main() {
     // ---- Interactive phase: one labelled session ------------------------
@@ -42,18 +45,26 @@ fn main() {
     );
 
     // ---- Stream a column larger than we want in memory ------------------
-    let mut stream = compiled.stream();
+    // The budget caps the stream's interned state; evicted values are
+    // re-decided if they reappear, so outcomes match the unbounded stream.
+    let compiled = Arc::new(compiled);
+    let mut stream =
+        ColumnStream::with_budget(Arc::clone(&compiled), StreamBudget::max_distinct(10_000));
     for chunk in case.data.chunks(8_192) {
         // In a real pipeline each returned chunk goes straight to a sink.
-        let chunk_report = stream.push_chunk(chunk);
+        let chunk_report = stream.push_rows(chunk);
         drop(chunk_report);
     }
     let summary = stream.finish();
+    assert_eq!(summary.stats.flagged, report.flagged_count());
+    assert_eq!(summary.stats.transformed, report.transformed_count());
     println!(
-        "streamed {} rows in {} chunks ({} flagged)",
+        "streamed {} rows in {} chunks ({} flagged, {} evictions, peak {} KiB)",
         summary.rows(),
         summary.chunks,
-        summary.stats.flagged
+        summary.stats.flagged,
+        summary.evictions,
+        summary.peak_memory_bytes / 1024
     );
 
     // ---- Cache compiled programs across requests ------------------------

@@ -14,12 +14,13 @@
 //!   [`ClxSession<Labelled>`](ClxSession), the only type carrying the
 //!   transform-phase methods (synthesize, explain as `Replace` operations,
 //!   repair, apply). Phase misuse is a compile error, not a runtime check
-//!   ([`core`]). Dynamic callers hold an [`AnySession`].
+//!   ([`core`]).
 //! * [`engine`] — the compiled batch-execution subsystem:
 //!   [`ClxSession::compile`](clx_core::ClxSession::compile) turns the
 //!   synthesized program into a thread-safe [`CompiledProgram`] for
-//!   parallel chunked execution, streaming over columns larger than
-//!   memory, and LRU caching ([`ProgramCache`]). Reports are columnar
+//!   parallel chunked execution and LRU caching ([`ProgramCache`]);
+//!   [`ColumnStream`] streams columns larger than memory through it,
+//!   optionally within a [`StreamBudget`]. Reports are columnar
 //!   ([`TransformReport`]): one outcome per *distinct* value plus the
 //!   column's shared row map — O(distinct), never per-duplicate clones.
 //!   After a repair, [`ClxSession::reverify`](clx_core::ClxSession::reverify)
@@ -103,15 +104,14 @@ pub use clx_analyze::{
     Severity,
 };
 pub use clx_column::{
-    BudgetPolicy, Column, ColumnBuilder, ColumnChunk, ColumnInterner, InternerStats, StreamBudget,
+    Column, ColumnBuilder, ColumnChunk, ColumnInterner, InternerStats, StreamBudget,
 };
 pub use clx_core::{
-    AnySession, Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome,
-    TransformReport,
+    Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome, TransformReport,
 };
 pub use clx_engine::{
     BatchReport, ColumnStream, CompiledProgram, DispatchStats, ExecOptions, PatchStats,
-    ProgramCache, ProgramCacheStats, ProgramDelta, StreamSession, StreamSummary, SwapSummary,
+    ProgramCache, ProgramCacheStats, ProgramDelta, StreamSummary, SwapSummary,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{validate_report, ValidationReport};

@@ -64,8 +64,8 @@ fn engine_and_sequential_agree_on_duplicated_columns() {
         .unwrap();
 
     let sequential = session.apply().unwrap();
-    let via_column = session.apply_parallel().unwrap();
     let compiled = session.compile().unwrap();
+    let via_column = TransformReport::from_batch(compiled.execute_column(session.data()));
     let via_rows = TransformReport::from_batch(compiled.execute(&data));
 
     assert_eq!(sequential, via_column);

@@ -5,7 +5,7 @@
 
 use clx::datagen::{DataGenerator, PhoneFormat};
 use clx::engine::ExecOptions;
-use clx::{tokenize, ClxSession, Labelled, ProgramCache, TransformReport};
+use clx::{tokenize, ClxSession, ColumnStream, Labelled, ProgramCache, TransformReport};
 
 /// The §7.2 study formats plus the paper's noise formats (`N/A`, `+1 ...`),
 /// so the column exercises conforming, transformed and flagged rows.
@@ -30,7 +30,8 @@ fn parallel_report_is_identical_to_sequential_apply() {
     let session = labelled_session(data);
 
     let sequential = session.apply().unwrap();
-    let parallel = session.apply_parallel().unwrap();
+    let parallel =
+        TransformReport::from_batch(session.compile().unwrap().execute_column(session.data()));
 
     // Row-for-row identity: same variants, same values, same order.
     assert_eq!(sequential, parallel);
@@ -91,10 +92,10 @@ fn streaming_path_matches_sequential_apply() {
     let compiled = session.compile().unwrap();
     let sequential = session.apply().unwrap();
 
-    let mut stream = compiled.stream();
+    let mut stream = ColumnStream::from_program(compiled);
     let mut streamed_values = Vec::new();
     for chunk in data.chunks(500) {
-        let report = stream.push_chunk(chunk);
+        let report = stream.push_rows(chunk);
         streamed_values.extend(report.iter_values().map(str::to_string));
     }
     let summary = stream.finish();

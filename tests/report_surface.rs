@@ -12,6 +12,11 @@ fn duplicate_heavy_session(rows: usize, distinct: usize, seed: u64) -> ClxSessio
         .unwrap()
 }
 
+/// The session's program run through the compiled engine over its column.
+fn compiled_report(session: &ClxSession<Labelled>) -> TransformReport {
+    TransformReport::from_batch(session.compile().unwrap().execute_column(session.data()))
+}
+
 #[test]
 fn iter_rows_is_row_identical_to_the_per_row_path() {
     // The duplicate-heavy datagen workload: 20k rows, ≤200 distinct values.
@@ -62,8 +67,8 @@ fn empty_column_report() {
     assert!(report.flagged_values().is_empty());
     assert!(report.is_perfect());
     assert_eq!(report.conformance_ratio(), 1.0);
-    // The parallel path agrees on the degenerate case.
-    assert_eq!(report, session.apply_parallel().unwrap());
+    // The compiled path agrees on the degenerate case.
+    assert_eq!(report, compiled_report(&session));
 }
 
 #[test]
@@ -92,7 +97,7 @@ fn all_flagged_report() {
     assert_eq!(report.distinct_outcomes().len(), 3);
     assert!(!report.is_perfect());
     assert_eq!(report.conformance_ratio(), 0.0);
-    assert_eq!(report, session.apply_parallel().unwrap());
+    assert_eq!(report, compiled_report(&session));
 }
 
 #[test]

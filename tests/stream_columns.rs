@@ -4,8 +4,9 @@
 //! values straddling chunk boundaries — while deciding each distinct value
 //! once per stream and dispatching on the dense leaf-id index.
 
+use std::sync::Arc;
+
 use clx::{ClxSession, Column, ColumnStream, RowOutcome};
-use clx_column::ColumnInterner;
 use clx_datagen::duplicate_heavy_case;
 
 /// A duplicate-heavy column with all study phone formats plus `N/A` noise
@@ -75,22 +76,21 @@ fn k_chunk_column_stream_equals_one_shot_execute_column() {
 }
 
 #[test]
-fn external_interner_chunks_equal_one_shot_execution() {
+fn shared_program_stream_equals_one_shot_execution() {
     let (data, compiled) = workload(6_000, 120);
     let one_shot = compiled.execute_column(&Column::from_rows(data.clone()));
 
-    // Drive StreamSession::push_column_chunk directly with a caller-owned
-    // interner (the non-owning variant of the columnar path).
-    let mut interner = ColumnInterner::new();
-    let mut session = compiled.stream();
+    // Stream through the very program that produced the one-shot report,
+    // shared rather than recompiled.
+    let compiled = Arc::new(compiled);
+    let mut stream = ColumnStream::new(Arc::clone(&compiled));
     let mut streamed: Vec<RowOutcome> = Vec::new();
     for rows in data.chunks(499) {
-        let chunk = interner.chunk(rows);
-        let report = session.push_column_chunk(&chunk);
+        let report = stream.push_rows(rows);
         assert_eq!(report.len(), rows.len());
         streamed.extend(report.iter_rows().cloned());
     }
-    let summary = session.finish();
+    let summary = stream.finish();
     assert_eq!(summary.stats, one_shot.stats);
     assert_eq!(streamed, one_shot.into_row_outcomes());
 }

@@ -3,10 +3,10 @@
 //!
 //! The core equivalence: for *random* row sets, *random* chunk splits and
 //! *random* [`StreamBudget`]s (including `max_distinct: 1`, arena-byte
-//! caps, the `Fallback` policy and unbounded), pushing the rows through a
-//! [`ColumnStream`] chunk by chunk is row-for-row identical to one-shot
-//! [`CompiledProgram::execute_column`] over the whole column. Eviction and
-//! fallback may only change *retained memory*, never an outcome.
+//! caps and unbounded), pushing the rows through a [`ColumnStream`] chunk
+//! by chunk is row-for-row identical to one-shot
+//! [`CompiledProgram::execute_column`] over the whole column. Eviction may
+//! only change *retained memory*, never an outcome.
 //!
 //! The incremental re-verification properties live here too: a report
 //! patched through a `ProgramDelta` equals a fresh full recompute under
@@ -117,7 +117,7 @@ fn chunk_splits() -> impl Strategy<Value = Vec<usize>> {
 }
 
 /// Random budgets, including the degenerate `max_distinct: 1`, byte caps,
-/// the `Fallback` policy, and fully unbounded.
+/// and fully unbounded.
 fn budgets() -> impl Strategy<Value = StreamBudget> {
     prop_oneof![
         Just(StreamBudget::unbounded()),
@@ -126,8 +126,6 @@ fn budgets() -> impl Strategy<Value = StreamBudget> {
         Just(StreamBudget::max_distinct(5)),
         Just(StreamBudget::max_distinct(8).with_max_arena_bytes(64)),
         Just(StreamBudget::unbounded().with_max_arena_bytes(24)),
-        Just(StreamBudget::max_distinct(1).fallback()),
-        Just(StreamBudget::max_distinct(4).fallback()),
     ]
 }
 
@@ -163,13 +161,11 @@ fn stream_in_chunks_observed(
         streamed.extend(stream.push_rows(chunk).iter_rows().cloned());
         // The bounded invariant: at every chunk boundary the live set is
         // capped by the budget plus the chunk's own (pinned) values.
-        if budget.policy == clx::BudgetPolicy::Evict {
-            assert!(
-                stream.interner().live_distinct_count()
-                    <= budget.max_distinct.saturating_add(chunk.len()),
-                "live set exceeded budget + pinned chunk"
-            );
-        }
+        assert!(
+            stream.interner().live_distinct_count()
+                <= budget.max_distinct.saturating_add(chunk.len()),
+            "live set exceeded budget + pinned chunk"
+        );
     }
     streamed.extend(stream.push_rows(rest).iter_rows().cloned());
     (streamed, stream.finish())
@@ -195,12 +191,11 @@ proptest! {
         prop_assert_eq!(summary.rows(), rows.len());
         if budget.is_unbounded() {
             prop_assert_eq!(summary.evictions, 0);
-            prop_assert!(!summary.degraded);
         }
     }
 
     /// Bounded and unbounded streams are row-for-row identical over the
-    /// *same* chunking — the direct statement that eviction/fallback never
+    /// *same* chunking — the direct statement that eviction never
     /// changes an outcome, independent of the one-shot reference.
     #[test]
     fn bounded_stream_equals_unbounded_stream(
@@ -679,7 +674,7 @@ proptest! {
 
     /// Hot-swapping a stream's program mid-flight equals restarting a
     /// fresh stream of the new program on the remaining chunks — under
-    /// every budget, including eviction and fallback.
+    /// every budget, including eviction.
     #[test]
     fn swapped_stream_equals_fresh_stream_of_new_program(
         old_pt in any_program(),
@@ -822,5 +817,4 @@ fn adversarial_all_distinct_million_row_stream_is_memory_bounded() {
     assert_eq!(summary.stats.transformed, transformed);
     assert!(summary.stats.flagged >= ROWS / 7);
     assert_eq!(summary.peak_memory_bytes, peak);
-    assert!(!summary.degraded);
 }
