@@ -21,37 +21,10 @@
 //!   interner's per-batch eviction log (`evicted_since`) and touches only
 //!   the ~64 actual victims.
 //!
-//! Numbers from this container (1 CPU, `cargo bench --bench bounded_stream`,
-//! release profile; ranges span same-day runs):
-//!
-//! ```text
-//! bounded_stream/zipf_unbounded/100000        ~5.8-8.9 ms/iter   (~11-17M rows/s)
-//! bounded_stream/zipf_bounded_10000/100000    ~6.0-8.1 ms/iter   (~12-17M rows/s)
-//! bounded_stream/zipf_bounded_500/100000     ~14.3-19.8 ms/iter (~5.1-7.0M rows/s)  (evicts every boundary)
-//! bounded_stream/churn_small_chunks/100000      ~499 ms/iter      (~200k rows/s)    (~653 ms with the full-walk prune)
-//! bounded_stream/adversarial_bounded/1000000  ~3.9-4.0 s/iter    (~250k rows/s)
-//! adversarial bounded peak memory ~15.5 MB (evictions 989424, live 10576)
-//! unbounded stream at just 100k of those rows: ~78 MB and growing
-//! linearly (~780 MB across the full 1M-row stream)
-//! ```
-//!
-//! So the budget is free (within the ~5% target) while it does not bind,
-//! costs ~2.4x when it forces an eviction batch at every boundary of a
-//! well-behaved stream (budget 500 < 1k distinct), and turns an O(distinct)
-//! blow-up into flat O(budget + chunk) memory on adversarial input.
-//!
-//! The churn row is the honest A/B for the incremental prune: ~653 ms was
-//! measured in the same build with the eviction-log path disabled (forcing
-//! the pre-existing full-table walk), ~499 ms with it on — ~1.3x from prune
-//! work alone. `zipf_bounded_500` does *not* move outside run-to-run noise
-//! from this change: with 8,192-row chunks its per-boundary cost is
-//! dominated by evict + re-intern + re-decide, not the prune walk. Absolute
-//! numbers drift hard on this box — a same-day rebuild of the pre-change
-//! tree measured `zipf_bounded_500` at ~32 ms and `adversarial_bounded` at
-//! ~5.6 s (single runs, consistent with the derived-split win on cold
-//! decisions measured in `cold_dispatch`, but too noisy to quote as a
-//! precise speedup) — so compare rows within one run, not against
-//! historical tables.
+//! This bench records no numbers in its source. The repository benchmark
+//! (`perfbench/`, see its README) measures the stream, the interner and
+//! the repair loop end to end and per layer, with repeated runs; compare
+//! variants of this bench within one run of `cargo bench --bench bounded_stream`.
 //!
 //! The acceptance criterion — bounded memory on the adversarial stream,
 //! asserted via `memory_used()` — is locked by

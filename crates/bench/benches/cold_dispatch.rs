@@ -27,36 +27,15 @@
 //! winner re-runs `Pattern::split` — PR 7's shape), and `pike_vm`
 //! (`CompiledProgram::without_fused()`, the pre-fused per-branch loop).
 //!
-//! Numbers from this container (1 CPU, `cargo bench --bench cold_dispatch`,
-//! release profile; the shared box is noisy, so two back-to-back full runs
-//! are reported as ranges — the *ordering* below held in both):
-//!
-//! ```text
-//! cold_dispatch/all_new_leaf_pike_vm/1000000     19.7-20.4 s/iter  (~49-51k rows/s)
-//! cold_dispatch/all_new_leaf_fused_split/1000000 14.9-16.1 s/iter  (~62-67k rows/s)
-//! cold_dispatch/all_new_leaf_fused/1000000       12.5-15.8 s/iter  (~63-80k rows/s)
-//! cold_dispatch/zipf_pike_vm/100000              18.7-23.0 ms/iter (~4.3-5.4M rows/s)
-//! cold_dispatch/zipf_fused_split/100000          11.8-19.1 ms/iter (~5.2-8.4M rows/s)
-//! cold_dispatch/zipf_fused/100000                10.7-14.1 ms/iter (~7.1-9.4M rows/s)
-//! ```
-//!
-//! So fusing the decision buys ~1.3-1.6x end-to-end on the all-new-leaf
-//! stream even though every row also pays tokenize + intern + evict +
-//! rewrite on long (up to 163-char) values, and deriving the winner's
-//! split from the accepting path instead of re-running `Pattern::split`
-//! came in faster in every paired run — ~2-19% end-to-end on the
-//! all-new-leaf stream depending on the run (the spread is container
-//! noise; the single-pass variant was never slower). Modest as a
-//! whole-pipeline number because split was one of many per-row costs, but
-//! it is the structural point: the second matcher pass is now gone from
-//! first sight. The zipf stream, where only the ~1k first sights are
-//! cold, is dominated by the warm leaf-id path; the fused variants still
-//! ordered derived < split in both runs.
+//! This bench records no numbers in its source. The repository benchmark
+//! (`perfbench/`, see its README) measures the stream, the interner and
+//! the repair loop end to end and per layer, with repeated runs; compare
+//! variants of this bench within one run of `cargo bench --bench cold_dispatch`.
 //!
 //! `CLX_BENCH_SMOKE=1` shrinks both workloads (~20k/10k rows) so CI can
 //! execute the bench binary end to end on every PR without paying the
 //! multi-minute full run; the printed numbers are then *not* comparable to
-//! the table above.
+//! a full-size run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

@@ -33,31 +33,10 @@
 //! * **engine_delta_only** — just the program diff (greedy branch
 //!   matching + the `clx-analyze` reachability intersection).
 //!
-//! Numbers from this container (1 CPU, `cargo bench --bench
-//! repair_latency`, release profile):
-//!
-//! ```text
-//! repair_latency/session_full_apply/1000000     54.0 ms/iter  (10,000 distincts, interpreted)
-//! repair_latency/session_reverify/1000000        3.5 ms/iter  (625 distincts re-decided)
-//! repair_latency/engine_full_recompute/1000000   1.4 ms/iter  (10,000 distincts, compiled+cached)
-//! repair_latency/engine_patch/1000000            6.5 ms/iter  (self-contained: re-tokenizes)
-//! repair_latency/engine_delta_only/1000000       2.3 ms/iter  (mostly reachability analysis)
-//! ```
-//!
-//! Honest reading: against the *interpreted* full apply the user would
-//! otherwise re-run, `reverify` came in 16.7x faster on the measured run
-//! (best of 3 each), and the gap is structural — `reverify` rides
-//! `patch_columnar`, whose cost is an integer-memoized leaf screen per
-//! stored outcome plus an actual re-decide per *affected* distinct, so
-//! it scales with the repair's blast radius. Against the engine's
-//! compiled columnar re-run the patch is *not* faster at this shape (16
-//! leaf signatures, warm dense plans: the full re-run is leaf-id
-//! indexing + eval, and even the diff's reachability analysis costs more
-//! than re-running 10k cached distincts) — the win there is the stream
-//! path (`swap_program`), which invalidates by the same delta without
-//! re-running anything. Row count is irrelevant to every variant (the
-//! row map is shared, never rewritten): at 1M rows a naive per-row
-//! re-run would be another ~100x on top of full_apply.
+//! This bench records no numbers in its source. The repository benchmark
+//! (`perfbench/`, see its README) measures the stream, the interner and
+//! the repair loop end to end and per layer, with repeated runs; compare
+//! variants of this bench within one run of `cargo bench --bench repair_latency`.
 //!
 //! The sanity block (outside timing) asserts the claims the bench exists
 //! to make: the re-verified report equals a fresh full apply row-for-row,
@@ -66,8 +45,8 @@
 //!
 //! `CLX_BENCH_SMOKE=1` shrinks the workload (~20k rows, ~1k distincts) so
 //! CI can execute the binary end to end; smoke numbers are not comparable
-//! to the table, and the ≥10x ratio assertion is skipped (too noisy at
-//! that size).
+//! to a full-size run, and the ≥10x ratio assertion is skipped (too noisy
+//! at that size).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

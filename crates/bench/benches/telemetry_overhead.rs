@@ -16,22 +16,10 @@
 //! size. Target from the issue: `<3%` with `InMemorySink`, unmeasurable
 //! with no sink.
 //!
-//! Numbers from this container (1 CPU, `cargo bench --bench
-//! telemetry_overhead`, release profile, three runs):
-//!
-//! ```text
-//! telemetry_overhead/none/100000       9.87 / 8.13 / 8.02 ms/iter
-//! telemetry_overhead/noop/100000      10.47 / 8.40 / 8.56 ms/iter
-//! telemetry_overhead/in_memory/100000  9.86 / 8.68 / 7.90 ms/iter
-//! ```
-//!
-//! Run-to-run noise on this shared container is ~±10%, larger than any
-//! per-variant gap: `in_memory` lands on *both* sides of `none` across
-//! runs, and `noop` tracks the pair within the same band. Honest verdict:
-//! with 13 chunk boundaries of sink traffic against 100k rows of execute
-//! work, telemetry overhead is not measurable here — comfortably inside
-//! the issue's 3% target for `InMemorySink`, and the no-sink path is
-//! bit-identical plumbing-wise (one `Option` branch, no clock reads).
+//! This bench records no numbers in its source. The repository benchmark
+//! (`perfbench/`, see its README) measures the stream, the interner and
+//! the repair loop end to end and per layer, with repeated runs; compare
+//! variants of this bench within one run of `cargo bench --bench telemetry_overhead`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

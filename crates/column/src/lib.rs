@@ -7,14 +7,16 @@
 //!
 //! The plane is built from three pieces:
 //!
-//! * [`ColumnInterner`] — the persistent heart of the crate: an arena, a
-//!   dedup map and a token-stream cache that hand out **dense integer ids**.
-//!   Every distinct value gets a *distinct-id* (its index in the interner)
-//!   and every distinct leaf pattern gets a *leaf-id*; both id spaces are
-//!   append-only, so ids stay stable as more data streams in.
-//! * [`Column`] — a finished column: the interner's distinct values plus a
-//!   row→distinct map. Construction tokenizes each *distinct* value exactly
-//!   once; [`ColumnBuilder`] shards that work across threads for multi-core
+//! * [`ColumnInterner`] — the persistent heart of streaming: an arena and a
+//!   dedup map that hand out **dense integer ids**. Every distinct value
+//!   gets a *distinct-id* (its index in the interner) and every distinct
+//!   leaf pattern gets a *leaf-id*; both id spaces are append-only, so ids
+//!   stay stable as more data streams in. Per value it keeps only an arena
+//!   span, a leaf-id and LRU links; each leaf pattern is stored once.
+//! * [`Column`] — a finished column: its distinct values with their full
+//!   token streams plus a row→distinct map. Construction deduplicates the
+//!   rows and tokenizes each *distinct* value exactly once;
+//!   [`ColumnBuilder`] shards that work across threads for multi-core
 //!   construction of very large columns (row-for-row identical output).
 //! * [`ColumnChunk`] — one streamed slice of a column, interned through a
 //!   shared [`ColumnInterner`] so its distinct-ids are **stable across
@@ -101,13 +103,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use clx_pattern::{tokenize_detailed, Pattern, TokenSlice, TokenizedString};
+use clx_pattern::{leaf_key, tokenize, tokenize_detailed, Pattern, TokenSlice, TokenizedString};
 use clx_telemetry::{MetricSink, Span};
 
 /// Source of process-unique [`ColumnInterner::instance`] ids (also used for
@@ -116,6 +119,17 @@ static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
 
 fn next_instance() -> u64 {
     NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed)
+}
+
+/// An interner's process-unique id space. A clone draws a fresh one: see
+/// the clone note on [`ColumnInterner`].
+#[derive(Debug)]
+struct Instance(u64);
+
+impl Clone for Instance {
+    fn clone(&self) -> Self {
+        Instance(next_instance())
+    }
 }
 
 /// A memory budget for streaming ingest over untrusted input.
@@ -130,8 +144,9 @@ fn next_instance() -> u64 {
 pub struct StreamBudget {
     /// Maximum live distinct values retained between chunks.
     pub max_distinct: usize,
-    /// Maximum bytes of live interned distinct-value text (the arena size)
-    /// retained between chunks.
+    /// Maximum bytes of live interned distinct-value text retained between
+    /// chunks. The arena holds at most as much again of evicted text
+    /// awaiting compaction.
     pub max_arena_bytes: usize,
 }
 
@@ -170,29 +185,40 @@ impl StreamBudget {
     }
 }
 
-/// One interned distinct value: its arena span, cached token stream and the
-/// dense id of its leaf pattern.
+/// The "no id" sentinel of the LRU links and the dedup table.
+const NIL: u32 = u32::MAX;
+
+/// One interned distinct value: its arena span, the dense id of its leaf
+/// pattern, and its place in the LRU list.
 #[derive(Debug, Clone)]
 struct InternedEntry {
     /// Half-open byte span of the value inside the arena.
     span: (usize, usize),
-    /// The cached token stream: leaf pattern plus per-token slices,
-    /// computed exactly once per distinct value.
-    tokenized: TokenizedString,
     /// Dense id of this value's leaf pattern (shared by every distinct
-    /// value with the same leaf).
+    /// value with the same leaf; the pattern lives in its [`LeafSlot`]).
     leaf_id: u32,
-    /// LRU clock reading of the last intern touching this value.
-    last_touch: u64,
+    /// The next-colder live distinct-id, or [`NIL`] at the LRU head.
+    prev: u32,
+    /// The next-hotter live distinct-id, or [`NIL`] at the LRU tail.
+    next: u32,
 }
 
-/// One distinct-id slot: its recycle generation plus the live entry, if any.
+/// One distinct-id slot: its recycle generation plus its live entry, or
+/// its link in the free list while evicted.
 #[derive(Debug, Clone)]
 struct Slot {
     /// Bumped every time the slot's entry is evicted, so a consumer cache
     /// keyed by `(id, generation)` can never alias two values.
     generation: u64,
-    entry: Option<InternedEntry>,
+    state: SlotState,
+}
+
+/// Whether a distinct-id slot holds a value.
+#[derive(Debug, Clone)]
+enum SlotState {
+    Live(InternedEntry),
+    /// Evicted: the next recycled slot to reuse after this one, or [`NIL`].
+    Free(u32),
 }
 
 /// One leaf-id slot: the leaf pattern plus how many live distinct values
@@ -203,18 +229,83 @@ struct LeafSlot {
     refs: u32,
 }
 
-/// Estimated heap bytes retained by one cached tokenization.
-fn tokenized_footprint(t: &TokenizedString) -> usize {
-    size_of::<TokenizedString>()
-        + t.raw.len()
-        + t.slices.len() * size_of::<TokenSlice>()
-        + t.slices.iter().map(|s| s.text.len()).sum::<usize>()
-        + size_of_val(t.pattern.tokens())
+/// The interner's dedup map, keyed by arena span so a value's text is
+/// stored once: linear probing over power-of-two buckets of (low 32 hash
+/// bits, distinct-id), [`NIL`] when empty. Removal shifts the probe run
+/// back instead of leaving tombstones, so eviction never slows lookups.
+#[derive(Debug, Clone, Default)]
+struct SpanTable {
+    buckets: Vec<(u32, u32)>,
+    len: usize,
 }
 
-/// A persistent, reusable value interner: the arena + dedup map +
-/// token-stream cache that used to live inside `Column::from_rows`,
-/// extracted so it can outlive any single column.
+impl SpanTable {
+    /// The id under `hash` for which `is_value` holds, if any.
+    fn find(&self, hash: u32, is_value: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let (h, id) = self.buckets[i];
+            if id == NIL {
+                return None;
+            }
+            if h == hash && is_value(id) {
+                return Some(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Add `id` (not yet present) under `hash`, growing at 3/4 load.
+    fn insert(&mut self, hash: u32, id: u32) {
+        if (self.len + 1) * 4 > self.buckets.len() * 3 {
+            let capacity = (self.buckets.len() * 2).max(16);
+            let old = std::mem::replace(&mut self.buckets, vec![(0, NIL); capacity]);
+            self.len = 0;
+            for (h, id) in old.into_iter().filter(|&(_, id)| id != NIL) {
+                self.insert(h, id);
+            }
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.buckets[i].1 != NIL {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = (hash, id);
+        self.len += 1;
+    }
+
+    /// Remove `id`, which must be present under `hash`.
+    fn remove(&mut self, hash: u32, id: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut hole = hash as usize & mask;
+        while self.buckets[hole].1 != id {
+            hole = (hole + 1) & mask;
+        }
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let (h, next) = self.buckets[j];
+            if next == NIL {
+                break;
+            }
+            // The entry at `j` may fill the hole iff the hole lies on its
+            // probe path, i.e. its home bucket is not in (hole, j].
+            if j.wrapping_sub(h as usize) & mask >= j.wrapping_sub(hole) & mask {
+                self.buckets[hole] = self.buckets[j];
+                hole = j;
+            }
+        }
+        self.buckets[hole] = (0, NIL);
+        self.len -= 1;
+    }
+}
+
+/// A persistent, reusable value interner for streams: an arena, a dedup
+/// map keyed by arena span, and an LRU list over the live values.
 ///
 /// The interner hands out two dense integer id spaces:
 ///
@@ -232,40 +323,57 @@ fn tokenized_footprint(t: &TokenizedString) -> usize {
 /// [`instance`](ColumnInterner::instance) id so consumers caching by
 /// distinct-id or leaf-id can detect when they are handed ids from a
 /// different id space.
-#[derive(Debug)]
+///
+/// A clone owns a **fresh id space** (new instance id): the copy starts with
+/// the same value→id mapping, but the two interners diverge independently
+/// from then on, so sharing the original's instance id would let a consumer
+/// cache (keyed by instance) alias one id to two different values. The
+/// fresh id forces such consumers to re-decide, which is always sound.
+#[derive(Debug, Clone)]
 pub struct ColumnInterner {
-    instance: u64,
+    instance: Instance,
     /// Bumped once per eviction batch; consumers caching per *leaf-id* key
     /// their cache on `(instance, generation)`.
     generation: u64,
-    /// The LRU clock: bumped on every intern (hit or miss).
-    clock: u64,
     /// The memory budget enforced at chunk boundaries.
     budget: StreamBudget,
-    /// All live distinct values, concatenated; [`InternedEntry::span`]
-    /// slices it. Compacted after each eviction batch.
+    /// All interned values, concatenated; [`InternedEntry::span`] slices
+    /// it. Evicted text stays until an eviction batch finds it at least as
+    /// large as the live text, and then compacts it away.
     arena: String,
     /// Distinct-id slots, in first-intern order; a value's distinct-id is
-    /// its slot index. Evicted slots are recycled via `free`.
+    /// its slot index. Evicted slots are recycled via `free_head`.
     entries: Vec<Slot>,
-    /// Recycled distinct-id slots awaiting reuse.
-    free: Vec<u32>,
+    /// The most recently evicted slot, heading the list of slots awaiting
+    /// reuse (threaded through [`SlotState::Free`]), or [`NIL`].
+    free_head: u32,
+    /// The coldest live distinct-id (next to evict), or [`NIL`].
+    lru_head: u32,
+    /// The most recently interned live distinct-id, or [`NIL`].
+    lru_tail: u32,
+    /// Hashes value text for `seen`; per interner, so colliding inputs
+    /// cannot be precomputed.
+    hasher: RandomState,
     /// Dedup map: live value text -> distinct-id.
-    seen: HashMap<String, u32>,
-    /// Dedup map: live leaf pattern -> leaf-id.
-    leaves: HashMap<Pattern, u32>,
+    seen: SpanTable,
+    /// Distinct-id -> index into the current chunk's distinct ids; valid
+    /// only where `distinct_ids[l] == id`, so it is never cleared.
+    chunk_local: Vec<u32>,
+    /// Dedup map: live leaf pattern, as its [`leaf_key`] -> leaf-id.
+    leaves: HashMap<Box<[u8]>, u32>,
+    /// Scratch buffer for [`leaf_key`], reused by every intern.
+    key_buf: Vec<u8>,
     /// Leaf-id slots (pattern + live refcount); `None` when recycled.
     leaf_slots: Vec<Option<LeafSlot>>,
     /// Recycled leaf-id slots awaiting reuse.
     leaf_free: Vec<u32>,
     /// Live distinct values (slots minus tombstones).
     live: usize,
-    /// Bytes of live interned text (equals `arena.len()` after compaction).
+    /// Bytes of live interned text (`arena.len()` right after compaction).
     live_bytes: usize,
-    /// Estimated heap bytes of the live cached tokenizations.
-    token_bytes: usize,
-    /// Total distinct values evicted over the interner's lifetime.
-    evicted: u64,
+    /// Heap bytes of the live leaf patterns: each one's tokens in its
+    /// [`LeafSlot`] plus its `leaves` key.
+    leaf_bytes: usize,
     /// Lifetime intern/eviction tallies (plain `u64`s bumped inline — the
     /// hot path never touches a sink).
     stats: InternerStats,
@@ -311,38 +419,6 @@ impl Default for ColumnInterner {
     }
 }
 
-/// A clone owns a **fresh id space** (new instance id): the copy starts with
-/// the same value→id mapping, but the two interners diverge independently
-/// from then on, so sharing the original's instance id would let a consumer
-/// cache (keyed by instance) alias one id to two different values. The
-/// fresh id forces such consumers to re-decide, which is always sound.
-impl Clone for ColumnInterner {
-    fn clone(&self) -> Self {
-        ColumnInterner {
-            instance: next_instance(),
-            generation: self.generation,
-            clock: self.clock,
-            budget: self.budget,
-            arena: self.arena.clone(),
-            entries: self.entries.clone(),
-            free: self.free.clone(),
-            seen: self.seen.clone(),
-            leaves: self.leaves.clone(),
-            leaf_slots: self.leaf_slots.clone(),
-            leaf_free: self.leaf_free.clone(),
-            live: self.live,
-            live_bytes: self.live_bytes,
-            token_bytes: self.token_bytes,
-            evicted: self.evicted,
-            stats: self.stats,
-            telemetry: self.telemetry.clone(),
-            published: self.published,
-            eviction_log: self.eviction_log.clone(),
-            log_floor: self.log_floor,
-        }
-    }
-}
-
 impl ColumnInterner {
     /// An empty interner with a fresh process-unique id space and no
     /// memory budget.
@@ -353,21 +429,24 @@ impl ColumnInterner {
     /// An empty interner enforcing `budget` at every chunk boundary.
     pub fn with_budget(budget: StreamBudget) -> Self {
         ColumnInterner {
-            instance: next_instance(),
+            instance: Instance(next_instance()),
             generation: 0,
-            clock: 0,
             budget,
             arena: String::new(),
             entries: Vec::new(),
-            free: Vec::new(),
-            seen: HashMap::new(),
+            free_head: NIL,
+            lru_head: NIL,
+            lru_tail: NIL,
+            hasher: RandomState::new(),
+            seen: SpanTable::default(),
+            chunk_local: Vec::new(),
             leaves: HashMap::new(),
+            key_buf: Vec::new(),
             leaf_slots: Vec::new(),
             leaf_free: Vec::new(),
             live: 0,
             live_bytes: 0,
-            token_bytes: 0,
-            evicted: 0,
+            leaf_bytes: 0,
             stats: InternerStats::default(),
             telemetry: None,
             published: InternerStats::default(),
@@ -399,7 +478,7 @@ impl ColumnInterner {
     /// never share an instance id, so a consumer caching per distinct-id or
     /// per leaf-id can key its cache validity on this value.
     pub fn instance(&self) -> u64 {
-        self.instance
+        self.instance.0
     }
 
     /// Size of the distinct-id space: live values plus recycled (evicted)
@@ -430,7 +509,7 @@ impl ColumnInterner {
     }
 
     /// Total bytes of live interned distinct-value text (the arena size
-    /// after compaction).
+    /// right after a compaction).
     pub fn interned_bytes(&self) -> usize {
         self.live_bytes
     }
@@ -457,31 +536,30 @@ impl ColumnInterner {
     pub fn is_live(&self, id: u32) -> bool {
         self.entries
             .get(id as usize)
-            .is_some_and(|s| s.entry.is_some())
+            .is_some_and(|s| matches!(s.state, SlotState::Live(_)))
     }
 
     /// Total distinct values evicted over the interner's lifetime.
     pub fn evictions(&self) -> u64 {
-        self.evicted
+        self.stats.evicted_values
     }
 
-    /// Estimated heap bytes retained by the interner: arena text, cached
-    /// tokenizations, slot tables and dedup maps (whose owned keys
-    /// duplicate the live text). An estimate — allocator overhead and map
-    /// table capacity are approximated — but it is monotone under
-    /// interning and decreases when an eviction batch runs, which is what
-    /// budget monitoring needs.
+    /// Estimated heap bytes retained by the interner: arena text, slot
+    /// tables, the dedup maps and the live leaf patterns. An estimate —
+    /// allocator overhead and map table capacity are approximated — but it
+    /// is monotone under interning and decreases when an eviction batch
+    /// compacts the arena, which is what budget monitoring needs.
     pub fn memory_used(&self) -> usize {
         self.arena.capacity()
-            + self.token_bytes
             + self.entries.capacity() * size_of::<Slot>()
-            + self.free.capacity() * size_of::<u32>()
             + self.leaf_free.capacity() * size_of::<u32>()
             + self.leaf_slots.len() * size_of::<Option<LeafSlot>>()
-            // `seen` owns one String key per live value (text duplicated).
-            + self.live_bytes
-            + self.seen.len() * size_of::<(String, u32)>()
-            + self.leaves.len() * size_of::<(Pattern, u32)>()
+            // `seen` keys are arena spans: the text is not duplicated.
+            + self.seen.buckets.capacity() * size_of::<(u32, u32)>()
+            + self.chunk_local.capacity() * size_of::<u32>()
+            + self.leaves.len() * size_of::<(Box<[u8]>, u32)>()
+            + self.key_buf.capacity()
+            + self.leaf_bytes
             + self
                 .eviction_log
                 .iter()
@@ -504,14 +582,10 @@ impl ColumnInterner {
         &self.arena[start..end]
     }
 
-    /// The cached tokenization of distinct value `id`.
-    pub fn tokenized(&self, id: u32) -> &TokenizedString {
-        &self.live_entry(id).tokenized
-    }
-
-    /// The cached leaf pattern of distinct value `id`.
+    /// The leaf pattern of distinct value `id`.
     pub fn leaf(&self, id: u32) -> &Pattern {
-        &self.live_entry(id).tokenized.pattern
+        self.leaf_pattern(self.leaf_id(id))
+            .expect("a live value's leaf is live")
     }
 
     /// The dense leaf-id of distinct value `id`'s leaf pattern.
@@ -533,125 +607,129 @@ impl ColumnInterner {
     }
 
     fn live_entry(&self, id: u32) -> &InternedEntry {
-        self.entries[id as usize]
-            .entry
-            .as_ref()
-            .expect("distinct-id was evicted")
+        match &self.entries[id as usize].state {
+            SlotState::Live(entry) => entry,
+            SlotState::Free(_) => panic!("distinct-id was evicted"),
+        }
+    }
+
+    fn live_entry_mut(&mut self, id: u32) -> &mut InternedEntry {
+        match &mut self.entries[id as usize].state {
+            SlotState::Live(entry) => entry,
+            SlotState::Free(_) => panic!("distinct-id was evicted"),
+        }
+    }
+
+    /// The `seen` hash of a value's text.
+    fn hash(&self, value: &str) -> u32 {
+        self.hasher.hash_one(value) as u32
     }
 
     /// Intern one value, tokenizing it only on first sight. Returns the
     /// value's dense distinct-id, stable until (and unless) a budget
     /// eviction recycles it — see [`ColumnInterner::distinct_generation`].
     pub fn intern(&mut self, value: &str) -> u32 {
-        if let Some(&id) = self.seen.get(value) {
+        let hash = self.hash(value);
+        let found = self.seen.find(hash, |id| {
+            let (start, end) = self.live_entry(id).span;
+            &self.arena[start..end] == value
+        });
+        if let Some(id) = found {
             self.stats.intern_hits += 1;
-            self.touch(id);
+            // An LRU touch: the value becomes the last to be evicted.
+            if self.lru_tail != id {
+                self.lru_unlink(id);
+                self.lru_push_hot(id);
+            }
             return id;
         }
-        let tokenized = tokenize_detailed(value);
-        self.insert_new(value.to_string(), tokenized)
+        self.stats.intern_misses += 1;
+        let leaf_id = self.intern_leaf(value);
+        let start = self.arena.len();
+        self.arena.push_str(value);
+        self.live += 1;
+        self.live_bytes += value.len();
+        let entry = InternedEntry {
+            span: (start, self.arena.len()),
+            leaf_id,
+            prev: NIL,
+            next: NIL,
+        };
+        let id = match self.free_head {
+            NIL => {
+                assert!(
+                    self.entries.len() < NIL as usize,
+                    "interner exceeds u32 distinct-value indexing"
+                );
+                self.entries.push(Slot {
+                    generation: 0,
+                    state: SlotState::Live(entry),
+                });
+                (self.entries.len() - 1) as u32
+            }
+            id => {
+                let slot = &mut self.entries[id as usize];
+                let SlotState::Free(next_free) = slot.state else {
+                    unreachable!("the free list holds only evicted slots")
+                };
+                self.free_head = next_free;
+                slot.state = SlotState::Live(entry);
+                id
+            }
+        };
+        self.lru_push_hot(id);
+        self.seen.insert(hash, id);
+        id
     }
 
-    /// [`ColumnInterner::intern`] taking ownership, so a first-seen value's
-    /// allocation is reused as the dedup key instead of being cloned.
-    pub fn intern_owned(&mut self, value: String) -> u32 {
-        if let Some(&id) = self.seen.get(value.as_str()) {
-            self.stats.intern_hits += 1;
-            self.touch(id);
-            return id;
+    /// Append live `id` (not in the list) at the hot end of the LRU list.
+    fn lru_push_hot(&mut self, id: u32) {
+        let tail = self.lru_tail;
+        let entry = self.live_entry_mut(id);
+        entry.prev = tail;
+        entry.next = NIL;
+        match tail {
+            NIL => self.lru_head = id,
+            tail => self.live_entry_mut(tail).next = id,
         }
-        let tokenized = tokenize_detailed(&value);
-        self.insert_new(value, tokenized)
+        self.lru_tail = id;
     }
 
-    /// Intern a value whose tokenization was already computed (the sharded
-    /// builder tokenizes in worker threads and merges here). The prepared
-    /// tokenization is dropped if the value is already interned.
-    fn intern_prepared(&mut self, value: &str, tokenized: TokenizedString) -> u32 {
-        if let Some(&id) = self.seen.get(value) {
-            self.stats.intern_hits += 1;
-            self.touch(id);
-            return id;
+    /// Take live `id` out of the LRU list.
+    fn lru_unlink(&mut self, id: u32) {
+        let InternedEntry { prev, next, .. } = *self.live_entry(id);
+        match prev {
+            NIL => self.lru_head = next,
+            prev => self.live_entry_mut(prev).next = next,
         }
-        self.insert_new(value.to_string(), tokenized)
+        match next {
+            NIL => self.lru_tail = prev,
+            next => self.live_entry_mut(next).prev = prev,
+        }
     }
 
-    /// Record an LRU touch on a live distinct value.
-    fn touch(&mut self, id: u32) {
-        self.clock += 1;
-        self.entries[id as usize]
-            .entry
-            .as_mut()
-            .expect("touched distinct-id must be live")
-            .last_touch = self.clock;
-    }
-
-    /// Intern the leaf pattern, recycling a freed leaf-id slot if one is
-    /// available, and count one live reference to it.
-    fn intern_leaf(&mut self, pattern: &Pattern) -> u32 {
-        if let Some(&l) = self.leaves.get(pattern) {
+    /// Intern `value`'s leaf pattern (tokenizing only a leaf not yet live),
+    /// recycling a freed leaf-id slot, and count one live reference to it.
+    fn intern_leaf(&mut self, value: &str) -> u32 {
+        leaf_key(value, &mut self.key_buf);
+        if let Some(&l) = self.leaves.get(self.key_buf.as_slice()) {
             self.leaf_slots[l as usize]
                 .as_mut()
                 .expect("mapped leaf-id must be live")
                 .refs += 1;
             return l;
         }
-        let slot = LeafSlot {
-            pattern: pattern.clone(),
-            refs: 1,
-        };
-        let l = match self.leaf_free.pop() {
-            Some(l) => {
-                self.leaf_slots[l as usize] = Some(slot);
-                l
-            }
-            None => {
-                assert!(
-                    self.leaf_slots.len() < u32::MAX as usize,
-                    "interner exceeds u32 leaf indexing"
-                );
-                self.leaf_slots.push(Some(slot));
-                (self.leaf_slots.len() - 1) as u32
-            }
-        };
-        self.leaves.insert(pattern.clone(), l);
+        let pattern = tokenize(value);
+        self.leaf_bytes += size_of_val(pattern.tokens()) + self.key_buf.len();
+        // No more leaf slots than live values, so the u32 bound on
+        // distinct-ids covers leaf-ids too.
+        let l = self.leaf_free.pop().unwrap_or_else(|| {
+            self.leaf_slots.push(None);
+            (self.leaf_slots.len() - 1) as u32
+        });
+        self.leaves.insert(self.key_buf.as_slice().into(), l);
+        self.leaf_slots[l as usize] = Some(LeafSlot { pattern, refs: 1 });
         l
-    }
-
-    fn insert_new(&mut self, value: String, tokenized: TokenizedString) -> u32 {
-        self.stats.intern_misses += 1;
-        let leaf_id = self.intern_leaf(&tokenized.pattern);
-        let start = self.arena.len();
-        self.arena.push_str(&value);
-        self.live += 1;
-        self.live_bytes += value.len();
-        self.token_bytes += tokenized_footprint(&tokenized);
-        self.clock += 1;
-        let entry = InternedEntry {
-            span: (start, self.arena.len()),
-            tokenized,
-            leaf_id,
-            last_touch: self.clock,
-        };
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.entries[id as usize].entry = Some(entry);
-                id
-            }
-            None => {
-                assert!(
-                    self.entries.len() < u32::MAX as usize,
-                    "interner exceeds u32 distinct-value indexing"
-                );
-                self.entries.push(Slot {
-                    generation: 0,
-                    entry: Some(entry),
-                });
-                (self.entries.len() - 1) as u32
-            }
-        };
-        self.seen.insert(value, id);
-        id
     }
 
     /// Evict cold distinct values until the live state fits the budget,
@@ -662,30 +740,18 @@ impl ColumnInterner {
     ///
     /// Eviction order is coldest-first (least recently interned). Each
     /// batch bumps the evicted slots' recycle generations and the
-    /// interner-wide [`generation`](ColumnInterner::generation), and
-    /// compacts the arena so the freed text bytes are actually released.
+    /// interner-wide [`generation`](ColumnInterner::generation). Once the
+    /// evicted text in the arena reaches the live text, the batch compacts
+    /// the arena so the freed bytes are actually released.
     pub fn enforce_budget(&mut self) -> usize {
         if !self.over_budget() {
             return 0;
         }
-        // Coldest-first victim selection over the live slots via a
-        // min-heap on `(last_touch, id)`: heapifying is O(live) and each
-        // pop O(log live), so a batch costs O(live + evicted·log live)
-        // instead of sorting the whole live set (O(live·log live)) when
-        // only a few victims are needed. Pop order — coldest first, ties
-        // by slot id — is exactly the order the former full sort evicted
-        // in, so victim choice is byte-identical.
-        let mut coldest: BinaryHeap<Reverse<(u64, u32)>> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.entry.as_ref().map(|e| Reverse((e.last_touch, i as u32))))
-            .collect();
+        // Victims come off the cold end of the LRU list: O(1) each, and no
+        // walk over the live set.
         let mut victims: Vec<u32> = Vec::new();
-        while self.over_budget() {
-            let Some(Reverse((_, id))) = coldest.pop() else {
-                break;
-            };
+        while self.over_budget() && self.lru_head != NIL {
+            let id = self.lru_head;
             self.evict_slot(id);
             victims.push(id);
         }
@@ -694,7 +760,11 @@ impl ColumnInterner {
             self.generation += 1;
             self.stats.eviction_batches += 1;
             self.stats.evicted_values += evicted as u64;
-            self.compact_arena();
+            // Amortized O(evicted bytes) per batch rather than O(live); the
+            // arena stays within twice the live text.
+            if self.arena.len() - self.live_bytes >= self.live_bytes {
+                self.compact_arena();
+            }
             self.record_eviction_batch(victims);
         }
         evicted
@@ -745,18 +815,23 @@ impl ColumnInterner {
         )
     }
 
-    /// Evict one live slot: drop its entry and dedup key, release its leaf
-    /// reference (recycling the leaf-id when it was the last), and queue
-    /// the slot for reuse under a bumped generation.
+    /// Evict one live slot: unlink it from the LRU list, drop its dedup key
+    /// and leaf reference (recycling the leaf-id when it was the last), and
+    /// free the slot for reuse under a bumped generation.
     fn evict_slot(&mut self, id: u32) {
+        self.lru_unlink(id);
         let slot = &mut self.entries[id as usize];
-        let entry = slot.entry.take().expect("evicting a live slot");
+        let SlotState::Live(entry) =
+            std::mem::replace(&mut slot.state, SlotState::Free(self.free_head))
+        else {
+            unreachable!("evicting a live slot")
+        };
         slot.generation += 1;
+        self.free_head = id;
         let (start, end) = entry.span;
-        self.seen.remove(&self.arena[start..end]);
+        self.seen.remove(self.hash(&self.arena[start..end]), id);
         self.live -= 1;
         self.live_bytes -= end - start;
-        self.token_bytes -= tokenized_footprint(&entry.tokenized);
         let leaf = self.leaf_slots[entry.leaf_id as usize]
             .as_mut()
             .expect("evicted value's leaf must be live");
@@ -766,11 +841,11 @@ impl ColumnInterner {
                 .take()
                 .expect("leaf slot present")
                 .pattern;
-            self.leaves.remove(&pattern);
+            leaf_key(&self.arena[start..end], &mut self.key_buf);
+            self.leaf_bytes -= size_of_val(pattern.tokens()) + self.key_buf.len();
+            self.leaves.remove(self.key_buf.as_slice());
             self.leaf_free.push(entry.leaf_id);
         }
-        self.free.push(id);
-        self.evicted += 1;
     }
 
     /// Rebuild the arena from the live entries, updating their spans, so
@@ -779,7 +854,7 @@ impl ColumnInterner {
         let old = std::mem::take(&mut self.arena);
         let mut arena = String::with_capacity(self.live_bytes);
         for slot in &mut self.entries {
-            if let Some(entry) = &mut slot.entry {
+            if let SlotState::Live(entry) = &mut slot.state {
                 let start = arena.len();
                 arena.push_str(&old[entry.span.0..entry.span.1]);
                 entry.span = (start, arena.len());
@@ -808,22 +883,25 @@ impl ColumnInterner {
         self.enforce_budget();
         let before = self.live_distinct_count();
         let mut distinct_ids: Vec<u32> = Vec::new();
-        // Global distinct-id -> local (chunk) index, for ids in this chunk.
-        let mut local_of: HashMap<u32, u32> = HashMap::new();
+        let mut chunk_local = std::mem::take(&mut self.chunk_local);
         let mut rows_local: Vec<u32> = Vec::with_capacity(rows.len());
         for row in rows {
             let id = self.intern(row.as_ref());
-            let local = match local_of.get(&id) {
-                Some(&l) => l,
-                None => {
-                    let l = distinct_ids.len() as u32;
-                    distinct_ids.push(id);
-                    local_of.insert(id, l);
-                    l
-                }
+            if chunk_local.len() <= id as usize {
+                chunk_local.resize(self.entries.len(), 0);
+            }
+            let l = chunk_local[id as usize];
+            let local = if distinct_ids.get(l as usize) == Some(&id) {
+                l
+            } else {
+                let l = distinct_ids.len() as u32;
+                distinct_ids.push(id);
+                chunk_local[id as usize] = l;
+                l
             };
             rows_local.push(local);
         }
+        self.chunk_local = chunk_local;
         // No eviction can run while the chunk is being interned, so the
         // live count only grew: the delta is exactly the new interns.
         let newly_interned = self.live_distinct_count() - before;
@@ -858,56 +936,6 @@ impl ColumnInterner {
         sink.gauge("column.interner.memory_bytes", self.memory_used() as u64);
         sink.gauge("column.interner.live_distinct", self.live as u64);
         sink.gauge("column.interner.leaf_count", self.leaves.len() as u64);
-    }
-
-    /// Consume the interner into a [`Column`]: `row_map[r]` names the
-    /// distinct value (by distinct-id) held by row `r`. The column inherits
-    /// the interner's id space (distinct order, leaf-ids and
-    /// [`instance`](ColumnInterner::instance) id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `row_map` entry is not an id handed out by this
-    /// interner, or if the interner has ever evicted (a bounded interner
-    /// that evicted no longer holds every row's value — it serves streams,
-    /// not whole columns).
-    pub fn into_column(self, row_map: Vec<u32>) -> Column {
-        assert!(
-            self.evicted == 0,
-            "cannot consume an interner that has evicted distinct values into a Column"
-        );
-        let generation = self.generation;
-        let mut values: Vec<DistinctEntry> = self
-            .entries
-            .into_iter()
-            .map(|slot| {
-                let e = slot
-                    .entry
-                    .expect("eviction-free interner has no tombstones");
-                DistinctEntry {
-                    span: e.span,
-                    rows: Vec::new(),
-                    tokenized: e.tokenized,
-                    leaf_id: e.leaf_id,
-                }
-            })
-            .collect();
-        for (row_index, &value_index) in row_map.iter().enumerate() {
-            assert!(
-                (value_index as usize) < values.len(),
-                "row map entry {value_index} out of bounds ({} distinct values)",
-                values.len()
-            );
-            values[value_index as usize].rows.push(row_index as u32);
-        }
-        Column {
-            arena: self.arena,
-            values,
-            rows: Arc::from(row_map),
-            source: self.instance,
-            source_generation: generation,
-            leaf_count: self.leaves.len(),
-        }
     }
 }
 
@@ -1019,31 +1047,26 @@ pub struct ColumnBuilder {
     telemetry: Option<Arc<dyn MetricSink>>,
 }
 
-/// One worker's dedup of a contiguous block of rows.
-struct BlockDedup<'a> {
-    /// Block-distinct values in block-first-occurrence order.
+/// A sequence of values deduplicated in first-occurrence order.
+struct Dedup<'a> {
+    /// The distinct values, in first-occurrence order.
     entries: Vec<&'a str>,
-    /// Block row index -> index into `entries`.
+    /// Position in the sequence -> index into `entries`.
     rows_local: Vec<u32>,
 }
 
-fn dedup_block(block: &[String]) -> BlockDedup<'_> {
+fn dedup<'a>(values: impl Iterator<Item = &'a str>) -> Dedup<'a> {
     let mut seen: HashMap<&str, u32> = HashMap::new();
     let mut entries: Vec<&str> = Vec::new();
-    let mut rows_local: Vec<u32> = Vec::with_capacity(block.len());
-    for row in block {
-        let local = match seen.get(row.as_str()) {
-            Some(&l) => l,
-            None => {
-                let l = entries.len() as u32;
-                entries.push(row.as_str());
-                seen.insert(row, l);
-                l
-            }
-        };
+    let mut rows_local: Vec<u32> = Vec::with_capacity(values.size_hint().0);
+    for value in values {
+        let local = *seen.entry(value).or_insert_with(|| {
+            entries.push(value);
+            entries.len() as u32 - 1
+        });
         rows_local.push(local);
     }
-    BlockDedup {
+    Dedup {
         entries,
         rows_local,
     }
@@ -1102,12 +1125,7 @@ impl ColumnBuilder {
         let shards = self.resolved_shards(rows.len());
         let _build_span = Span::start(self.telemetry.as_ref(), "column.builder.build_ns");
         if shards <= 1 {
-            let mut interner = ColumnInterner::new();
-            let mut row_map = Vec::with_capacity(rows.len());
-            for row in rows {
-                row_map.push(interner.intern_owned(row));
-            }
-            return interner.into_column(row_map);
+            return Column::from_rows(rows);
         }
 
         // Phase 1 (parallel): per-block dedup. No tokenization yet — a
@@ -1116,10 +1134,10 @@ impl ColumnBuilder {
         let dedup_span = Span::start(self.telemetry.as_ref(), "column.builder.dedup_ns");
         let block_size = rows.len().div_ceil(shards);
         let blocks: Vec<&[String]> = rows.chunks(block_size).collect();
-        let deduped: Vec<BlockDedup<'_>> = std::thread::scope(|scope| {
+        let deduped: Vec<Dedup<'_>> = std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .iter()
-                .map(|&block| scope.spawn(move || dedup_block(block)))
+                .map(|&block| scope.spawn(move || dedup(block.iter().map(String::as_str))))
                 .collect();
             handles
                 .into_iter()
@@ -1134,25 +1152,15 @@ impl ColumnBuilder {
         // block's entries are in block-first-occurrence order, so walking
         // them block by block reproduces the global first-occurrence order
         // exactly — and with it the sequential path's id assignment.
-        let mut seen: HashMap<&str, u32> = HashMap::new();
-        let mut distinct: Vec<&str> = Vec::new();
+        let merged = dedup(deduped.iter().flat_map(|b| b.entries.iter().copied()));
         let mut row_map: Vec<u32> = Vec::with_capacity(rows.len());
+        let mut offset = 0;
         for block in &deduped {
-            let mut global: Vec<u32> = Vec::with_capacity(block.entries.len());
-            for &text in &block.entries {
-                let id = match seen.get(text) {
-                    Some(&i) => i,
-                    None => {
-                        let i = distinct.len() as u32;
-                        distinct.push(text);
-                        seen.insert(text, i);
-                        i
-                    }
-                };
-                global.push(id);
-            }
+            let global = &merged.rows_local[offset..offset + block.entries.len()];
             row_map.extend(block.rows_local.iter().map(|&l| global[l as usize]));
+            offset += block.entries.len();
         }
+        let distinct = merged.entries;
         drop(merge_span);
 
         // Phase 3 (parallel): per-distinct tokenization — each worker takes
@@ -1180,14 +1188,10 @@ impl ColumnBuilder {
 
         drop(tokenize_span);
 
-        // Phase 4 (sequential, O(distinct)): assemble the interner in
-        // global first-occurrence order with the prepared tokenizations.
+        // Phase 4 (sequential, O(distinct)): assemble the column in global
+        // first-occurrence order from the prepared tokenizations.
         let _assemble_span = Span::start(self.telemetry.as_ref(), "column.builder.assemble_ns");
-        let mut interner = ColumnInterner::new();
-        for (text, tokenized) in distinct.iter().zip(tokenized) {
-            interner.intern_prepared(text, tokenized);
-        }
-        interner.into_column(row_map)
+        Column::from_distinct(tokenized, row_map)
     }
 }
 
@@ -1224,11 +1228,8 @@ pub struct Column {
     /// reports can reference the map without copying it per report.
     rows: Arc<[u32]>,
     /// The id space the distinct-ids / leaf-ids of this column belong to
-    /// (the building interner's instance id).
+    /// (a fresh instance id per column).
     source: u64,
-    /// The building interner's generation when the column was assembled
-    /// (always `0` today: only eviction-free interners can become columns).
-    source_generation: u64,
     /// Number of distinct leaf patterns (the size of the leaf-id space).
     leaf_count: usize,
 }
@@ -1240,27 +1241,27 @@ impl Default for Column {
             values: Vec::new(),
             rows: Arc::from(Vec::new()),
             source: next_instance(),
-            source_generation: 0,
             leaf_count: 0,
         }
     }
 }
 
 impl Column {
-    /// Build a column from owned rows, interning and analyzing each
-    /// distinct value once (sequentially; see [`ColumnBuilder`] for the
-    /// sharded multi-core equivalent).
+    /// Build a column from owned rows, deduplicating them and tokenizing
+    /// each distinct value once (sequentially; see [`ColumnBuilder`] for
+    /// the sharded multi-core equivalent).
     pub fn from_rows(rows: Vec<String>) -> Self {
         assert!(
             rows.len() < u32::MAX as usize,
             "column exceeds u32 row indexing"
         );
-        let mut interner = ColumnInterner::new();
-        let mut row_map = Vec::with_capacity(rows.len());
-        for row in rows {
-            row_map.push(interner.intern_owned(row));
-        }
-        interner.into_column(row_map)
+        let deduped = dedup(rows.iter().map(String::as_str));
+        let values = deduped
+            .entries
+            .iter()
+            .map(|v| tokenize_detailed(v))
+            .collect();
+        Column::from_distinct(values, deduped.rows_local)
     }
 
     /// Build a column from already-distinct, already-tokenized values plus
@@ -1313,7 +1314,6 @@ impl Column {
             values: entries,
             rows: Arc::from(row_map),
             source: next_instance(),
-            source_generation: 0,
             leaf_count: leaves.len(),
         }
     }
@@ -1345,22 +1345,21 @@ impl Column {
     }
 
     /// The process-unique id of the id space this column's distinct-ids and
-    /// leaf-ids belong to — the building [`ColumnInterner`]'s
-    /// [`instance`](ColumnInterner::instance) id. A consumer caching per
-    /// leaf-id (e.g. an executor's dense dispatch cache) keys cache validity
-    /// on this value: columns from different interners never share ids.
+    /// leaf-ids belong to: fresh per column (a clone shares it), drawn from
+    /// the counter behind [`ColumnInterner::instance`]. A consumer caching
+    /// per leaf-id (e.g. an executor's dense dispatch cache) keys cache
+    /// validity on this value.
     pub fn interner_id(&self) -> u64 {
         self.source
     }
 
-    /// The building interner's eviction
-    /// [`generation`](ColumnInterner::generation) at assembly time. Paired
-    /// with [`Column::interner_id`] by consumers whose leaf-id caches must
-    /// also survive *streaming* interners, where the generation moves on
-    /// eviction; a column's generation is fixed (and currently always `0`,
-    /// since only eviction-free interners can be consumed into columns).
+    /// The eviction [`generation`](ColumnInterner::generation) of this
+    /// column's id space: always `0`, because a column never evicts.
+    /// Paired with [`Column::interner_id`] by consumers whose leaf-id
+    /// caches also serve *streaming* interners, where the generation moves
+    /// on eviction.
     pub fn interner_generation(&self) -> u64 {
-        self.source_generation
+        0
     }
 
     /// The raw string of row `index` (a slice of the arena).
@@ -1687,11 +1686,12 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         // Re-interning returns the existing id.
         assert_eq!(interner.intern("734-422-8073"), 0);
-        assert_eq!(interner.intern_owned("N/A".to_string()), 1);
+        assert_eq!(interner.intern("N/A"), 1);
         assert_eq!(interner.distinct_count(), 2);
         assert_eq!(interner.value(0), "734-422-8073");
+        assert_eq!(interner.value(1), "N/A");
         assert_eq!(interner.leaf(0), &tokenize("734-422-8073"));
-        assert_eq!(interner.tokenized(1).raw, "N/A");
+        assert_eq!(interner.leaf(1), &tokenize("N/A"));
         assert_eq!(
             interner.interned_bytes(),
             "734-422-8073".len() + "N/A".len()
@@ -1839,32 +1839,30 @@ mod tests {
     }
 
     #[test]
-    fn interner_into_column_matches_from_rows() {
-        let rows = vec![
-            "(734) 645-8397".to_string(),
-            "N/A".to_string(),
-            "(734) 645-8397".to_string(),
-        ];
-        let baseline = Column::from_rows(rows.clone());
-        let mut interner = ColumnInterner::new();
-        let row_map: Vec<u32> = rows.iter().map(|r| interner.intern(r)).collect();
-        let column = interner.into_column(row_map);
-        assert_eq!(column.to_vec(), baseline.to_vec());
-        assert_eq!(column.distinct_count(), baseline.distinct_count());
-        assert_eq!(column.leaf_count(), baseline.leaf_count());
-        for (a, b) in column.distinct_values().zip(baseline.distinct_values()) {
-            assert_eq!(a.text(), b.text());
-            assert_eq!(a.leaf_id(), b.leaf_id());
-            assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
-        }
+    #[should_panic(expected = "out of bounds")]
+    fn from_distinct_rejects_foreign_ids() {
+        // A row map naming any id over an empty distinct table.
+        Column::from_distinct(Vec::new(), vec![0]);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn into_column_rejects_foreign_ids() {
-        let mut interner = ColumnInterner::new();
-        interner.intern("x");
-        interner.into_column(vec![0, 7]);
+    fn span_table_finds_every_id_through_colliding_removals() {
+        // Seven hashes for 600 ids, all homed in the last buckets of any
+        // table size: one long probe run that wraps around the bucket
+        // array, so removals have to shift entries back across the wrap.
+        let hash = |id: u32| u32::MAX - 6 + id % 7;
+        let mut table = SpanTable::default();
+        for id in 0..600 {
+            table.insert(hash(id), id);
+        }
+        for id in (0..600).filter(|id| id % 3 != 0) {
+            table.remove(hash(id), id);
+        }
+        for id in 0..600 {
+            let expected = (id % 3 == 0).then_some(id);
+            assert_eq!(table.find(hash(id), |found| found == id), expected, "{id}");
+        }
+        assert_eq!(table.len, 200);
     }
 
     // ---- budgets & eviction ------------------------------------------------
@@ -2044,16 +2042,6 @@ mod tests {
         assert!(interner.budget().is_unbounded());
         assert!(!interner.over_budget());
         assert_eq!(StreamBudget::default(), StreamBudget::unbounded());
-    }
-
-    #[test]
-    #[should_panic(expected = "has evicted")]
-    fn evicted_interner_cannot_become_a_column() {
-        let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(1));
-        drop(interner.chunk(&["a-1", "b-2"]));
-        drop(interner.chunk(&["c-3"]));
-        assert!(interner.evictions() > 0);
-        interner.into_column(vec![1]);
     }
 
     // ---- builder ----------------------------------------------------------

@@ -3,9 +3,10 @@
 //! [`ColumnStream`] interns each pushed chunk of raw strings through a
 //! persistent [`ColumnInterner`](clx_column::ColumnInterner), so streaming
 //! inherits the whole O(distinct) column path: a distinct value is
-//! tokenized once per *stream* (by the interner), decided once per stream
-//! (the stream caches the outcome per distinct-id), and dispatched by
-//! integer leaf-id (a dense array index — no `Pattern` hashing).
+//! interned once per *stream* (tokenized only when its leaf pattern is new
+//! to the interner), decided once per stream (the stream caches the
+//! outcome per distinct-id), and dispatched by integer leaf-id (a dense
+//! array index — no `Pattern` hashing).
 //!
 //! Each pushed chunk is transformed and *returned* to the caller — to be
 //! written to a sink immediately — while the stream retains only mergeable

@@ -32,10 +32,69 @@ pub struct TokenizedString {
 ///            "<U><L>2<D>3'@'<L>5'.'<L>3");
 /// ```
 pub fn tokenize(s: &str) -> Pattern {
-    // Single pass, no intermediate buffers: this is the hottest function of
-    // the whole system (clustering profiles every row with it, and the batch
-    // engine derives its dispatch signature from it).
+    // No intermediate buffers: this is the hottest function of the whole
+    // system (clustering profiles every row with it, and the batch engine
+    // derives its dispatch signature from it).
     let mut tokens: Vec<Token> = Vec::new();
+    scan_leaf(s, |token| {
+        tokens.push(match token {
+            LeafToken::Run(class, len) => Token::base(class, len),
+            LeafToken::Literal(c) => Token::literal(c.to_string()),
+        })
+    });
+    Pattern::new(tokens)
+}
+
+/// Write a compact byte key of `s`'s leaf pattern to `key`, replacing its
+/// contents: two strings get equal keys exactly when [`tokenize`] gives
+/// them equal patterns. Unlike `tokenize` it allocates nothing once `key`
+/// has grown, so a table of leaves keyed by it needs `tokenize` only for a
+/// leaf it has not seen yet.
+///
+/// ```
+/// use clx_pattern::leaf_key;
+///
+/// let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+/// leaf_key("734-422-8073", &mut a);
+/// leaf_key("555-123-4567", &mut b);
+/// leaf_key("555.123.4567", &mut c);
+/// assert_eq!(a, b);
+/// assert_ne!(a, c);
+/// ```
+pub fn leaf_key(s: &str, key: &mut Vec<u8>) {
+    key.clear();
+    // A literal is its UTF-8 bytes; a run is a tag byte that starts no
+    // UTF-8 sequence, then its length in LEB128. Both are self-delimiting,
+    // so distinct token sequences never share a key.
+    scan_leaf(s, |token| match token {
+        LeafToken::Literal(c) => key.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
+        LeafToken::Run(class, mut len) => {
+            key.push(match class {
+                TokenClass::Digit => 0xF8,
+                TokenClass::Lower => 0xF9,
+                TokenClass::Upper => 0xFA,
+                other => unreachable!("leaf runs are digit, lower or upper, not {other:?}"),
+            });
+            while len >= 0x80 {
+                key.push(len as u8 | 0x80);
+                len >>= 7;
+            }
+            key.push(len as u8);
+        }
+    });
+}
+
+/// One token of a string's leaf pattern: a maximal run of one base class,
+/// or a single literal character.
+enum LeafToken {
+    Run(TokenClass, usize),
+    Literal(char),
+}
+
+/// Scan `s` into its leaf tokens, in order, following the rules documented
+/// on [`tokenize`]. The one definition behind [`tokenize`] and
+/// [`leaf_key`], so the two can never disagree.
+fn scan_leaf(s: &str, mut emit: impl FnMut(LeafToken)) {
     let mut run: Option<(TokenClass, usize)> = None;
     for c in s.chars() {
         match precise_class(c) {
@@ -43,23 +102,22 @@ pub fn tokenize(s: &str) -> Pattern {
                 Some((current, len)) if *current == class => *len += 1,
                 _ => {
                     if let Some((class, len)) = run.take() {
-                        tokens.push(Token::base(class, len));
+                        emit(LeafToken::Run(class, len));
                     }
                     run = Some((class, 1));
                 }
             },
             None => {
                 if let Some((class, len)) = run.take() {
-                    tokens.push(Token::base(class, len));
+                    emit(LeafToken::Run(class, len));
                 }
-                tokens.push(Token::literal(c.to_string()));
+                emit(LeafToken::Literal(c));
             }
         }
     }
     if let Some((class, len)) = run {
-        tokens.push(Token::base(class, len));
+        emit(LeafToken::Run(class, len));
     }
-    Pattern::new(tokens)
 }
 
 /// Like [`tokenize`] but also returns the character slices each token covers.
@@ -289,6 +347,42 @@ mod tests {
         );
         assert_eq!(tokenize("734-422-8073").to_string(), "<D>3'-'<D>3'-'<D>4");
         assert_eq!(tokenize("734.236.3466").to_string(), "<D>3'.'<D>3'.'<D>4");
+    }
+
+    #[test]
+    fn leaf_keys_are_equal_exactly_when_leaves_are() {
+        let long_run = "7".repeat(300);
+        let values = [
+            "",
+            "734-422-8073",
+            "555-123-4567",
+            "555.123.4567",
+            "(734) 645-8397",
+            "Bob123@gmail.com",
+            "Tim456@yahoo.org",
+            "a€b",
+            "z€q",
+            "a\u{1}b",
+            "\u{f8}",
+            "abc",
+            "abcd",
+            "ABC",
+            long_run.as_str(),
+            "7",
+        ];
+        let mut keys = vec![Vec::new(); values.len()];
+        for (value, key) in values.iter().zip(&mut keys) {
+            leaf_key(value, key);
+        }
+        for (i, a) in values.iter().enumerate() {
+            for (j, b) in values.iter().enumerate() {
+                assert_eq!(
+                    keys[i] == keys[j],
+                    tokenize(a) == tokenize(b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

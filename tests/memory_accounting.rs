@@ -5,7 +5,10 @@
 //!
 //! The whole binary holds exactly one test so the counters see only the
 //! stream under test; chunks are generated on the fly and dropped after
-//! each push so the input data never dominates the measurement.
+//! each push so the input data never dominates the measurement. A second
+//! phase of the same test counts allocation calls instead of bytes: the
+//! interner's write path must make at most one allocation per newly
+//! interned value.
 //!
 //! The estimate deliberately under-counts the process truth — it models
 //! retained columnar state (arena bytes, intern tables, decision cache,
@@ -15,12 +18,12 @@
 //! substantial fraction of the allocator-observed peak, not off by an
 //! order of magnitude.
 //!
-//! Measured on this container (adversarial all-distinct stream, budget
-//! `max_distinct(10_000)`, 10k-row chunks):
+//! Measured on a 2-vCPU Linux x86-64 host (adversarial all-distinct
+//! stream, budget `max_distinct(10_000)`, 10k-row chunks):
 //!
-//! * release, 1M rows:  estimate 16.9 MB vs allocator peak delta 21.1 MB
-//!   — ratio (actual/estimate) 1.25;
-//! * debug, 200k rows:  identical peaks, ratio 1.25 (memory is flat once
+//! * release, 1M rows:  estimate 4.0 MB vs allocator peak delta 5.4 MB
+//!   — ratio (actual/estimate) 1.34;
+//! * debug, 200k rows:  identical peaks, ratio 1.34 (memory is flat once
 //!   the budget binds, so stream length does not move either number).
 //!
 //! The test asserts the ratio stays in `[1.0, 3.0]`: the model may never
@@ -32,14 +35,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use clx::pattern::tokenize;
 use clx::unifi::{Branch, Expr, Program, StringExpr};
-use clx::{ColumnStream, CompiledProgram, StreamBudget};
+use clx::{ColumnInterner, ColumnStream, CompiledProgram, StreamBudget};
 use std::sync::Arc;
 
-/// `System`, with live/peak byte counters on the side.
+/// `System`, with live/peak byte counters and an allocation-call counter
+/// on the side.
 struct CountingAlloc;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// `alloc` and `realloc` calls, the unit of the allocation gate.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 fn on_alloc(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -48,6 +54,7 @@ fn on_alloc(bytes: usize) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let p = System.alloc(layout);
         if !p.is_null() {
             on_alloc(layout.size());
@@ -61,6 +68,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             if new_size >= layout.size() {
@@ -152,5 +160,42 @@ fn peak_memory_estimate_tracks_the_allocator() {
         ratio <= 3.0,
         "estimate {estimate} B is less than a third of the allocator-observed \
          peak {actual_peak} B"
+    );
+
+    // Phase 2, the allocation gate: the interner's write path on the
+    // `ingest_distinct` shape (nearly all-distinct phones through a
+    // 20k-distinct budget in 1k-row chunks). After a warm-up that fills the
+    // budget, every chunk interns ~1k new values and evicts as many, and the
+    // allocations it makes must stay a small constant per new value
+    // (measured: 0.02).
+    let rows = clx::datagen::large_case(
+        if cfg!(debug_assertions) {
+            60_000
+        } else {
+            200_000
+        },
+        7,
+    )
+    .data;
+    let (warm_up, measured) = rows.split_at(40_000);
+    let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(20_000));
+    for chunk in warm_up.chunks(1_000) {
+        drop(interner.chunk(chunk));
+    }
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let mut newly_interned = 0;
+    for chunk in measured.chunks(1_000) {
+        newly_interned += interner.chunk(chunk).newly_interned();
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let per_value = allocs as f64 / newly_interned as f64;
+    println!("interner: {allocs} allocations for {newly_interned} new values, {per_value:.2} each");
+    assert!(
+        interner.evictions() > 0,
+        "budget never bound — bad workload"
+    );
+    assert!(
+        per_value <= 1.0,
+        "{per_value:.2} allocations per newly interned value (gate: 1)"
     );
 }

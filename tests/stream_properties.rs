@@ -34,8 +34,8 @@ use clx::pattern::automaton::MultiPatternAutomaton;
 use clx::pattern::{tokenize, Quantifier, TokenSlice};
 use clx::unifi::{Branch, Expr, Program, StringExpr};
 use clx::{
-    Column, ColumnBuilder, ColumnStream, CompiledProgram, InMemorySink, MetricSink, NoopSink,
-    Pattern, RowOutcome, StreamBudget, Token, TokenClass,
+    Column, ColumnBuilder, ColumnInterner, ColumnStream, CompiledProgram, InMemorySink, MetricSink,
+    NoopSink, Pattern, RowOutcome, StreamBudget, Token, TokenClass,
 };
 
 /// The phone-rewrite program every streaming test in the workspace uses:
@@ -271,6 +271,101 @@ proptest! {
                 a.rows().collect::<Vec<_>>(),
                 b.rows().collect::<Vec<_>>()
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Interner eviction: the O(1) LRU list against a reference model.
+// ---------------------------------------------------------------------------
+
+/// Short values over a small alphabet, so chunks repeat values (LRU
+/// touches) and values share leaves (leaf-slot refcounts above one).
+fn small_alphabet_value() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![Just('a'), Just('b'), Just('7'), Just('-'), Just('€')],
+        0..4,
+    )
+    .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// Random `max_distinct` and `max_arena_bytes` caps, each possibly absent.
+fn small_budgets() -> impl Strategy<Value = StreamBudget> {
+    (
+        prop_oneof![Just(usize::MAX), 1..8usize],
+        prop_oneof![Just(usize::MAX), 1..24usize],
+    )
+        .prop_map(|(max_distinct, max_arena_bytes)| {
+            StreamBudget::max_distinct(max_distinct).with_max_arena_bytes(max_arena_bytes)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The interner evicts exactly what a least-recently-interned model
+    /// evicts, in the same order, and keeps every live value's leaf and
+    /// the live leaf count right while leaf slots are shared and recycled.
+    ///
+    /// The model is a list of live values, coldest first: interning a
+    /// value moves it to the hot end, and each chunk boundary drops
+    /// values from the cold end while the live count or live text bytes
+    /// exceed the budget.
+    #[test]
+    fn interner_evicts_least_recently_interned_first(
+        chunks in proptest::collection::vec(
+            proptest::collection::vec(small_alphabet_value(), 0..8),
+            1..24,
+        ),
+        budget in small_budgets(),
+    ) {
+        let mut interner = ColumnInterner::with_budget(budget);
+        // Live (value, distinct-id) pairs, coldest first.
+        let mut model: Vec<(String, u32)> = Vec::new();
+        for rows in &chunks {
+            let synced = interner.generation();
+            let mut expected_victims = Vec::new();
+            let live_bytes = |model: &Vec<(String, u32)>| -> usize {
+                model.iter().map(|(v, _)| v.len()).sum()
+            };
+            while model.len() > budget.max_distinct
+                || live_bytes(&model) > budget.max_arena_bytes
+            {
+                expected_victims.push(model.remove(0).1);
+            }
+
+            let chunk = interner.chunk(rows);
+            for (row, value) in rows.iter().enumerate() {
+                let id = chunk.distinct_ids()[chunk.row_map()[row] as usize];
+                match model.iter().position(|(v, _)| v == value) {
+                    Some(at) => {
+                        let touched = model.remove(at);
+                        prop_assert!(touched.1 == id, "a live value kept its id");
+                        model.push(touched);
+                    }
+                    None => model.push((value.clone(), id)),
+                }
+            }
+            drop(chunk);
+
+            let victims: Vec<u32> = interner
+                .evicted_since(synced)
+                .expect("one small batch per chunk stays in the log")
+                .collect();
+            prop_assert_eq!(victims, expected_victims);
+            prop_assert_eq!(interner.live_distinct_count(), model.len());
+            prop_assert_eq!(interner.interned_bytes(), live_bytes(&model));
+            let mut leaves: Vec<Pattern> = Vec::new();
+            for (value, id) in &model {
+                prop_assert_eq!(interner.value(*id), value.as_str());
+                let leaf = tokenize(value);
+                prop_assert_eq!(interner.leaf(*id), &leaf);
+                prop_assert_eq!(interner.leaf_pattern(interner.leaf_id(*id)), Some(&leaf));
+                if !leaves.contains(&leaf) {
+                    leaves.push(leaf);
+                }
+            }
+            prop_assert_eq!(interner.leaf_count(), leaves.len());
         }
     }
 }
