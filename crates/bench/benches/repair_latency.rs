@@ -23,13 +23,14 @@
 //! * **session_reverify** — `ClxSession::reverify(&baseline)`: compile
 //!   both programs, diff, clone the baseline report, patch 625 outcomes.
 //!
-//! Engine-level (secondary: how the *self-contained* patch — no column,
-//! so it must re-tokenize stored values to screen them — compares to the
+//! Engine-level (secondary: how the patch — which screens by the column's
+//! cached leaf-ids and re-decides only affected distincts — compares to the
 //! engine's compiled columnar re-run, which is already O(distinct) over
 //! cached tokens and dense dispatch plans — the `cold_dispatch` story):
 //!
 //! * **engine_full_recompute** — `execute_column` under the new program;
-//! * **engine_patch** — `ProgramDelta::between` + clone + `patch`;
+//! * **engine_patch** — `ProgramDelta::between` + clone + `patch` over
+//!   the report's own column;
 //! * **engine_delta_only** — just the program diff (greedy branch
 //!   matching + the `clx-analyze` reachability intersection).
 //!
@@ -206,7 +207,9 @@ fn bench_repair_latency(c: &mut Criterion) {
     {
         let delta = ProgramDelta::between(&old, &new);
         let mut patched = engine_baseline.clone();
-        let stats = patched.patch(&delta, &new);
+        let stats = patched
+            .patch(&delta, &new, &column)
+            .expect("the baseline was built over this column");
         let full = new.execute_column(&column);
         assert!(
             patched.iter_rows().eq(full.iter_rows()),
@@ -237,11 +240,11 @@ fn bench_repair_latency(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("engine_patch", total_rows),
         &column,
-        |b, _| {
+        |b, col| {
             b.iter(|| {
                 let delta = ProgramDelta::between(&old, &new);
                 let mut report = engine_baseline.clone();
-                black_box(report.patch(&delta, &new))
+                black_box(report.patch(&delta, &new, col))
             })
         },
     );

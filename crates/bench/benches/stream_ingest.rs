@@ -1,12 +1,13 @@
-//! Streaming ingest throughput: per-row `&[String]` execution vs the
-//! columnar `push_rows` path through the persistent interner, plus sharded
-//! vs single-threaded `Column` construction.
+//! Streaming ingest throughput: one-shot `execute` over the whole column
+//! vs the chunked `push_rows` path through a persistent interner, plus
+//! sharded vs single-threaded `Column` construction.
 //!
 //! Workload: 100k rows / ≤1k distinct values (datagen `duplicate_heavy_case`),
 //! streamed in 8,192-row chunks. Each iteration runs a whole stream
-//! (fresh interner and caches), so the columnar numbers *include* the
-//! interning cost — the comparison is "tokenize + decide once per distinct
-//! value per stream" vs "re-tokenize every row of every chunk".
+//! (fresh interner and caches), so the streaming numbers *include* the
+//! interning cost. `execute` interns the same rows per block (one block per
+//! CPU above 16,384 rows) and decides each distinct value once per block;
+//! the stream decides it once per stream and reports chunk by chunk.
 //!
 //! The sharded builder only beats sequential construction once the
 //! per-shard work outweighs its constant merge and row-translation cost,
@@ -22,7 +23,7 @@ use std::sync::Arc;
 use clx_column::{Column, ColumnBuilder};
 use clx_core::ClxSession;
 use clx_datagen::duplicate_heavy_case;
-use clx_engine::{ColumnStream, CompiledProgram, DispatchCache};
+use clx_engine::{ColumnStream, CompiledProgram};
 
 const ROWS: usize = 100_000;
 const DISTINCT: usize = 1_000;
@@ -35,18 +36,6 @@ fn compile_for(case_data: &[String], target_example: &str) -> CompiledProgram {
         .expect("label")
         .compile()
         .expect("compile")
-}
-
-/// One whole stream over the per-row `&[String]` path, single-threaded
-/// over one persistent dispatch cache: every row of every chunk is
-/// re-tokenized to dispatch it.
-fn stream_strings(program: &CompiledProgram, data: &[String]) -> usize {
-    let mut cache = DispatchCache::new();
-    let mut rows = 0;
-    for (index, chunk) in data.chunks(CHUNK).enumerate() {
-        rows += black_box(program.execute_chunk(index, chunk, &mut cache)).len();
-    }
-    rows
 }
 
 /// One whole stream over the columnar path: chunks intern into a persistent
@@ -67,11 +56,9 @@ fn bench_stream_ingest(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(ROWS as u64));
 
-    group.bench_with_input(
-        BenchmarkId::new("execute_chunk_strings", ROWS),
-        &case.data,
-        |b, data| b.iter(|| black_box(stream_strings(&program, black_box(data)))),
-    );
+    group.bench_with_input(BenchmarkId::new("execute", ROWS), &case.data, |b, data| {
+        b.iter(|| black_box(program.execute(black_box(data)).len()))
+    });
 
     group.bench_with_input(
         BenchmarkId::new("push_rows", ROWS),

@@ -1015,8 +1015,23 @@ impl<'a> ColumnChunk<'a> {
     }
 }
 
-/// Minimum rows per shard before auto-sharding bothers spawning threads.
+/// Minimum rows per block before automatic blocking bothers spawning
+/// threads.
 const AUTO_MIN_BLOCK: usize = 8_192;
+
+/// The automatic block count for parallel work over `rows` rows: one block
+/// below `2 * 8_192` rows, otherwise one per available CPU, capped so every
+/// block keeps at least 8,192 rows. [`ColumnBuilder`] shards by this rule,
+/// and the engine's batch executor cuts its input by it.
+pub fn auto_block_count(rows: usize) -> usize {
+    if rows < 2 * AUTO_MIN_BLOCK {
+        return 1;
+    }
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    cpus.min(rows / AUTO_MIN_BLOCK).max(1)
+}
 
 /// Sharded, multi-threaded column construction.
 ///
@@ -1106,13 +1121,7 @@ impl ColumnBuilder {
         if self.shards > 0 {
             return self.shards.min(rows);
         }
-        if rows < 2 * AUTO_MIN_BLOCK {
-            return 1;
-        }
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        cpus.min(rows / AUTO_MIN_BLOCK).max(1)
+        auto_block_count(rows)
     }
 
     /// Build a [`Column`] from owned rows, sharding the interning and

@@ -23,7 +23,7 @@
 //! [`RowOutcome`] per *distinct* value plus the column's shared row map, so
 //! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
 //! execution beyond the interactive loop, [`ClxSession::compile`] hands the
-//! program to the `clx-engine` batch subsystem (parallel chunked execution,
+//! program to the `clx-engine` batch subsystem (parallel block execution,
 //! program caching, and [`CompiledProgram::execute_column`] over the
 //! session's column, which agrees with [`ClxSession::apply`] row for row);
 //! [`ClxSession::stream_columns`] opens a [`ColumnStream`] over it.
@@ -70,7 +70,7 @@ pub use session::{Clustered, ClxError, ClxOptions, ClxSession, LabelError, Label
 pub use clx_cluster::{ClusterNode, PatternHierarchy, PatternProfiler, ProfilerOptions};
 pub use clx_column::{Column, ColumnBuilder, ColumnChunk, ColumnInterner, DistinctValue};
 pub use clx_engine::{
-    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ExecOptions, ProgramCache, RowOutcomes,
+    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ProgramCache, RowOutcomes,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{RankedPlan, Synthesis, SynthesisOptions};

@@ -10,7 +10,7 @@
 //! row-for-row identical to the old one-outcome-per-row report.
 
 use clx_column::Column;
-use clx_engine::{BatchReport, ChunkReport, RowOutcomes};
+use clx_engine::{BatchReport, RowOutcomes};
 use clx_pattern::Pattern;
 use clx_unifi::Program;
 
@@ -33,8 +33,7 @@ pub struct TransformReport {
 impl TransformReport {
     /// Wrap a `clx-engine` batch report. This is **zero-copy**: the engine
     /// and the session share one outcome representation, so the stored
-    /// outcomes and the row map move in unchanged — whether the batch came
-    /// from the chunked per-row path or the columnar path.
+    /// outcomes and the row map move in unchanged.
     pub fn from_batch(batch: BatchReport) -> Self {
         TransformReport {
             batch,
@@ -48,20 +47,6 @@ impl TransformReport {
     pub fn columnar(target: Pattern, outcomes: Vec<RowOutcome>, column: &Column) -> Self {
         TransformReport {
             batch: BatchReport::columnar(target, outcomes, column),
-            provenance: None,
-        }
-    }
-
-    /// Build a report from one outcome per row (no dedup). Mostly useful
-    /// in tests and for callers that already hold per-row outcomes.
-    pub fn from_row_outcomes(target: Pattern, rows: Vec<RowOutcome>) -> Self {
-        let chunks = if rows.is_empty() {
-            Vec::new()
-        } else {
-            vec![ChunkReport::new(0, rows)]
-        };
-        TransformReport {
-            batch: BatchReport::from_chunks(target, chunks),
             provenance: None,
         }
     }
@@ -99,10 +84,10 @@ impl TransformReport {
         self.batch.is_empty()
     }
 
-    /// The stored outcomes: one per *distinct* value for columnar reports
-    /// (the usual session path), one per row for reports built from per-row
-    /// outcomes. `distinct_outcomes()[k]` is the decision for the `k`-th
-    /// distinct value of the session's column, in first-occurrence order.
+    /// The stored outcomes, one per *distinct* value. For a session report
+    /// `distinct_outcomes()[k]` is the decision for the `k`-th distinct
+    /// value of the session's column, in first-occurrence order (a report
+    /// merged from chunks stores one per distinct value of each chunk).
     pub fn distinct_outcomes(&self) -> &[RowOutcome] {
         self.batch.outcomes()
     }
@@ -168,8 +153,8 @@ impl TransformReport {
 }
 
 /// Reports compare by what they say about every row: same target, same
-/// per-row outcomes in order — regardless of whether the outcomes are
-/// stored per row or per distinct value. Provenance does not participate:
+/// per-row outcomes in order — regardless of how the outcomes are stored
+/// (per distinct value of a column, or of each merged chunk). Provenance does not participate:
 /// a patched report and a fresh full recompute compare equal even though
 /// they record different originating programs.
 impl PartialEq for TransformReport {
@@ -187,22 +172,25 @@ mod tests {
     use super::*;
     use clx_pattern::tokenize;
 
+    /// One conforming, one transformed and one flagged row.
+    fn outcomes() -> Vec<RowOutcome> {
+        vec![
+            RowOutcome::Conforming {
+                value: "734-422-8073".into(),
+            },
+            RowOutcome::Transformed {
+                from: "(734) 645-8397".into(),
+                to: "734-645-8397".into(),
+            },
+            RowOutcome::Flagged {
+                value: "N/A".into(),
+            },
+        ]
+    }
+
     fn report() -> TransformReport {
-        TransformReport::from_row_outcomes(
-            tokenize("734-422-8073"),
-            vec![
-                RowOutcome::Conforming {
-                    value: "734-422-8073".into(),
-                },
-                RowOutcome::Transformed {
-                    from: "(734) 645-8397".into(),
-                    to: "734-645-8397".into(),
-                },
-                RowOutcome::Flagged {
-                    value: "N/A".into(),
-                },
-            ],
-        )
+        let column = Column::from_values(&["734-422-8073", "(734) 645-8397", "N/A"]);
+        TransformReport::columnar(tokenize("734-422-8073"), outcomes(), &column)
     }
 
     #[test]
@@ -233,12 +221,13 @@ mod tests {
         assert!(!r.is_perfect());
         assert!((r.conformance_ratio() - 2.0 / 3.0).abs() < 1e-9);
 
-        let perfect = TransformReport::from_row_outcomes(
+        let perfect = TransformReport::columnar(
             tokenize("734-422-8073"),
             vec![RowOutcome::Transformed {
                 from: "x".into(),
                 to: "555-111-2222".into(),
             }],
+            &Column::from_values(&["x"]),
         );
         assert!(perfect.is_perfect());
         assert_eq!(perfect.conformance_ratio(), 1.0);
@@ -246,7 +235,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_perfect() {
-        let r = TransformReport::from_row_outcomes(tokenize("1"), vec![]);
+        let r = TransformReport::from_batch(BatchReport::empty(tokenize("1")));
         assert!(r.is_perfect());
         assert!(r.is_empty());
         assert_eq!(r.conformance_ratio(), 1.0);
@@ -254,22 +243,12 @@ mod tests {
 
     #[test]
     fn from_batch_is_row_identical() {
-        let batch = clx_engine::BatchReport::from_chunks(
+        let batch = BatchReport::from_chunks(
             tokenize("734-422-8073"),
-            vec![clx_engine::ChunkReport::new(
+            vec![clx_engine::ChunkReport::columnar(
                 0,
-                vec![
-                    RowOutcome::Conforming {
-                        value: "734-422-8073".into(),
-                    },
-                    RowOutcome::Transformed {
-                        from: "(734) 645-8397".into(),
-                        to: "734-645-8397".into(),
-                    },
-                    RowOutcome::Flagged {
-                        value: "N/A".into(),
-                    },
-                ],
+                outcomes(),
+                vec![0, 1, 2],
             )],
         );
         let report = TransformReport::from_batch(batch);
@@ -292,20 +271,24 @@ mod tests {
             ],
             &column,
         );
-        let per_row = TransformReport::from_row_outcomes(
+        let per_row = TransformReport::from_batch(BatchReport::from_chunks(
             tokenize("a-1"),
-            vec![
-                RowOutcome::Conforming {
-                    value: "a-1".into(),
-                },
-                RowOutcome::Flagged {
-                    value: "N/A".into(),
-                },
-                RowOutcome::Conforming {
-                    value: "a-1".into(),
-                },
-            ],
-        );
+            vec![clx_engine::ChunkReport::columnar(
+                0,
+                vec![
+                    RowOutcome::Conforming {
+                        value: "a-1".into(),
+                    },
+                    RowOutcome::Flagged {
+                        value: "N/A".into(),
+                    },
+                    RowOutcome::Conforming {
+                        value: "a-1".into(),
+                    },
+                ],
+                vec![0, 1, 2],
+            )],
+        ));
         assert_eq!(columnar, per_row);
         assert_eq!(columnar.distinct_outcomes().len(), 2);
         assert_eq!(per_row.distinct_outcomes().len(), 3);

@@ -56,6 +56,10 @@ pub enum ClxError {
     /// originating program (one assembled outside the session's apply
     /// paths) — there is nothing to diff the current program against.
     MissingProvenance,
+    /// [`ClxSession::reverify`] was handed a report produced over a
+    /// different column than this session's (another session's report):
+    /// its outcomes cannot be matched to this session's distinct values.
+    ForeignReport,
 }
 
 impl fmt::Display for ClxError {
@@ -68,6 +72,9 @@ impl fmt::Display for ClxError {
             ClxError::Analysis(e) => write!(f, "program rejected by static analysis: {e}"),
             ClxError::MissingProvenance => {
                 write!(f, "the report records no originating program to re-verify")
+            }
+            ClxError::ForeignReport => {
+                write!(f, "the report was not produced over this session's column")
             }
         }
     }
@@ -414,6 +421,9 @@ impl ClxSession<Labelled> {
     /// and the delta publishes
     /// `engine.delta.{branches_changed,distincts_redecided,outcomes_patched}`.
     ///
+    /// A report produced over another column (another session's) is
+    /// refused with [`ClxError::ForeignReport`].
+    ///
     /// [`ClxError::Compile`] is returned when either program fails to
     /// compile. The *originating* side can hit this because `apply` is
     /// lenient: it will run an ill-formed program (skipping branches that
@@ -431,7 +441,9 @@ impl ClxSession<Labelled> {
         let new = self.compile()?;
         let delta = ProgramDelta::between_observed(&old, &new, self.telemetry.as_ref());
         let mut batch = report.batch().clone();
-        batch.patch_columnar_observed(&delta, &new, &self.data, self.telemetry.as_ref());
+        batch
+            .patch_observed(&delta, &new, &self.data, self.telemetry.as_ref())
+            .ok_or(ClxError::ForeignReport)?;
         let mut patched = TransformReport::from_batch(batch);
         patched.set_provenance(self.program());
         Ok(patched)
@@ -496,7 +508,7 @@ impl ClxSession<Labelled> {
     ///
     /// The returned [`CompiledProgram`] is immutable and `Send + Sync`: it
     /// can be cached (see [`clx_engine::ProgramCache`]), shared across
-    /// threads, executed over other columns in parallel chunks
+    /// threads, executed over other columns in parallel blocks
     /// ([`CompiledProgram::execute`]), executed over this session's column
     /// ([`CompiledProgram::execute_column`] on [`ClxSession::data`]), or
     /// streamed over columns larger than memory through a [`ColumnStream`]
@@ -1076,7 +1088,8 @@ mod tests {
     #[test]
     fn reverify_without_provenance_is_rejected() {
         let session = labelled(phone_data(), tokenize("734-422-8073"));
-        let hand_built = TransformReport::from_row_outcomes(tokenize("734-422-8073"), Vec::new());
+        let hand_built =
+            TransformReport::from_batch(clx_engine::BatchReport::empty(tokenize("734-422-8073")));
         assert_eq!(
             session.reverify(&hand_built).unwrap_err(),
             ClxError::MissingProvenance
@@ -1100,6 +1113,28 @@ mod tests {
             .repair_and_reverify(&tokenize("zzz"), 0, &patched)
             .unwrap();
         assert_eq!(unchanged, patched);
+    }
+
+    #[test]
+    fn reverify_refuses_another_sessions_report() {
+        let data = vec![
+            "12/11/2017".to_string(),
+            "03/04/2018".to_string(),
+            "11-12-2017".to_string(),
+        ];
+        let source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
+        let a = labelled(data.clone(), tokenize("11-12-2017"));
+        let mut b = labelled(data, tokenize("11-12-2017"));
+        let report_a = a.apply().unwrap();
+        assert!(b.repair(&source, 1));
+        // Same rows, but B's column is not the one A's report was built
+        // over: a typed refusal, and A's report is left as it was.
+        let before = report_a.clone();
+        assert_eq!(b.reverify(&report_a).unwrap_err(), ClxError::ForeignReport);
+        assert_eq!(report_a, before);
+        // B's own report re-verifies as usual.
+        let report_b = b.apply().unwrap();
+        assert_eq!(b.reverify(&report_b).unwrap(), report_b);
     }
 
     #[test]
@@ -1139,7 +1174,7 @@ mod tests {
         let mut streamed: Vec<String> = Vec::new();
         for chunk in data.chunks(3) {
             let chunk_report = stream.push_rows(chunk);
-            assert!(chunk_report.is_columnar());
+            assert!(chunk_report.outcomes().len() <= chunk_report.len());
             streamed.extend(chunk_report.iter_values().map(str::to_string));
         }
         assert_eq!(streamed, report.values());

@@ -1,60 +1,46 @@
 //! Batch execution over the shared column data plane.
 //!
-//! [`CompiledProgram::execute`] tokenizes every row to dispatch it; a
-//! [`Column`] already carries each distinct value's leaf signature, and its
-//! shared row map says where every duplicate lives. Executing a column
-//! therefore needs exactly one *decision* per distinct value — reusing the
-//! cached leaf for dispatch, never re-tokenizing — and the resulting
-//! [`BatchReport`] is columnar: it keeps the distinct decisions plus a
-//! reference-counted clone of the column's row map, so nothing is cloned
-//! per duplicate row.
+//! Every executor decides each *distinct* value once, dispatching by the
+//! dense leaf-id an interner assigned to its leaf signature — never
+//! re-tokenizing, never hashing a `Pattern`. A [`Column`] already carries
+//! each distinct value's leaf and leaf-id, and its shared row map says
+//! where every duplicate lives, so executing a column is one decision per
+//! distinct value and the resulting [`BatchReport`] keeps the distinct
+//! decisions plus a reference-counted clone of the column's row map.
+//! Raw rows ([`CompiledProgram::execute`], [`crate::ColumnStream`]) are
+//! first interned into a [`ColumnChunk`], whose distinct ids
+//! [`CompiledProgram::decide_chunk`] decides the same way.
 //!
 //! On duplicate-heavy columns (the common real-world case) this makes the
 //! whole batch run — pattern matching *and* reporting — O(distinct).
 
-use clx_column::Column;
+use std::sync::Arc;
+
+use clx_column::{Column, ColumnChunk};
+use clx_telemetry::MetricSink;
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
 use crate::report::{BatchReport, RowOutcome};
+use crate::stream::DistinctDecisions;
 
 impl CompiledProgram {
     /// Execute the program over a [`Column`], transforming each *distinct*
-    /// value exactly once via its cached leaf signature. The report shares
-    /// the column's row map instead of fanning outcomes out per row.
+    /// value exactly once via its cached leaf signature, dispatched by its
+    /// dense [`leaf_id`](clx_column::DistinctValue::leaf_id). The report
+    /// shares the column's row map instead of fanning outcomes out per
+    /// row.
     ///
     /// The report is row-for-row identical to
     /// [`CompiledProgram::execute`] over the same rows: a program is a pure
     /// function of the row value, so duplicates share one outcome.
     pub fn execute_column(&self, column: &Column) -> BatchReport {
         let mut cache = DispatchCache::new();
-        self.execute_column_pooled(column, &mut cache)
-    }
-
-    /// [`CompiledProgram::execute_column`] reusing a caller-owned dispatch
-    /// cache across calls.
-    ///
-    /// Dispatch runs on the cache's **dense leaf-id tier**: every distinct
-    /// value carries the integer leaf-id its building interner assigned
-    /// ([`clx_column::DistinctValue::leaf_id`]), so a plan lookup is an
-    /// array index — no `Pattern` is hashed or compared anywhere on this
-    /// path.
-    ///
-    /// Because leaf-ids are only meaningful within one id space, the dense
-    /// tier carries over between calls only for columns sharing an
-    /// [`interner_id`](clx_column::Column::interner_id) — re-executing the
-    /// same column (or its clones). Handing in a column from a different
-    /// interner resets the tier and re-decides its leaves; for cross-chunk
-    /// reuse over a *stream* of data, push the chunks through a
-    /// [`ColumnStream`](crate::ColumnStream) instead, which interns them
-    /// through one persistent interner.
-    pub fn execute_column_pooled(&self, column: &Column, cache: &mut DispatchCache) -> BatchReport {
-        // One decision per distinct value, dispatched by dense leaf-id.
         let decided: Vec<RowOutcome> = column
             .distinct_values()
             .map(|v| {
                 self.transform_one_by_leaf_id(
-                    cache,
+                    &mut cache,
                     column.interner_id(),
                     column.interner_generation(),
                     v.leaf_id(),
@@ -64,6 +50,49 @@ impl CompiledProgram {
             })
             .collect();
         BatchReport::columnar(self.target().clone(), decided, column)
+    }
+
+    /// Decide the distinct ids of an interned chunk, in chunk order, each
+    /// through `cache`'s leaf-id dispatch. `decisions` is a stream's
+    /// cross-chunk decision cache: when given, ids it already holds replay
+    /// their stored outcome and every fresh decision is recorded in it.
+    /// `telemetry` (if any) times each first-sight fused classification as
+    /// `engine.fused.decide_ns`.
+    pub(crate) fn decide_chunk(
+        &self,
+        cache: &mut DispatchCache,
+        chunk: &ColumnChunk<'_>,
+        mut decisions: Option<&mut DistinctDecisions>,
+        telemetry: Option<&Arc<dyn MetricSink>>,
+    ) -> Vec<RowOutcome> {
+        let interner = chunk.interner();
+        if let Some(decisions) = decisions.as_deref_mut() {
+            decisions.sync(interner);
+        }
+        chunk
+            .distinct_ids()
+            .iter()
+            .map(|&id| {
+                if let Some(decisions) = decisions.as_deref_mut() {
+                    if let Some(outcome) = decisions.replay(id, interner) {
+                        return outcome;
+                    }
+                }
+                let outcome = self.transform_one_by_leaf_id_observed(
+                    cache,
+                    interner.instance(),
+                    interner.generation(),
+                    interner.leaf_id(id),
+                    interner.value(id),
+                    interner.leaf(id),
+                    telemetry,
+                );
+                if let Some(decisions) = decisions.as_deref_mut() {
+                    decisions.record(id, interner, &outcome);
+                }
+                outcome
+            })
+            .collect()
     }
 }
 
@@ -106,15 +135,14 @@ mod tests {
 
         let by_rows = program.execute(&rows);
         let by_column = program.execute_column(&column);
-        assert!(by_column.is_columnar());
         assert_eq!(
             by_rows.iter_rows().collect::<Vec<_>>(),
             by_column.iter_rows().collect::<Vec<_>>()
         );
         assert_eq!(by_rows.stats, by_column.stats);
-        // The columnar report stores only the distinct decisions.
+        // Both reports store only the distinct decisions.
         assert_eq!(by_column.outcomes().len(), column.distinct_count());
-        assert_eq!(by_rows.outcomes().len(), rows.len());
+        assert_eq!(by_rows.outcomes().len(), column.distinct_count());
     }
 
     #[test]
@@ -126,24 +154,22 @@ mod tests {
 
     #[test]
     fn column_dispatch_is_dense_only() {
-        // The column path must never touch the hashed (Pattern-keyed) tier
-        // of the dispatch cache: every plan is decided and replayed through
-        // the dense leaf-id index.
+        // Every plan of the column path is decided once per distinct leaf
+        // and replayed through the dense leaf-id index: one cold decision
+        // per leaf, however many distinct values share it.
         let program = compiled();
         let column = Column::from_rows(duplicate_heavy_rows(500));
-        let mut cache = DispatchCache::new();
-        let report = program.execute_column_pooled(&column, &mut cache);
+        let report = program.execute_column(&column);
         assert_eq!(report.len(), 500);
-        assert_eq!(cache.len(), 0, "no Pattern was hashed on the column path");
-        assert_eq!(cache.dense_len(), column.leaf_count());
-        assert!(cache.dense_len() > 0);
+        let cold = program.fused_stats().fused_decisions;
+        assert_eq!(cold, column.leaf_count() as u64);
+        assert!(column.distinct_count() > column.leaf_count());
 
-        // A second column from a different interner resets the dense tier
-        // instead of aliasing its ids.
+        // A second column has its own id space and decides its own leaves.
         let other = Column::from_values(&["N/A"]);
         assert_ne!(other.interner_id(), column.interner_id());
-        program.execute_column_pooled(&other, &mut cache);
-        assert_eq!(cache.dense_len(), other.leaf_count());
+        program.execute_column(&other);
+        assert_eq!(program.fused_stats().fused_decisions, cold + 1);
     }
 
     #[test]

@@ -298,16 +298,9 @@ impl CompiledProgram {
     /// patterns are checked per value exactly as in execution, and a
     /// fallback program ([`CompiledProgram::fused_fallback`]) walks the
     /// per-branch loop — the decision is identical either way, and
-    /// consistent with [`CompiledProgram::transform_one`]'s outcome.
+    /// consistent with the outcome [`CompiledProgram::execute`] reports.
     pub fn decide(&self, value: &str) -> Decision {
-        self.decide_cached(&tokenize(value), value)
-    }
-
-    /// [`CompiledProgram::decide`] for a value whose leaf pattern is
-    /// already known; `leaf` must be exactly `tokenize(value)`.
-    pub fn decide_cached(&self, leaf: &Pattern, value: &str) -> Decision {
-        debug_assert_eq!(leaf, &tokenize(value), "leaf must be the value's own");
-        let plan = self.build_plan(leaf, value);
+        let plan = self.build_plan(&tokenize(value), value);
         for step in &plan.steps {
             match step {
                 Step::Conforming => return Decision::Conforming,
@@ -358,46 +351,23 @@ impl CompiledProgram {
         self.target_transparent && self.branches.iter().all(|b| b.transparent)
     }
 
-    /// Transform a single row, consulting (and populating) `cache`.
-    pub fn transform_one(&self, cache: &mut DispatchCache, value: &str) -> RowOutcome {
-        let leaf = tokenize(value);
-        self.transform_one_cached(cache, value, &leaf)
-    }
-
-    /// [`CompiledProgram::transform_one`] for a value whose leaf pattern is
-    /// already known — e.g. the cached signature a `clx-column` `Column`
-    /// carries per distinct value — so the row is never re-tokenized. The
-    /// leaf is only cloned when a plan for it is decided for the first time.
-    ///
-    /// `leaf` must be exactly `tokenize(value)`; the leaf-signature
-    /// dispatch (see the `dispatch` module docs) is only sound for leaves
-    /// produced by the same tokenizer rules.
-    pub fn transform_one_cached(
-        &self,
-        cache: &mut DispatchCache,
-        value: &str,
-        leaf: &Pattern,
-    ) -> RowOutcome {
-        debug_assert_eq!(leaf, &tokenize(value), "leaf must be the value's own");
-        let plan = cache.plan_for(self.instance, leaf, |l| self.build_plan(l, value));
-        self.run_plan(&plan, value)
-    }
-
-    /// [`CompiledProgram::transform_one_cached`] dispatching by the dense
-    /// integer `leaf_id` a [`clx_column::ColumnInterner`] assigned to
-    /// `leaf` — the cache lookup is an array index; no `Pattern` is hashed
-    /// or compared on the hit path.
+    /// Transform one row, dispatching by the dense integer `leaf_id` a
+    /// [`clx_column::ColumnInterner`] assigned to its leaf pattern `leaf`:
+    /// the plan lookup in `cache` is an array index, no `Pattern` is
+    /// hashed or compared on the hit path, and the leaf is only read when
+    /// a plan is decided for the first time.
     ///
     /// `source` names the id space `leaf_id` belongs to (the interner's
     /// instance id — [`clx_column::Column::interner_id`] for columns) and
     /// `source_generation` that interner's eviction generation
     /// ([`clx_column::ColumnInterner::generation`];
     /// [`clx_column::Column::interner_generation`] for columns). The cache
-    /// resets its dense tier when handed ids from a different space *or* a
-    /// different generation — a bounded interner recycles leaf-ids when it
-    /// evicts — so a stale plan can never be replayed under an aliased id.
-    /// As with `transform_one_cached`, `leaf` must be exactly
-    /// `tokenize(value)`.
+    /// resets when handed ids from a different space *or* a different
+    /// generation — a bounded interner recycles leaf-ids when it evicts —
+    /// so a stale plan can never be replayed under an aliased id. `leaf`
+    /// must be exactly `tokenize(value)`: the leaf-signature dispatch (see
+    /// the `dispatch` module docs) is only sound for leaves produced by the
+    /// same tokenizer rules.
     pub fn transform_one_by_leaf_id(
         &self,
         cache: &mut DispatchCache,
@@ -710,8 +680,43 @@ fn apply_split(expr: &Expr, split: &SplitPlan, value: &str) -> String {
 mod tests {
     use super::*;
     use crate::fused::FUSED_MAX_WIDTH;
+    use clx_column::ColumnInterner;
     use clx_pattern::{parse_pattern, Token};
     use clx_unifi::{transform, Branch};
+
+    /// A dispatch cache plus the interner whose leaf-ids index it: runs
+    /// single values through the engine's leaf-id dispatch.
+    struct Dispatch {
+        cache: DispatchCache,
+        interner: ColumnInterner,
+    }
+
+    impl Dispatch {
+        fn new() -> Self {
+            Dispatch {
+                cache: DispatchCache::new(),
+                interner: ColumnInterner::new(),
+            }
+        }
+
+        fn run(&mut self, compiled: &CompiledProgram, value: &str) -> RowOutcome {
+            let id = self.interner.intern(value);
+            let interner = &self.interner;
+            compiled.transform_one_by_leaf_id(
+                &mut self.cache,
+                interner.instance(),
+                interner.generation(),
+                interner.leaf_id(id),
+                interner.value(id),
+                interner.leaf(id),
+            )
+        }
+
+        /// Leaves with a decided plan.
+        fn plans(&self) -> usize {
+            self.cache.dense_len()
+        }
+    }
 
     /// The Figure 4 phone program: three source formats normalized to
     /// `(ddd) ddd-dddd`.
@@ -750,7 +755,7 @@ mod tests {
     fn compiled_matches_sequential_transform() {
         let program = phone_program();
         let compiled = CompiledProgram::compile(&program, &phone_target()).unwrap();
-        let mut cache = DispatchCache::new();
+        let mut cache = Dispatch::new();
         let inputs = [
             "734-422-8073",
             "(734)586-7252",
@@ -760,7 +765,7 @@ mod tests {
             "",
         ];
         for input in inputs {
-            let got = compiled.transform_one(&mut cache, input);
+            let got = cache.run(&compiled, input);
             if phone_target().matches(input) {
                 assert!(got.is_conforming(), "{input:?} -> {got:?}");
             } else {
@@ -774,14 +779,14 @@ mod tests {
     #[test]
     fn dispatch_cache_replays_decisions() {
         let compiled = CompiledProgram::compile(&phone_program(), &phone_target()).unwrap();
-        let mut cache = DispatchCache::new();
+        let mut cache = Dispatch::new();
         for n in 0..50 {
             let row = format!("{:03}-{:03}-{:04}", 100 + n, 200 + n, 3000 + n);
-            let out = compiled.transform_one(&mut cache, &row);
+            let out = cache.run(&compiled, &row);
             assert!(out.is_transformed(), "{row} -> {out:?}");
         }
         // 50 rows, one leaf: one plan.
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.plans(), 1);
     }
 
     #[test]
@@ -795,15 +800,15 @@ mod tests {
         )]);
         let b = CompiledProgram::compile(&b_program, &tokenize("9999")).unwrap();
 
-        let mut cache = DispatchCache::new();
-        assert!(cache.is_empty());
-        let via_a = a.transform_one(&mut cache, "555-111-2222");
+        let mut cache = Dispatch::new();
+        assert_eq!(cache.plans(), 0);
+        let via_a = cache.run(&a, "555-111-2222");
         assert_eq!(via_a.value(), "(555) 111-2222");
         // Same leaf, different program: the cache resets and re-decides.
-        let via_b = b.transform_one(&mut cache, "555-111-2222");
+        let via_b = cache.run(&b, "555-111-2222");
         assert_eq!(via_b.value(), "2222");
         // And back again.
-        let via_a = a.transform_one(&mut cache, "555-111-2222");
+        let via_a = cache.run(&a, "555-111-2222");
         assert_eq!(via_a.value(), "(555) 111-2222");
     }
 
@@ -886,8 +891,8 @@ mod tests {
             ]),
         )]);
         let compiled = CompiledProgram::compile(&program, &tokenize("[111]")).unwrap();
-        let mut cache = DispatchCache::new();
-        let cpt = compiled.transform_one(&mut cache, "CPT123");
+        let mut cache = Dispatch::new();
+        let cpt = cache.run(&compiled, "CPT123");
         assert_eq!(
             cpt,
             RowOutcome::Transformed {
@@ -895,14 +900,14 @@ mod tests {
                 to: "[123]".into(),
             }
         );
-        let xyz = compiled.transform_one(&mut cache, "XYZ123");
+        let xyz = cache.run(&compiled, "XYZ123");
         assert_eq!(
             xyz,
             RowOutcome::Flagged {
                 value: "XYZ123".into(),
             }
         );
-        assert_eq!(cache.len(), 1, "one shared leaf, decided per row");
+        assert_eq!(cache.plans(), 1, "one shared leaf, decided per row");
     }
 
     #[test]
@@ -912,9 +917,9 @@ mod tests {
         let target = Pattern::new(vec![Token::literal("N/A")]);
         let compiled = CompiledProgram::compile(&Program::empty(), &target).unwrap();
         assert!(!compiled.is_fully_transparent());
-        let mut cache = DispatchCache::new();
-        assert!(compiled.transform_one(&mut cache, "N/A").is_conforming());
-        assert!(compiled.transform_one(&mut cache, "X/Y").is_flagged());
+        let mut cache = Dispatch::new();
+        assert!(cache.run(&compiled, "N/A").is_conforming());
+        assert!(cache.run(&compiled, "X/Y").is_flagged());
     }
 
     #[test]
@@ -927,10 +932,10 @@ mod tests {
             Expr::concat(vec![StringExpr::extract(2), StringExpr::const_str("!")]),
         )]);
         let compiled = CompiledProgram::compile(&program, &tokenize("9!")).unwrap();
-        let mut cache = DispatchCache::new();
-        let out = compiled.transform_one(&mut cache, "é42");
+        let mut cache = Dispatch::new();
+        let out = cache.run(&compiled, "é42");
         assert_eq!(out.value(), "42!");
-        let again = compiled.transform_one(&mut cache, "é77");
+        let again = cache.run(&compiled, "é77");
         assert_eq!(again.value(), "77!");
     }
 
@@ -960,15 +965,10 @@ mod tests {
             CompiledProgram::compile(&program, &parse_pattern("'['<U>+'-'<D>+']'").unwrap())
                 .unwrap();
         assert!(compiled.is_fully_transparent());
-        let mut cache = DispatchCache::new();
-        assert_eq!(
-            compiled.transform_one(&mut cache, "CPT-00350").value(),
-            "[CPT-00350]"
-        );
-        assert_eq!(compiled.transform_one(&mut cache, "AB-1").value(), "[AB-1]");
-        assert!(compiled
-            .transform_one(&mut cache, "[CPT-00350]")
-            .is_conforming());
+        let mut cache = Dispatch::new();
+        assert_eq!(cache.run(&compiled, "CPT-00350").value(), "[CPT-00350]");
+        assert_eq!(cache.run(&compiled, "AB-1").value(), "[AB-1]");
+        assert!(cache.run(&compiled, "[CPT-00350]").is_conforming());
     }
 
     #[test]
@@ -1027,8 +1027,8 @@ mod tests {
         ));
         // The fallback path still transforms correctly.
         let row = "7".repeat(300);
-        let mut cache = DispatchCache::new();
-        assert_eq!(compiled.transform_one(&mut cache, &row).value(), row);
+        let mut cache = Dispatch::new();
+        assert_eq!(cache.run(&compiled, &row).value(), row);
         assert_eq!(compiled.decide(&row), Decision::Branch(0));
         let stats = compiled.fused_stats();
         assert_eq!(stats.fused_decisions, 0);
@@ -1052,11 +1052,11 @@ mod tests {
     #[test]
     fn fused_stats_tally_cold_decisions() {
         let compiled = CompiledProgram::compile(&phone_program(), &phone_target()).unwrap();
-        let mut cache = DispatchCache::new();
+        let mut cache = Dispatch::new();
         // Two distinct leaves, three rows: only first sight of each leaf
         // builds a plan, and the phone program's leaves are all fusable.
         for row in ["734-422-8073", "555-111-2222", "(734)586-7252"] {
-            compiled.transform_one(&mut cache, row);
+            cache.run(&compiled, row);
         }
         let stats = compiled.fused_stats();
         assert_eq!(stats.fused_decisions, 2);
@@ -1065,8 +1065,8 @@ mod tests {
         let plain = CompiledProgram::compile(&phone_program(), &phone_target())
             .unwrap()
             .without_fused();
-        let mut cache = DispatchCache::new();
-        plain.transform_one(&mut cache, "734-422-8073");
+        let mut cache = Dispatch::new();
+        cache.run(&plain, "734-422-8073");
         let stats = plain.fused_stats();
         assert_eq!(stats.fused_decisions, 0);
         assert_eq!(stats.pike_vm_decisions, 1);
@@ -1078,8 +1078,8 @@ mod tests {
         let split = CompiledProgram::compile(&phone_program(), &phone_target())
             .unwrap()
             .without_derived_splits();
-        let mut derived_cache = DispatchCache::new();
-        let mut split_cache = DispatchCache::new();
+        let mut derived_cache = Dispatch::new();
+        let mut split_cache = Dispatch::new();
         let rows = [
             "734-422-8073",
             "555-111-2222",
@@ -1089,8 +1089,8 @@ mod tests {
         ];
         for row in rows {
             assert_eq!(
-                derived.transform_one(&mut derived_cache, row),
-                split.transform_one(&mut split_cache, row),
+                derived_cache.run(&derived, row),
+                split_cache.run(&split, row),
                 "derived and split boundaries must agree on {row:?}"
             );
         }

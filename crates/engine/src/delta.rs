@@ -53,7 +53,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use clx_pattern::{tokenize, Pattern};
+use clx_pattern::Pattern;
 use clx_regex::Regex;
 use clx_telemetry::MetricSink;
 use clx_unifi::{Branch, Program};
@@ -279,52 +279,42 @@ impl ProgramDelta {
         changed.iter().any(|b| b.regex.is_full_match(value))
     }
 
-    /// [`ProgramDelta::affects_outcome`], memoized per *leaf signature*.
+    /// [`ProgramDelta::affects_outcome`] for an interned value — one whose
+    /// dense `leaf_id` and leaf pattern `leaf` (exactly `tokenize` of the
+    /// outcome's input) are already known, as for a [`clx_column::Column`]'s
+    /// distinct values or a [`clx_column::ColumnInterner`]'s live ids.
     ///
     /// A transparent pattern matches a value iff it matches the value's
-    /// leaf signature (`tokenize(value)`), so when every changed branch is
-    /// transparent the per-value regex checks collapse to one fused
-    /// classification per **distinct leaf** — `memo` carries the answers
-    /// (old-side hit, new-side hit) across calls. On a report whose
-    /// distincts share a handful of formats this turns the screening cost
-    /// from O(distincts × changed-branch regex runs) into
-    /// O(distincts × tokenize + leaves × classify), which is what lets
-    /// [`crate::BatchReport::patch`] beat a full columnar re-run.
+    /// leaf signature, so when every changed branch is transparent the
+    /// per-value regex checks collapse to one fused classification per
+    /// **distinct leaf**: `memo` carries each leaf-id's
+    /// [`ProgramDelta::screen_leaf`] answer across calls (callers keep one
+    /// memo per id space). On distincts that share a handful of formats
+    /// this turns the screening cost from O(distincts × changed-branch
+    /// regex runs) into O(leaves × classify) plus an integer lookup per
+    /// distinct, with no tokenization at all.
     ///
     /// Falls back to the exact per-value check when an opaque branch
     /// changed (opaque matching can distinguish values within one leaf) or
     /// the fused matcher declined a pattern. Answers are identical to
     /// [`ProgramDelta::affects_outcome`] either way.
-    pub(crate) fn affects_outcome_memo(
+    pub(crate) fn affects_interned(
         &self,
         outcome: &RowOutcome,
-        memo: &mut HashMap<Pattern, (bool, bool)>,
+        leaf_id: u32,
+        leaf: &Pattern,
+        memo: &mut HashMap<u32, Option<(bool, bool)>>,
     ) -> bool {
-        if self.target_changed {
-            return true;
-        }
-        let value = match outcome {
-            RowOutcome::Conforming { .. } => return false,
-            RowOutcome::Flagged { value } => value,
-            RowOutcome::Transformed { from, .. } => from,
-        };
-        if self.leaf_matcher.is_none() || self.has_opaque_change {
+        if self.target_changed || outcome.is_conforming() {
             return self.affects_outcome(outcome);
         }
-        let leaf = tokenize(value);
-        let hits = match memo.get(&leaf) {
-            Some(&hits) => hits,
-            None => match self.screen_leaf(&leaf) {
-                Some(hits) => {
-                    memo.insert(leaf, hits);
-                    hits
-                }
-                // Not a tokenizer-producible signature (cannot happen for
-                // a leaf we just tokenized, but stay exact): per-value.
-                None => return self.affects_outcome(outcome),
-            },
-        };
-        self.hits_affect(outcome, hits)
+        match *memo
+            .entry(leaf_id)
+            .or_insert_with(|| self.screen_leaf(leaf))
+        {
+            Some(hits) => self.hits_affect(outcome, hits),
+            None => self.affects_outcome(outcome),
+        }
     }
 
     /// Classify `leaf` against the changed-pattern matcher: `Some((old
@@ -333,7 +323,7 @@ impl ProgramDelta {
     /// answer (an opaque branch changed, the matcher declined a pattern,
     /// or `leaf` is not a tokenizer-producible signature) — callers fall
     /// back to the exact per-value [`ProgramDelta::affects_outcome`].
-    pub(crate) fn screen_leaf(&self, leaf: &Pattern) -> Option<(bool, bool)> {
+    fn screen_leaf(&self, leaf: &Pattern) -> Option<(bool, bool)> {
         let matcher = match (&self.leaf_matcher, self.has_opaque_change) {
             (Some(matcher), false) => matcher,
             _ => return None,
@@ -350,16 +340,8 @@ impl ProgramDelta {
 
     /// Resolve a [`ProgramDelta::screen_leaf`] answer for `outcome`'s
     /// kind — the transparent-case equivalent of
-    /// [`ProgramDelta::affects_outcome`] (a target change overrides the
-    /// screen; callers check it first for the usual short-circuit).
-    pub(crate) fn hits_affect(
-        &self,
-        outcome: &RowOutcome,
-        (old_hit, new_hit): (bool, bool),
-    ) -> bool {
-        if self.target_changed {
-            return true;
-        }
+    /// [`ProgramDelta::affects_outcome`] for an unchanged target.
+    fn hits_affect(&self, outcome: &RowOutcome, (old_hit, new_hit): (bool, bool)) -> bool {
         match outcome {
             RowOutcome::Conforming { .. } => false,
             RowOutcome::Flagged { .. } => new_hit,

@@ -25,21 +25,28 @@
 //!   per-branch matcher runs — with a recorded, behavior-identical
 //!   fallback ([`CompiledProgram::fused_fallback`]) when a program cannot
 //!   be encoded, and [`CompiledProgram::decide`] exposing the decision
-//!   directly;
-//! * [`CompiledProgram::execute`] runs whole columns in parallel chunks
-//!   over `std::thread::scope` workers, merging per-chunk
-//!   [`ChunkReport`]s into an order-preserving [`BatchReport`];
+//!   directly.
+//!
+//! Every entry point funnels through one execution path: values are
+//! interned through a [`ColumnInterner`](clx_column::ColumnInterner) (or
+//! come pre-interned in a [`Column`](clx_column::Column)), each *distinct*
+//! value is decided once, and dispatch is an integer leaf-id array index:
+//!
+//! * [`CompiledProgram::execute`] runs raw `&[S]` rows in contiguous
+//!   blocks over `std::thread::scope` workers, each block interned and
+//!   decided on its own, merging the per-block columnar [`ChunkReport`]s
+//!   into an order-preserving [`BatchReport`];
 //! * [`ColumnStream`] (then [`ColumnStream::push_rows`] /
 //!   [`ColumnStream::finish`]) processes columns larger than memory:
-//!   chunks are interned through a persistent
-//!   [`ColumnInterner`](clx_column::ColumnInterner), so a distinct value is
-//!   tokenized and decided once per *stream*, dispatch is an integer
-//!   leaf-id array index, and an optional
+//!   chunks are interned through one persistent interner, so a distinct
+//!   value is tokenized and decided once per *stream*, and an optional
 //!   [`StreamBudget`](clx_column::StreamBudget) bounds the retained state;
 //! * [`CompiledProgram::execute_column`] executes a `clx-column`
-//!   [`Column`](clx_column::Column) by deciding each *distinct* value once
-//!   through its cached leaf signature — no row of a session column is
-//!   ever tokenized twice;
+//!   [`Column`](clx_column::Column) through its cached leaf signatures —
+//!   no row of a session column is ever tokenized twice;
+//! * [`BatchReport::patch`] and [`ColumnStream::swap_program`] re-decide,
+//!   after a program change, only what a [`ProgramDelta`] cannot prove
+//!   stable, screening by the cached leaf-ids;
 //! * [`ProgramCache`] is a bounded, thread-safe LRU of compiled programs
 //!   keyed by the structural fingerprint of `(program, target)`.
 //!
@@ -97,6 +104,5 @@ pub use delta::ProgramDelta;
 pub use dispatch::{DispatchCache, DispatchStats};
 pub use error::CompileError;
 pub use fused::{FusedFallback, FUSED_MAX_WIDTH};
-pub use parallel::ExecOptions;
 pub use report::{BatchReport, ChunkReport, ChunkStats, PatchStats, RowOutcome, RowOutcomes};
 pub use stream::{ColumnStream, StreamSummary, SwapSummary};

@@ -1,127 +1,79 @@
-//! Chunked parallel execution over whole `&[String]` columns.
+//! Block-parallel execution over raw `&[S]` rows.
 //!
-//! This is the per-row half of the executor: every row is tokenized to
-//! dispatch it. Callers holding a [`clx_column::Column`] (or streaming
-//! chunks) should prefer the column paths
-//! ([`CompiledProgram::execute_column`],
-//! [`crate::ColumnStream::push_rows`]), which decide each *distinct* value
-//! once and dispatch by dense integer leaf-id.
+//! [`CompiledProgram::execute`] cuts the rows into contiguous blocks and
+//! runs each block on its own `std::thread::scope` worker, with a private
+//! [`ColumnInterner`] and [`DispatchCache`]: the block is interned (each
+//! distinct value stored once, tokenized only when its leaf pattern is new
+//! to the block), every distinct value is decided once through the shared
+//! chunk helper ([`CompiledProgram::decide_chunk`]), and the block's
+//! columnar [`ChunkReport`] moves into the merged [`BatchReport`]. This is
+//! the same interned, dense leaf-id path [`crate::ColumnStream::push_rows`]
+//! runs, minus the stream's cross-chunk decision cache.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use clx_column::ColumnInterner;
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
-use crate::report::{BatchReport, ChunkReport, RowOutcome};
-
-/// Tuning knobs for [`CompiledProgram::execute_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecOptions {
-    /// Worker threads; `0` means one per available CPU.
-    pub threads: usize,
-    /// Rows per chunk; `0` picks a size that gives each worker several
-    /// chunks (for load balancing) without chunk bookkeeping dominating.
-    pub chunk_size: usize,
-}
-
-impl ExecOptions {
-    fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    fn resolved_chunk_size(&self, rows: usize, threads: usize) -> usize {
-        if self.chunk_size > 0 {
-            return self.chunk_size;
-        }
-        // Aim for ~4 chunks per worker, within sane bounds.
-        (rows / (threads * 4).max(1)).clamp(256, 65_536)
-    }
-}
+use crate::report::{BatchReport, ChunkReport};
 
 impl CompiledProgram {
-    /// Execute the program over a column with default options.
-    pub fn execute(&self, column: &[String]) -> BatchReport {
-        self.execute_with(column, ExecOptions::default())
+    /// Execute the program over a column of raw rows. Each distinct value
+    /// of a block is decided once; the report stores one outcome per
+    /// distinct value of each block.
+    ///
+    /// The block count follows [`clx_column::auto_block_count`]: one
+    /// block below 16,384 rows, otherwise one per available CPU with at
+    /// least 8,192 rows each.
+    pub fn execute<S: AsRef<str> + Sync>(&self, rows: &[S]) -> BatchReport {
+        self.execute_blocks(rows, clx_column::auto_block_count(rows.len()))
     }
 
-    /// Execute the program over a column: the column is cut into chunks,
-    /// worker threads pull chunks off a shared queue (each with its own
-    /// [`DispatchCache`]), and the per-chunk reports merge back in input
-    /// order.
-    pub fn execute_with(&self, column: &[String], options: ExecOptions) -> BatchReport {
-        if column.is_empty() {
+    /// [`CompiledProgram::execute`] over exactly `blocks` contiguous blocks
+    /// (clamped to the row count); the first runs on the calling thread.
+    pub(crate) fn execute_blocks<S: AsRef<str> + Sync>(
+        &self,
+        rows: &[S],
+        blocks: usize,
+    ) -> BatchReport {
+        if rows.is_empty() {
             return BatchReport::empty(self.target.clone());
         }
-        let threads = options.resolved_threads();
-        let chunk_size = options.resolved_chunk_size(column.len(), threads);
-        let chunks: Vec<&[String]> = column.chunks(chunk_size).collect();
-        let workers = threads.min(chunks.len());
-        let mut caches: Vec<DispatchCache> = (0..workers).map(|_| DispatchCache::new()).collect();
-
-        if workers <= 1 {
-            let cache = &mut caches[0];
-            let reports = chunks
-                .iter()
-                .enumerate()
-                .map(|(i, chunk)| self.execute_chunk(i, chunk, cache))
+        let block_size = rows.len().div_ceil(blocks.clamp(1, rows.len()));
+        let mut blocks = rows.chunks(block_size).enumerate();
+        let (_, first) = blocks.next().expect("rows are non-empty");
+        let reports = std::thread::scope(|scope| {
+            let workers: Vec<_> = blocks
+                .map(|(index, block)| scope.spawn(move || self.execute_block(index, block)))
                 .collect();
-            return BatchReport::from_chunks(self.target.clone(), reports);
-        }
-
-        let next = &AtomicUsize::new(0);
-        let slots: &Vec<Mutex<Option<ChunkReport>>> =
-            &(0..chunks.len()).map(|_| Mutex::new(None)).collect();
-        let chunks = &chunks;
-        std::thread::scope(|scope| {
-            for cache in &mut caches {
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    let report = self.execute_chunk(i, chunks[i], cache);
-                    *slots[i].lock().expect("chunk slot poisoned") = Some(report);
-                });
-            }
+            let mut reports = vec![self.execute_block(0, first)];
+            reports.extend(
+                workers
+                    .into_iter()
+                    .map(|worker| worker.join().expect("block worker panicked")),
+            );
+            reports
         });
-        let reports = slots
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("chunk slot poisoned")
-                    .take()
-                    .expect("every chunk index was claimed by a worker")
-            })
-            .collect();
         BatchReport::from_chunks(self.target.clone(), reports)
     }
 
-    /// Execute one chunk sequentially with a caller-provided dispatch cache
-    /// (reusing a cache across chunks amortizes leaf decisions).
-    pub fn execute_chunk(
-        &self,
-        index: usize,
-        rows: &[String],
-        cache: &mut DispatchCache,
-    ) -> ChunkReport {
-        let outcomes: Vec<RowOutcome> = rows
-            .iter()
-            .map(|value| self.transform_one(cache, value))
-            .collect();
-        ChunkReport::new(index, outcomes)
+    /// Intern one block into a fresh interner and decide its distinct
+    /// values through a fresh dispatch cache.
+    fn execute_block<S: AsRef<str>>(&self, index: usize, rows: &[S]) -> ChunkReport {
+        let mut interner = ColumnInterner::new();
+        let mut cache = DispatchCache::new();
+        let chunk = interner.chunk(rows);
+        let outcomes = self.decide_chunk(&mut cache, &chunk, None, None);
+        ChunkReport::columnar(index, outcomes, chunk.row_map().to_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clx_pattern::tokenize;
-    use clx_unifi::{Branch, Expr, Program, StringExpr};
+    use crate::report::RowOutcome;
+    use clx_pattern::{tokenize, Pattern, Quantifier, Token, TokenClass};
+    use clx_unifi::{transform_lenient, Branch, Expr, Program, StringExpr, TransformOutcome};
+    use proptest::prelude::*;
 
     fn dash_program() -> (Program, clx_pattern::Pattern) {
         // (ddd) ddd-dddd and (ddd)ddd-dddd -> ddd-ddd-dddd
@@ -167,44 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let (program, target) = dash_program();
-        let compiled = CompiledProgram::compile(&program, &target).unwrap();
-        let data = column(2_000);
-        let sequential = compiled.execute_with(
-            &data,
-            ExecOptions {
-                threads: 1,
-                chunk_size: 0,
-            },
-        );
-        let parallel = compiled.execute_with(
-            &data,
-            ExecOptions {
-                threads: 8,
-                chunk_size: 64,
-            },
-        );
-        assert_eq!(
-            sequential.iter_rows().collect::<Vec<_>>(),
-            parallel.iter_rows().collect::<Vec<_>>()
-        );
-        assert_eq!(sequential.stats, parallel.stats);
-        assert_eq!(parallel.chunk_count, data.len().div_ceil(64));
-    }
-
-    #[test]
     fn outcomes_are_correct_and_ordered() {
         let (program, target) = dash_program();
         let compiled = CompiledProgram::compile(&program, &target).unwrap();
         let data = column(999);
-        let report = compiled.execute_with(
-            &data,
-            ExecOptions {
-                threads: 4,
-                chunk_size: 100,
-            },
-        );
+        let report = compiled.execute_blocks(&data, 4);
+        assert_eq!(report.chunk_count, 4);
         assert_eq!(report.len(), data.len());
         for (row, input) in report.iter_rows().zip(&data) {
             match input.chars().next() {
@@ -223,7 +143,7 @@ mod tests {
     fn empty_column() {
         let (program, target) = dash_program();
         let compiled = CompiledProgram::compile(&program, &target).unwrap();
-        let report = compiled.execute(&[]);
+        let report = compiled.execute::<&str>(&[]);
         assert!(report.is_empty());
         assert_eq!(report.chunk_count, 0);
     }
@@ -235,6 +155,121 @@ mod tests {
         for n in [1, 2, 255, 256, 257, 5_000] {
             let report = compiled.execute(&column(n));
             assert_eq!(report.len(), n, "size {n}");
+            assert_eq!(report.chunk_count, 1, "small inputs run as one block");
+        }
+        // More blocks than rows: clamped, never an empty block.
+        assert_eq!(compiled.execute_blocks(&column(3), 7).chunk_count, 3);
+    }
+
+    /// Random patterns over every token class and quantifier, with
+    /// transparent and alphanumeric (opaque) literals.
+    fn any_pattern() -> impl Strategy<Value = Pattern> {
+        let class = || {
+            prop_oneof![
+                Just(TokenClass::Digit),
+                Just(TokenClass::Lower),
+                Just(TokenClass::Upper),
+                Just(TokenClass::Alpha),
+                Just(TokenClass::AlphaNumeric),
+            ]
+        };
+        let token = prop_oneof![
+            (class(), 1..4usize).prop_map(|(c, n)| Token::base(c, n)),
+            class().prop_map(Token::plus),
+            prop_oneof![Just("-"), Just("."), Just(" "), Just("CPT")].prop_map(Token::literal),
+        ];
+        proptest::collection::vec(token, 1..5).prop_map(Pattern::new)
+    }
+
+    /// Short strings over a few letters, digits and separators.
+    fn junk_value() -> impl Strategy<Value = String> {
+        let c = prop_oneof![
+            proptest::char::range('a', 'c'),
+            proptest::char::range('A', 'C'),
+            proptest::char::range('0', '2'),
+            Just(' '),
+            Just('.'),
+            Just('-'),
+        ];
+        proptest::collection::vec(c, 0..7).prop_map(|chars| chars.into_iter().collect())
+    }
+
+    /// A value matching `pattern` (`+` runs of length 2).
+    fn sample(pattern: &Pattern) -> String {
+        let mut out = String::new();
+        for token in pattern.tokens() {
+            if let Some(literal) = token.literal_value() {
+                out.push_str(literal);
+                continue;
+            }
+            let n = match token.quantifier {
+                Quantifier::Exact(n) => n,
+                Quantifier::OneOrMore => 2,
+            };
+            let c = match token.class {
+                TokenClass::Digit | TokenClass::AlphaNumeric => '4',
+                TokenClass::Lower | TokenClass::Alpha => 'q',
+                _ => 'Q',
+            };
+            out.extend(std::iter::repeat_n(c, n));
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every block count decides every row exactly as the interpreter
+        /// does: the target check first, then the first branch that
+        /// evaluates, else flagged (§6.1).
+        #[test]
+        fn blocks_agree_with_the_interpreter(
+            branches in proptest::collection::vec((any_pattern(), 0..2usize), 1..4),
+            target in any_pattern(),
+            junk in proptest::collection::vec(junk_value(), 0..40),
+        ) {
+            let program = Program::new(
+                branches
+                    .into_iter()
+                    .map(|(pattern, extract)| {
+                        let expr = if extract == 1 {
+                            Expr::concat(vec![StringExpr::extract(1), StringExpr::const_str("!")])
+                        } else {
+                            Expr::concat(vec![StringExpr::const_str("X")])
+                        };
+                        Branch::new(pattern, expr)
+                    })
+                    .collect(),
+            );
+            let compiled = CompiledProgram::compile(&program, &target).unwrap();
+            let mut rows: Vec<String> = program.branches.iter().map(|b| sample(&b.pattern)).collect();
+            rows.push(sample(&target));
+            rows.extend(junk);
+            // Repeats inside and across blocks.
+            rows.extend(rows.clone());
+            let oracle: Vec<RowOutcome> = rows
+                .iter()
+                .map(|row| {
+                    if target.matches(row) {
+                        return RowOutcome::Conforming { value: row.clone() };
+                    }
+                    match transform_lenient(&program, row) {
+                        TransformOutcome::Transformed(to) => {
+                            RowOutcome::Transformed { from: row.clone(), to }
+                        }
+                        TransformOutcome::Flagged(value) => RowOutcome::Flagged { value },
+                    }
+                })
+                .collect();
+            for blocks in [1, 2, 3, 7] {
+                let report = compiled.execute_blocks(&rows, blocks);
+                prop_assert!(
+                    report.iter_rows().eq(oracle.iter()),
+                    "{} blocks diverged from the interpreter", blocks
+                );
+                prop_assert_eq!(report.stats.rows(), rows.len());
+                prop_assert!(report.chunk_count <= blocks);
+            }
         }
     }
 }

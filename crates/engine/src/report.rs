@@ -1,21 +1,18 @@
 //! Mergeable, columnar execution reports.
 //!
-//! The parallel executor produces one [`ChunkReport`] per chunk; chunk
-//! reports merge (in chunk order) into a column-level [`BatchReport`]. Both
+//! Every executor stores its outcomes *columnar*: a list of stored
+//! [`RowOutcome`]s — one per distinct value — plus a row→outcome map. A
+//! [`ChunkReport`] covers one chunk (a streamed chunk, or one block of
+//! [`crate::CompiledProgram::execute`]); chunk reports merge, in chunk
+//! order, into a column-level [`BatchReport`] by moving their outcomes and
+//! offsetting their row maps. A report built over a [`Column`]
+//! ([`crate::CompiledProgram::execute_column`]) shares the column's row
+//! map by reference count. Either way a duplicate-heavy report costs
+//! O(distinct) outcomes — none is ever cloned per duplicate row. Both
 //! carry [`ChunkStats`], a small commutative summary that also powers the
-//! streaming API, where whole-column row storage is exactly what must be
-//! avoided.
-//!
-//! A [`BatchReport`] stores its outcomes *columnar*: a list of stored
-//! [`RowOutcome`]s plus a row→outcome map. The chunked path stores one
-//! outcome per row (an identity map, costing nothing extra); the column
-//! path ([`crate::CompiledProgram::execute_column`]) stores one outcome per
-//! **distinct** value and shares the column's row map by reference count,
-//! so a duplicate-heavy report costs O(distinct) — no outcome is ever
-//! cloned per duplicate row. Row-oriented access ([`BatchReport::iter_rows`],
-//! [`BatchReport::row`], [`BatchReport::values`]) is identical for both
-//! representations.
+//! streaming API.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use clx_column::Column;
@@ -29,7 +26,7 @@ use crate::dispatch::DispatchCache;
 /// What [`BatchReport::patch`] did: how much of the report the
 /// [`ProgramDelta`] let it keep, and how much it had to re-decide.
 ///
-/// Published (by the `_observed` variant) as the
+/// Published (by [`BatchReport::patch_observed`]) as the
 /// `engine.delta.{distincts_redecided,outcomes_patched}` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatchStats {
@@ -77,6 +74,14 @@ impl RowOutcome {
         }
     }
 
+    /// The input value the outcome was decided for.
+    pub(crate) fn input(&self) -> &str {
+        match self {
+            RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => value,
+            RowOutcome::Transformed { from, .. } => from,
+        }
+    }
+
     /// `true` if a branch rewrote the row.
     pub fn is_transformed(&self) -> bool {
         matches!(self, RowOutcome::Transformed { .. })
@@ -110,11 +115,6 @@ impl ChunkStats {
         self.transformed + self.conforming + self.flagged
     }
 
-    /// Count one outcome.
-    pub(crate) fn record(&mut self, outcome: &RowOutcome) {
-        self.record_weighted(outcome, 1);
-    }
-
     /// Count one outcome standing for `weight` rows (the multiplicity of a
     /// distinct value in a columnar report).
     pub(crate) fn record_weighted(&mut self, outcome: &RowOutcome, weight: usize) {
@@ -146,41 +146,24 @@ impl ChunkStats {
 
 /// The outcome of executing a compiled program over one chunk of rows.
 ///
-/// Like [`BatchReport`], a chunk report stores its outcomes *columnar*: the
-/// per-row paths store one outcome per row (an identity map), while the
-/// streaming path ([`crate::ColumnStream::push_rows`]) stores
-/// one outcome per distinct value appearing in the chunk plus the chunk's
+/// Like [`BatchReport`], a chunk report stores its outcomes *columnar*: one
+/// outcome per distinct value appearing in the chunk plus the chunk's
 /// row→distinct map — O(distinct-in-chunk), no per-duplicate clones.
 /// Row-oriented access ([`ChunkReport::iter_rows`], [`ChunkReport::row`],
-/// [`ChunkReport::into_row_outcomes`]) is identical for both.
+/// [`ChunkReport::into_row_outcomes`]) fans the decisions back out.
 #[derive(Debug, Clone)]
 pub struct ChunkReport {
     /// Zero-based position of the chunk within the column (or stream).
     pub index: usize,
-    /// Stored outcomes: per row (identity map) or per distinct-in-chunk.
+    /// Stored outcomes, one per distinct-in-chunk value.
     outcomes: Vec<RowOutcome>,
-    /// Row index -> stored outcome index, for columnar chunks.
-    map: Option<Vec<u32>>,
-    /// Counters over the chunk's rows (multiplicity-weighted when columnar).
+    /// Row index -> stored outcome index.
+    map: Vec<u32>,
+    /// Counters over the chunk's rows (multiplicity-weighted).
     pub stats: ChunkStats,
 }
 
 impl ChunkReport {
-    /// Build a per-row report from one outcome per row, computing the
-    /// counters.
-    pub fn new(index: usize, rows: Vec<RowOutcome>) -> Self {
-        let mut stats = ChunkStats::default();
-        for row in &rows {
-            stats.record(row);
-        }
-        ChunkReport {
-            index,
-            outcomes: rows,
-            map: None,
-            stats,
-        }
-    }
-
     /// Build a columnar report: `outcomes[k]` is the decision for the
     /// `k`-th distinct value appearing in the chunk, and `row_map[r]` names
     /// the outcome of row `r`. Stats are multiplicity-weighted, so
@@ -207,53 +190,35 @@ impl ChunkReport {
         ChunkReport {
             index,
             outcomes,
-            map: Some(row_map),
+            map: row_map,
             stats,
         }
     }
 
     /// Number of rows covered by this chunk.
     pub fn len(&self) -> usize {
-        match &self.map {
-            None => self.outcomes.len(),
-            Some(map) => map.len(),
-        }
+        self.map.len()
     }
 
     /// `true` when the chunk covers no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
-    /// `true` when outcomes are stored per distinct value rather than per
-    /// row.
-    pub fn is_columnar(&self) -> bool {
-        self.map.is_some()
-    }
-
-    /// The stored outcomes: one per distinct-in-chunk value for columnar
-    /// chunks, one per row otherwise.
+    /// The stored outcomes, one per distinct-in-chunk value.
     pub fn outcomes(&self) -> &[RowOutcome] {
         &self.outcomes
     }
 
     /// The outcome of row `index` within the chunk.
     pub fn row(&self, index: usize) -> &RowOutcome {
-        match &self.map {
-            None => &self.outcomes[index],
-            Some(map) => &self.outcomes[map[index] as usize],
-        }
+        &self.outcomes[self.map[index] as usize]
     }
 
     /// Every row's outcome, in chunk row order (duplicate rows yield the
-    /// same `&RowOutcome` in a columnar chunk).
+    /// same `&RowOutcome`).
     pub fn iter_rows(&self) -> RowOutcomes<'_> {
-        RowOutcomes {
-            outcomes: &self.outcomes,
-            map: self.map.as_deref(),
-            next: 0,
-            len: self.len(),
-        }
+        RowOutcomes::new(&self.outcomes, &self.map)
     }
 
     /// Borrowing iterator over every row's *output value*, in chunk row
@@ -263,54 +228,35 @@ impl ChunkReport {
     }
 
     /// Materialize one owned outcome per row, in chunk row order (cloning
-    /// per duplicate row for columnar chunks — the row-oriented escape
-    /// hatch).
+    /// per duplicate row — the row-oriented escape hatch).
     pub fn into_row_outcomes(self) -> Vec<RowOutcome> {
-        match self.map {
-            None => self.outcomes,
-            Some(map) => map
-                .iter()
-                .map(|&i| self.outcomes[i as usize].clone())
-                .collect(),
-        }
+        self.iter_rows().cloned().collect()
     }
 }
 
-/// The row→outcome map of a [`BatchReport`].
-#[derive(Debug, Clone)]
-enum RowMap {
-    /// Stored outcome `i` *is* row `i` (the chunked per-row paths).
-    Identity,
-    /// Row `r` holds stored outcome `map[r]` (the columnar path); the map
-    /// is the column's own row→distinct map, shared by reference count.
-    Shared(Arc<[u32]>),
-}
-
-/// A column-level report: every row's outcome, stored columnar.
+/// A column-level report: every row's outcome, stored columnar — one
+/// outcome per distinct value plus a row→outcome map.
 ///
-/// Reports from the chunked paths ([`crate::CompiledProgram::execute`],
-/// [`BatchReport::from_chunks`]) store one outcome per row. Reports from
-/// [`crate::CompiledProgram::execute_column`] store one outcome per
-/// *distinct* value plus the column's shared row map — O(distinct) space,
-/// no per-duplicate clones. Both answer row-oriented queries identically.
+/// Reports from [`crate::CompiledProgram::execute_column`] store one
+/// outcome per distinct value of the column and share the column's row
+/// map; reports merged from chunks ([`crate::CompiledProgram::execute`],
+/// [`BatchReport::from_chunks`]) store one outcome per distinct value of
+/// each chunk. Both answer row-oriented queries identically.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
     /// The target pattern the program was compiled against.
     pub target: Pattern,
-    /// Stored outcomes: per row (identity map) or per distinct value.
+    /// Stored outcomes, one per distinct value (per chunk, for merged
+    /// reports).
     outcomes: Vec<RowOutcome>,
-    /// Row index -> stored outcome index.
-    row_map: RowMap,
-    /// Counters over all rows (multiplicity-weighted for columnar reports).
+    /// Row index -> stored outcome index; a column report shares its
+    /// column's map by reference count.
+    row_map: Arc<[u32]>,
+    /// Counters over all rows (multiplicity-weighted).
     pub stats: ChunkStats,
-    /// Number of chunks merged into this report (1 for a non-empty columnar
+    /// Number of chunks merged into this report (1 for a non-empty column
     /// report, which is built whole).
     pub chunk_count: usize,
-    /// Per-stored-outcome row multiplicities for columnar reports (`None`
-    /// for identity-mapped reports, whose weight is always 1). Kept so
-    /// [`BatchReport::patch`] can adjust `stats` in O(1) per rewritten
-    /// outcome instead of re-scanning the row map.
-    multiplicities: Option<Arc<[u32]>>,
 }
 
 impl BatchReport {
@@ -319,29 +265,48 @@ impl BatchReport {
         BatchReport {
             target,
             outcomes: Vec::new(),
-            row_map: RowMap::Identity,
+            row_map: Arc::from(Vec::new()),
             stats: ChunkStats::default(),
             chunk_count: 0,
-            multiplicities: None,
         }
     }
 
     /// Merge chunk reports (sorted by `index`) into a column-level report.
+    /// The chunks' outcomes are moved, not cloned: the merged report
+    /// concatenates them and offsets each chunk's row map.
     ///
     /// # Panics
     ///
     /// Panics if the chunks are not in ascending `index` order — that would
     /// silently permute the output column.
     pub fn from_chunks(target: Pattern, chunks: Vec<ChunkReport>) -> Self {
-        let mut report = BatchReport::empty(target);
-        for chunk in chunks {
-            report.push_chunk(chunk);
+        let rows = chunks.iter().map(ChunkReport::len).sum();
+        let mut outcomes = Vec::with_capacity(chunks.iter().map(|c| c.outcomes.len()).sum());
+        let mut row_map = Vec::with_capacity(rows);
+        let mut stats = ChunkStats::default();
+        let chunk_count = chunks.len();
+        for (position, chunk) in chunks.into_iter().enumerate() {
+            assert_eq!(
+                chunk.index, position,
+                "chunk reports must merge in index order"
+            );
+            let offset =
+                u32::try_from(outcomes.len()).expect("report exceeds u32 outcome indexing");
+            row_map.extend(chunk.map.iter().map(|&stored| stored + offset));
+            outcomes.extend(chunk.outcomes);
+            stats.absorb(&chunk.stats);
         }
-        report
+        BatchReport {
+            target,
+            outcomes,
+            row_map: row_map.into(),
+            stats,
+            chunk_count,
+        }
     }
 
-    /// Build a columnar report: `outcomes[k]` is the decision for the
-    /// `k`-th distinct value of `column`, fanned out to every duplicate row
+    /// Build a column report: `outcomes[k]` is the decision for the `k`-th
+    /// distinct value of `column`, fanned out to every duplicate row
     /// through the column's shared row map. Construction is O(distinct):
     /// the row map is reference-counted, not copied, and the stats are
     /// multiplicity-weighted instead of being counted row by row.
@@ -357,186 +322,106 @@ impl BatchReport {
             "one outcome per distinct value"
         );
         let mut stats = ChunkStats::default();
-        let mut multiplicities = Vec::with_capacity(outcomes.len());
         for (outcome, value) in outcomes.iter().zip(column.distinct_values()) {
             stats.record_weighted(outcome, value.multiplicity());
-            multiplicities.push(value.multiplicity() as u32);
         }
         BatchReport {
             target,
             outcomes,
-            row_map: RowMap::Shared(column.row_map().clone()),
+            row_map: column.row_map().clone(),
             stats,
             chunk_count: usize::from(!column.is_empty()),
-            multiplicities: Some(multiplicities.into()),
         }
-    }
-
-    /// Append one chunk to this report, enforcing chunk order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order chunks, or if the report is columnar (those
-    /// are built whole by [`BatchReport::columnar`]).
-    pub fn push_chunk(&mut self, chunk: ChunkReport) {
-        assert!(
-            matches!(self.row_map, RowMap::Identity),
-            "cannot append chunks to a columnar report"
-        );
-        assert_eq!(
-            chunk.index, self.chunk_count,
-            "chunk reports must merge in index order"
-        );
-        self.stats.absorb(&chunk.stats);
-        self.outcomes.extend(chunk.into_row_outcomes());
-        self.chunk_count += 1;
     }
 
     /// Re-verify this report against `new_program`, rewriting in place
     /// only the stored outcomes `delta` cannot prove stable.
     ///
-    /// Every stored outcome keeps the original input recoverable
-    /// (`Conforming`/`Flagged` carry the value, `Transformed` carries
-    /// `from`), so an affected outcome is re-decided by running the new
-    /// program on that input; unaffected outcomes — and the shared row
-    /// map — are untouched. Cost is O(stored outcomes) cheap delta checks
-    /// plus a full decide for the affected ones only; the multiplicity
-    /// weights captured at construction make each stats adjustment O(1).
+    /// `column` must be the [`Column`] this report was built over (by
+    /// [`crate::CompiledProgram::execute_column`] or
+    /// [`BatchReport::columnar`]): its per-distinct *cached leaf
+    /// signatures* drive the patch. The affected-screen memoizes by dense
+    /// leaf-id (one fused classification per distinct *leaf*, an integer
+    /// map lookup per distinct value), and each re-decide dispatches
+    /// through [`CompiledProgram::transform_one_by_leaf_id`] without
+    /// re-tokenizing the input. Unaffected outcomes — and the shared row
+    /// map — are untouched; each stats adjustment is O(1) through the
+    /// column's multiplicities.
+    ///
+    /// Returns `None` — the refusal — when `column` is not the report's
+    /// own (a different row map or distinct count); the report is then
+    /// left untouched.
     ///
     /// `delta` must have been built with [`ProgramDelta::between`] from
     /// the program that produced this report to `new_program`; when the
     /// delta reports a target change the report's `target` follows the new
     /// program's.
-    pub fn patch(&mut self, delta: &ProgramDelta, new_program: &CompiledProgram) -> PatchStats {
-        self.patch_observed(delta, new_program, None)
+    #[must_use = "a `None` result means the patch was refused"]
+    pub fn patch(
+        &mut self,
+        delta: &ProgramDelta,
+        new_program: &CompiledProgram,
+        column: &Column,
+    ) -> Option<PatchStats> {
+        self.patch_observed(delta, new_program, column, None)
     }
 
     /// [`BatchReport::patch`], additionally publishing the
-    /// `engine.delta.{distincts_redecided,outcomes_patched}` counters.
+    /// `engine.delta.{distincts_redecided,outcomes_patched}` counters
+    /// (nothing is published on a refusal).
+    #[must_use = "a `None` result means the patch was refused"]
     pub fn patch_observed(
         &mut self,
         delta: &ProgramDelta,
         new_program: &CompiledProgram,
-        sink: Option<&Arc<dyn MetricSink>>,
-    ) -> PatchStats {
-        self.patch_inner(delta, new_program, sink, None)
-    }
-
-    /// [`BatchReport::patch`] for a columnar report still paired with the
-    /// [`Column`] it was built over — the session's re-verification path.
-    ///
-    /// The column's per-distinct *cached leaf signatures* replace the
-    /// patch's per-value tokenization: the affected-screen memoizes by
-    /// dense leaf-id (one fused classification per distinct *leaf*, an
-    /// integer map lookup per distinct value) and each re-decide
-    /// dispatches through [`CompiledProgram::transform_one_by_leaf_id`]
-    /// without re-tokenizing the input. Falls back to the self-contained
-    /// [`BatchReport::patch_observed`] when `column` is not the report's
-    /// own (different row map or distinct count) — answers are identical
-    /// either way.
-    pub fn patch_columnar(
-        &mut self,
-        delta: &ProgramDelta,
-        new_program: &CompiledProgram,
-        column: &Column,
-    ) -> PatchStats {
-        self.patch_columnar_observed(delta, new_program, column, None)
-    }
-
-    /// [`BatchReport::patch_columnar`], additionally publishing the
-    /// `engine.delta.{distincts_redecided,outcomes_patched}` counters.
-    pub fn patch_columnar_observed(
-        &mut self,
-        delta: &ProgramDelta,
-        new_program: &CompiledProgram,
         column: &Column,
         sink: Option<&Arc<dyn MetricSink>>,
-    ) -> PatchStats {
-        let aligned = self.outcomes.len() == column.distinct_count()
-            && matches!(&self.row_map, RowMap::Shared(map) if Arc::ptr_eq(map, column.row_map()));
-        self.patch_inner(delta, new_program, sink, aligned.then_some(column))
-    }
-
-    fn patch_inner(
-        &mut self,
-        delta: &ProgramDelta,
-        new_program: &CompiledProgram,
-        sink: Option<&Arc<dyn MetricSink>>,
-        column: Option<&Column>,
-    ) -> PatchStats {
+    ) -> Option<PatchStats> {
         debug_assert_eq!(
             new_program.instance(),
             delta.new_instance(),
             "patch must re-decide with the program the delta diffs to"
         );
+        if self.outcomes.len() != column.distinct_count()
+            || !Arc::ptr_eq(&self.row_map, column.row_map())
+        {
+            return None;
+        }
         let mut patch = PatchStats {
             branches_changed: delta.branches_changed(),
             ..PatchStats::default()
         };
         if !delta.is_identity() {
             let mut cache = DispatchCache::new();
-            // Screening memos: distincts sharing a leaf signature answer
-            // the affected-check once, not once per value. With a column
-            // the memo keys on the cached dense leaf-id; without one it
-            // keys on the leaf pattern `affects_outcome_memo` tokenizes.
-            let mut leaf_memo = std::collections::HashMap::new();
-            let mut id_memo: std::collections::HashMap<u32, Option<(bool, bool)>> =
-                std::collections::HashMap::new();
+            // Distincts sharing a leaf signature answer the affected-check
+            // once, not once per value.
+            let mut screen = HashMap::new();
             for (index, outcome) in self.outcomes.iter_mut().enumerate() {
-                let affected = match column {
-                    Some(col) if !outcome.is_conforming() && !delta.target_changed() => {
-                        let distinct = col.distinct(index);
-                        debug_assert_eq!(
-                            distinct.text(),
-                            match &*outcome {
-                                RowOutcome::Conforming { value }
-                                | RowOutcome::Flagged { value } => value.as_str(),
-                                RowOutcome::Transformed { from, .. } => from.as_str(),
-                            },
-                            "columnar outcome k must belong to distinct k"
-                        );
-                        let screen = *id_memo
-                            .entry(distinct.leaf_id())
-                            .or_insert_with(|| delta.screen_leaf(distinct.leaf()));
-                        match screen {
-                            Some(hits) => delta.hits_affect(outcome, hits),
-                            None => delta.affects_outcome(outcome),
-                        }
-                    }
-                    Some(_) => delta.affects_outcome(outcome),
-                    None => delta.affects_outcome_memo(outcome, &mut leaf_memo),
-                };
-                if !affected {
+                let distinct = column.distinct(index);
+                debug_assert_eq!(
+                    distinct.text(),
+                    outcome.input(),
+                    "columnar outcome k must belong to distinct k"
+                );
+                if !delta.affects_interned(
+                    outcome,
+                    distinct.leaf_id(),
+                    distinct.leaf(),
+                    &mut screen,
+                ) {
                     continue;
                 }
                 patch.distincts_redecided += 1;
-                let redecided = match column {
-                    Some(col) => {
-                        let distinct = col.distinct(index);
-                        new_program.transform_one_by_leaf_id(
-                            &mut cache,
-                            col.interner_id(),
-                            col.interner_generation(),
-                            distinct.leaf_id(),
-                            distinct.text(),
-                            distinct.leaf(),
-                        )
-                    }
-                    None => {
-                        let input = match &*outcome {
-                            RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => {
-                                value.clone()
-                            }
-                            RowOutcome::Transformed { from, .. } => from.clone(),
-                        };
-                        new_program.transform_one(&mut cache, &input)
-                    }
-                };
+                let redecided = new_program.transform_one_by_leaf_id(
+                    &mut cache,
+                    column.interner_id(),
+                    column.interner_generation(),
+                    distinct.leaf_id(),
+                    distinct.text(),
+                    distinct.leaf(),
+                );
                 if redecided != *outcome {
-                    let weight = self
-                        .multiplicities
-                        .as_ref()
-                        .map_or(1, |m| m[index] as usize);
+                    let weight = distinct.multiplicity();
                     self.stats.discount_weighted(outcome, weight);
                     self.stats.record_weighted(&redecided, weight);
                     *outcome = redecided;
@@ -557,66 +442,40 @@ impl BatchReport {
                 patch.outcomes_patched as u64,
             );
         }
-        patch
+        Some(patch)
     }
 
     /// Number of rows covered by this report.
     pub fn len(&self) -> usize {
-        match &self.row_map {
-            RowMap::Identity => self.outcomes.len(),
-            RowMap::Shared(map) => map.len(),
-        }
+        self.row_map.len()
     }
 
     /// `true` when the report covers no rows.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.row_map.is_empty()
     }
 
-    /// `true` when outcomes are stored per distinct value (one entry shared
-    /// by all duplicate rows) rather than per row.
-    pub fn is_columnar(&self) -> bool {
-        matches!(self.row_map, RowMap::Shared(_))
-    }
-
-    /// The stored outcomes: one per *distinct* value for columnar reports,
-    /// one per row otherwise.
+    /// The stored outcomes: one per *distinct* value (of the column, or of
+    /// each merged chunk).
     pub fn outcomes(&self) -> &[RowOutcome] {
         &self.outcomes
     }
 
     /// The outcome of row `index`.
     pub fn row(&self, index: usize) -> &RowOutcome {
-        match &self.row_map {
-            RowMap::Identity => &self.outcomes[index],
-            RowMap::Shared(map) => &self.outcomes[map[index] as usize],
-        }
+        &self.outcomes[self.row_map[index] as usize]
     }
 
     /// Every row's outcome, in input order (duplicate rows yield the same
-    /// `&RowOutcome` in a columnar report).
+    /// `&RowOutcome`).
     pub fn iter_rows(&self) -> RowOutcomes<'_> {
-        RowOutcomes {
-            outcomes: &self.outcomes,
-            map: match &self.row_map {
-                RowMap::Identity => None,
-                RowMap::Shared(map) => Some(map),
-            },
-            next: 0,
-            len: self.len(),
-        }
+        RowOutcomes::new(&self.outcomes, &self.row_map)
     }
 
     /// Materialize one owned outcome per row, in input order (cloning per
     /// duplicate row — the explicitly row-oriented escape hatch).
     pub fn into_row_outcomes(self) -> Vec<RowOutcome> {
-        match self.row_map {
-            RowMap::Identity => self.outcomes,
-            RowMap::Shared(map) => map
-                .iter()
-                .map(|&i| self.outcomes[i as usize].clone())
-                .collect(),
-        }
+        self.iter_rows().cloned().collect()
     }
 
     /// The output column (one value per row, in input order).
@@ -655,7 +514,7 @@ impl BatchReport {
     }
 
     /// `true` when every row's output matches the target pattern. Checked
-    /// once per *stored* outcome, so O(distinct) on a columnar report.
+    /// once per *stored* outcome, so O(distinct).
     pub fn is_perfect(&self) -> bool {
         self.outcomes.iter().all(|o| self.target.matches(o.value()))
     }
@@ -672,41 +531,38 @@ impl BatchReport {
             .iter()
             .map(|o| self.target.matches(o.value()))
             .collect();
-        let matching = match &self.row_map {
-            RowMap::Identity => ok.iter().filter(|&&b| b).count(),
-            RowMap::Shared(map) => map.iter().filter(|&&i| ok[i as usize]).count(),
-        };
+        let matching = self.row_map.iter().filter(|&&i| ok[i as usize]).count();
         matching as f64 / self.len() as f64
     }
 }
 
-/// Iterator over every row's outcome of a [`BatchReport`], in input order.
+/// Iterator over every row's outcome of a report, in input order.
 #[derive(Debug, Clone)]
 pub struct RowOutcomes<'a> {
     outcomes: &'a [RowOutcome],
-    map: Option<&'a [u32]>,
-    next: usize,
-    len: usize,
+    map: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> RowOutcomes<'a> {
+    fn new(outcomes: &'a [RowOutcome], map: &'a [u32]) -> Self {
+        RowOutcomes {
+            outcomes,
+            map: map.iter(),
+        }
+    }
 }
 
 impl<'a> Iterator for RowOutcomes<'a> {
     type Item = &'a RowOutcome;
 
     fn next(&mut self) -> Option<&'a RowOutcome> {
-        if self.next >= self.len {
-            return None;
-        }
-        let stored = match self.map {
-            Some(map) => map[self.next] as usize,
-            None => self.next,
-        };
-        self.next += 1;
-        Some(&self.outcomes[stored])
+        self.map
+            .next()
+            .map(|&stored| &self.outcomes[stored as usize])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.len - self.next;
-        (remaining, Some(remaining))
+        self.map.size_hint()
     }
 }
 
@@ -717,21 +573,21 @@ mod tests {
     use super::*;
     use clx_pattern::tokenize;
 
+    /// A chunk flagging every value, one stored outcome per distinct value.
     fn chunk(index: usize, values: &[&str]) -> ChunkReport {
-        ChunkReport::new(
-            index,
-            values
-                .iter()
-                .map(|v| RowOutcome::Flagged {
-                    value: v.to_string(),
-                })
-                .collect(),
-        )
+        let column = Column::from_values(values);
+        let outcomes = column
+            .distinct_values()
+            .map(|v| RowOutcome::Flagged {
+                value: v.text().to_string(),
+            })
+            .collect();
+        ChunkReport::columnar(index, outcomes, column.row_map().to_vec())
     }
 
     #[test]
     fn chunk_report_counts() {
-        let report = ChunkReport::new(
+        let report = ChunkReport::columnar(
             0,
             vec![
                 RowOutcome::Conforming { value: "a".into() },
@@ -741,25 +597,34 @@ mod tests {
                 },
                 RowOutcome::Flagged { value: "d".into() },
             ],
+            vec![0, 1, 2, 1],
         );
         assert_eq!(report.stats.conforming, 1);
-        assert_eq!(report.stats.transformed, 1);
+        assert_eq!(report.stats.transformed, 2);
         assert_eq!(report.stats.flagged, 1);
-        assert_eq!(report.stats.rows(), 3);
+        assert_eq!(report.stats.rows(), 4);
+        assert_eq!(report.len(), 4);
+        assert_eq!(report.row(3).value(), "c");
     }
 
     #[test]
     fn merge_preserves_chunk_order() {
         let merged = BatchReport::from_chunks(
             tokenize("1"),
-            vec![chunk(0, &["a", "b"]), chunk(1, &["c"]), chunk(2, &["d"])],
+            vec![
+                chunk(0, &["a", "b", "a"]),
+                chunk(1, &["c"]),
+                chunk(2, &["d", "a"]),
+            ],
         );
-        assert_eq!(merged.values(), vec!["a", "b", "c", "d"]);
+        assert_eq!(merged.values(), vec!["a", "b", "a", "c", "d", "a"]);
         assert_eq!(merged.chunk_count, 3);
-        assert_eq!(merged.len(), 4);
-        assert!(!merged.is_columnar());
-        assert_eq!(merged.flagged_count(), 4);
-        assert_eq!(merged.flagged_values(), vec!["a", "b", "c", "d"]);
+        assert_eq!(merged.len(), 6);
+        // Outcomes moved in per chunk, row maps offset.
+        assert_eq!(merged.outcomes().len(), 5);
+        assert_eq!(merged.row(5).value(), "a");
+        assert_eq!(merged.flagged_count(), 6);
+        assert_eq!(merged.flagged_values(), vec!["a", "b", "a", "c", "d", "a"]);
     }
 
     #[test]
@@ -779,7 +644,6 @@ mod tests {
             RowOutcome::Flagged { value: "b".into() },
         ];
         let report = BatchReport::columnar(tokenize("X"), outcomes, &column);
-        assert!(report.is_columnar());
         assert_eq!(report.outcomes().len(), 2);
         assert_eq!(report.len(), 5);
         // Stats are multiplicity-weighted.
@@ -792,11 +656,7 @@ mod tests {
         // Materializing rows clones per duplicate.
         assert_eq!(report.clone().into_row_outcomes().len(), 5);
         // The row map is shared with the column, not copied.
-        let shared = match &report.row_map {
-            RowMap::Shared(map) => map,
-            RowMap::Identity => panic!("columnar report must share the map"),
-        };
-        assert!(Arc::ptr_eq(shared, column.row_map()));
+        assert!(Arc::ptr_eq(&report.row_map, column.row_map()));
     }
 
     #[test]
@@ -805,15 +665,6 @@ mod tests {
         assert!(report.is_empty());
         assert_eq!(report.chunk_count, 0);
         assert_eq!(report.iter_rows().count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot append chunks")]
-    fn columnar_reports_reject_chunks() {
-        let column = Column::from_values(&["a"]);
-        let outcomes = vec![RowOutcome::Flagged { value: "a".into() }];
-        let mut report = BatchReport::columnar(tokenize("X"), outcomes, &column);
-        report.push_chunk(chunk(1, &["b"]));
     }
 
     #[test]
@@ -896,12 +747,7 @@ mod tests {
         }
 
         fn full_recompute(program: &CompiledProgram, column: &Column) -> BatchReport {
-            let mut cache = crate::DispatchCache::new();
-            let outcomes: Vec<RowOutcome> = column
-                .distinct_values()
-                .map(|v| program.transform_one(&mut cache, v.text()))
-                .collect();
-            BatchReport::columnar(program.target().clone(), outcomes, column)
+            program.execute_column(column)
         }
 
         #[test]
@@ -914,7 +760,7 @@ mod tests {
             let before: Vec<RowOutcome> = report.outcomes().to_vec();
 
             let delta = ProgramDelta::between(&old, &new);
-            let stats = report.patch(&delta, &new);
+            let stats = report.patch(&delta, &new, &column).unwrap();
             assert_eq!(stats.branches_changed, 2);
             assert_eq!(
                 stats.distincts_redecided, 1,
@@ -944,7 +790,7 @@ mod tests {
             let mut report = full_recompute(&old, &column);
             let before = report.clone();
             let delta = ProgramDelta::between(&old, &new);
-            let stats = report.patch(&delta, &new);
+            let stats = report.patch(&delta, &new, &column).unwrap();
             assert_eq!(stats, PatchStats::default());
             assert_eq!(
                 report.iter_rows().collect::<Vec<_>>(),
@@ -967,7 +813,7 @@ mod tests {
             .unwrap();
             let mut report = full_recompute(&old, &column);
             let delta = ProgramDelta::between(&old, &new);
-            let stats = report.patch(&delta, &new);
+            let stats = report.patch(&delta, &new, &column).unwrap();
             assert_eq!(stats.distincts_redecided, 2, "target change affects all");
             assert_eq!(report.target, *new.target());
             let expected = full_recompute(&new, &column);
@@ -979,34 +825,34 @@ mod tests {
         }
 
         #[test]
-        fn patch_columnar_equals_self_contained_patch() {
-            let column = Column::from_values(&["12-34", "ab.cd", "12-34", "cafe", "!!"]);
+        fn patch_refuses_a_column_that_is_not_the_reports_own() {
+            let values = ["12-34", "ab.cd", "12-34", "cafe", "!!"];
+            let column = Column::from_values(&values);
             let old = program("");
             let new = program("#");
             let delta = ProgramDelta::between(&old, &new);
             let baseline = full_recompute(&old, &column);
 
-            let mut self_contained = baseline.clone();
-            let generic_stats = self_contained.patch(&delta, &new);
-            let mut columnar = baseline.clone();
-            let columnar_stats = columnar.patch_columnar(&delta, &new, &column);
-            assert_eq!(columnar_stats, generic_stats, "same screen, same counts");
-            assert_eq!(
-                columnar.iter_rows().collect::<Vec<_>>(),
-                self_contained.iter_rows().collect::<Vec<_>>()
-            );
-            assert_eq!(columnar.stats, self_contained.stats);
+            // Same values, separately built: a different row map, so the
+            // report's outcome k is not known to belong to its distinct k.
+            let stranger = Column::from_values(&values);
+            let mut refused = baseline.clone();
+            assert_eq!(refused.patch(&delta, &new, &stranger), None);
+            assert!(refused.iter_rows().eq(baseline.iter_rows()));
+            assert_eq!(refused.stats, baseline.stats);
 
-            // A column that is not the report's own (same values, different
-            // row-map Arc) silently falls back to the self-contained path.
-            let stranger = Column::from_values(&["12-34", "ab.cd", "12-34", "cafe", "!!"]);
-            let mut fallback = baseline.clone();
-            let fallback_stats = fallback.patch_columnar(&delta, &new, &stranger);
-            assert_eq!(fallback_stats, generic_stats);
-            assert_eq!(
-                fallback.iter_rows().collect::<Vec<_>>(),
-                self_contained.iter_rows().collect::<Vec<_>>()
-            );
+            // A report merged from chunks shares no column's row map.
+            let mut merged = new.execute(&values);
+            let before = merged.clone();
+            assert_eq!(merged.patch(&delta, &new, &column), None);
+            assert!(merged.iter_rows().eq(before.iter_rows()));
+
+            // The report's own column is accepted.
+            let mut own = baseline.clone();
+            assert!(own.patch(&delta, &new, &column).is_some());
+            assert!(own
+                .iter_rows()
+                .eq(full_recompute(&new, &column).iter_rows()));
         }
     }
 }

@@ -13,11 +13,12 @@
 //! counters plus the O(distinct) interner and per-id decision cache, both
 //! capped by an optional [`StreamBudget`].
 
+use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::Arc;
 use std::time::Instant;
 
-use clx_column::{ColumnChunk, ColumnInterner, StreamBudget};
+use clx_column::{ColumnInterner, StreamBudget};
 use clx_pattern::Pattern;
 use clx_telemetry::MetricSink;
 
@@ -48,7 +49,7 @@ fn outcome_footprint(outcome: &RowOutcome) -> usize {
 /// pruned whenever the interner's eviction generation moves, so the cache
 /// footprint tracks the interner's live set.
 #[derive(Debug, Default)]
-struct DistinctDecisions {
+pub(crate) struct DistinctDecisions {
     source: Option<u64>,
     /// The interner eviction generation the cache was last pruned at.
     generation: u64,
@@ -122,20 +123,31 @@ impl DistinctDecisions {
 
     /// Program-swap invalidation: drop every stored decision `delta`
     /// cannot prove stable, so the next chunk touching those ids
-    /// re-decides them through the new program — the PR 5 generation
-    /// machinery then takes over as if they had never been decided.
-    /// Unaffected decisions keep replaying untouched. Returns the number
-    /// of decisions invalidated; O(decided slots) delta checks, no row
-    /// ever runs here.
-    fn retain_unaffected(&mut self, delta: &ProgramDelta) -> usize {
+    /// re-decides them through the new program — the generation machinery
+    /// then takes over as if they had never been decided. Unaffected
+    /// decisions keep replaying untouched. Returns the number of decisions
+    /// invalidated; O(decided slots) delta checks, no row ever runs here.
+    ///
+    /// Screening reads each id's cached leaf from `interner` through the
+    /// same leaf-id memo [`crate::BatchReport::patch`] uses, so a swap
+    /// never re-tokenizes the decided set.
+    fn retain_unaffected(&mut self, delta: &ProgramDelta, interner: &ColumnInterner) -> usize {
         let mut invalidated = 0;
-        // Screening memo keyed by leaf signature (see `BatchReport::patch`):
-        // distincts sharing a format answer the affected-check once.
-        let mut leaf_memo = std::collections::HashMap::new();
-        for slot in &mut self.decided {
-            let affected = slot
-                .as_ref()
-                .is_some_and(|(_, outcome)| delta.affects_outcome_memo(outcome, &mut leaf_memo));
+        let mut screen = HashMap::new();
+        for (id, slot) in self.decided.iter_mut().enumerate() {
+            let id = id as u32;
+            let affected = slot.as_ref().is_some_and(|(gen, outcome)| {
+                // A slot evicted or recycled since its decision can never
+                // replay; drop it rather than screen another value's leaf.
+                !interner.is_live(id)
+                    || *gen != interner.distinct_generation(id)
+                    || delta.affects_interned(
+                        outcome,
+                        interner.leaf_id(id),
+                        interner.leaf(id),
+                        &mut screen,
+                    )
+            });
             if affected {
                 let (_, outcome) = slot.take().expect("checked above");
                 self.count -= 1;
@@ -146,64 +158,47 @@ impl DistinctDecisions {
         invalidated
     }
 
-    /// Execute one interned chunk, reusing stored decisions for already-seen
-    /// distinct-ids and recording new ones. `telemetry` (if any) times each
-    /// first-sight fused classification as `engine.fused.decide_ns`.
-    fn execute_chunk(
-        &mut self,
-        program: &CompiledProgram,
-        cache: &mut DispatchCache,
-        chunk: &ColumnChunk<'_>,
-        index: usize,
-        telemetry: Option<&Arc<dyn MetricSink>>,
-    ) -> ChunkReport {
-        let interner = chunk.interner();
+    /// Bind the cache to `interner`'s id space ahead of deciding one of
+    /// its chunks: a chunk from a different interner resets the cache, and
+    /// an interner that evicted since the last chunk has the evicted
+    /// slots' outcomes released first.
+    pub(crate) fn sync(&mut self, interner: &ColumnInterner) {
         if self.source != Some(interner.instance()) {
             self.clear();
             self.source = Some(interner.instance());
             self.generation = interner.generation();
         } else if self.generation != interner.generation() {
-            // The interner evicted since the last chunk: release the
-            // evicted slots' outcomes before serving this one.
             self.prune(interner);
             self.generation = interner.generation();
         }
         if self.decided.len() < interner.distinct_count() {
             self.decided.resize(interner.distinct_count(), None);
         }
-        let outcomes: Vec<RowOutcome> = chunk
-            .distinct_ids()
-            .iter()
-            .map(|&id| {
-                let slot_generation = interner.distinct_generation(id);
-                if let Some((gen, outcome)) = &self.decided[id as usize] {
-                    if *gen == slot_generation {
-                        self.hits += 1;
-                        return outcome.clone();
-                    }
-                }
-                self.misses += 1;
-                let outcome = program.transform_one_by_leaf_id_observed(
-                    cache,
-                    interner.instance(),
-                    interner.generation(),
-                    interner.leaf_id(id),
-                    interner.value(id),
-                    interner.leaf(id),
-                    telemetry,
-                );
-                self.bytes += outcome_footprint(&outcome);
-                match self.decided[id as usize].replace((slot_generation, outcome.clone())) {
-                    // Overwrote a stale decision prune() had not seen
-                    // (unreachable through chunk(), which always steps the
-                    // generation when it evicts — kept for safety).
-                    Some((_, stale)) => self.bytes -= outcome_footprint(&stale),
-                    None => self.count += 1,
-                }
-                outcome
-            })
-            .collect();
-        ChunkReport::columnar(index, outcomes, chunk.row_map().to_vec())
+    }
+
+    /// The stored outcome of `id`, when it was decided under the slot's
+    /// current recycle generation (counted as a hit).
+    pub(crate) fn replay(&mut self, id: u32, interner: &ColumnInterner) -> Option<RowOutcome> {
+        let (gen, outcome) = self.decided[id as usize].as_ref()?;
+        if *gen != interner.distinct_generation(id) {
+            return None;
+        }
+        self.hits += 1;
+        Some(outcome.clone())
+    }
+
+    /// Store a fresh decision for `id` (counted as a miss).
+    pub(crate) fn record(&mut self, id: u32, interner: &ColumnInterner, outcome: &RowOutcome) {
+        self.misses += 1;
+        self.bytes += outcome_footprint(outcome);
+        let decision = (interner.distinct_generation(id), outcome.clone());
+        match self.decided[id as usize].replace(decision) {
+            // Overwrote a stale decision prune() had not seen
+            // (unreachable through chunk(), which always steps the
+            // generation when it evicts — kept for safety).
+            Some((_, stale)) => self.bytes -= outcome_footprint(&stale),
+            None => self.count += 1,
+        }
     }
 }
 
@@ -347,11 +342,11 @@ impl ColumnStream {
     ///   (through the new program, via the usual generation machinery) on
     ///   the next chunk that contains them; everything else keeps
     ///   replaying its stored outcome.
-    /// * **dispatch plans** — the dense leaf-id tier re-binds to the new
+    /// * **dispatch plans** — the leaf-id dispatch cache re-binds to the new
     ///   program *without a full reset*: plans for leaf-ids the delta
     ///   proves unaffected are retained as-is (see "Rebinding without a
     ///   reset" in the `dispatch` module docs); affected ones rebuild on
-    ///   next sight. The hashed tier is filtered the same way.
+    ///   next sight.
     /// * **fused automaton** — the new program already carries its own,
     ///   built once at compile time; first-sight decisions after the swap
     ///   classify through it with no per-distinct rebuild cost. The
@@ -363,7 +358,8 @@ impl ColumnStream {
     /// telemetry sink the swap publishes `engine.delta.branches_changed`
     /// and `engine.delta.distincts_redecided` (the lazily invalidated
     /// count). Cost: O(decided distincts + cached plans) cheap delta
-    /// checks, independent of row count.
+    /// checks, independent of row count; the decided values are screened
+    /// by their interned leaf, never re-tokenized.
     pub fn swap_program(&mut self, new_program: Arc<CompiledProgram>) -> SwapSummary {
         if Arc::ptr_eq(&self.program, &new_program)
             || self.program.instance() == new_program.instance()
@@ -372,17 +368,15 @@ impl ColumnStream {
         }
         let delta =
             ProgramDelta::between_observed(&self.program, &new_program, self.telemetry.as_ref());
-        let distincts_invalidated = self.decisions.retain_unaffected(&delta);
         let interner = &self.interner;
-        let (dense_plans_retained, dense_plans_dropped) = self.cache.rebind_retaining(
-            new_program.instance(),
-            |leaf| !delta.affects_leaf(leaf),
-            |leaf_id| {
-                interner
-                    .leaf_pattern(leaf_id)
-                    .is_some_and(|leaf| !delta.affects_leaf(leaf))
-            },
-        );
+        let distincts_invalidated = self.decisions.retain_unaffected(&delta, interner);
+        let (dense_plans_retained, dense_plans_dropped) =
+            self.cache
+                .rebind_retaining(new_program.instance(), |leaf_id| {
+                    interner
+                        .leaf_pattern(leaf_id)
+                        .is_some_and(|leaf| !delta.affects_leaf(leaf))
+                });
         if let Some(sink) = &self.telemetry {
             sink.counter(
                 "engine.delta.distincts_redecided",
@@ -415,13 +409,13 @@ impl ColumnStream {
         let start = self.telemetry.is_some().then(Instant::now);
         // chunk() runs enforce_budget() before interning a single row.
         let chunk = self.interner.chunk(rows);
-        let report = self.decisions.execute_chunk(
-            &self.program,
+        let outcomes = self.program.decide_chunk(
             &mut self.cache,
             &chunk,
-            self.chunks,
+            Some(&mut self.decisions),
             self.telemetry.as_ref(),
         );
+        let report = ChunkReport::columnar(self.chunks, outcomes, chunk.row_map().to_vec());
         drop(chunk);
         self.stats.absorb(&report.stats);
         self.chunks += 1;
@@ -466,14 +460,6 @@ impl ColumnStream {
         sink.counter(
             "engine.dispatch.dense_misses",
             dispatch.dense_misses - prev.dense_misses,
-        );
-        sink.counter(
-            "engine.dispatch.hashed_hits",
-            dispatch.hashed_hits - prev.hashed_hits,
-        );
-        sink.counter(
-            "engine.dispatch.hashed_misses",
-            dispatch.hashed_misses - prev.hashed_misses,
         );
         self.published_dispatch = dispatch;
 
@@ -702,37 +688,6 @@ mod tests {
     // ---- column path ------------------------------------------------------
 
     #[test]
-    fn column_chunks_match_string_chunks_row_for_row() {
-        let program = compiled();
-        let rows: Vec<String> = (0..600)
-            .map(|i| match i % 3 {
-                0 => format!("{:03}.{:03}.{:04}", 100 + i % 7, 200 + i % 7, i % 7),
-                1 => format!("{:03}-{:03}-{:04}", 100 + i % 7, 200 + i % 7, i % 7),
-                _ => "N/A".to_string(),
-            })
-            .collect();
-
-        let mut cache = DispatchCache::new();
-        let mut by_columns = ColumnStream::from_program(compiled());
-        let mut stats = ChunkStats::default();
-        for (i, chunk) in rows.chunks(128).enumerate() {
-            let s = program.execute_chunk(i, chunk, &mut cache);
-            let c = by_columns.push_rows(chunk);
-            assert!(c.is_columnar() && !s.is_columnar());
-            assert_eq!(s.len(), c.len());
-            assert_eq!(
-                s.iter_rows().collect::<Vec<_>>(),
-                c.iter_rows().collect::<Vec<_>>()
-            );
-            assert_eq!(s.stats, c.stats);
-            stats.absorb(&s.stats);
-        }
-        let c = by_columns.finish();
-        assert_eq!(stats, c.stats);
-        assert_eq!(rows.chunks(128).count(), c.chunks);
-    }
-
-    #[test]
     fn cross_chunk_repeats_are_decided_once() {
         let program = compiled();
         let mut stream = ColumnStream::from_program(program);
@@ -760,10 +715,9 @@ mod tests {
         let mut stream = ColumnStream::from_program(program);
         stream.push_rows(&["111.222.3333", "N/A", "777-888-9999"]);
         stream.push_rows(&["111.222.3333", "000.111.2222"]);
-        // Three distinct leaves decided, all on the dense integer tier; the
-        // hashed tier was never touched.
+        // Three distinct leaves decided, each once, by integer leaf-id.
         assert_eq!(stream.dispatch_cache().dense_len(), 3);
-        assert_eq!(stream.dispatch_cache().len(), 0);
+        assert_eq!(stream.dispatch_cache().stats().dense_misses, 3);
     }
 
     #[test]
@@ -947,6 +901,7 @@ mod tests {
                 .collect();
             stream.push_rows(&rows);
         }
+        let stream_dispatch = stream.dispatch_cache().stats();
         let summary = stream.finish();
 
         let snap = MetricSink::snapshot(&*sink);
@@ -960,10 +915,13 @@ mod tests {
             snap.counter("engine.stream.decision_misses"),
             Some(summary.decision_cache_misses)
         );
-        // The column path dispatches on the dense tier only, and the
-        // sink's cumulative deltas must agree with the cache's tallies.
-        assert_eq!(snap.counter("engine.dispatch.hashed_misses"), Some(0));
-        assert!(snap.counter("engine.dispatch.dense_misses").unwrap() > 0);
+        // The sink's cumulative deltas must agree with the cache's tallies.
+        let dispatch = stream_dispatch;
+        assert_eq!(
+            snap.counter("engine.dispatch.dense_misses"),
+            Some(dispatch.dense_misses)
+        );
+        assert!(dispatch.dense_misses > 0);
         assert_eq!(snap.histogram("engine.stream.chunk_ns").unwrap().count, 6);
         assert_eq!(
             snap.histogram("engine.stream.rows_per_sec").unwrap().count,
@@ -1059,15 +1017,20 @@ mod tests {
         let mut decisions = DistinctDecisions::default();
         let mut a = ColumnInterner::new();
         let chunk = a.chunk(&["111.222.3333"]);
-        decisions.execute_chunk(&program, &mut cache, &chunk, 0, None);
+        program.decide_chunk(&mut cache, &chunk, Some(&mut decisions), None);
         assert_eq!(decisions.len(), 1);
 
         // A chunk from a different interner carries ids from a different id
         // space; the per-id decision cache must not alias them.
         let mut b = ColumnInterner::new();
         let chunk = b.chunk(&["N/A", "N/A"]);
-        let report = decisions.execute_chunk(&program, &mut cache, &chunk, 1, None);
-        assert_eq!(report.stats.flagged, 2);
+        let outcomes = program.decide_chunk(&mut cache, &chunk, Some(&mut decisions), None);
+        assert_eq!(
+            outcomes,
+            vec![RowOutcome::Flagged {
+                value: "N/A".into()
+            }]
+        );
         assert_eq!(decisions.len(), 1);
     }
 

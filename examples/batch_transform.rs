@@ -3,7 +3,8 @@
 //! The interactive session (see `quickstart.rs`) is for the human in the
 //! loop; this example shows the serving side: `ClxSession::compile()` hands
 //! the synthesized program to the `clx-engine` subsystem, which executes it
-//! over large columns in parallel chunks, streams columns that do not fit
+//! over large columns in parallel interned blocks (each distinct value of a
+//! block decided once), streams columns that do not fit
 //! in memory through a bounded `ColumnStream`, and caches compiled programs
 //! across requests.
 //!
@@ -35,7 +36,7 @@ fn main() {
         compiled.is_fully_transparent()
     );
 
-    // ---- Execute in parallel chunks -------------------------------------
+    // ---- Execute in parallel blocks -------------------------------------
     let report = TransformReport::from_batch(compiled.execute(&case.data));
     println!(
         "parallel apply: {} transformed, {} conforming, {} flagged",

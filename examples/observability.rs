@@ -10,7 +10,7 @@
 //!   interner hit/miss counters, arena byte gauges and eviction batches;
 //! * `engine.stream.*` — per-chunk latency and rows/s histograms, the
 //!   decision-cache hit/miss counters, memory gauges;
-//! * `engine.dispatch.*` — dense vs hashed dispatch-tier hits.
+//! * `engine.dispatch.*` — leaf-id dispatch hits and misses.
 //!
 //! The stream runs a 100k-row duplicate-heavy phone workload under a
 //! deliberately tight `max_distinct(256)` budget (the column has ~1k

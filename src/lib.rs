@@ -18,7 +18,7 @@
 //! * [`engine`] — the compiled batch-execution subsystem:
 //!   [`ClxSession::compile`](clx_core::ClxSession::compile) turns the
 //!   synthesized program into a thread-safe [`CompiledProgram`] for
-//!   parallel chunked execution and LRU caching ([`ProgramCache`]);
+//!   parallel block execution and LRU caching ([`ProgramCache`]);
 //!   [`ColumnStream`] streams columns larger than memory through it,
 //!   optionally within a [`StreamBudget`]. Reports are columnar
 //!   ([`TransformReport`]): one outcome per *distinct* value plus the
@@ -110,8 +110,8 @@ pub use clx_core::{
     Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome, TransformReport,
 };
 pub use clx_engine::{
-    BatchReport, ColumnStream, CompiledProgram, DispatchStats, ExecOptions, PatchStats,
-    ProgramCache, ProgramCacheStats, ProgramDelta, StreamSummary, SwapSummary,
+    BatchReport, ColumnStream, CompiledProgram, DispatchStats, PatchStats, ProgramCache,
+    ProgramCacheStats, ProgramDelta, StreamSummary, SwapSummary,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{validate_report, ValidationReport};

@@ -153,7 +153,7 @@ fn peak_memory_estimate_tracks_the_allocator() {
         ratio >= 1.0,
         "estimate {estimate} B exceeds allocator-observed peak {actual_peak} B"
     );
-    // …and stays within 3x of it (measured ~1.2–1.3 here; 3x leaves room
+    // …and stays within 3x of it (measured 1.34 here; 3x leaves room
     // for allocator/platform variance without letting the model drift
     // into fiction).
     assert!(

@@ -1,6 +1,6 @@
 //! The columnar `TransformReport` surface: `iter_rows()` must be
-//! row-for-row identical to the per-row path the report replaced, while the
-//! report itself stores only O(distinct) outcomes.
+//! row-for-row identical to the compiled engine over the raw rows, while
+//! both reports store only O(distinct) outcomes.
 
 use clx::datagen::duplicate_heavy_case;
 use clx::{tokenize, ClxSession, Labelled, TransformReport};
@@ -23,33 +23,33 @@ fn iter_rows_is_row_identical_to_the_per_row_path() {
     let session = duplicate_heavy_session(20_000, 200, 11);
     let columnar = session.apply().unwrap();
 
-    // The old per-row path: the compiled engine over the raw rows, which
-    // stores one outcome per row (identity map).
+    // The compiled engine over the raw rows, which interns them in blocks
+    // and stores one outcome per distinct value of each block.
     let rows = session.data().to_vec();
-    let per_row = TransformReport::from_batch(session.compile().unwrap().execute(&rows));
+    let by_rows = TransformReport::from_batch(session.compile().unwrap().execute(&rows));
 
     // Row-for-row identity, in order — variants and values both.
-    assert_eq!(columnar.len(), per_row.len());
-    for (i, (c, r)) in columnar.iter_rows().zip(per_row.iter_rows()).enumerate() {
+    assert_eq!(columnar.len(), by_rows.len());
+    for (i, (c, r)) in columnar.iter_rows().zip(by_rows.iter_rows()).enumerate() {
         assert_eq!(c, r, "row {i} diverged");
-        assert_eq!(columnar.row(i), per_row.row(i), "row {i} accessor diverged");
+        assert_eq!(columnar.row(i), by_rows.row(i), "row {i} accessor diverged");
     }
-    assert_eq!(columnar, per_row);
-    assert_eq!(columnar.values(), per_row.values());
-    assert_eq!(columnar.flagged_values(), per_row.flagged_values());
-    assert_eq!(columnar.transformed_count(), per_row.transformed_count());
-    assert_eq!(columnar.conforming_count(), per_row.conforming_count());
-    assert_eq!(columnar.flagged_count(), per_row.flagged_count());
-    assert!((columnar.conformance_ratio() - per_row.conformance_ratio()).abs() < 1e-12);
+    assert_eq!(columnar, by_rows);
+    assert_eq!(columnar.values(), by_rows.values());
+    assert_eq!(columnar.flagged_values(), by_rows.flagged_values());
+    assert_eq!(columnar.transformed_count(), by_rows.transformed_count());
+    assert_eq!(columnar.conforming_count(), by_rows.conforming_count());
+    assert_eq!(columnar.flagged_count(), by_rows.flagged_count());
+    assert!((columnar.conformance_ratio() - by_rows.conformance_ratio()).abs() < 1e-12);
 
     // And the storage claim behind the redesign: O(distinct) outcomes on
-    // the columnar side, O(rows) on the per-row side.
+    // both sides — per column, and per block of at least 8,192 rows.
     assert_eq!(
         columnar.distinct_outcomes().len(),
         session.data().distinct_count()
     );
     assert!(columnar.distinct_outcomes().len() <= 200);
-    assert_eq!(per_row.distinct_outcomes().len(), 20_000);
+    assert!(by_rows.distinct_outcomes().len() <= 200 * (20_000 / 8_192));
 }
 
 #[test]

@@ -8,6 +8,12 @@
 //! [`CompiledProgram::execute_column`] over the whole column. Eviction may
 //! only change *retained memory*, never an outcome.
 //!
+//! The differential oracle: on *random* programs (transparent, opaque,
+//! `+`-quantified, fallback-forcing wide) every execution path — `execute`,
+//! `execute_column`, chunked and budgeted streams with the fused automaton
+//! on and off, and a delta-patched report — equals the interpreter
+//! (`clx_unifi::transform_lenient` behind the target check), row for row.
+//!
 //! The incremental re-verification properties live here too: a report
 //! patched through a `ProgramDelta` equals a fresh full recompute under
 //! the new program (row for row and in the weighted stats), a stream
@@ -29,10 +35,10 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use clx::engine::{Decision, DispatchCache};
+use clx::engine::Decision;
 use clx::pattern::automaton::MultiPatternAutomaton;
 use clx::pattern::{tokenize, Quantifier, TokenSlice};
-use clx::unifi::{Branch, Expr, Program, StringExpr};
+use clx::unifi::{transform_lenient, Branch, Expr, Program, StringExpr, TransformOutcome};
 use clx::{
     Column, ColumnBuilder, ColumnInterner, ColumnStream, CompiledProgram, InMemorySink, MetricSink,
     NoopSink, Pattern, RowOutcome, StreamBudget, Token, TokenClass,
@@ -536,8 +542,7 @@ proptest! {
     /// The fused automaton and the per-branch loop are the same decision
     /// function: for random programs (transparent, opaque, `+`-quantified,
     /// fallback-forcing wide) and random values — pattern-derived matches
-    /// and arbitrary junk — `decide` and `transform_one` agree exactly,
-    /// each side deciding cold through its own fresh [`DispatchCache`].
+    /// and arbitrary junk — `decide` and `execute` agree exactly.
     #[test]
     fn fused_decisions_equal_per_branch_decisions(
         program_and_target in any_program(),
@@ -560,8 +565,6 @@ proptest! {
         values.push(String::new());
         values.extend(extra);
 
-        let mut fused_cache = DispatchCache::new();
-        let mut plain_cache = DispatchCache::new();
         for value in &values {
             let fd = fused.decide(value);
             let pd = plain.decide(value);
@@ -572,10 +575,10 @@ proptest! {
                 // a transparent program is exactly the automaton's word.
                 prop_assert!(matches!(fd, Decision::Conforming | Decision::Branch(_) | Decision::Flagged));
             }
-            let ft = fused.transform_one(&mut fused_cache, value);
-            let pt = plain.transform_one(&mut plain_cache, value);
-            prop_assert!(ft == pt, "transform diverged on {:?}: {:?} vs {:?}", value, ft, pt);
         }
+        let ft = fused.execute(&values);
+        let pt = plain.execute(&values);
+        prop_assert!(ft.iter_rows().eq(pt.iter_rows()), "execute diverged on {:?}", values);
     }
 
     /// Fused-on and fused-off streams are row-for-row identical over the
@@ -718,8 +721,73 @@ fn derive_new_program(
     }
 }
 
+/// The interpreter's answer for every row, the oracle every engine path is
+/// held to (§6.1): a row matching the target conforms; otherwise the first
+/// branch whose rewrite evaluates transforms it; otherwise it is flagged.
+fn interpret(program: &Program, target: &Pattern, rows: &[String]) -> Vec<RowOutcome> {
+    rows.iter()
+        .map(|row| {
+            if target.matches(row) {
+                return RowOutcome::Conforming { value: row.clone() };
+            }
+            match transform_lenient(program, row) {
+                TransformOutcome::Transformed(to) => RowOutcome::Transformed {
+                    from: row.clone(),
+                    to,
+                },
+                TransformOutcome::Flagged(value) => RowOutcome::Flagged { value },
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every execution path equals the interpreter on random programs:
+    /// `execute`, `execute_column`, a chunked and budgeted `ColumnStream`
+    /// with the fused automaton on and off, and a report patched to a
+    /// derived program (identity, repair-shaped or unrelated).
+    #[test]
+    fn every_execution_path_equals_the_interpreter(
+        old_pt in any_program(),
+        other in any_program(),
+        mutate in 0..3usize,
+        which in 0..4usize,
+        rows in workload(),
+        splits in chunk_splits(),
+        budget in budgets(),
+        reps in 1..3usize,
+    ) {
+        let (new_program, new_target) = derive_new_program(&old_pt, other, mutate, which);
+        let (program, target) = old_pt;
+        let mut rows = rows;
+        for branch in program.branches.iter().chain(new_program.branches.iter()) {
+            rows.push(sample_value(&branch.pattern, reps));
+        }
+        rows.push(sample_value(&target, reps));
+        rows.push(sample_value(&new_target, reps));
+        let oracle = interpret(&program, &target, &rows);
+
+        let compiled = Arc::new(CompiledProgram::compile(&program, &target).unwrap());
+        prop_assert!(compiled.execute(&rows).iter_rows().eq(oracle.iter()), "execute");
+        let column = Column::from_rows(rows.clone());
+        let mut report = compiled.execute_column(&column);
+        prop_assert!(report.iter_rows().eq(oracle.iter()), "execute_column");
+        let plain = Arc::new(CompiledProgram::compile(&program, &target).unwrap().without_fused());
+        for stream_program in [&compiled, &plain] {
+            let (streamed, summary) =
+                stream_program_in_chunks(stream_program, &rows, &splits, budget);
+            prop_assert!(streamed == oracle, "stream (fused {})", stream_program.fused_active());
+            prop_assert_eq!(summary.rows(), rows.len());
+        }
+
+        let new = CompiledProgram::compile(&new_program, &new_target).unwrap();
+        let delta = clx::ProgramDelta::between(&compiled, &new);
+        prop_assert!(report.patch(&delta, &new, &column).is_some());
+        let new_oracle = interpret(&new_program, &new_target, &rows);
+        prop_assert!(report.iter_rows().eq(new_oracle.iter()), "patch (mutate {})", mutate);
+    }
 
     /// Patching a finished report through a [`ProgramDelta`] equals a
     /// fresh full recompute under the new program — row for row and in
@@ -751,7 +819,7 @@ proptest! {
 
         let mut report = old.execute_column(&column);
         let delta = clx::ProgramDelta::between(&old, &new);
-        let stats = report.patch(&delta, &new);
+        let stats = report.patch(&delta, &new, &column).unwrap();
         let expected = new.execute_column(&column);
         prop_assert!(
             report.iter_rows().eq(expected.iter_rows()),
