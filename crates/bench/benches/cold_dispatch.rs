@@ -1,5 +1,5 @@
 //! Cold dispatch: what a *new* leaf signature costs to decide, fused
-//! automaton vs the per-branch Pike-VM loop.
+//! automaton vs the per-branch `Pattern::split` loop.
 //!
 //! Steady-state execution is leaf-id array indexing and never re-decides,
 //! so this bench manufactures the worst case for the decision path itself:
@@ -24,7 +24,7 @@
 //! winner's split boundaries are *derived from the accepting path*, so a
 //! cold decision is one pass over the tokens), `fused_split`
 //! (`CompiledProgram::without_derived_splits()`: fused classify, but the
-//! winner re-runs `Pattern::split` — PR 7's shape), and `pike_vm`
+//! winner re-runs `Pattern::split`), and `per_branch`
 //! (`CompiledProgram::without_fused()`, the pre-fused per-branch loop).
 //!
 //! This bench records no numbers in its source. The repository benchmark
@@ -86,10 +86,10 @@ enum Variant {
     /// Default compilation: fused classify + splits derived from the
     /// accepting path (single-pass first sight).
     FusedDerived,
-    /// Fused classify, winner re-runs `Pattern::split` (PR 7's shape).
+    /// Fused classify, winner re-runs `Pattern::split`.
     FusedSplit,
-    /// The pre-fused per-branch Pike-VM loop.
-    PikeVm,
+    /// The pre-fused per-branch `Pattern::split` loop.
+    PerBranch,
 }
 
 fn compile(variant: Variant) -> Arc<CompiledProgram> {
@@ -101,7 +101,7 @@ fn compile(variant: Variant) -> Arc<CompiledProgram> {
             compiled
         }
         Variant::FusedSplit => compiled.without_derived_splits(),
-        Variant::PikeVm => compiled.without_fused(),
+        Variant::PerBranch => compiled.without_fused(),
     })
 }
 
@@ -160,7 +160,7 @@ fn bench_cold_dispatch(c: &mut Criterion) {
     };
     let fused = compile(Variant::FusedDerived);
     let fused_split = compile(Variant::FusedSplit);
-    let pike_vm = compile(Variant::PikeVm);
+    let per_branch = compile(Variant::PerBranch);
     let cold = all_new_leaf_rows(cold_rows);
     let zipf = zipf_rows(zipf_total, ZIPF_DISTINCT);
 
@@ -171,7 +171,7 @@ fn bench_cold_dispatch(c: &mut Criterion) {
     {
         let sample = &cold[..CHUNK.min(cold.len())];
         let mut a = ColumnStream::with_budget(Arc::clone(&fused), StreamBudget::unbounded());
-        let mut b = ColumnStream::with_budget(Arc::clone(&pike_vm), StreamBudget::unbounded());
+        let mut b = ColumnStream::with_budget(Arc::clone(&per_branch), StreamBudget::unbounded());
         let mut s = ColumnStream::with_budget(Arc::clone(&fused_split), StreamBudget::unbounded());
         let (ra, rb, rs) = (
             a.push_rows(sample),
@@ -200,11 +200,11 @@ fn bench_cold_dispatch(c: &mut Criterion) {
         assert_eq!(split_stats.split_derived, 0);
         assert_eq!(split_stats.split_fallbacks, split_stats.fused_decisions);
         println!(
-            "cold sample: {} rows, fused decided {} (splits derived {}), pike_vm decided {}",
+            "cold sample: {} rows, fused decided {} (splits derived {}), per_branch decided {}",
             sample.len(),
             stats.fused_decisions,
             stats.split_derived,
-            pike_vm.fused_stats().pike_vm_decisions
+            per_branch.fused_stats().per_branch_decisions
         );
     }
 
@@ -213,9 +213,9 @@ fn bench_cold_dispatch(c: &mut Criterion) {
 
     group.throughput(Throughput::Elements(cold_rows as u64));
     group.bench_with_input(
-        BenchmarkId::new("all_new_leaf_pike_vm", cold_rows),
+        BenchmarkId::new("all_new_leaf_per_branch", cold_rows),
         &cold,
-        |b, data| b.iter(|| run_stream(&pike_vm, data)),
+        |b, data| b.iter(|| run_stream(&per_branch, data)),
     );
     group.bench_with_input(
         BenchmarkId::new("all_new_leaf_fused_split", cold_rows),
@@ -230,9 +230,9 @@ fn bench_cold_dispatch(c: &mut Criterion) {
 
     group.throughput(Throughput::Elements(zipf_total as u64));
     group.bench_with_input(
-        BenchmarkId::new("zipf_pike_vm", zipf_total),
+        BenchmarkId::new("zipf_per_branch", zipf_total),
         &zipf,
-        |b, data| b.iter(|| run_stream(&pike_vm, data)),
+        |b, data| b.iter(|| run_stream(&per_branch, data)),
     );
     group.bench_with_input(
         BenchmarkId::new("zipf_fused_split", zipf_total),

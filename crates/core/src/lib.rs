@@ -19,14 +19,15 @@
 //!   Calling one before labelling is a compile error, not a runtime `Err` —
 //!   the strongest form of the paper's verifiability protocol.
 //!
-//! Applying a program produces a **columnar** [`TransformReport`]: one
+//! Labelling (and every repair) compiles the selected program once, and
+//! [`ClxSession::apply`] runs that [`CompiledProgram`] over the session's
+//! column, producing a **columnar** [`TransformReport`]: one
 //! [`RowOutcome`] per *distinct* value plus the column's shared row map, so
 //! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
-//! execution beyond the interactive loop, [`ClxSession::compile`] hands the
-//! program to the `clx-engine` batch subsystem (parallel block execution,
-//! program caching, and [`CompiledProgram::execute_column`] over the
-//! session's column, which agrees with [`ClxSession::apply`] row for row);
-//! [`ClxSession::stream_columns`] opens a [`ColumnStream`] over it.
+//! execution beyond the interactive loop, [`ClxSession::compile`] hands a
+//! fresh compilation to the `clx-engine` batch subsystem (parallel block
+//! execution, program caching); [`ClxSession::stream_columns`] opens a
+//! [`ColumnStream`] over it.
 //!
 //! ```
 //! use clx_core::ClxSession;

@@ -9,10 +9,10 @@
 //! [`TransformReport::row`], [`TransformReport::values`]) remain
 //! row-for-row identical to the old one-outcome-per-row report.
 
-use clx_column::Column;
-use clx_engine::{BatchReport, RowOutcomes};
+use std::sync::Arc;
+
+use clx_engine::{BatchReport, CompiledProgram, RowOutcomes};
 use clx_pattern::Pattern;
-use clx_unifi::Program;
 
 pub use clx_engine::RowOutcome;
 
@@ -21,13 +21,13 @@ pub use clx_engine::RowOutcome;
 #[derive(Debug, Clone)]
 pub struct TransformReport {
     batch: BatchReport,
-    /// The UniFi program that produced the outcomes, recorded by the
-    /// session's apply paths so [`ClxSession::reverify`] can later diff it
-    /// against the session's current (possibly repaired) program. `None`
-    /// for reports assembled outside a session.
+    /// The compiled program that produced the outcomes, shared with the
+    /// session that ran it, so [`ClxSession::reverify`] can later diff it
+    /// against the session's current (possibly repaired) program without
+    /// compiling anything. `None` for reports assembled outside a session.
     ///
     /// [`ClxSession::reverify`]: crate::ClxSession::reverify
-    provenance: Option<Program>,
+    provenance: Option<Arc<CompiledProgram>>,
 }
 
 impl TransformReport {
@@ -41,26 +41,17 @@ impl TransformReport {
         }
     }
 
-    /// Build a columnar report: `outcomes[k]` is the decision for the
-    /// `k`-th distinct value of `column`. O(distinct): the row map is
-    /// shared with the column, not copied.
-    pub fn columnar(target: Pattern, outcomes: Vec<RowOutcome>, column: &Column) -> Self {
-        TransformReport {
-            batch: BatchReport::columnar(target, outcomes, column),
-            provenance: None,
-        }
+    /// The compiled program that produced this report, when it was
+    /// produced by [`ClxSession::apply`](crate::ClxSession::apply) or
+    /// [`ClxSession::reverify`](crate::ClxSession::reverify); `None` for
+    /// hand-assembled reports. This is what `reverify` diffs the current
+    /// program against.
+    pub fn provenance(&self) -> Option<&CompiledProgram> {
+        self.provenance.as_deref()
     }
 
-    /// The program that produced this report, when it was produced by a
-    /// session apply path; `None` for hand-assembled reports. This is what
-    /// [`ClxSession::reverify`](crate::ClxSession::reverify) diffs the
-    /// current program against.
-    pub fn provenance(&self) -> Option<&Program> {
-        self.provenance.as_ref()
-    }
-
-    /// Record the program that produced this report.
-    pub(crate) fn set_provenance(&mut self, program: Program) {
+    /// Record the compiled program that produced this report.
+    pub(crate) fn set_provenance(&mut self, program: Arc<CompiledProgram>) {
         self.provenance = Some(program);
     }
 
@@ -170,7 +161,13 @@ impl Eq for TransformReport {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clx_column::Column;
     use clx_pattern::tokenize;
+
+    /// A columnar report: `outcomes[k]` decides `column`'s `k`-th distinct.
+    fn columnar(target: Pattern, outcomes: Vec<RowOutcome>, column: &Column) -> TransformReport {
+        TransformReport::from_batch(BatchReport::columnar(target, outcomes, column))
+    }
 
     /// One conforming, one transformed and one flagged row.
     fn outcomes() -> Vec<RowOutcome> {
@@ -190,7 +187,7 @@ mod tests {
 
     fn report() -> TransformReport {
         let column = Column::from_values(&["734-422-8073", "(734) 645-8397", "N/A"]);
-        TransformReport::columnar(tokenize("734-422-8073"), outcomes(), &column)
+        columnar(tokenize("734-422-8073"), outcomes(), &column)
     }
 
     #[test]
@@ -221,7 +218,7 @@ mod tests {
         assert!(!r.is_perfect());
         assert!((r.conformance_ratio() - 2.0 / 3.0).abs() < 1e-9);
 
-        let perfect = TransformReport::columnar(
+        let perfect = columnar(
             tokenize("734-422-8073"),
             vec![RowOutcome::Transformed {
                 from: "x".into(),
@@ -259,7 +256,7 @@ mod tests {
     fn columnar_and_row_reports_compare_equal() {
         // Same logical rows, different storage: equality is by row.
         let column = Column::from_values(&["a-1", "N/A", "a-1"]);
-        let columnar = TransformReport::columnar(
+        let by_column = columnar(
             tokenize("a-1"),
             vec![
                 RowOutcome::Conforming {
@@ -289,12 +286,12 @@ mod tests {
                 vec![0, 1, 2],
             )],
         ));
-        assert_eq!(columnar, per_row);
-        assert_eq!(columnar.distinct_outcomes().len(), 2);
+        assert_eq!(by_column, per_row);
+        assert_eq!(by_column.distinct_outcomes().len(), 2);
         assert_eq!(per_row.distinct_outcomes().len(), 3);
-        assert_eq!(columnar.row(2), per_row.row(2));
-        assert_eq!(columnar.conforming_count(), 2);
-        assert_eq!(columnar.flagged_count(), 1);
+        assert_eq!(by_column.row(2), per_row.row(2));
+        assert_eq!(by_column.conforming_count(), 2);
+        assert_eq!(by_column.flagged_count(), 1);
     }
 
     #[test]

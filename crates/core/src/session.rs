@@ -27,7 +27,7 @@ use clx_engine::{ColumnStream, CompiledProgram};
 use clx_pattern::{tokenize, tokenize_detailed, Pattern, SplitTokenizer, TokenizedString};
 use clx_synth::{synthesize_column, RankedPlan, Synthesis, SynthesisOptions};
 use clx_telemetry::{MetricSink, Span};
-use clx_unifi::{explain_program, transform_lenient, Explanation, Program, TransformOutcome};
+use clx_unifi::{explain_program, transform_lenient, Explanation, Program};
 
 use crate::report::{RowOutcome, TransformReport};
 
@@ -45,8 +45,9 @@ pub enum ClxError {
     /// Evaluating the program failed; this indicates a synthesizer bug, not
     /// bad input data.
     Eval(String),
-    /// Compiling the program for batch execution failed; this indicates an
-    /// ill-formed program (see `clx-engine`), not bad input data.
+    /// Compiling the program failed (at label time or through
+    /// [`ClxSession::compile`]); this indicates an ill-formed program (see
+    /// `clx-engine`), not bad input data.
     Compile(String),
     /// Strict compilation rejected the program: the static analyzer
     /// ([`clx_analyze`]) proved an `Error`-severity defect (dead branch,
@@ -126,9 +127,9 @@ mod sealed {
 /// A session phase (sealed: exactly [`Clustered`] and [`Labelled`]).
 ///
 /// Each phase type carries exactly the state that phase has earned:
-/// [`Clustered`] is zero-sized, [`Labelled`] holds the target pattern and
-/// the synthesis result. A `ClxSession<P>` therefore cannot even
-/// *represent* "transform state without a label".
+/// [`Clustered`] is zero-sized, [`Labelled`] holds the target pattern, the
+/// synthesis result and its compiled program. A `ClxSession<P>` therefore
+/// cannot even *represent* "transform state without a label".
 pub trait Phase: sealed::Sealed + fmt::Debug + Clone {}
 
 /// The cluster phase: the column is profiled, no target is labelled yet.
@@ -139,11 +140,15 @@ pub struct Clustered;
 impl Phase for Clustered {}
 
 /// The transform phase: a target pattern is labelled and a program has been
-/// synthesized for it.
+/// synthesized and compiled for it.
 #[derive(Debug, Clone)]
 pub struct Labelled {
     target: Pattern,
     synthesis: Synthesis,
+    /// The selected program, compiled: what [`ClxSession::apply`] runs and
+    /// what its reports record as provenance. Replaced on every accepted
+    /// [`ClxSession::repair`].
+    compiled: Arc<CompiledProgram>,
 }
 
 impl Phase for Labelled {}
@@ -299,11 +304,15 @@ impl ClxSession<Clustered> {
     }
 
     /// **Label** phase transition: record the desired target pattern,
-    /// synthesize the transformation program, and return the labelled
-    /// session — the only type carrying the transform-phase methods.
+    /// synthesize the transformation program, compile it, and return the
+    /// labelled session — the only type carrying the transform-phase
+    /// methods. Under a session sink the compilation is timed as
+    /// `core.phase.compile_ns`.
     ///
-    /// On failure the clustered session is handed back inside the
-    /// [`LabelError`], so profiling work is never lost.
+    /// On failure ([`ClxError::EmptyTargetPattern`], or
+    /// [`ClxError::Compile`] for a program the engine rejects) the
+    /// clustered session is handed back inside the [`LabelError`], so
+    /// profiling work is never lost.
     pub fn label(self, target: Pattern) -> Result<ClxSession<Labelled>, LabelError> {
         if target.is_empty() {
             return Err(LabelError {
@@ -321,11 +330,24 @@ impl ClxSession<Clustered> {
                 &self.options.synthesis,
             )
         };
+        let compiled = match compile(&synthesis.program(), &target, self.telemetry.as_ref()) {
+            Ok(compiled) => Arc::new(compiled),
+            Err(error) => {
+                return Err(LabelError {
+                    session: Box::new(self),
+                    error,
+                })
+            }
+        };
         Ok(ClxSession {
             data: self.data,
             options: self.options,
             hierarchy: self.hierarchy,
-            phase: Labelled { target, synthesis },
+            phase: Labelled {
+                target,
+                synthesis,
+                compiled,
+            },
             telemetry: self.telemetry,
         })
     }
@@ -396,10 +418,24 @@ impl ClxSession<Labelled> {
     }
 
     /// Repair: replace the selected plan of `pattern` with the `choice`-th
-    /// ranked alternative. Returns `false` when the pattern or index is
-    /// unknown.
+    /// ranked alternative and recompile the program (timed as
+    /// `core.phase.compile_ns` under a session sink). Returns `false`, with
+    /// the program unchanged, when the pattern or index is unknown or the
+    /// repaired program does not compile.
     pub fn repair(&mut self, pattern: &Pattern, choice: usize) -> bool {
-        self.phase.synthesis.repair(pattern, choice)
+        let synthesis = &mut self.phase.synthesis;
+        let previous = synthesis.sources.iter().find(|s| &s.pattern == pattern);
+        let previous = previous.map_or(0, |s| s.chosen);
+        if !synthesis.repair(pattern, choice) {
+            return false;
+        }
+        let Ok(compiled) = compile(&self.program(), &self.phase.target, self.telemetry.as_ref())
+        else {
+            self.phase.synthesis.repair(pattern, previous);
+            return false;
+        };
+        self.phase.compiled = Arc::new(compiled);
+        true
     }
 
     /// Re-verify a previously produced report against the session's
@@ -408,12 +444,13 @@ impl ClxSession<Labelled> {
     /// O(affected-distincts) path (ROADMAP item 5).
     ///
     /// The report must carry provenance (be a product of
-    /// [`ClxSession::apply`]); otherwise [`ClxError::MissingProvenance`]
-    /// is returned. Both the originating and the current program are
-    /// compiled, a [`ProgramDelta`] is built between them, and a clone of
-    /// the report is patched in place: distinct values the delta proves
-    /// unaffected keep their stored outcome verbatim, everything else is
-    /// re-decided through the new program. The result is row-for-row equal
+    /// [`ClxSession::apply`] or `reverify`); otherwise
+    /// [`ClxError::MissingProvenance`] is returned. Nothing is compiled: a
+    /// [`ProgramDelta`] is built between the report's compiled program and
+    /// the session's, and a clone of the report is patched in place:
+    /// distinct values the delta proves unaffected keep their stored
+    /// outcome verbatim, everything else is re-decided through the
+    /// session's program. The result is row-for-row equal
     /// to a fresh [`ClxSession::apply`] — at a cost proportional to the
     /// number of *affected* distincts, not the number of rows.
     ///
@@ -423,29 +460,17 @@ impl ClxSession<Labelled> {
     ///
     /// A report produced over another column (another session's) is
     /// refused with [`ClxError::ForeignReport`].
-    ///
-    /// [`ClxError::Compile`] is returned when either program fails to
-    /// compile. The *originating* side can hit this because `apply` is
-    /// lenient: it will run an ill-formed program (skipping branches that
-    /// error per value) that the compiler rejects outright. Such reports
-    /// cannot be incrementally re-verified — re-run `apply` instead.
     pub fn reverify(&self, report: &TransformReport) -> Result<TransformReport, ClxError> {
         let _reverify = Span::start(self.telemetry.as_ref(), "core.phase.reverify_ns");
-        let old_program = report.provenance().ok_or(ClxError::MissingProvenance)?;
-        let old = CompiledProgram::compile_observed(
-            old_program,
-            report.target(),
-            self.telemetry.as_ref(),
-        )
-        .map_err(|e| ClxError::Compile(e.to_string()))?;
-        let new = self.compile()?;
-        let delta = ProgramDelta::between_observed(&old, &new, self.telemetry.as_ref());
+        let old = report.provenance().ok_or(ClxError::MissingProvenance)?;
+        let new = &self.phase.compiled;
+        let delta = ProgramDelta::between_observed(old, new, self.telemetry.as_ref());
         let mut batch = report.batch().clone();
         batch
-            .patch_observed(&delta, &new, &self.data, self.telemetry.as_ref())
+            .patch_observed(&delta, new, &self.data, self.telemetry.as_ref())
             .ok_or(ClxError::ForeignReport)?;
         let mut patched = TransformReport::from_batch(batch);
-        patched.set_provenance(self.program());
+        patched.set_provenance(Arc::clone(new));
         Ok(patched)
     }
 
@@ -467,44 +492,24 @@ impl ClxSession<Labelled> {
 
     /// **Transform** phase: apply the current program to the whole column.
     ///
-    /// A program is a pure function of the row value, so each *distinct*
-    /// value is evaluated once; the report is columnar (it shares the
-    /// column's row map), making the whole step O(distinct) in time and
-    /// memory.
-    ///
-    /// A branch whose expression fails to evaluate on some value (possible
-    /// only for programs repaired by hand into an ill-formed state) is
-    /// skipped for that value, exactly as the compiled engine's plan
-    /// interpreter skips it — `apply` and [`ClxSession::compile`] agree row
-    /// for row; the worst case is a `Flagged` outcome, never an aborted
-    /// column.
+    /// Runs the session's compiled program through
+    /// [`CompiledProgram::execute_column`]: each *distinct* value is
+    /// decided once, and the report is columnar (it shares the column's row
+    /// map), so the step is O(distinct) in time and memory. The report
+    /// records that compiled program as its provenance. [`ClxSession::label`]
+    /// and [`ClxSession::repair`] refuse a program that does not compile,
+    /// so no value can abort the column; a value no branch rewrites is
+    /// flagged.
     pub fn apply(&self) -> Result<TransformReport, ClxError> {
         let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
-        let target = &self.phase.target;
-        let program = self.program();
-        let mut decided = Vec::with_capacity(self.data.distinct_count());
-        for value in self.data.distinct_values() {
-            let text = value.text();
-            if target.matches(text) {
-                decided.push(RowOutcome::Conforming {
-                    value: text.to_string(),
-                });
-                continue;
-            }
-            match transform_lenient(&program, text) {
-                TransformOutcome::Transformed(out) => decided.push(RowOutcome::Transformed {
-                    from: text.to_string(),
-                    to: out,
-                }),
-                TransformOutcome::Flagged(v) => decided.push(RowOutcome::Flagged { value: v }),
-            }
-        }
-        let mut report = TransformReport::columnar(target.clone(), decided, &self.data);
-        report.set_provenance(program);
+        let compiled = &self.phase.compiled;
+        let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
+        report.set_provenance(Arc::clone(compiled));
         Ok(report)
     }
 
-    /// Compile the current program for high-throughput batch execution.
+    /// Compile the current program for high-throughput batch execution:
+    /// a fresh compilation of the program [`ClxSession::apply`] runs.
     ///
     /// The returned [`CompiledProgram`] is immutable and `Send + Sync`: it
     /// can be cached (see [`clx_engine::ProgramCache`]), shared across
@@ -515,15 +520,7 @@ impl ClxSession<Labelled> {
     /// (see [`ClxSession::stream_columns`]). Its semantics on any column
     /// are exactly those of [`ClxSession::apply`].
     pub fn compile(&self) -> Result<CompiledProgram, ClxError> {
-        let _compile = Span::start(self.telemetry.as_ref(), "core.phase.compile_ns");
-        // Under a session sink the fused-automaton construction also
-        // reports `engine.fused.build_ns` / `engine.fused.fallbacks`.
-        CompiledProgram::compile_observed(
-            &self.program(),
-            &self.phase.target,
-            self.telemetry.as_ref(),
-        )
-        .map_err(|e| ClxError::Compile(e.to_string()))
+        compile(&self.program(), &self.phase.target, self.telemetry.as_ref())
     }
 
     /// Statically analyze the current program against the labelled target
@@ -635,8 +632,8 @@ impl ClxSession<Labelled> {
     /// ([`clx_pattern::SplitTokenizer`]).
     pub fn result_patterns(&self) -> Result<Vec<(Pattern, usize)>, ClxError> {
         let report = self.apply()?;
-        // The positional indexing below relies on `apply` returning a
-        // columnar report aligned with this session's column: stored
+        // The positional indexing below relies on `execute_column`
+        // returning a report aligned with this session's column: stored
         // outcome `k` is the decision for `self.data.distinct(k)`.
         debug_assert_eq!(
             report.distinct_outcomes().len(),
@@ -705,7 +702,8 @@ impl ClxSession<Labelled> {
             if target.matches(text) {
                 continue;
             }
-            // Lenient, like `apply`: what runs is what is checked.
+            // The interpreter: the oracle the compiled `apply` agrees with
+            // row for row.
             let via_dsl = transform_lenient(&program, text).value().to_string();
             let via_replace = explanation.apply(text);
             if via_dsl != via_replace {
@@ -717,6 +715,19 @@ impl ClxSession<Labelled> {
         }
         Ok(checked)
     }
+}
+
+/// Compile `program` against `target`, timed as `core.phase.compile_ns`;
+/// under a sink the fused-automaton construction also reports
+/// `engine.fused.build_ns` / `engine.fused.fallbacks`.
+fn compile(
+    program: &Program,
+    target: &Pattern,
+    telemetry: Option<&Arc<dyn MetricSink>>,
+) -> Result<CompiledProgram, ClxError> {
+    let _compile = Span::start(telemetry, "core.phase.compile_ns");
+    CompiledProgram::compile_observed(program, target, telemetry)
+        .map_err(|e| ClxError::Compile(e.to_string()))
 }
 
 #[cfg(test)]
@@ -929,103 +940,40 @@ mod tests {
         assert!(!session.repair(&tokenize("zzz"), 0));
     }
 
-    /// A session whose program was hand-repaired into an ill-formed state:
-    /// one branch's plan (`Extract(99)`) errors on every value it matches,
-    /// one branch is fine.
-    fn ill_formed_session() -> (ClxSession<Labelled>, Pattern) {
-        use clx_synth::{RankedPlan, SourceSynthesis};
+    /// A repair alternative whose plan (`Extract(99)`) the engine rejects
+    /// is refused: the previous plan stays selected and compiled.
+    #[test]
+    fn repair_refuses_a_plan_that_does_not_compile() {
         use clx_unifi::{Expr, StringExpr};
 
         let data = vec![
             "12/11/2017".to_string(),
-            "12.11.2017".to_string(),
+            "03/04/2018".to_string(),
             "11-12-2017".to_string(),
-            "N/A".to_string(),
         ];
-        let target = tokenize("11-12-2017");
-        let bad_source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
-        let good_source = parse_pattern("<D>2'.'<D>2'.'<D>4").unwrap();
-        let good_expr = Expr::concat(vec![
-            StringExpr::extract(1),
-            StringExpr::const_str("-"),
-            StringExpr::extract(3),
-            StringExpr::const_str("-"),
-            StringExpr::extract(5),
-        ]);
-        let plan = |expr: Expr| {
-            vec![RankedPlan {
-                expr,
-                description_length: 0.0,
-            }]
-        };
-        let synthesis = Synthesis {
-            target: target.clone(),
-            sources: vec![
-                SourceSynthesis {
-                    pattern: bad_source,
-                    plans: plan(Expr::concat(vec![StringExpr::extract(99)])),
-                    chosen: 0,
-                    rows: 1,
-                },
-                SourceSynthesis {
-                    pattern: good_source,
-                    plans: plan(good_expr),
-                    chosen: 0,
-                    rows: 1,
-                },
-            ],
-            already_correct: Vec::new(),
-            rejected: Vec::new(),
-            pruned: Vec::new(),
-        };
-        let clustered = ClxSession::new(data);
-        let session = ClxSession {
-            data: clustered.data,
-            options: clustered.options,
-            hierarchy: clustered.hierarchy,
-            phase: Labelled {
-                target: target.clone(),
-                synthesis,
-            },
-            telemetry: None,
-        };
-        (session, target)
-    }
+        let mut session = labelled(data, tokenize("11-12-2017"));
+        let source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
+        let slot = session
+            .phase
+            .synthesis
+            .sources
+            .iter_mut()
+            .find(|s| s.pattern == source)
+            .unwrap();
+        slot.plans.push(RankedPlan {
+            expr: Expr::concat(vec![StringExpr::extract(99)]),
+            description_length: 0.0,
+        });
+        let bad = slot.plans.len() - 1;
+        let program = session.program();
+        let report = session.apply().unwrap();
 
-    /// Regression: `apply` used to abort the whole column with
-    /// `ClxError::Eval` when any one distinct value hit an evaluation
-    /// error, while the compiled engine skipped the erroring branch for
-    /// that value and flagged the row. The two paths must agree: flag,
-    /// don't abort.
-    #[test]
-    fn apply_flags_instead_of_aborting_on_an_erroring_branch() {
-        use clx_unifi::{Expr, StringExpr};
-
-        let (session, target) = ill_formed_session();
-        let report = session.apply().expect("lenient apply never aborts");
-        assert_eq!(
-            report.values(),
-            vec!["12/11/2017", "12-11-2017", "11-12-2017", "N/A"]
-        );
-        assert_eq!(report.flagged_values(), vec!["12/11/2017", "N/A"]);
-
-        // Differential check: skipping an always-erroring branch per value
-        // is semantically removing it. The equivalent well-formed program
-        // (bad branch dropped) compiles, and its engine run matches the
-        // lenient apply row for row.
-        let equivalent = Program::new(vec![clx_unifi::Branch::new(
-            parse_pattern("<D>2'.'<D>2'.'<D>4").unwrap(),
-            Expr::concat(vec![
-                StringExpr::extract(1),
-                StringExpr::const_str("-"),
-                StringExpr::extract(3),
-                StringExpr::const_str("-"),
-                StringExpr::extract(5),
-            ]),
-        )]);
-        let compiled = CompiledProgram::compile(&equivalent, &target).unwrap();
-        let engine_report = TransformReport::from_batch(compiled.execute_column(session.data()));
-        assert_eq!(report, engine_report);
+        assert!(!session.repair(&source, bad));
+        assert_eq!(session.program(), program);
+        assert_eq!(session.apply().unwrap(), report);
+        assert_eq!(report.values()[0], "12-11-2017");
+        // A compiling alternative is still accepted afterwards.
+        assert!(session.repair(&source, 1));
     }
 
     #[test]
@@ -1155,13 +1103,54 @@ mod tests {
     }
 
     #[test]
-    fn compiled_execution_equals_apply() {
-        let session = labelled(phone_data(), tokenize("734-422-8073"));
-        let interpreted = session.apply().unwrap();
-        let compiled =
-            TransformReport::from_batch(session.compile().unwrap().execute_column(session.data()));
-        assert_eq!(interpreted, compiled);
-        assert_eq!(compiled.flagged_values(), vec!["N/A"]);
+    fn apply_equals_the_interpreter_oracle() {
+        let data = phone_data()
+            .into_iter()
+            .chain(["734/422/8073".to_string(), String::new()])
+            .collect();
+        let session = labelled(data, tokenize("734-422-8073"));
+        let program = session.program();
+        let target = session.target();
+        let report = session.apply().unwrap();
+        for (row, value) in session.data().iter().enumerate() {
+            let want = if target.matches(value) {
+                value.to_string()
+            } else {
+                transform_lenient(&program, value).value().to_string()
+            };
+            assert_eq!(report.row(row).value(), want, "row {row}: {value:?}");
+        }
+        assert!(report.flagged_values().contains(&"N/A"));
+    }
+
+    #[test]
+    fn reverify_compiles_nothing() {
+        let sink = clx_telemetry::InMemorySink::shared();
+        let data = vec![
+            "12/11/2017".to_string(),
+            "03/04/2018".to_string(),
+            "11-12-2017".to_string(),
+        ];
+        let mut session = ClxSession::with_telemetry(
+            data,
+            ClxOptions::default(),
+            Arc::clone(&sink) as Arc<dyn MetricSink>,
+        )
+        .label(tokenize("11-12-2017"))
+        .unwrap();
+        let builds = || {
+            sink.snapshot()
+                .histogram("engine.fused.build_ns")
+                .map_or(0, |h| h.count)
+        };
+        let baseline = session.apply().unwrap();
+        let source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
+        assert!(session.repair(&source, 1));
+        let before = builds();
+        assert!(before >= 2, "label and repair each compile once");
+        let patched = session.reverify(&baseline).unwrap();
+        session.reverify(&patched).unwrap();
+        assert_eq!(builds(), before);
     }
 
     #[test]

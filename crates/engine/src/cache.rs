@@ -2,7 +2,7 @@
 //!
 //! Serving layers re-apply the same synthesized programs to many columns
 //! (or many requests); compiling on every call would redo validation,
-//! regex construction and transparency analysis. [`ProgramCache`] keys
+//! transparency analysis and the fused-automaton build. [`ProgramCache`] keys
 //! compilations by the structural fingerprint of `(program, target)` and
 //! hands out shared `Arc`s, evicting the least-recently-used entry once
 //! `capacity` distinct programs are resident.

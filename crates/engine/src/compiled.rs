@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clx_pattern::{tokenize, Pattern};
-use clx_regex::Regex;
 use clx_telemetry::{MetricSink, Span};
 use clx_unifi::{eval_expr, Expr, Program, StringExpr};
 
@@ -15,15 +14,12 @@ use crate::error::CompileError;
 use crate::fused::{FusedFallback, FusedMatcher};
 use crate::report::RowOutcome;
 
-/// One compiled branch: the source pattern, its plan, and the pre-built
-/// Pike-VM regex program used to test opaque patterns in guaranteed linear
-/// time (the interpretive `Pattern::matches` backtracks and can go
-/// super-linear on adversarial rows).
+/// One compiled branch: the source pattern, its plan, and whether its
+/// match is decided by a row's leaf signature alone.
 #[derive(Debug)]
 pub struct CompiledBranch {
     pattern: Pattern,
     expr: Expr,
-    regex: Regex,
     transparent: bool,
 }
 
@@ -36,11 +32,6 @@ impl CompiledBranch {
     /// The branch's atomic transformation plan.
     pub fn expr(&self) -> &Expr {
         &self.expr
-    }
-
-    /// The pre-built anchored Pike-VM regex equivalent to the pattern.
-    pub fn regex(&self) -> &Regex {
-        &self.regex
     }
 
     /// `true` when matching this branch is decidable from a row's leaf
@@ -57,8 +48,11 @@ impl CompiledBranch {
 /// * static validation of every branch's `Extract` bounds (an ill-formed
 ///   program is rejected before any data is touched, instead of erroring
 ///   midway through row N of the sequential path);
-/// * Pike-VM regex compilation of the target and every branch pattern;
-/// * the transparency analysis enabling leaf-signature dispatch.
+/// * the transparency analysis enabling leaf-signature dispatch;
+/// * the fused decision automaton over the transparent patterns.
+///
+/// Opaque patterns are matched per row by [`Pattern::split`], the same
+/// iterative matcher the interpreter runs.
 ///
 /// The result is immutable and `Send + Sync`: one `CompiledProgram` serves
 /// any number of executor threads (and callers) concurrently. Execution
@@ -68,7 +62,6 @@ impl CompiledBranch {
 #[derive(Debug)]
 pub struct CompiledProgram {
     pub(crate) target: Pattern,
-    target_regex: Regex,
     target_transparent: bool,
     branches: Vec<CompiledBranch>,
     fingerprint: u64,
@@ -117,7 +110,7 @@ pub struct FusedStats {
     /// Cold decisions that ran the per-branch matching loop — every
     /// decision of a fallback program, or a non-leaf signature handed to a
     /// fused one.
-    pub pike_vm_decisions: u64,
+    pub per_branch_decisions: u64,
     /// Fused branch decisions whose split boundaries were derived from the
     /// automaton's accepting path — first sight stayed single-pass, no
     /// `Pattern::split` ran.
@@ -131,7 +124,7 @@ pub struct FusedStats {
 #[derive(Debug, Default)]
 struct FusedTallies {
     fused: AtomicU64,
-    pike_vm: AtomicU64,
+    per_branch: AtomicU64,
     split_derived: AtomicU64,
     split_fallbacks: AtomicU64,
 }
@@ -161,24 +154,14 @@ impl CompiledProgram {
         target: &Pattern,
         telemetry: Option<&Arc<dyn MetricSink>>,
     ) -> Result<Self, CompileError> {
-        let target_regex = Regex::new(&target.to_regex()).map_err(|e| CompileError::Regex {
-            branch: None,
-            message: e.to_string(),
-        })?;
         let mut branches = Vec::with_capacity(program.len());
         for (index, branch) in program.branches.iter().enumerate() {
             branch
                 .validate()
                 .map_err(|source| CompileError::InvalidBranch { index, source })?;
-            let regex =
-                Regex::new(&branch.pattern.to_regex()).map_err(|e| CompileError::Regex {
-                    branch: Some(index),
-                    message: e.to_string(),
-                })?;
             branches.push(CompiledBranch {
                 pattern: branch.pattern.clone(),
                 expr: branch.expr.clone(),
-                regex,
                 transparent: is_transparent(&branch.pattern),
             });
         }
@@ -201,7 +184,6 @@ impl CompiledProgram {
         }
         Ok(CompiledProgram {
             target: target.clone(),
-            target_regex,
             target_transparent,
             branches,
             fingerprint: fingerprint(program, target),
@@ -284,14 +266,14 @@ impl CompiledProgram {
     pub fn fused_stats(&self) -> FusedStats {
         FusedStats {
             fused_decisions: self.tallies.fused.load(Ordering::Relaxed),
-            pike_vm_decisions: self.tallies.pike_vm.load(Ordering::Relaxed),
+            per_branch_decisions: self.tallies.per_branch.load(Ordering::Relaxed),
             split_derived: self.tallies.split_derived.load(Ordering::Relaxed),
             split_fallbacks: self.tallies.split_fallbacks.load(Ordering::Relaxed),
         }
     }
 
     /// The decision class of `value` — conforming, which branch rewrites
-    /// it, or flagged — without building the rewritten string.
+    /// it, or flagged.
     ///
     /// Consults the fused automaton first: one pass over the value's leaf
     /// signature decides every transparent pattern at once. Opaque
@@ -300,26 +282,8 @@ impl CompiledProgram {
     /// per-branch loop — the decision is identical either way, and
     /// consistent with the outcome [`CompiledProgram::execute`] reports.
     pub fn decide(&self, value: &str) -> Decision {
-        let plan = self.build_plan(&tokenize(value), value);
-        for step in &plan.steps {
-            match step {
-                Step::Conforming => return Decision::Conforming,
-                Step::Apply { branch, .. } => return Decision::Branch(*branch),
-                Step::CheckTarget => {
-                    if self.target_regex.is_full_match(value) {
-                        return Decision::Conforming;
-                    }
-                }
-                Step::CheckBranch { branch } => {
-                    let b = &self.branches[*branch];
-                    if b.regex.is_full_match(value) && eval_expr(&b.expr, &b.pattern, value).is_ok()
-                    {
-                        return Decision::Branch(*branch);
-                    }
-                }
-            }
-        }
-        Decision::Flagged
+        let plan = self.build_plan_observed(&tokenize(value), value, None);
+        self.run_plan(&plan, value).0
     }
 
     /// The target pattern this program was compiled against.
@@ -408,65 +372,52 @@ impl CompiledProgram {
             cache.plan_for_leaf_id(self.instance, source, source_generation, leaf_id, || {
                 self.build_plan_observed(leaf, value, telemetry)
             });
-        self.run_plan(&plan, value)
+        let (decision, rewritten) = self.run_plan(&plan, value);
+        let value = value.to_string();
+        match (decision, rewritten) {
+            (_, Some(to)) => RowOutcome::Transformed { from: value, to },
+            (Decision::Conforming, _) => RowOutcome::Conforming { value },
+            _ => RowOutcome::Flagged { value },
+        }
     }
 
-    /// Replay one leaf's decision sequence against a concrete row.
-    fn run_plan(&self, plan: &LeafPlan, value: &str) -> RowOutcome {
+    /// Replay one leaf's decision sequence against a concrete row: the
+    /// decision, plus the rewritten row when a branch fires.
+    fn run_plan(&self, plan: &LeafPlan, value: &str) -> (Decision, Option<String>) {
         for step in &plan.steps {
             match step {
-                Step::Conforming => {
-                    return RowOutcome::Conforming {
-                        value: value.to_string(),
-                    }
-                }
+                Step::Conforming => return (Decision::Conforming, None),
                 Step::Apply { branch, split } => {
-                    return RowOutcome::Transformed {
-                        from: value.to_string(),
-                        to: apply_split(&self.branches[*branch].expr, split, value),
-                    }
+                    let out = apply_split(&self.branches[*branch].expr, split, value);
+                    return (Decision::Branch(*branch), Some(out));
                 }
                 Step::CheckTarget => {
-                    if self.target_regex.is_full_match(value) {
-                        return RowOutcome::Conforming {
-                            value: value.to_string(),
-                        };
+                    if self.target.matches(value) {
+                        return (Decision::Conforming, None);
                     }
                 }
                 Step::CheckBranch { branch } => {
+                    // The interpreter's own evaluator: one split decides
+                    // the match and yields the slices, so the two paths
+                    // cannot drift.
                     let b = &self.branches[*branch];
-                    // The Pike-VM regex is a linear-time prefilter; the
-                    // rewrite itself goes through the sequential path's own
-                    // evaluator so the two implementations cannot drift.
-                    if b.regex.is_full_match(value) {
-                        if let Ok(out) = eval_expr(&b.expr, &b.pattern, value) {
-                            return RowOutcome::Transformed {
-                                from: value.to_string(),
-                                to: out,
-                            };
-                        }
+                    if let Ok(out) = eval_expr(&b.expr, &b.pattern, value) {
+                        return (Decision::Branch(*branch), Some(out));
                     }
                 }
             }
         }
-        RowOutcome::Flagged {
-            value: value.to_string(),
-        }
+        (Decision::Flagged, None)
     }
 
     /// Build the decision plan for one leaf; `value` is a representative
-    /// row with that leaf (used to precompute split boundaries).
-    fn build_plan(&self, leaf: &Pattern, value: &str) -> LeafPlan {
-        self.build_plan_observed(leaf, value, None)
-    }
-
-    /// [`CompiledProgram::build_plan`], routing through the fused
-    /// automaton when the program has one: a single pass over the leaf's
-    /// tokens decides every transparent pattern *and* records the frontier
-    /// journal from which the winning branch's split boundaries are
-    /// reconstructed — first sight never re-runs `Pattern::split` on the
-    /// fused path. Falls back to the per-branch loop for fallback programs
-    /// and for non-leaf signatures.
+    /// row with that leaf (used to precompute split boundaries). Routes
+    /// through the fused automaton when the program has one: a single pass
+    /// over the leaf's tokens decides every transparent pattern *and*
+    /// records the frontier journal from which the winning branch's split
+    /// boundaries are reconstructed — first sight never re-runs
+    /// `Pattern::split` on the fused path. Falls back to the per-branch
+    /// loop for fallback programs and for non-leaf signatures.
     fn build_plan_observed(
         &self,
         leaf: &Pattern,
@@ -483,7 +434,7 @@ impl CompiledProgram {
                 return self.build_plan_fused(fused, &run, value, telemetry);
             }
         }
-        self.tallies.pike_vm.fetch_add(1, Ordering::Relaxed);
+        self.tallies.per_branch.fetch_add(1, Ordering::Relaxed);
         self.build_plan_per_branch(leaf, value)
     }
 
@@ -544,8 +495,8 @@ impl CompiledProgram {
                 }
                 None => {
                     // Never silent, never wrong: an underived boundary
-                    // ([`FusedFallback::SplitUnderived`]) re-runs the
-                    // backtracking split and is tallied. The automaton
+                    // ([`FusedFallback::SplitUnderived`]) re-runs
+                    // `Pattern::split` and is tallied. The automaton
                     // proved the branch matches, so the split cannot fail;
                     // treated as a non-match if it ever did, which is what
                     // the per-branch loop would conclude.
@@ -569,8 +520,8 @@ impl CompiledProgram {
         LeafPlan { steps }
     }
 
-    /// The pre-fused cold path: walk the branches, one full backtracking
-    /// match each until one fires. Kept as the recorded per-program
+    /// The pre-fused cold path: walk the branches, one `Pattern::split`
+    /// each until one fires. Kept as the recorded per-program
     /// fallback ([`CompiledProgram::fused_fallback`]) and as the per-value
     /// fallback for non-leaf signatures.
     fn build_plan_per_branch(&self, leaf: &Pattern, value: &str) -> LeafPlan {
@@ -588,7 +539,7 @@ impl CompiledProgram {
                 steps.push(Step::CheckBranch { branch: index });
                 continue;
             }
-            // Cheap structural pre-filter before the backtracking split.
+            // Cheap structural pre-filter before the split.
             if leaf.min_string_len() < branch.pattern.min_string_len() {
                 continue;
             }
@@ -1032,7 +983,7 @@ mod tests {
         assert_eq!(compiled.decide(&row), Decision::Branch(0));
         let stats = compiled.fused_stats();
         assert_eq!(stats.fused_decisions, 0);
-        assert!(stats.pike_vm_decisions > 0);
+        assert!(stats.per_branch_decisions > 0);
     }
 
     #[test]
@@ -1060,7 +1011,7 @@ mod tests {
         }
         let stats = compiled.fused_stats();
         assert_eq!(stats.fused_decisions, 2);
-        assert_eq!(stats.pike_vm_decisions, 0);
+        assert_eq!(stats.per_branch_decisions, 0);
 
         let plain = CompiledProgram::compile(&phone_program(), &phone_target())
             .unwrap()
@@ -1069,7 +1020,7 @@ mod tests {
         cache.run(&plain, "734-422-8073");
         let stats = plain.fused_stats();
         assert_eq!(stats.fused_decisions, 0);
-        assert_eq!(stats.pike_vm_decisions, 1);
+        assert_eq!(stats.per_branch_decisions, 1);
     }
 
     #[test]

@@ -26,16 +26,18 @@
 //! # Why `affects_outcome` is sound
 //!
 //! Take a value `v` whose stored outcome the delta reports unaffected
-//! (target unchanged, `v` full-matches no changed branch's regex, old and
+//! (target unchanged, `v` matches no changed branch's pattern, old and
 //! new side). If the outcome was `Conforming`, the target still matches —
 //! branches are never consulted. Otherwise `v`'s old winner (or, for
 //! `Flagged`, the absence of one) involved only *unchanged* branches, the
 //! greedy matching preserves their relative order, and every changed
 //! branch ahead of the winner in the new order fails to match `v` — so
 //! the new program picks the same winner with the same plan and produces
-//! byte-for-byte the same outcome. A regex full-match is a superset of
+//! byte-for-byte the same outcome. A pattern match is a superset of
 //! "fires" (an opaque branch additionally needs its plan to evaluate), so
-//! the test errs toward re-deciding, never toward staleness.
+//! the test errs toward re-deciding, never toward staleness. The match is
+//! [`Pattern::matches`], the matcher the interpreter and the compiled
+//! program run.
 //!
 //! # Why `affects_leaf` can retain whole dispatch plans
 //!
@@ -54,7 +56,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use clx_pattern::Pattern;
-use clx_regex::Regex;
 use clx_telemetry::MetricSink;
 use clx_unifi::{Branch, Program};
 
@@ -66,10 +67,8 @@ use crate::report::RowOutcome;
 /// and leaves against it without holding the whole program alive.
 #[derive(Debug)]
 struct ChangedBranch {
-    /// The branch's source pattern (kept for the leaf-level matcher).
+    /// The branch's source pattern.
     pattern: Pattern,
-    /// The branch's linear-time matcher, cloned from the compiled form.
-    regex: Regex,
     /// Whether pattern matching is decided by the leaf signature alone.
     transparent: bool,
 }
@@ -164,7 +163,6 @@ impl ProgramDelta {
             idx.iter()
                 .map(|&i| ChangedBranch {
                     pattern: branches[i].pattern().clone(),
-                    regex: branches[i].regex().clone(),
                     transparent: branches[i].is_transparent(),
                 })
                 .collect::<Vec<_>>()
@@ -255,7 +253,7 @@ impl ProgramDelta {
     /// `false` is a proof of stability (the outcome may be kept verbatim);
     /// `true` means "re-decide to find out" — the test is conservative for
     /// opaque changed branches, whose firing needs a per-value evaluation.
-    /// Cost: one regex full-match per changed branch, worst case.
+    /// Cost: one pattern match per changed branch, worst case.
     pub fn affects_outcome(&self, outcome: &RowOutcome) -> bool {
         if self.target_changed {
             return true;
@@ -276,7 +274,7 @@ impl ProgramDelta {
     }
 
     fn any_match(changed: &[ChangedBranch], value: &str) -> bool {
-        changed.iter().any(|b| b.regex.is_full_match(value))
+        changed.iter().any(|b| b.pattern.matches(value))
     }
 
     /// [`ProgramDelta::affects_outcome`] for an interned value — one whose
@@ -286,12 +284,12 @@ impl ProgramDelta {
     ///
     /// A transparent pattern matches a value iff it matches the value's
     /// leaf signature, so when every changed branch is transparent the
-    /// per-value regex checks collapse to one fused classification per
+    /// per-value pattern matches collapse to one fused classification per
     /// **distinct leaf**: `memo` carries each leaf-id's
     /// [`ProgramDelta::screen_leaf`] answer across calls (callers keep one
     /// memo per id space). On distincts that share a handful of formats
     /// this turns the screening cost from O(distincts × changed-branch
-    /// regex runs) into O(leaves × classify) plus an integer lookup per
+    /// matches) into O(leaves × classify) plus an integer lookup per
     /// distinct, with no tokenization at all.
     ///
     /// Falls back to the exact per-value check when an opaque branch

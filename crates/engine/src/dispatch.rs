@@ -55,8 +55,8 @@
 //! in one pass *and* derives the winning branch's split boundaries from
 //! that pass's accepting path — single-pass first sight, no second
 //! `Pattern::split` run over the tokens — and finally the per-branch
-//! Pike-VM loop, the recorded per-program fallback, plus the per-value
-//! check for opaque patterns. Tier 1 replays what tiers 2 and 3 decided.
+//! `Pattern::split` loop, the recorded per-program fallback, plus the
+//! per-value check for opaque patterns. Tier 1 replays what tiers 2 and 3 decided.
 //!
 //! ## Rebinding without a reset
 //!

@@ -20,14 +20,6 @@ pub enum CompileError {
         /// The underlying bounds violation.
         source: EvalError,
     },
-    /// A pattern-derived regex failed to compile (indicates a bug in the
-    /// pattern-to-regex rendering).
-    Regex {
-        /// The offending branch, or `None` for the target pattern.
-        branch: Option<usize>,
-        /// The regex engine's error message.
-        message: String,
-    },
     /// Strict-mode compilation
     /// ([`compile_strict`](crate::CompiledProgram::compile_strict)) found
     /// `Error`-severity static diagnostics. The default compile entry
@@ -45,14 +37,6 @@ impl fmt::Display for CompileError {
             CompileError::InvalidBranch { index, source } => {
                 write!(f, "branch {index} is ill-formed: {source}")
             }
-            CompileError::Regex {
-                branch: Some(i),
-                message,
-            } => write!(f, "branch {i} pattern regex failed to compile: {message}"),
-            CompileError::Regex {
-                branch: None,
-                message,
-            } => write!(f, "target pattern regex failed to compile: {message}"),
             CompileError::RejectedByAnalysis { findings } => {
                 write!(
                     f,
@@ -86,16 +70,5 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("branch 3"));
         assert!(msg.contains("token 7"));
-
-        let e = CompileError::Regex {
-            branch: None,
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("target pattern"));
-        let e = CompileError::Regex {
-            branch: Some(1),
-            message: "boom".into(),
-        };
-        assert!(e.to_string().contains("branch 1"));
     }
 }

@@ -1,7 +1,7 @@
 //! The fused multi-pattern decision automaton behind cold-path dispatch.
 //!
 //! Deciding a *new* leaf signature used to walk the program's branches and
-//! run one full backtracking pattern match per branch until one fired —
+//! run one full `Pattern::split` match per branch until one fired —
 //! up to k+1 matcher runs (target + k branches) per distinct leaf, the
 //! exact cost profile adversarial all-new-leaf streams maximize (the dense
 //! leaf-id tier makes *repeat* leaves free, but can do nothing for a leaf
@@ -163,7 +163,7 @@ mod tests {
     use clx_pattern::{parse_pattern, tokenize};
 
     /// Single-pattern automaton acceptance must agree with the
-    /// backtracking `Pattern::matches` on transparent patterns.
+    /// `Pattern::matches` on transparent patterns.
     fn assert_agrees(pattern_text: &str, values: &[&str]) {
         let pattern = parse_pattern(pattern_text).unwrap();
         let matcher = FusedMatcher::build(Some(&pattern), &[]).unwrap();

@@ -3,17 +3,18 @@
 //! A compiled, parallel batch-transformation subsystem for CLX.
 //!
 //! The interactive `ClxSession` (in `clx-core`) drives the paper's
-//! Cluster–Label–Transform loop and re-interprets the synthesized UniFi
-//! program on every row — the right trade-off for a user study, the wrong
-//! one for serving large columns. This crate is the execution layer that
-//! consumes the session's output:
+//! Cluster–Label–Transform loop; every transform it runs — its own
+//! `apply`, its re-verification, and the bulk and streaming entry points
+//! below — goes through this crate's one execution path, with the UniFi
+//! interpreter kept as the test oracle:
 //!
 //! * [`CompiledProgram::compile`] turns a UniFi [`Program`](clx_unifi::Program)
 //!   plus its labelled target pattern into an immutable, `Send + Sync`
-//!   executable: branch `Extract` bounds are validated up front, every
-//!   pattern gets a pre-built Pike-VM regex program (`clx-regex`), and a
+//!   executable: branch `Extract` bounds are validated up front, and a
 //!   transparency analysis marks the patterns whose match relation is a
-//!   function of a row's token-class signature;
+//!   function of a row's token-class signature; the remaining (opaque)
+//!   patterns are matched per row with [`Pattern::split`](clx_pattern::Pattern::split),
+//!   the interpreter's own matcher;
 //! * execution dispatches rows by that signature — each distinct leaf
 //!   pattern is decided once (which branch fires and where its tokens sit)
 //!   and every further row with the same signature is rewritten with a few

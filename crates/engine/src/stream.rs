@@ -470,8 +470,8 @@ impl ColumnStream {
             fused.fused_decisions - prev.fused_decisions,
         );
         sink.counter(
-            "engine.fused.pike_vm_decisions",
-            fused.pike_vm_decisions - prev.pike_vm_decisions,
+            "engine.fused.per_branch_decisions",
+            fused.per_branch_decisions - prev.per_branch_decisions,
         );
         sink.counter(
             "engine.fused.split_derived",
@@ -944,7 +944,7 @@ mod tests {
             snap.counter("engine.fused.decisions"),
             snap.counter("engine.dispatch.dense_misses")
         );
-        assert_eq!(snap.counter("engine.fused.pike_vm_decisions"), Some(0));
+        assert_eq!(snap.counter("engine.fused.per_branch_decisions"), Some(0));
         assert!(snap.histogram("engine.fused.decide_ns").unwrap().count > 0);
     }
 

@@ -13,7 +13,7 @@
 //!
 //! * `clx-engine`'s fused cold-path dispatch ([`classify`]): deciding which
 //!   of a program's patterns match a new leaf signature in one scan instead
-//!   of one backtracking matcher run per pattern;
+//!   of one `Pattern::split` run per pattern;
 //! * `clx-analyze`'s static program diagnostics: *language-level* facts —
 //!   emptiness, pairwise intersection, and subsumption of one segment by a
 //!   union of others — computed by a bounded breadth-first exploration of
@@ -38,7 +38,7 @@
 //!   characters `-` and `_`;
 //! * a literal position accepts exactly its concrete character.
 //!
-//! Because [`Pattern`]'s backtracking matcher recognizes precisely the
+//! Because [`Pattern`]'s matcher recognizes precisely the
 //! anchored concatenation of these per-position predicates (an `Exact(n)`
 //! class token consumes exactly `n` class characters, a `+` token any
 //! non-empty run, a literal its characters verbatim), the automaton's
@@ -398,7 +398,7 @@ impl MultiPatternAutomaton {
     /// minimal-predecessor walk below always reconstructs the pointwise
     /// lowest accepting path, which assigns every character to the
     /// earliest token able to take it: exactly `Pattern::split`'s
-    /// greedy-longest-first backtracking result. The `None` arm is
+    /// greedy longest-first result. The `None` arm is
     /// defensive; callers surface it as an explicit fallback, never a
     /// wrong answer.
     pub fn split_boundaries(&self, run: &ClassifyRun, index: usize) -> Option<Vec<(usize, usize)>> {

@@ -95,105 +95,122 @@ impl Pattern {
 
     /// Does the whole string `s` match this pattern?
     pub fn matches(&self, s: &str) -> bool {
-        self.split(s).is_ok()
+        self.reach(&s.chars().collect::<Vec<_>>()).is_some()
     }
 
     /// Split `s` into the per-token slices described by this pattern, or
     /// fail if `s` does not match.
     ///
     /// Matching is anchored at both ends. Exact quantifiers consume exactly
-    /// their count of characters; `+` quantifiers are matched with
-    /// backtracking so that adjacent tokens with overlapping classes (e.g.
-    /// `<AN>+'-'<AN>+`) are still handled correctly.
+    /// their count of characters; each `+` takes the longest run that lets
+    /// the rest match, so overlapping classes (`<AN>+'-'<AN>+`) work.
+    ///
+    /// The matcher is iterative: a forward pass records each token's
+    /// reachable start positions, and a backward walk from the end picks
+    /// each token's largest feasible start. Valid splits are closed under
+    /// pointwise maximum, so this is the greedy longest-first split. Cost
+    /// is O(tokens × chars), O(tokens + chars) when every token has one
+    /// reachable start; no input recurses.
     pub fn split(&self, s: &str) -> Result<Vec<TokenSlice>, PatternError> {
         let chars: Vec<char> = s.chars().collect();
-        let mut slices = Vec::with_capacity(self.tokens.len());
-        if self.match_from(&chars, 0, 0, &mut slices) {
-            // convert char indices to byte offsets and fill text
-            let mut byte_offsets = Vec::with_capacity(chars.len() + 1);
-            let mut off = 0usize;
-            for c in &chars {
-                byte_offsets.push(off);
-                off += c.len_utf8();
-            }
-            byte_offsets.push(off);
-            let out = slices
-                .iter()
-                .map(|&(token_index, cs, ce)| TokenSlice {
-                    token_index,
-                    start: byte_offsets[cs],
-                    end: byte_offsets[ce],
-                    text: chars[cs..ce].iter().collect(),
-                })
-                .collect();
-            Ok(out)
-        } else {
-            Err(PatternError::NoMatch {
+        let Some((starts, bounds)) = self.reach(&chars) else {
+            return Err(PatternError::NoMatch {
                 pattern: self.to_string(),
                 value: s.to_string(),
-            })
+            });
+        };
+        // Backward walk: `cuts[i]` is where token `i` starts.
+        let mut cuts = vec![0; self.tokens.len() + 1];
+        cuts[self.tokens.len()] = chars.len();
+        for (i, tok) in self.tokens.iter().enumerate().rev() {
+            let end = cuts[i + 1];
+            cuts[i] = match (&tok.class, tok.quantifier) {
+                (TokenClass::Literal(lit), _) => end - lit.chars().count(),
+                (_, Quantifier::Exact(n)) => end - n,
+                // Every reachable start below `end` lies inside the class
+                // run ending at `end`, or `end` would not be reachable.
+                (_, Quantifier::OneOrMore) => {
+                    let set = &starts[bounds[i]..bounds[i + 1]];
+                    set[set.partition_point(|&p| p < end) - 1]
+                }
+            };
         }
+        if !s.is_ascii() {
+            let bytes: Vec<usize> = s.char_indices().map(|(b, _)| b).chain([s.len()]).collect();
+            cuts.iter_mut().for_each(|cut| *cut = bytes[*cut]);
+        }
+        Ok(cuts
+            .windows(2)
+            .enumerate()
+            .map(|(token_index, w)| TokenSlice {
+                token_index,
+                start: w[0],
+                end: w[1],
+                text: s[w[0]..w[1]].to_string(),
+            })
+            .collect())
     }
 
-    /// Recursive backtracking matcher over (token index, char position).
-    /// `slices` records `(token_index, char_start, char_end)` for the match
-    /// found so far and is left in a consistent state on success.
-    fn match_from(
-        &self,
-        chars: &[char],
-        ti: usize,
-        pos: usize,
-        slices: &mut Vec<(usize, usize, usize)>,
-    ) -> bool {
-        if ti == self.tokens.len() {
-            return pos == chars.len();
-        }
-        let tok = &self.tokens[ti];
-        match &tok.class {
-            TokenClass::Literal(lit) => {
-                let lit_chars: Vec<char> = lit.chars().collect();
-                if pos + lit_chars.len() <= chars.len()
-                    && chars[pos..pos + lit_chars.len()] == lit_chars[..]
-                {
-                    slices.push((ti, pos, pos + lit_chars.len()));
-                    if self.match_from(chars, ti + 1, pos + lit_chars.len(), slices) {
-                        return true;
-                    }
-                    slices.pop();
-                }
-                false
-            }
-            class => {
-                // Maximum run of characters belonging to the class.
-                let mut max_run = 0;
-                while pos + max_run < chars.len() && class.contains_char(chars[pos + max_run]) {
-                    max_run += 1;
-                }
-                match tok.quantifier {
-                    Quantifier::Exact(n) => {
-                        if max_run >= n {
-                            slices.push((ti, pos, pos + n));
-                            if self.match_from(chars, ti + 1, pos + n, slices) {
-                                return true;
-                            }
-                            slices.pop();
+    /// The matcher's forward pass: `starts[bounds[i]..bounds[i + 1]]` are the
+    /// ascending positions `p` where the tokens before `i` match
+    /// `chars[..p]`. `None` once a set is empty or `chars.len()` is not
+    /// reachable.
+    fn reach(&self, chars: &[char]) -> Option<(Vec<usize>, Vec<usize>)> {
+        let mut starts = Vec::with_capacity(self.tokens.len() + 1);
+        starts.push(0);
+        let mut bounds = Vec::with_capacity(self.tokens.len() + 2);
+        bounds.extend([0, 1]);
+        for (i, tok) in self.tokens.iter().enumerate() {
+            let (lo, hi) = (bounds[i], starts.len());
+            match (&tok.class, tok.quantifier) {
+                (TokenClass::Literal(lit), _) => {
+                    let width = lit.chars().count();
+                    for k in lo..hi {
+                        let p = starts[k];
+                        if chars
+                            .get(p..p + width)
+                            .is_some_and(|w| lit.chars().eq(w.iter().copied()))
+                        {
+                            starts.push(p + width);
                         }
-                        false
                     }
-                    Quantifier::OneOrMore => {
-                        // Greedy with backtracking.
-                        for take in (1..=max_run).rev() {
-                            slices.push((ti, pos, pos + take));
-                            if self.match_from(chars, ti + 1, pos + take, slices) {
-                                return true;
-                            }
-                            slices.pop();
+                }
+                (class, quantifier) => {
+                    // `chars[p..run_end]` is in the class for the current
+                    // start `p`; starts ascend, so the scan is O(chars).
+                    let mut run_end = 0;
+                    for k in lo..hi {
+                        let p = starts[k];
+                        let limit = match quantifier {
+                            Quantifier::Exact(n) => p.saturating_add(n).min(chars.len()),
+                            Quantifier::OneOrMore => chars.len(),
+                        };
+                        run_end = run_end.max(p);
+                        while run_end < limit && class.contains_char(chars[run_end]) {
+                            run_end += 1;
                         }
-                        false
+                        match quantifier {
+                            Quantifier::Exact(n) => {
+                                if run_end - p >= n {
+                                    starts.push(p + n);
+                                }
+                            }
+                            // Every end in `(p, run_end]` not already added
+                            // by an earlier start inside the same run.
+                            Quantifier::OneOrMore => {
+                                let from = starts[hi..].last().map_or(p, |&last| last.max(p));
+                                starts.extend(from + 1..=run_end);
+                            }
+                        }
                     }
                 }
             }
+            if starts.len() == hi {
+                return None;
+            }
+            bounds.push(starts.len());
         }
+        (starts.last() == Some(&chars.len())).then_some((starts, bounds))
     }
 
     /// Is `self` equal to or a generalization of `child`?
@@ -384,6 +401,183 @@ mod tests {
         Token::literal(s)
     }
 
+    /// The recursive backtracking matcher `split` replaced, kept as the
+    /// oracle: greedy, longest-first on `+`, over (token index, char
+    /// position). Records `(token_index, char_start, char_end)`.
+    fn match_from(
+        p: &Pattern,
+        chars: &[char],
+        ti: usize,
+        pos: usize,
+        slices: &mut Vec<(usize, usize, usize)>,
+    ) -> bool {
+        if ti == p.tokens.len() {
+            return pos == chars.len();
+        }
+        let tok = &p.tokens[ti];
+        match &tok.class {
+            TokenClass::Literal(lit) => {
+                let lit_chars: Vec<char> = lit.chars().collect();
+                if pos + lit_chars.len() <= chars.len()
+                    && chars[pos..pos + lit_chars.len()] == lit_chars[..]
+                {
+                    slices.push((ti, pos, pos + lit_chars.len()));
+                    if match_from(p, chars, ti + 1, pos + lit_chars.len(), slices) {
+                        return true;
+                    }
+                    slices.pop();
+                }
+                false
+            }
+            class => {
+                let mut max_run = 0;
+                while pos + max_run < chars.len() && class.contains_char(chars[pos + max_run]) {
+                    max_run += 1;
+                }
+                let takes: Vec<usize> = match tok.quantifier {
+                    Quantifier::Exact(n) if max_run >= n => vec![n],
+                    Quantifier::Exact(_) => Vec::new(),
+                    Quantifier::OneOrMore => (1..=max_run).rev().collect(),
+                };
+                for take in takes {
+                    slices.push((ti, pos, pos + take));
+                    if match_from(p, chars, ti + 1, pos + take, slices) {
+                        return true;
+                    }
+                    slices.pop();
+                }
+                false
+            }
+        }
+    }
+
+    /// The oracle's split of `s`, as `(token_index, text)` pairs.
+    fn oracle_split(p: &Pattern, s: &str) -> Option<Vec<(usize, String)>> {
+        let chars: Vec<char> = s.chars().collect();
+        let mut slices = Vec::new();
+        match_from(p, &chars, 0, 0, &mut slices).then(|| {
+            slices
+                .iter()
+                .map(|&(i, a, b)| (i, chars[a..b].iter().collect()))
+                .collect()
+        })
+    }
+
+    /// A seeded xorshift stream for the randomized oracle property.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+    }
+
+    const CLASSES: [TokenClass; 5] = [
+        TokenClass::Digit,
+        TokenClass::Lower,
+        TokenClass::Upper,
+        TokenClass::Alpha,
+        TokenClass::AlphaNumeric,
+    ];
+    /// Characters the values are drawn from: members of every class, the
+    /// `-`/`_` that only `<AN>` holds, other punctuation and a non-ASCII
+    /// letter.
+    const ALPHABET: [char; 12] = ['0', '7', 'a', 'z', 'A', 'Q', '-', '_', '.', '/', ' ', 'é'];
+    const LITERALS: [&str; 8] = ["-", "_", ".", "/", "a", "7", "ab", "-é"];
+
+    fn random_pattern(rng: &mut Rng) -> Pattern {
+        (0..1 + rng.below(5))
+            .map(|_| {
+                if rng.below(3) == 0 {
+                    Token::literal(rng.pick(&LITERALS))
+                } else {
+                    let class = CLASSES[rng.below(CLASSES.len())].clone();
+                    if rng.below(2) == 0 {
+                        Token::plus(class)
+                    } else {
+                        Token::base(class, 1 + rng.below(3))
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// A value drawn from `p`: each token's slice built from its class.
+    fn draw_value(p: &Pattern, rng: &mut Rng) -> String {
+        let mut out = String::new();
+        for tok in p {
+            match &tok.class {
+                TokenClass::Literal(lit) => out.push_str(lit),
+                class => {
+                    let members: Vec<char> = ALPHABET
+                        .iter()
+                        .copied()
+                        .filter(|&c| class.contains_char(c))
+                        .collect();
+                    let count = match tok.quantifier {
+                        Quantifier::Exact(n) => n,
+                        Quantifier::OneOrMore => 1 + rng.below(4),
+                    };
+                    out.extend((0..count).map(|_| rng.pick(&members)));
+                }
+            }
+        }
+        out
+    }
+
+    /// Insert, delete or replace one character.
+    fn mutate(value: &str, rng: &mut Rng) -> String {
+        let mut chars: Vec<char> = value.chars().collect();
+        let at = rng.below(chars.len() + 1);
+        match rng.below(3) {
+            0 => chars.insert(at, rng.pick(&ALPHABET)),
+            1 if at < chars.len() => {
+                chars.remove(at);
+            }
+            _ if at < chars.len() => chars[at] = rng.pick(&ALPHABET),
+            _ => chars.push(rng.pick(&ALPHABET)),
+        }
+        chars.into_iter().collect()
+    }
+
+    #[test]
+    fn split_agrees_with_the_backtracking_oracle() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let (mut cases, mut matched) = (0, 0);
+        for _ in 0..4_000 {
+            let p = random_pattern(&mut rng);
+            let mut value = draw_value(&p, &mut rng);
+            for _ in 0..4 {
+                let got = p.split(&value).ok().map(|slices| {
+                    slices
+                        .into_iter()
+                        .map(|s| {
+                            assert_eq!(&value[s.start..s.end], s.text, "byte offsets");
+                            (s.token_index, s.text)
+                        })
+                        .collect::<Vec<_>>()
+                });
+                assert_eq!(got, oracle_split(&p, &value), "{p} on {value:?}");
+                assert_eq!(p.matches(&value), got.is_some(), "{p} on {value:?}");
+                cases += 1;
+                matched += usize::from(got.is_some());
+                value = mutate(&value, &mut rng);
+            }
+        }
+        // Both outcomes are exercised in earnest.
+        assert!(
+            matched > cases / 5 && matched < cases * 4 / 5,
+            "{matched}/{cases}"
+        );
+    }
+
     #[test]
     fn notation_roundtrip_phone() {
         let p = Pattern::new(vec![d(3), lit("-"), d(3), lit("-"), d(4)]);
@@ -436,6 +630,14 @@ mod tests {
         ]);
         assert!(p.matches("abc-def"));
         assert!(p.matches("a-b-c"));
+        // The leading `+` takes the longest run that leaves a match.
+        let texts: Vec<String> = p
+            .split("a-b-c")
+            .unwrap()
+            .into_iter()
+            .map(|s| s.text)
+            .collect();
+        assert_eq!(texts, ["a-b", "-", "c"]);
         assert!(!p.matches("abc"));
         assert!(!p.matches("-abc"));
     }

@@ -6,11 +6,11 @@
 //! column after every repair would make the loop O(rows) per click; this
 //! example shows the engine's incremental path instead:
 //!
-//! 1. `apply()` once — the report records its originating program
-//!    (provenance);
-//! 2. `repair()` one source cluster's plan choice;
-//! 3. `reverify(&report)` — the session diffs old vs new program into a
-//!    `ProgramDelta`, and patches the existing report in place,
+//! 1. `apply()` once — the report records the compiled program that
+//!    produced it (provenance);
+//! 2. `repair()` one source cluster's plan choice, which recompiles;
+//! 3. `reverify(&report)` — the session diffs the two compiled programs
+//!    into a `ProgramDelta`, compiling nothing, and patches the existing report in place,
 //!    re-deciding **only the distincts the changed branch can affect**.
 //!
 //! The attached `InMemorySink` proves the claim with live counters:

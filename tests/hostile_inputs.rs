@@ -1,0 +1,79 @@
+//! Hostile inputs: values and patterns shaped to make a matcher recurse
+//! deeply, backtrack exponentially or outgrow a compiled form. Each call
+//! must return, quickly, with an answer or a typed error — never abort
+//! the process.
+
+use std::time::{Duration, Instant};
+
+use clx::{tokenize, ClxSession, Pattern, Token, TokenClass};
+
+/// The child half of [`a_long_leaf_matches_without_overflowing_the_stack`]:
+/// a stack overflow would take the whole test binary down, so it is
+/// ignored and only ever run in a child process.
+#[test]
+#[ignore = "run in a child process by a_long_leaf_matches_without_overflowing_the_stack"]
+fn long_leaf_child() {
+    let value = "1-".repeat(100_000);
+    let leaf = tokenize(&value);
+    assert_eq!(leaf.len(), 200_000);
+    assert!(leaf.matches(&value));
+    let slices = leaf.split(&value).expect("a value matches its own leaf");
+    assert_eq!(slices.len(), 200_000);
+    assert_eq!(slices.last().unwrap().end, value.len());
+}
+
+#[test]
+fn a_long_leaf_matches_without_overflowing_the_stack() {
+    let output = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "long_leaf_child", "--ignored"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "child exited with {:?}\n{stdout}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+}
+
+#[test]
+fn plus_runs_separated_by_class_literals_do_not_backtrack() {
+    // `<L>+'a'<L>+'a'<L>+'a'<L>+'b'`: every `'a'` is also in `<L>`, so a
+    // backtracking matcher tries every way to cut 400 `a`s into four runs.
+    let lower = || Token::plus(TokenClass::Lower);
+    let pattern = Pattern::new(vec![
+        lower(),
+        Token::literal("a"),
+        lower(),
+        Token::literal("a"),
+        lower(),
+        Token::literal("a"),
+        lower(),
+        Token::literal("b"),
+    ]);
+    let value = "a".repeat(400);
+    let start = Instant::now();
+    assert!(!pattern.matches(&value));
+    assert!(pattern.split(&value).is_err());
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
+}
+
+#[test]
+fn a_forty_thousand_token_target_compiles_and_streams() {
+    let session = ClxSession::new(vec!["abc".to_string(), "xyz".to_string()])
+        .label_by_example(&"1-".repeat(20_000))
+        .expect("label");
+    assert_eq!(session.target().len(), 40_000);
+    let compiled = session.compile().expect("compile");
+    assert_eq!(compiled.target().len(), 40_000);
+    let mut stream = session.stream_columns().expect("stream");
+    let report = stream.push_rows(&["abc", &"1-".repeat(20_000)]);
+    assert!(report.iter_rows().nth(1).unwrap().is_conforming());
+    assert_eq!(
+        session.apply().unwrap().values(),
+        ["abc".to_string(), "xyz".to_string()]
+    );
+}

@@ -378,7 +378,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Fused-dispatch identity: for random programs and values, the fused
-// decision automaton and the per-branch Pike-VM loop are the same function.
+// decision automaton and the per-branch split loop are the same function.
 // ---------------------------------------------------------------------------
 
 /// A random pattern token: base classes (including the `<A>`/`<AN>` parent
