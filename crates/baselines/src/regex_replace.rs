@@ -10,7 +10,7 @@
 
 use clx_cluster::GeneralizationStrategy;
 use clx_pattern::{tokenize, Pattern};
-use clx_synth::{align, rank_plans};
+use clx_synth::align;
 use clx_unifi::{eval_expr, explain_branch, Branch, ReplaceOp};
 
 /// The trace of one simulated RegexReplace run.
@@ -112,6 +112,9 @@ fn apply_ops(ops: &[ReplaceOp], value: &str) -> String {
     value.to_string()
 }
 
+/// Complete plans the plan search pops per pattern before it gives up.
+const PLAN_BUDGET: usize = 2_000;
+
 /// Author a `Replace` operation that fixes row `row` — and, when possible,
 /// every other row sharing its leaf pattern (a skilled regex author writes
 /// the general rule, not a one-off).
@@ -145,8 +148,8 @@ fn author_replace_op(
         }
         // Find an atomic transformation plan consistent with the whole cluster.
         let dag = align(source_pattern, &target_pattern);
-        let plans = rank_plans(dag.enumerate_plans(2_000), source_pattern);
-        for (plan, _) in &plans {
+        for ranked in dag.ranked_plans(source_pattern, PLAN_BUDGET) {
+            let plan = &ranked.expr;
             let consistent = cluster.iter().all(|&i| {
                 eval_expr(plan, source_pattern, &inputs[i])
                     .map(|out| out == expected[i])
@@ -162,8 +165,8 @@ fn author_replace_op(
     }
     // Fall back to a plan correct for this row only.
     let dag = align(&leaf_pattern, &target_pattern);
-    let plans = rank_plans(dag.enumerate_plans(2_000), &leaf_pattern);
-    for (plan, _) in &plans {
+    for ranked in dag.ranked_plans(&leaf_pattern, PLAN_BUDGET) {
+        let plan = &ranked.expr;
         if eval_expr(plan, &leaf_pattern, &inputs[row])
             .map(|out| out == expected[row])
             .unwrap_or(false)

@@ -1,5 +1,7 @@
-//! Latency of UniFi program synthesis (validate + align + rank + dedup) over
-//! the pattern hierarchy, as a function of data heterogeneity.
+//! Latency of UniFi program synthesis over the pattern hierarchy, as a
+//! function of data heterogeneity: validation, alignment, and the
+//! best-first plan search that yields each source's top-k plan classes in
+//! rank order (plus reachability pruning).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -307,7 +307,11 @@ impl ClxSession<Clustered> {
     /// synthesize the transformation program, compile it, and return the
     /// labelled session — the only type carrying the transform-phase
     /// methods. Under a session sink the compilation is timed as
-    /// `core.phase.compile_ns`.
+    /// `core.phase.compile_ns`, and synthesis adds its
+    /// [`SynthesisCounts`](clx_synth::SynthesisCounts) to the counters
+    /// `synth.plans_explored`, `synth.plans_kept`,
+    /// `synth.budget_exhausted`, `synth.prune.screened` and
+    /// `synth.prune.automaton`.
     ///
     /// On failure ([`ClxError::EmptyTargetPattern`], or
     /// [`ClxError::Compile`] for a program the engine rejects) the
@@ -330,6 +334,18 @@ impl ClxSession<Clustered> {
                 &self.options.synthesis,
             )
         };
+        if let Some(sink) = &self.telemetry {
+            let counts = &synthesis.counts;
+            for (name, value) in [
+                ("synth.plans_explored", counts.plans_explored),
+                ("synth.plans_kept", counts.plans_kept),
+                ("synth.budget_exhausted", counts.budget_exhausted),
+                ("synth.prune.screened", counts.prune_screened),
+                ("synth.prune.automaton", counts.prune_automaton),
+            ] {
+                sink.counter(name, value as u64);
+            }
+        }
         let compiled = match compile(&synthesis.program(), &target, self.telemetry.as_ref()) {
             Ok(compiled) => Arc::new(compiled),
             Err(error) => {
@@ -1287,6 +1303,36 @@ mod tests {
         // The column build and the stream reported through the same sink.
         assert!(snap.histogram("column.builder.build_ns").is_some());
         assert_eq!(snap.counter("engine.stream.rows"), Some(2));
+    }
+
+    #[test]
+    fn label_records_what_synthesis_did() {
+        let sink = clx_telemetry::InMemorySink::shared();
+        let session = ClxSession::new(phone_data())
+            .attach_telemetry(Arc::clone(&sink) as Arc<dyn MetricSink>)
+            .label(tokenize("734-422-8073"))
+            .unwrap();
+        let counts = session.synthesis().counts;
+        assert!(counts.plans_explored >= counts.plans_kept);
+        assert!(counts.plans_kept >= session.synthesis().sources.len());
+        assert!(counts.plans_kept > 0);
+        let snap = sink.snapshot();
+        for (name, value) in [
+            ("synth.plans_explored", counts.plans_explored),
+            ("synth.plans_kept", counts.plans_kept),
+            ("synth.budget_exhausted", counts.budget_exhausted),
+            ("synth.prune.screened", counts.prune_screened),
+            ("synth.prune.automaton", counts.prune_automaton),
+        ] {
+            assert_eq!(snap.counter(name), Some(value as u64), "{name}");
+        }
+        // A relabel adds its own counts to the same counters.
+        let relabelled = session.relabel(tokenize("(734) 645-8397")).unwrap();
+        let second = relabelled.synthesis().counts.plans_explored;
+        assert_eq!(
+            sink.snapshot().counter("synth.plans_explored"),
+            Some((counts.plans_explored + second) as u64)
+        );
     }
 
     #[test]

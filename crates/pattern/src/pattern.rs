@@ -225,50 +225,55 @@ impl Pattern {
     ///   consecutive child tokens whose classes it generalizes (this is what
     ///   lets `<AN>+` cover `<A>2 <D>3 '-'` after the strategy-3 refinement
     ///   of §4.2).
+    ///
+    /// The check is one forward pass, like [`Pattern::split`]'s: after each
+    /// token of `self` it keeps the ascending child positions that token
+    /// can end at. Cost is O(tokens × child tokens); no input recurses.
     pub fn covers(&self, child: &Pattern) -> bool {
-        self.covers_from(child, 0, 0)
-    }
-
-    fn covers_from(&self, child: &Pattern, pi: usize, ci: usize) -> bool {
-        if pi == self.tokens.len() {
-            return ci == child.tokens.len();
-        }
-        if ci == child.tokens.len() {
-            return false;
-        }
-        let ptok = &self.tokens[pi];
-        match &ptok.class {
-            TokenClass::Literal(a) => match &child.tokens[ci].class {
-                TokenClass::Literal(b) if a == b => self.covers_from(child, pi + 1, ci + 1),
-                _ => false,
-            },
-            _ => match ptok.quantifier {
-                Quantifier::Exact(_) => {
-                    let ctok = &child.tokens[ci];
-                    if ptok.generalizes(ctok) {
-                        self.covers_from(child, pi + 1, ci + 1)
-                    } else {
-                        false
-                    }
-                }
-                Quantifier::OneOrMore => {
-                    // Consume as many consecutive generalizable child tokens
-                    // as possible, trying the longest run first.
-                    let mut max_take = 0;
-                    while ci + max_take < child.tokens.len()
-                        && ptok.class.generalizes(&child.tokens[ci + max_take].class)
-                    {
-                        max_take += 1;
-                    }
-                    for take in (1..=max_take).rev() {
-                        if self.covers_from(child, pi + 1, ci + take) {
-                            return true;
+        let children = &child.tokens;
+        let mut reach = vec![0];
+        let mut next = Vec::new();
+        for ptok in &self.tokens {
+            next.clear();
+            match (&ptok.class, ptok.quantifier) {
+                (TokenClass::Literal(a), _) => next.extend(
+                    reach
+                        .iter()
+                        .filter(|&&ci| {
+                            children.get(ci).and_then(Token::literal_value) == Some(a.as_str())
+                        })
+                        .map(|ci| ci + 1),
+                ),
+                (_, Quantifier::Exact(_)) => next.extend(
+                    reach
+                        .iter()
+                        .filter(|&&ci| children.get(ci).is_some_and(|c| ptok.generalizes(c)))
+                        .map(|ci| ci + 1),
+                ),
+                // A `+` covers any non-empty run of generalizable child
+                // tokens; `children[ci..run_end]` is such a run for the
+                // current start, and starts ascend, so the scan is linear.
+                (class, Quantifier::OneOrMore) => {
+                    let mut run_end = 0;
+                    for &ci in &reach {
+                        run_end = run_end.max(ci);
+                        while children
+                            .get(run_end)
+                            .is_some_and(|c| class.generalizes(&c.class))
+                        {
+                            run_end += 1;
                         }
+                        let from = next.last().map_or(ci, |&last: &usize| last.max(ci));
+                        next.extend(from + 1..=run_end);
                     }
-                    false
                 }
-            },
+            }
+            if next.is_empty() {
+                return false;
+            }
+            std::mem::swap(&mut reach, &mut next);
         }
+        reach.last() == Some(&children.len())
     }
 
     /// Merge adjacent tokens of the same base class into a single token.
@@ -575,6 +580,98 @@ mod tests {
         assert!(
             matched > cases / 5 && matched < cases * 4 / 5,
             "{matched}/{cases}"
+        );
+    }
+
+    /// The recursive backtracking `covers` the forward pass replaced, kept
+    /// as the oracle: each `+` tries its longest run of child tokens first.
+    fn covers_oracle(p: &Pattern, child: &Pattern, pi: usize, ci: usize) -> bool {
+        if pi == p.tokens.len() {
+            return ci == child.tokens.len();
+        }
+        if ci == child.tokens.len() {
+            return false;
+        }
+        let ptok = &p.tokens[pi];
+        match (&ptok.class, ptok.quantifier) {
+            (TokenClass::Literal(a), _) => match &child.tokens[ci].class {
+                TokenClass::Literal(b) if a == b => covers_oracle(p, child, pi + 1, ci + 1),
+                _ => false,
+            },
+            (_, Quantifier::Exact(_)) => {
+                ptok.generalizes(&child.tokens[ci]) && covers_oracle(p, child, pi + 1, ci + 1)
+            }
+            (class, Quantifier::OneOrMore) => {
+                let mut max_take = 0;
+                while ci + max_take < child.tokens.len()
+                    && class.generalizes(&child.tokens[ci + max_take].class)
+                {
+                    max_take += 1;
+                }
+                (1..=max_take)
+                    .rev()
+                    .any(|take| covers_oracle(p, child, pi + 1, ci + take))
+            }
+        }
+    }
+
+    /// A child `parent` is likely to cover: each token replaced by one
+    /// token (`+`: one to three tokens) of a class it generalizes.
+    fn refine(parent: &Pattern, rng: &mut Rng) -> Pattern {
+        let mut out = Vec::new();
+        for tok in parent {
+            let candidates: Vec<TokenClass> = CLASSES
+                .iter()
+                .chain(&[TokenClass::literal("-"), TokenClass::literal("_")])
+                .filter(|c| tok.class.is_base() && tok.class.generalizes(c))
+                .cloned()
+                .collect();
+            match (tok.quantifier, candidates.is_empty()) {
+                (_, true) => out.push(tok.clone()),
+                (Quantifier::Exact(n), false) => {
+                    out.push(match candidates[rng.below(candidates.len())].clone() {
+                        TokenClass::Literal(s) if n == 1 => Token::literal(s),
+                        TokenClass::Literal(_) => tok.clone(),
+                        class => Token::base(class, n),
+                    });
+                }
+                (Quantifier::OneOrMore, false) => {
+                    for _ in 0..1 + rng.below(3) {
+                        let class = candidates[rng.below(candidates.len())].clone();
+                        out.push(match class {
+                            TokenClass::Literal(s) => Token::literal(s),
+                            class if rng.below(2) == 0 => Token::plus(class),
+                            class => Token::base(class, 1 + rng.below(3)),
+                        });
+                    }
+                }
+            }
+        }
+        Pattern::new(out)
+    }
+
+    #[test]
+    fn covers_agrees_with_the_backtracking_oracle() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        let (mut cases, mut covered) = (0, 0);
+        for _ in 0..6_000 {
+            let parent = random_pattern(&mut rng);
+            let child = match rng.below(4) {
+                0 => random_pattern(&mut rng),
+                _ => refine(&parent, &mut rng),
+            };
+            let got = parent.covers(&child);
+            assert_eq!(
+                got,
+                covers_oracle(&parent, &child, 0, 0),
+                "{parent} covers {child}"
+            );
+            cases += 1;
+            covered += usize::from(got);
+        }
+        assert!(
+            covered > cases / 5 && covered < cases * 4 / 5,
+            "{covered}/{cases}"
         );
     }
 

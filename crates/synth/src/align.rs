@@ -17,6 +17,8 @@ use std::collections::HashMap;
 use clx_pattern::{Pattern, Quantifier, Token};
 use clx_unifi::{Expr, StringExpr};
 
+use crate::search::PlanSearch;
+
 /// Are two tokens *syntactically similar* (Definition 6.1)?
 ///
 /// * base tokens: same class, and quantifiers are identical natural numbers
@@ -91,26 +93,24 @@ impl AlignmentDag {
         self.edges.values().map(Vec::len).sum()
     }
 
-    /// Is there at least one complete path from node 0 to the target node?
-    pub fn has_complete_path(&self) -> bool {
-        let mut reachable = vec![false; self.target_len + 1];
-        reachable[0] = true;
-        for i in 0..self.target_len {
-            if !reachable[i] {
-                continue;
-            }
-            for (j, slot) in reachable.iter_mut().enumerate().skip(i + 1) {
-                if !self.edge(i, j).is_empty() {
-                    *slot = true;
-                }
-            }
-        }
-        reachable[self.target_len]
+    /// The plans of this DAG for `source` in exact rank order, found lazily
+    /// by best-first search: the simplest plan first, as ranked by
+    /// [`source_reuse_penalty`](crate::source_reuse_penalty), then
+    /// [`description_length`](crate::description_length), then plan text.
+    /// `budget` caps the complete plans the search pops before it gives up
+    /// (see [`PlanSearch`]).
+    pub fn ranked_plans<'a>(&'a self, source: &'a Pattern, budget: usize) -> PlanSearch<'a> {
+        PlanSearch::new(self, source, budget)
     }
 
     /// Enumerate atomic transformation plans (paths from node 0 to the
-    /// target node), up to `limit` plans. The enumeration is exhaustive when
-    /// the number of paths does not exceed the limit.
+    /// target node) in depth-first order, up to `limit` plans. The
+    /// enumeration is exhaustive when the number of paths does not exceed
+    /// the limit.
+    ///
+    /// Synthesis does not call this: [`AlignmentDag::ranked_plans`] finds
+    /// the best plans without visiting every path. It stays as the test
+    /// oracle for that search and for alignment soundness.
     pub fn enumerate_plans(&self, limit: usize) -> Vec<Expr> {
         let mut plans = Vec::new();
         let mut current = Vec::new();
@@ -283,7 +283,7 @@ mod tests {
         // Target token 7 (<D>4) only from source token 5.
         let ops: Vec<String> = dag.edge(6, 7).iter().map(|o| o.to_string()).collect();
         assert_eq!(ops, vec!["Extract(5)"]);
-        assert!(dag.has_complete_path());
+        assert!(dag.ranked_plans(&source, 2_000).next().is_some());
     }
 
     #[test]
@@ -344,7 +344,7 @@ mod tests {
             let source = tokenize(src);
             let dag = align(&source, &target);
             assert!(
-                dag.has_complete_path(),
+                dag.ranked_plans(&source, 2_000).next().is_some(),
                 "no complete path for source {src:?}"
             );
             let plans = dag.enumerate_plans(1000);
@@ -372,7 +372,7 @@ mod tests {
         let source = tokenize("1234");
         let target = tokenize("AB12");
         let dag = align(&source, &target);
-        assert!(!dag.has_complete_path());
+        assert!(dag.ranked_plans(&source, 2_000).next().is_none());
         assert!(dag.enumerate_plans(10).is_empty());
     }
 
@@ -402,7 +402,7 @@ mod tests {
         let source = tokenize("abc");
         let target = Pattern::empty();
         let dag = align(&source, &target);
-        assert!(dag.has_complete_path());
+        assert!(dag.ranked_plans(&source, 2_000).next().is_some());
         let plans = dag.enumerate_plans(10);
         assert_eq!(plans.len(), 1);
         assert!(plans[0].is_empty());

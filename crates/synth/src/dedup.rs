@@ -11,65 +11,64 @@
 use clx_pattern::Pattern;
 use clx_unifi::{Expr, StringExpr};
 
+#[cfg(test)]
 use crate::mdl::{description_length, source_reuse_penalty};
 
-/// Appendix B, step 1: split every `Extract(m, n)` into the unit extracts
-/// `Extract(m), Extract(m+1), ..., Extract(n)`.
-fn normalize(expr: &Expr) -> Vec<StringExpr> {
-    let mut out = Vec::new();
-    for part in &expr.parts {
-        match part {
-            StringExpr::Extract { from, to } => {
-                for i in *from..=*to {
-                    out.push(StringExpr::extract(i));
-                }
-            }
-            StringExpr::ConstStr(s) => out.push(StringExpr::ConstStr(s.clone())),
-        }
-    }
-    out
+/// One operation of a plan's canonical form: a unit extract of a base
+/// source token, or the text a literal extract or a `ConstStr` yields.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum KeyUnit<'a> {
+    /// `Extract(i)` of a non-literal source token (one-based).
+    Extract(usize),
+    /// A literal source token's value, or a `ConstStr`'s content.
+    Text(&'a str),
 }
 
-/// Are the two (normalized) operations interchangeable given the source
-/// pattern? Either they are identical, or one extracts a literal source
-/// token whose constant value equals the other's `ConstStr` content.
-fn ops_equivalent(a: &StringExpr, b: &StringExpr, source: &Pattern) -> bool {
-    if a == b {
-        return true;
-    }
-    let literal_of = |op: &StringExpr| -> Option<String> {
-        match op {
-            StringExpr::Extract { from, to } if from == to => source
-                .token_one_based(*from)
-                .ok()
-                .and_then(|t| t.literal_value().map(str::to_string)),
-            StringExpr::ConstStr(s) => Some(s.clone()),
-            _ => None,
+/// The canonical form of a plan (Appendix B): every `Extract(m, n)` split
+/// into the unit extracts `Extract(m), ..., Extract(n)`, then every unit
+/// extract of a literal source token and every `ConstStr` replaced by the
+/// text it yields. Two plans are equivalent exactly when their keys are
+/// equal, so deduplication is one hash-set insert per plan.
+pub(crate) fn plan_key<'a>(
+    parts: impl IntoIterator<Item = &'a StringExpr>,
+    source: &'a Pattern,
+) -> Vec<KeyUnit<'a>> {
+    let mut key = Vec::new();
+    for part in parts {
+        match part {
+            StringExpr::Extract { from, to } => key.extend((*from..=*to).map(|i| {
+                match source
+                    .token_one_based(i)
+                    .ok()
+                    .and_then(|t| t.literal_value())
+                {
+                    Some(text) => KeyUnit::Text(text),
+                    None => KeyUnit::Extract(i),
+                }
+            })),
+            StringExpr::ConstStr(s) => key.push(KeyUnit::Text(s)),
         }
-    };
-    match (literal_of(a), literal_of(b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
     }
+    key
 }
 
 /// Are two plans equivalent for the given source pattern (Definition 6.2,
-/// decided with the Appendix B procedure)?
+/// decided with the Appendix B procedure)? They are when their canonical
+/// forms are equal: the same sequence of unit operations, where extracting
+/// a literal source token and re-creating its text with `ConstStr` count as
+/// the same operation.
 pub fn plans_equivalent(a: &Expr, b: &Expr, source: &Pattern) -> bool {
-    let na = normalize(a);
-    let nb = normalize(b);
-    if na.len() != nb.len() {
-        return false;
-    }
-    na.iter()
-        .zip(nb.iter())
-        .all(|(x, y)| ops_equivalent(x, y, source))
+    plan_key(&a.parts, source) == plan_key(&b.parts, source)
 }
 
 /// Deduplicate a ranked list of plans, keeping only the simplest (lowest
 /// description length — the list order for ties) member of each equivalence
 /// class. The input order is preserved for the survivors.
-pub fn dedup_plans(plans: Vec<Expr>, source: &Pattern) -> Vec<Expr> {
+///
+/// The pairwise deduplication the plan search's hashed keys replaced, kept
+/// as the test oracle.
+#[cfg(test)]
+pub(crate) fn dedup_plans(plans: Vec<Expr>, source: &Pattern) -> Vec<Expr> {
     let mut kept: Vec<Expr> = Vec::new();
     for plan in plans {
         match kept.iter_mut().find(|k| plans_equivalent(k, &plan, source)) {

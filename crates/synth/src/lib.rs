@@ -12,10 +12,12 @@
 //!    (Eq. 1–2);
 //! 2. [`align`] — token alignment into a DAG of `Extract`/`ConstStr`
 //!    operations (Algorithm 3), including sequential-extract combination;
-//! 3. [`rank_plans`] — Minimum-Description-Length ranking of the enumerated
-//!    atomic transformation plans (Eq. 3–6);
-//! 4. [`dedup_plans`] — equivalence-class deduplication (Appendix B);
-//! 5. [`synthesize`] — the top-down hierarchy traversal of Algorithm 2 that
+//! 3. [`AlignmentDag::ranked_plans`] — one best-first search over that DAG
+//!    that yields plans in Minimum-Description-Length rank order (Eq. 3–6)
+//!    and keeps the first `top_k` equivalence classes (§6.4, Appendix B)
+//!    via one canonical key per plan ([`PlanSearch::top_classes`]); it
+//!    never enumerates the DAG's other paths;
+//! 4. [`synthesize`] — the top-down hierarchy traversal of Algorithm 2 that
 //!    puts it all together and supports the *program repair* interaction.
 //!
 //! ```
@@ -41,13 +43,16 @@
 mod align;
 mod dedup;
 mod mdl;
+mod prune;
+mod search;
 mod synthesize;
 mod validate;
 
 pub use align::{align, syntactically_similar, AlignmentDag};
-pub use dedup::{dedup_plans, plans_equivalent};
-pub use mdl::{data_length, description_length, model_length, rank_plans, source_reuse_penalty};
+pub use dedup::plans_equivalent;
+pub use mdl::{data_length, description_length, model_length, source_reuse_penalty};
+pub use search::{PlanSearch, RankedPlan};
 pub use synthesize::{
-    synthesize, synthesize_column, RankedPlan, SourceSynthesis, Synthesis, SynthesisOptions,
+    synthesize, synthesize_column, SourceSynthesis, Synthesis, SynthesisCounts, SynthesisOptions,
 };
 pub use validate::{class_frequency, validate, validate_report, ValidationReport};

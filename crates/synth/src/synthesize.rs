@@ -3,10 +3,11 @@
 //! Given the pattern-cluster hierarchy and the user-labelled target pattern,
 //! the synthesizer traverses the hierarchy top-down, validates candidate
 //! source patterns with the token-frequency heuristic, aligns each accepted
-//! candidate against the target, and ranks the resulting atomic
-//! transformation plans by description length. The best plan per source
-//! pattern forms the default UniFi program; the remaining ranked plans are
-//! kept as repair alternatives (§6.4).
+//! candidate against the target, and searches the alignment DAG best-first
+//! for its simplest atomic transformation plans by description length. The
+//! best plan per source pattern forms the default UniFi program; the next
+//! ranked plans, one per equivalence class, are kept as repair
+//! alternatives (§6.4).
 
 use clx_cluster::{ClusterNode, PatternHierarchy};
 use clx_column::Column;
@@ -14,15 +15,20 @@ use clx_pattern::Pattern;
 use clx_unifi::{eval_expr, eval_expr_on_slices, Branch, Expr, Program};
 
 use crate::align::align;
-use crate::dedup::dedup_plans;
-use crate::mdl::rank_plans;
+use crate::prune::subsumed;
+use crate::search::RankedPlan;
 use crate::validate::validate;
 
 /// Options controlling synthesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SynthesisOptions {
-    /// Cap on the number of plans enumerated from one alignment DAG before
-    /// ranking. Small patterns enumerate exhaustively well below this cap.
+    /// Search budget per source pattern: the plan search gives up after
+    /// popping this many complete plans (or `2 × budget × (|T| + 1)`
+    /// frontier entries in all) without finding `top_k` equivalence
+    /// classes. It then keeps the classes among the plans it already
+    /// ranked, and the give-up is counted in
+    /// [`SynthesisCounts::budget_exhausted`]. A DAG with at most this many
+    /// paths never reaches it.
     pub max_plans_per_source: usize,
     /// Number of ranked, deduplicated alternative plans kept per source
     /// pattern for the repair interaction.
@@ -44,15 +50,6 @@ impl Default for SynthesisOptions {
             prune_unreachable: true,
         }
     }
-}
-
-/// A ranked atomic transformation plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedPlan {
-    /// The plan.
-    pub expr: Expr,
-    /// Its description length (lower = simpler = preferred).
-    pub description_length: f64,
 }
 
 /// The synthesis result for one candidate source pattern.
@@ -94,6 +91,24 @@ pub struct Synthesis {
     /// so its rows are transformed by the covering branches either way.
     /// Empty when [`SynthesisOptions::prune_unreachable`] is off.
     pub pruned: Vec<Pattern>,
+    /// What the plan search and the reachability pruning did.
+    pub counts: SynthesisCounts,
+}
+
+/// Work tallies of one synthesis.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SynthesisCounts {
+    /// Complete plans the searches popped and scored.
+    pub plans_explored: usize,
+    /// Plan classes the searches kept (at most `top_k` per aligned source,
+    /// before the data check).
+    pub plans_kept: usize,
+    /// Searches that gave up on [`SynthesisOptions::max_plans_per_source`].
+    pub budget_exhausted: usize,
+    /// Subsumption checks a witness string settled ("not subsumed").
+    pub prune_screened: usize,
+    /// Subsumption checks the subsumption automaton settled.
+    pub prune_automaton: usize,
 }
 
 impl Synthesis {
@@ -225,6 +240,9 @@ fn synthesize_impl(
     let mut already_correct: Vec<Pattern> = Vec::new();
     let mut rejected: Vec<Pattern> = Vec::new();
     let mut pruned: Vec<Pattern> = Vec::new();
+    let mut counts = SynthesisCounts::default();
+    // `notations[i]` is `sources[i].pattern.notation()`, the order tie-break.
+    let mut notations: Vec<String> = Vec::new();
 
     while let Some(id) = unsolved.pop() {
         let node = hierarchy.node(id);
@@ -246,18 +264,19 @@ fn synthesize_impl(
         // are language subsets, so the whole subtree is skipped. (Sources
         // accepted *later* can also end up ahead of a candidate; the
         // final sweep below catches those.)
+        let mut notation = None;
         if options.prune_unreachable {
             let preceding: Vec<&Pattern> = sources
                 .iter()
-                .filter(|s| {
+                .zip(&notations)
+                .filter(|(s, other)| {
                     s.rows > node.size()
-                        || (s.rows == node.size() && s.pattern.notation() < pattern.notation())
+                        || (s.rows == node.size()
+                            && *other < notation.get_or_insert_with(|| pattern.notation()))
                 })
-                .map(|s| &s.pattern)
+                .map(|(s, _)| &s.pattern)
                 .collect();
-            if !preceding.is_empty()
-                && clx_pattern::automaton::patterns_subsumed(pattern, &preceding) == Some(true)
-            {
+            if subsumed(pattern, &preceding, &mut counts) {
                 pruned.push(pattern.clone());
                 continue;
             }
@@ -266,31 +285,23 @@ fn synthesize_impl(
         let mut accepted = false;
         if validate(pattern, target) {
             let dag = align(pattern, target);
-            if dag.has_complete_path() {
-                let plans = dag.enumerate_plans(options.max_plans_per_source);
-                let ranked = rank_plans(plans, pattern);
-                let deduped = dedup_plans(ranked.into_iter().map(|(e, _)| e).collect(), pattern);
-                let ranked_deduped = rank_plans(deduped, pattern);
-                let mut plans: Vec<RankedPlan> = ranked_deduped
-                    .into_iter()
-                    .take(options.top_k)
-                    .map(|(expr, description_length)| RankedPlan {
-                        expr,
-                        description_length,
-                    })
-                    .collect();
-                if let Some(column) = column {
-                    plans = data_checked_plans(plans, node, column, target);
-                }
-                if !plans.is_empty() {
-                    sources.push(SourceSynthesis {
-                        pattern: pattern.clone(),
-                        plans,
-                        chosen: 0,
-                        rows: node.size(),
-                    });
-                    accepted = true;
-                }
+            let mut search = dag.ranked_plans(pattern, options.max_plans_per_source);
+            let mut plans = search.top_classes(options.top_k);
+            counts.plans_explored += search.explored();
+            counts.plans_kept += plans.len();
+            counts.budget_exhausted += usize::from(search.exhausted());
+            if let Some(column) = column {
+                plans = data_checked_plans(plans, node, column, target);
+            }
+            if !plans.is_empty() {
+                sources.push(SourceSynthesis {
+                    pattern: pattern.clone(),
+                    plans,
+                    chosen: 0,
+                    rows: node.size(),
+                });
+                notations.push(notation.unwrap_or_else(|| pattern.notation()));
+                accepted = true;
             }
         }
 
@@ -304,14 +315,14 @@ fn synthesize_impl(
     }
 
     // Present larger clusters first, like the pattern list shown to the user.
-    sources.sort_by(|a, b| {
-        b.rows
-            .cmp(&a.rows)
-            .then_with(|| a.pattern.notation().cmp(&b.pattern.notation()))
+    let mut ordered: Vec<(SourceSynthesis, String)> = sources.into_iter().zip(notations).collect();
+    ordered.sort_by(|(a, a_notation), (b, b_notation)| {
+        b.rows.cmp(&a.rows).then_with(|| a_notation.cmp(b_notation))
     });
+    let mut sources: Vec<SourceSynthesis> = ordered.into_iter().map(|(s, _)| s).collect();
 
     if options.prune_unreachable {
-        prune_unreachable_sources(&mut sources, &mut pruned);
+        prune_unreachable_sources(&mut sources, &mut pruned, &mut counts);
     }
 
     Synthesis {
@@ -320,6 +331,7 @@ fn synthesize_impl(
         already_correct,
         rejected,
         pruned,
+        counts,
     }
 }
 
@@ -329,13 +341,15 @@ fn synthesize_impl(
 /// removing it is output-identical — the covering branches' plans were
 /// handling its rows already. Sound on `Some(true)` only: an inconclusive
 /// automaton verdict (width or search budget) keeps the source.
-fn prune_unreachable_sources(sources: &mut Vec<SourceSynthesis>, pruned: &mut Vec<Pattern>) {
+fn prune_unreachable_sources(
+    sources: &mut Vec<SourceSynthesis>,
+    pruned: &mut Vec<Pattern>,
+    counts: &mut SynthesisCounts,
+) {
     let mut kept: Vec<SourceSynthesis> = Vec::with_capacity(sources.len());
     for source in sources.drain(..) {
         let ahead: Vec<&Pattern> = kept.iter().map(|k| &k.pattern).collect();
-        let subsumed = !ahead.is_empty()
-            && clx_pattern::automaton::patterns_subsumed(&source.pattern, &ahead) == Some(true);
-        if subsumed {
+        if subsumed(&source.pattern, &ahead, counts) {
             pruned.push(source.pattern);
         } else {
             kept.push(source);
@@ -669,7 +683,8 @@ mod tests {
             source("<L>2", 1),
         ];
         let mut pruned = Vec::new();
-        prune_unreachable_sources(&mut sources, &mut pruned);
+        let mut counts = SynthesisCounts::default();
+        prune_unreachable_sources(&mut sources, &mut pruned, &mut counts);
         let kept: Vec<String> = sources.iter().map(|s| s.pattern.to_string()).collect();
         assert_eq!(kept, ["<AN>+", "<D>'.'<D>"]);
         let dropped: Vec<String> = pruned.iter().map(|p| p.to_string()).collect();

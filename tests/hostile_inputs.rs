@@ -38,6 +38,41 @@ fn a_long_leaf_matches_without_overflowing_the_stack() {
     assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
 }
 
+/// The child half of [`long_values_profile_without_overflowing_the_stack`]:
+/// profiling two 200 KB values builds hierarchy nodes of ~150k tokens, and
+/// every parent/child check runs `Pattern::covers` over them.
+#[test]
+#[ignore = "run in a child process by long_values_profile_without_overflowing_the_stack"]
+fn long_values_profile_child() {
+    let values = vec!["ab1-".repeat(50_000), "cd2_".repeat(50_000)];
+    let session = ClxSession::new(values.clone());
+    let hierarchy = session.hierarchy();
+    for value in &values {
+        let leaf = tokenize(value);
+        assert_eq!(leaf.len(), 150_000);
+        assert!(hierarchy
+            .roots()
+            .iter()
+            .any(|root| root.pattern.covers(&leaf)));
+    }
+}
+
+#[test]
+fn long_values_profile_without_overflowing_the_stack() {
+    let output = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "long_values_profile_child", "--ignored"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "child exited with {:?}\n{stdout}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+}
+
 #[test]
 fn plus_runs_separated_by_class_literals_do_not_backtrack() {
     // `<L>+'a'<L>+'a'<L>+'a'<L>+'b'`: every `'a'` is also in `<L>`, so a
