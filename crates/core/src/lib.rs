@@ -26,8 +26,10 @@
 //! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
 //! execution beyond the interactive loop, [`ClxSession::compile`] hands a
 //! fresh compilation to the `clx-engine` batch subsystem (parallel block
-//! execution, program caching); [`ClxSession::stream_columns`] opens a
-//! [`ColumnStream`] over it.
+//! execution); [`ClxSession::stream_columns`] opens a [`ColumnStream`] over
+//! it. After a repair, [`ClxSession::reverify`] re-runs the held program
+//! over the column, so what the user re-verifies is exactly what `apply`
+//! returns.
 //!
 //! ```
 //! use clx_core::ClxSession;
@@ -70,9 +72,7 @@ pub use session::{Clustered, ClxError, ClxOptions, ClxSession, LabelError, Label
 // `clx` facade) is a one-stop dependency.
 pub use clx_cluster::{ClusterNode, PatternHierarchy, PatternProfiler, ProfilerOptions};
 pub use clx_column::{Column, ColumnBuilder, ColumnChunk, ColumnInterner, DistinctValue};
-pub use clx_engine::{
-    BatchReport, ChunkReport, ColumnStream, CompiledProgram, ProgramCache, RowOutcomes,
-};
+pub use clx_engine::{BatchReport, ChunkReport, ColumnStream, CompiledProgram, RowOutcomes};
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{RankedPlan, Synthesis, SynthesisOptions};
 pub use clx_unifi::{Explanation, Program, ReplaceOp, TransformOutcome};

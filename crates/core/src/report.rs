@@ -22,9 +22,8 @@ pub use clx_engine::RowOutcome;
 pub struct TransformReport {
     batch: BatchReport,
     /// The compiled program that produced the outcomes, shared with the
-    /// session that ran it, so [`ClxSession::reverify`] can later diff it
-    /// against the session's current (possibly repaired) program without
-    /// compiling anything. `None` for reports assembled outside a session.
+    /// session that ran it. [`ClxSession::reverify`] refuses a report
+    /// without one. `None` for reports assembled outside a session.
     ///
     /// [`ClxSession::reverify`]: crate::ClxSession::reverify
     provenance: Option<Arc<CompiledProgram>>,
@@ -44,8 +43,7 @@ impl TransformReport {
     /// The compiled program that produced this report, when it was
     /// produced by [`ClxSession::apply`](crate::ClxSession::apply) or
     /// [`ClxSession::reverify`](crate::ClxSession::reverify); `None` for
-    /// hand-assembled reports. This is what `reverify` diffs the current
-    /// program against.
+    /// hand-assembled reports, which `reverify` refuses.
     pub fn provenance(&self) -> Option<&CompiledProgram> {
         self.provenance.as_deref()
     }
@@ -55,7 +53,7 @@ impl TransformReport {
         self.provenance = Some(program);
     }
 
-    /// The wrapped engine report (for the in-crate patch path).
+    /// The wrapped engine report (for `reverify`'s foreign-report check).
     pub(crate) fn batch(&self) -> &BatchReport {
         &self.batch
     }
@@ -145,9 +143,9 @@ impl TransformReport {
 
 /// Reports compare by what they say about every row: same target, same
 /// per-row outcomes in order — regardless of how the outcomes are stored
-/// (per distinct value of a column, or of each merged chunk). Provenance does not participate:
-/// a patched report and a fresh full recompute compare equal even though
-/// they record different originating programs.
+/// (per distinct value of a column, or of each merged chunk). Provenance
+/// does not participate: two runs of equal programs compare equal even
+/// though they record different compilations.
 impl PartialEq for TransformReport {
     fn eq(&self, other: &Self) -> bool {
         self.target() == other.target()

@@ -22,7 +22,6 @@ use std::sync::Arc;
 
 use clx_cluster::{PatternHierarchy, PatternProfiler, ProfilerOptions};
 use clx_column::{Column, ColumnBuilder, StreamBudget};
-use clx_engine::ProgramDelta;
 use clx_engine::{ColumnStream, CompiledProgram};
 use clx_pattern::{tokenize, tokenize_detailed, Pattern, SplitTokenizer, TokenizedString};
 use clx_synth::{synthesize_column, RankedPlan, Synthesis, SynthesisOptions};
@@ -55,7 +54,7 @@ pub enum ClxError {
     Analysis(String),
     /// [`ClxSession::reverify`] was handed a report that records no
     /// originating program (one assembled outside the session's apply
-    /// paths) — there is nothing to diff the current program against.
+    /// paths).
     MissingProvenance,
     /// [`ClxSession::reverify`] was handed a report produced over a
     /// different column than this session's (another session's report):
@@ -455,47 +454,31 @@ impl ClxSession<Labelled> {
     }
 
     /// Re-verify a previously produced report against the session's
-    /// *current* program, re-deciding **only the distinct values the
-    /// program change can affect** — the interactive repair loop's
-    /// O(affected-distincts) path (ROADMAP item 5).
+    /// *current* (possibly repaired) program: the report
+    /// [`ClxSession::apply`] returns now. By construction it is row for row
+    /// a fresh `apply` — the held compiled program runs once over the
+    /// session's column, so the step is O(distinct) and compiles nothing.
     ///
-    /// The report must carry provenance (be a product of
-    /// [`ClxSession::apply`] or `reverify`); otherwise
-    /// [`ClxError::MissingProvenance`] is returned. Nothing is compiled: a
-    /// [`ProgramDelta`] is built between the report's compiled program and
-    /// the session's, and a clone of the report is patched in place:
-    /// distinct values the delta proves unaffected keep their stored
-    /// outcome verbatim, everything else is re-decided through the
-    /// session's program. The result is row-for-row equal
-    /// to a fresh [`ClxSession::apply`] — at a cost proportional to the
-    /// number of *affected* distincts, not the number of rows.
+    /// `report` must be a product of this session's [`ClxSession::apply`]
+    /// or `reverify`: a report that records no originating program is
+    /// refused with [`ClxError::MissingProvenance`], and one built over
+    /// another column (another session's) with [`ClxError::ForeignReport`].
     ///
-    /// Under a session sink the step is timed as `core.phase.reverify_ns`
-    /// and the delta publishes
-    /// `engine.delta.{branches_changed,distincts_redecided,outcomes_patched}`.
-    ///
-    /// A report produced over another column (another session's) is
-    /// refused with [`ClxError::ForeignReport`].
+    /// Under a session sink the step is timed as `core.phase.reverify_ns`.
     pub fn reverify(&self, report: &TransformReport) -> Result<TransformReport, ClxError> {
         let _reverify = Span::start(self.telemetry.as_ref(), "core.phase.reverify_ns");
-        let old = report.provenance().ok_or(ClxError::MissingProvenance)?;
-        let new = &self.phase.compiled;
-        let delta = ProgramDelta::between_observed(old, new, self.telemetry.as_ref());
-        let mut batch = report.batch().clone();
-        batch
-            .patch_observed(&delta, new, &self.data, self.telemetry.as_ref())
-            .ok_or(ClxError::ForeignReport)?;
-        let mut patched = TransformReport::from_batch(batch);
-        patched.set_provenance(Arc::clone(new));
-        Ok(patched)
+        report.provenance().ok_or(ClxError::MissingProvenance)?;
+        if !report.batch().is_built_over(&self.data) {
+            return Err(ClxError::ForeignReport);
+        }
+        Ok(self.run())
     }
 
     /// [`ClxSession::repair`] immediately followed by
     /// [`ClxSession::reverify`] of `report`: the one-call interactive
     /// repair loop. A rejected repair (unknown pattern or out-of-range
-    /// choice) leaves the program unchanged, so the re-verification then
-    /// degenerates to an identity patch and the returned report equals
-    /// `report` row for row.
+    /// choice) leaves the program unchanged, so the returned report then
+    /// equals `report` row for row.
     pub fn repair_and_reverify(
         &mut self,
         pattern: &Pattern,
@@ -518,23 +501,29 @@ impl ClxSession<Labelled> {
     /// flagged.
     pub fn apply(&self) -> Result<TransformReport, ClxError> {
         let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
+        Ok(self.run())
+    }
+
+    /// The held program over the session's column, with that program
+    /// recorded as the report's provenance: the body of both
+    /// [`ClxSession::apply`] and [`ClxSession::reverify`].
+    fn run(&self) -> TransformReport {
         let compiled = &self.phase.compiled;
         let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
         report.set_provenance(Arc::clone(compiled));
-        Ok(report)
+        report
     }
 
     /// Compile the current program for high-throughput batch execution:
     /// a fresh compilation of the program [`ClxSession::apply`] runs.
     ///
     /// The returned [`CompiledProgram`] is immutable and `Send + Sync`: it
-    /// can be cached (see [`clx_engine::ProgramCache`]), shared across
-    /// threads, executed over other columns in parallel blocks
-    /// ([`CompiledProgram::execute`]), executed over this session's column
-    /// ([`CompiledProgram::execute_column`] on [`ClxSession::data`]), or
-    /// streamed over columns larger than memory through a [`ColumnStream`]
-    /// (see [`ClxSession::stream_columns`]). Its semantics on any column
-    /// are exactly those of [`ClxSession::apply`].
+    /// can be shared across threads behind an `Arc`, executed over other
+    /// columns in parallel blocks ([`CompiledProgram::execute`]), executed
+    /// over this session's column ([`CompiledProgram::execute_column`] on
+    /// [`ClxSession::data`]), or streamed over columns larger than memory
+    /// through a [`ColumnStream`] (see [`ClxSession::stream_columns`]). Its
+    /// semantics on any column are exactly those of [`ClxSession::apply`].
     pub fn compile(&self) -> Result<CompiledProgram, ClxError> {
         compile(&self.program(), &self.phase.target, self.telemetry.as_ref())
     }
@@ -1018,38 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn reverify_redecides_only_affected_distincts() {
-        let sink = clx_telemetry::InMemorySink::shared();
-        let data = vec![
-            "12/11/2017".to_string(),
-            "03/04/2018".to_string(),
-            "11-12-2017".to_string(),
-        ];
-        let mut session = ClxSession::with_telemetry(
-            data,
-            ClxOptions::default(),
-            Arc::clone(&sink) as Arc<dyn MetricSink>,
-        )
-        .label(tokenize("11-12-2017"))
-        .unwrap();
-        let source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
-        let baseline = session.apply().unwrap();
-        assert!(session.repair(&source, 1));
-        let patched = session.reverify(&baseline).unwrap();
-        assert_eq!(patched, session.apply().unwrap());
-
-        let snap = sink.snapshot();
-        assert!(snap.histogram("core.phase.reverify_ns").is_some());
-        let redecided = snap
-            .counter("engine.delta.distincts_redecided")
-            .expect("delta published");
-        // Only the two slash-date distincts sit behind the repaired
-        // branch; the conforming distinct is proven unaffected.
-        assert_eq!(redecided, 2);
-        assert!(snap.counter("engine.delta.branches_changed").is_some());
-    }
-
-    #[test]
     fn reverify_without_provenance_is_rejected() {
         let session = labelled(phone_data(), tokenize("734-422-8073"));
         let hand_built =
@@ -1072,7 +1029,7 @@ mod tests {
         let baseline = session.apply().unwrap();
         let patched = session.repair_and_reverify(&source, 1, &baseline).unwrap();
         assert_eq!(patched, session.apply().unwrap());
-        // A rejected repair degenerates to an identity patch.
+        // A rejected repair leaves the program, hence the report, as it was.
         let unchanged = session
             .repair_and_reverify(&tokenize("zzz"), 0, &patched)
             .unwrap();
@@ -1280,7 +1237,8 @@ mod tests {
         );
         assert!(session.telemetry().is_some());
         let session = session.label(tokenize("734-422-8073")).unwrap();
-        session.apply().unwrap();
+        let report = session.apply().unwrap();
+        session.reverify(&report).unwrap();
         let mut stream = session.stream_columns().unwrap();
         stream.push_rows(&["(111) 222-3333", "(111) 222-3333"]);
         stream.finish();
@@ -1292,13 +1250,15 @@ mod tests {
             "core.phase.synthesize_ns",
             "core.phase.compile_ns",
             "core.phase.apply_ns",
+            "core.phase.reverify_ns",
         ] {
             let h = snap
                 .histogram(phase)
                 .unwrap_or_else(|| panic!("missing phase histogram {phase}; snapshot: {snap:?}"));
             assert!(h.count >= 1, "{phase} recorded no samples");
         }
-        // One apply call, one apply-phase sample.
+        // One apply call, one apply-phase sample: `reverify` times itself
+        // only as `core.phase.reverify_ns`.
         assert_eq!(snap.histogram("core.phase.apply_ns").unwrap().count, 1);
         // The column build and the stream reported through the same sink.
         assert!(snap.histogram("column.builder.build_ns").is_some());

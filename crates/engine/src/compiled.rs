@@ -1,7 +1,6 @@
 //! Compilation of a UniFi [`Program`] into an immutable, thread-safe
 //! executable form.
 
-use std::hash::{Hash as _, Hasher as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -64,10 +63,9 @@ pub struct CompiledProgram {
     pub(crate) target: Pattern,
     target_transparent: bool,
     branches: Vec<CompiledBranch>,
-    fingerprint: u64,
     /// Process-unique id of this compilation; [`crate::DispatchCache`]s
     /// bind to it, so a cached plan can never be replayed against another
-    /// program — not even under a fingerprint collision.
+    /// program.
     instance: u64,
     /// The fused multi-pattern decision automaton (see the `fused` module
     /// docs): one pass over a new leaf signature decides every transparent
@@ -186,7 +184,6 @@ impl CompiledProgram {
             target: target.clone(),
             target_transparent,
             branches,
-            fingerprint: fingerprint(program, target),
             instance: NEXT_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             fused,
             fused_fallback,
@@ -300,12 +297,6 @@ impl CompiledProgram {
     /// for equal programs recompiled — it keys per-instance caches).
     pub(crate) fn instance(&self) -> u64 {
         self.instance
-    }
-
-    /// The structural hash of `(program, target)`, the key under which
-    /// [`crate::ProgramCache`] stores this compilation.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// `true` when the target and every branch admit leaf-signature
@@ -565,15 +556,6 @@ fn is_transparent(pattern: &Pattern) -> bool {
         Some(s) => s.chars().all(|c| !c.is_ascii_alphanumeric()),
         None => true,
     })
-}
-
-/// The cache key of a `(program, target)` compilation: the program's own
-/// structural fingerprint combined with the target pattern.
-pub(crate) fn fingerprint(program: &Program, target: &Pattern) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    program.fingerprint().hash(&mut hasher);
-    target.hash(&mut hasher);
-    hasher.finish()
 }
 
 /// Convert the byte-offset slices of `Pattern::split` into character ranges
@@ -920,21 +902,6 @@ mod tests {
         assert_eq!(cache.run(&compiled, "CPT-00350").value(), "[CPT-00350]");
         assert_eq!(cache.run(&compiled, "AB-1").value(), "[AB-1]");
         assert!(cache.run(&compiled, "[CPT-00350]").is_conforming());
-    }
-
-    #[test]
-    fn fingerprints_distinguish_programs_and_targets() {
-        let p1 = phone_program();
-        let mut p2 = phone_program();
-        p2.branches.pop();
-        let t = phone_target();
-        let c1 = CompiledProgram::compile(&p1, &t).unwrap();
-        let c1b = CompiledProgram::compile(&p1, &t).unwrap();
-        let c2 = CompiledProgram::compile(&p2, &t).unwrap();
-        let c3 = CompiledProgram::compile(&p1, &tokenize("999")).unwrap();
-        assert_eq!(c1.fingerprint(), c1b.fingerprint());
-        assert_ne!(c1.fingerprint(), c2.fingerprint());
-        assert_ne!(c1.fingerprint(), c3.fingerprint());
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! Change-impact analysis between two compiled programs.
 //!
-//! A [`ProgramDelta`] is the substrate of the incremental re-verification
-//! loop (ROADMAP item 5): after a repair (or any program swap) it answers,
-//! per already-decided outcome and per leaf pattern, *"can the new program
-//! decide this differently?"* — without re-running anything. Consumers
-//! then re-decide only what the delta cannot prove unchanged:
-//!
-//! * [`crate::BatchReport::patch`] rewrites only the affected outcomes of
-//!   a finished report in place;
-//! * [`crate::ColumnStream::swap_program`] invalidates only the affected
-//!   entries of its decision cache and retains dense dispatch plans for
-//!   unaffected leaf-ids.
+//! A [`ProgramDelta`] drives [`crate::ColumnStream::swap_program`]: after a
+//! mid-stream program swap it answers, per already-decided outcome and per
+//! leaf pattern, *"can the new program decide this differently?"* —
+//! without re-running anything. The stream then invalidates only the
+//! affected entries of its decision cache and retains dense dispatch plans
+//! for unaffected leaf-ids.
 //!
 //! # How the diff works
 //!
@@ -42,10 +37,10 @@
 //! # Why `affects_leaf` can retain whole dispatch plans
 //!
 //! A [`LeafPlan`](crate::dispatch) embeds branch *indices*, so plans are
-//! only retainable at all when every matched branch keeps its index
-//! ([`ProgramDelta::index_stable`]) and the target is unchanged. Opaque
-//! branches get `CheckBranch` steps in **every** plan, so any opaque
-//! change conservatively affects every leaf. Transparent branches appear
+//! only retainable at all when every matched branch keeps its index (the
+//! `index_stable` field) and the target is unchanged. Opaque branches get
+//! `CheckBranch` steps in **every** plan, so any opaque change
+//! conservatively affects every leaf. Transparent branches appear
 //! in a plan only when they match the leaf signature — and transparent
 //! matching is decided *by* the leaf signature — so a leaf that no changed
 //! transparent pattern matches (answered by one pass over a dedicated
@@ -80,9 +75,7 @@ struct ChangedBranch {
 /// Built by [`ProgramDelta::between`]; all queries are read-only and
 /// `O(changed branches)` per call.
 #[derive(Debug)]
-pub struct ProgramDelta {
-    /// Instance id of the program the delta diffs *to*.
-    new_instance: u64,
+pub(crate) struct ProgramDelta {
     /// `true` when the labelled target pattern itself differs — every
     /// outcome and every leaf is affected.
     target_changed: bool,
@@ -110,17 +103,12 @@ pub struct ProgramDelta {
 }
 
 impl ProgramDelta {
-    /// Diff `old` against `new`. Cost is `O(branches²)` worst case on the
-    /// greedy matching (linear when branch order is preserved, the repair
-    /// case) plus one `clx-analyze` run per program — all program-sized,
-    /// never row- or distinct-sized.
-    pub fn between(old: &CompiledProgram, new: &CompiledProgram) -> ProgramDelta {
-        ProgramDelta::between_observed(old, new, None)
-    }
-
-    /// [`ProgramDelta::between`], additionally publishing the
-    /// `engine.delta.branches_changed` counter to `sink`.
-    pub fn between_observed(
+    /// Diff `old` against `new`, publishing the
+    /// `engine.delta.branches_changed` counter to `sink`. Cost is
+    /// `O(branches²)` worst case on the greedy matching (linear when branch
+    /// order is preserved, the repair case) plus one `clx-analyze` run per
+    /// program — all program-sized, never row- or distinct-sized.
+    pub(crate) fn between(
         old: &CompiledProgram,
         new: &CompiledProgram,
         sink: Option<&Arc<dyn MetricSink>>,
@@ -196,7 +184,6 @@ impl ProgramDelta {
         };
 
         let delta = ProgramDelta {
-            new_instance: new.instance(),
             target_changed,
             index_stable,
             changed_old,
@@ -219,33 +206,14 @@ impl ProgramDelta {
     /// form and its new form are both live impact sources). Branches the
     /// facts intersection proved unreachable are not counted — they are
     /// skipped entirely.
-    pub fn branches_changed(&self) -> usize {
+    pub(crate) fn branches_changed(&self) -> usize {
         self.changed_old.len() + self.changed_new.len()
-    }
-
-    /// `true` when the two programs decide every value identically — same
-    /// target, no changed branch slots (identical programs recompiled, or
-    /// differing only in proven-unreachable branches).
-    pub fn is_identity(&self) -> bool {
-        !self.target_changed && self.changed_old.is_empty() && self.changed_new.is_empty()
     }
 
     /// `true` when the labelled target pattern changed (which affects
     /// every outcome).
-    pub fn target_changed(&self) -> bool {
+    pub(crate) fn target_changed(&self) -> bool {
         self.target_changed
-    }
-
-    /// `true` when every branch shared by the two programs keeps its
-    /// index — the precondition for retaining compiled dispatch plans,
-    /// which embed branch indices in their steps.
-    pub fn index_stable(&self) -> bool {
-        self.index_stable
-    }
-
-    /// Instance id of the program the delta diffs *to*.
-    pub(crate) fn new_instance(&self) -> u64 {
-        self.new_instance
     }
 
     /// Can the new program decide the row behind `outcome` differently?
@@ -254,7 +222,7 @@ impl ProgramDelta {
     /// `true` means "re-decide to find out" — the test is conservative for
     /// opaque changed branches, whose firing needs a per-value evaluation.
     /// Cost: one pattern match per changed branch, worst case.
-    pub fn affects_outcome(&self, outcome: &RowOutcome) -> bool {
+    pub(crate) fn affects_outcome(&self, outcome: &RowOutcome) -> bool {
         if self.target_changed {
             return true;
         }
@@ -352,7 +320,7 @@ impl ProgramDelta {
     /// it? `false` additionally guarantees the old plan's steps are valid
     /// under the new program (indices stable, embedded branches
     /// identical), so the plan may be retained as-is.
-    pub fn affects_leaf(&self, leaf: &Pattern) -> bool {
+    pub(crate) fn affects_leaf(&self, leaf: &Pattern) -> bool {
         if self.target_changed || !self.index_stable {
             return true;
         }
@@ -412,6 +380,11 @@ mod tests {
             .expect("test programs compile")
     }
 
+    /// Same target and no changed branch slot: every value decides alike.
+    fn is_identity(delta: &ProgramDelta) -> bool {
+        !delta.target_changed() && delta.branches_changed() == 0
+    }
+
     fn extract_all(pattern: &Pattern) -> Expr {
         Expr::concat(vec![StringExpr::extract_range(1, pattern.len())])
     }
@@ -421,9 +394,9 @@ mod tests {
         let p = tokenize("12-34");
         let a = compile(vec![Branch::new(p.clone(), extract_all(&p))], "<D>+'-'<D>+");
         let b = compile(vec![Branch::new(p.clone(), extract_all(&p))], "<D>+'-'<D>+");
-        let delta = ProgramDelta::between(&a, &b);
-        assert!(delta.is_identity());
-        assert!(delta.index_stable());
+        let delta = ProgramDelta::between(&a, &b, None);
+        assert!(is_identity(&delta));
+        assert!(delta.index_stable);
         assert_eq!(delta.branches_changed(), 0);
         assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "xy".into() }));
         assert!(!delta.affects_leaf(&tokenize("12-34")));
@@ -434,7 +407,7 @@ mod tests {
         let p = tokenize("12-34");
         let a = compile(vec![Branch::new(p.clone(), extract_all(&p))], "<D>+'-'<D>+");
         let b = compile(vec![Branch::new(p.clone(), extract_all(&p))], "<D>+");
-        let delta = ProgramDelta::between(&a, &b);
+        let delta = ProgramDelta::between(&a, &b, None);
         assert!(delta.target_changed());
         assert!(delta.affects_outcome(&RowOutcome::Conforming { value: "1".into() }));
         assert!(delta.affects_leaf(&tokenize("zz")));
@@ -461,9 +434,9 @@ mod tests {
             ],
             "<AN>+",
         );
-        let delta = ProgramDelta::between(&a, &b);
-        assert!(!delta.is_identity());
-        assert!(delta.index_stable(), "unchanged branch keeps its index");
+        let delta = ProgramDelta::between(&a, &b, None);
+        assert!(!is_identity(&delta));
+        assert!(delta.index_stable, "unchanged branch keeps its index");
         // Modified branch counts on both sides.
         assert_eq!(delta.branches_changed(), 2);
         // A value the repaired branch matches must re-decide...
@@ -502,8 +475,8 @@ mod tests {
             ],
             "<AN>+",
         );
-        let delta = ProgramDelta::between(&a, &b);
-        assert!(!delta.index_stable(), "shared branch shifted from 0 to 1");
+        let delta = ProgramDelta::between(&a, &b, None);
+        assert!(!delta.index_stable, "shared branch shifted from 0 to 1");
         assert_eq!(delta.branches_changed(), 1);
         // Index instability forfeits every leaf's plan...
         assert!(delta.affects_leaf(&tokenize("abc")));
@@ -540,7 +513,7 @@ mod tests {
             ],
             "<L>+",
         );
-        let delta = ProgramDelta::between(&a, &b);
+        let delta = ProgramDelta::between(&a, &b, None);
         // "12" used to hit the <D>2 branch, now hits <D>+ first: the delta
         // must not call it unaffected.
         assert!(delta.affects_outcome(&RowOutcome::Transformed {
@@ -576,8 +549,8 @@ mod tests {
             ],
             "<L>+",
         );
-        let delta = ProgramDelta::between(&a, &b);
-        assert!(delta.is_identity(), "only a dead branch differs");
+        let delta = ProgramDelta::between(&a, &b, None);
+        assert!(is_identity(&delta), "only a dead branch differs");
         assert_eq!(delta.branches_changed(), 0);
         assert!(!delta.affects_outcome(&RowOutcome::Transformed {
             from: "12".into(),

@@ -64,15 +64,15 @@
 //! ([`DispatchCache::rebind`]): plans embed branch indices and
 //! split boundaries of the program that built them. But a program *swap*
 //! mid-stream ([`crate::ColumnStream::swap_program`]) usually changes only
-//! a few branches, and a [`crate::ProgramDelta`] can prove, per leaf, that
-//! the old plan's every step is still valid under the new program — same
-//! target verdict, identical branches at identical indices, and no changed
-//! branch able to match the leaf. For those leaves
-//! [`DispatchCache::rebind_retaining`] re-binds the cache to the new
-//! program instance while keeping the proven plans in place, dense tier
-//! included: only affected leaf-ids lose their slot and rebuild (through
-//! the new program's fused automaton, built once at compile time) on next
-//! sight. The interner binding (`source`) is untouched — the id space did
+//! a few branches, and a diff of the two programs (the `delta` module's
+//! `ProgramDelta`) can prove, per leaf, that the old plan's every step is
+//! still valid under the new program — same target verdict, identical
+//! branches at identical indices, and no changed branch able to match the
+//! leaf. For those leaves [`DispatchCache::rebind_retaining`] re-binds the
+//! cache to the new program instance while keeping the proven plans in
+//! place, dense tier included: only affected leaf-ids lose their slot and
+//! rebuild (through the new program's fused automaton, built once at
+//! compile time) on next sight. The interner binding (`source`) is untouched — the id space did
 //! not move, only the program did.
 
 use std::sync::Arc;
@@ -217,7 +217,7 @@ impl DispatchCache {
     ///
     /// Soundness is the caller's obligation: retain a plan only when every
     /// step in it replays identically under the new program —
-    /// [`crate::ProgramDelta::affects_leaf`] answering `false` is exactly
+    /// `ProgramDelta::affects_leaf` answering `false` is exactly
     /// that proof.
     pub(crate) fn rebind_retaining(
         &mut self,

@@ -45,11 +45,9 @@
 //! * [`CompiledProgram::execute_column`] executes a `clx-column`
 //!   [`Column`](clx_column::Column) through its cached leaf signatures —
 //!   no row of a session column is ever tokenized twice;
-//! * [`BatchReport::patch`] and [`ColumnStream::swap_program`] re-decide,
-//!   after a program change, only what a [`ProgramDelta`] cannot prove
-//!   stable, screening by the cached leaf-ids;
-//! * [`ProgramCache`] is a bounded, thread-safe LRU of compiled programs
-//!   keyed by the structural fingerprint of `(program, target)`.
+//! * [`ColumnStream::swap_program`] re-decides, after a program change,
+//!   only the stream's decisions a diff of the two programs cannot prove
+//!   stable, screening by the cached leaf-ids.
 //!
 //! The executor's semantics are exactly those of the sequential path: rows
 //! already matching the target conform, the first matching branch rewrites,
@@ -88,7 +86,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cache;
 mod column_exec;
 mod compiled;
 mod delta;
@@ -99,11 +96,9 @@ mod parallel;
 mod report;
 mod stream;
 
-pub use cache::{ProgramCache, ProgramCacheStats};
 pub use compiled::{CompiledBranch, CompiledProgram, Decision, FusedStats};
-pub use delta::ProgramDelta;
 pub use dispatch::{DispatchCache, DispatchStats};
 pub use error::CompileError;
 pub use fused::{FusedFallback, FUSED_MAX_WIDTH};
-pub use report::{BatchReport, ChunkReport, ChunkStats, PatchStats, RowOutcome, RowOutcomes};
+pub use report::{BatchReport, ChunkReport, ChunkStats, RowOutcome, RowOutcomes};
 pub use stream::{ColumnStream, StreamSummary, SwapSummary};

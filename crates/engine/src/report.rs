@@ -12,31 +12,10 @@
 //! carry [`ChunkStats`], a small commutative summary that also powers the
 //! streaming API.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use clx_column::Column;
 use clx_pattern::Pattern;
-use clx_telemetry::MetricSink;
-
-use crate::compiled::CompiledProgram;
-use crate::delta::ProgramDelta;
-use crate::dispatch::DispatchCache;
-
-/// What [`BatchReport::patch`] did: how much of the report the
-/// [`ProgramDelta`] let it keep, and how much it had to re-decide.
-///
-/// Published (by [`BatchReport::patch_observed`]) as the
-/// `engine.delta.{distincts_redecided,outcomes_patched}` counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PatchStats {
-    /// Changed branch slots in the delta (after the facts intersection).
-    pub branches_changed: usize,
-    /// Stored outcomes the delta could not prove stable, hence re-decided.
-    pub distincts_redecided: usize,
-    /// Re-decided outcomes that actually changed and were rewritten.
-    pub outcomes_patched: usize,
-}
 
 /// The outcome of the batch executor for one input row.
 ///
@@ -71,14 +50,6 @@ impl RowOutcome {
         match self {
             RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => value,
             RowOutcome::Transformed { to, .. } => to,
-        }
-    }
-
-    /// The input value the outcome was decided for.
-    pub(crate) fn input(&self) -> &str {
-        match self {
-            RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => value,
-            RowOutcome::Transformed { from, .. } => from,
         }
     }
 
@@ -122,17 +93,6 @@ impl ChunkStats {
             RowOutcome::Conforming { .. } => self.conforming += weight,
             RowOutcome::Transformed { .. } => self.transformed += weight,
             RowOutcome::Flagged { .. } => self.flagged += weight,
-        }
-    }
-
-    /// Un-count one outcome standing for `weight` rows — the inverse of
-    /// [`ChunkStats::record_weighted`], used when a patched report rewrites
-    /// a stored outcome in place.
-    pub(crate) fn discount_weighted(&mut self, outcome: &RowOutcome, weight: usize) {
-        match outcome {
-            RowOutcome::Conforming { .. } => self.conforming -= weight,
-            RowOutcome::Transformed { .. } => self.transformed -= weight,
-            RowOutcome::Flagged { .. } => self.flagged -= weight,
         }
     }
 
@@ -334,115 +294,15 @@ impl BatchReport {
         }
     }
 
-    /// Re-verify this report against `new_program`, rewriting in place
-    /// only the stored outcomes `delta` cannot prove stable.
-    ///
-    /// `column` must be the [`Column`] this report was built over (by
+    /// `true` when this report was built over `column` (by
     /// [`crate::CompiledProgram::execute_column`] or
-    /// [`BatchReport::columnar`]): its per-distinct *cached leaf
-    /// signatures* drive the patch. The affected-screen memoizes by dense
-    /// leaf-id (one fused classification per distinct *leaf*, an integer
-    /// map lookup per distinct value), and each re-decide dispatches
-    /// through [`CompiledProgram::transform_one_by_leaf_id`] without
-    /// re-tokenizing the input. Unaffected outcomes — and the shared row
-    /// map — are untouched; each stats adjustment is O(1) through the
-    /// column's multiplicities.
-    ///
-    /// Returns `None` — the refusal — when `column` is not the report's
-    /// own (a different row map or distinct count); the report is then
-    /// left untouched.
-    ///
-    /// `delta` must have been built with [`ProgramDelta::between`] from
-    /// the program that produced this report to `new_program`; when the
-    /// delta reports a target change the report's `target` follows the new
-    /// program's.
-    #[must_use = "a `None` result means the patch was refused"]
-    pub fn patch(
-        &mut self,
-        delta: &ProgramDelta,
-        new_program: &CompiledProgram,
-        column: &Column,
-    ) -> Option<PatchStats> {
-        self.patch_observed(delta, new_program, column, None)
-    }
-
-    /// [`BatchReport::patch`], additionally publishing the
-    /// `engine.delta.{distincts_redecided,outcomes_patched}` counters
-    /// (nothing is published on a refusal).
-    #[must_use = "a `None` result means the patch was refused"]
-    pub fn patch_observed(
-        &mut self,
-        delta: &ProgramDelta,
-        new_program: &CompiledProgram,
-        column: &Column,
-        sink: Option<&Arc<dyn MetricSink>>,
-    ) -> Option<PatchStats> {
-        debug_assert_eq!(
-            new_program.instance(),
-            delta.new_instance(),
-            "patch must re-decide with the program the delta diffs to"
-        );
-        if self.outcomes.len() != column.distinct_count()
-            || !Arc::ptr_eq(&self.row_map, column.row_map())
-        {
-            return None;
-        }
-        let mut patch = PatchStats {
-            branches_changed: delta.branches_changed(),
-            ..PatchStats::default()
-        };
-        if !delta.is_identity() {
-            let mut cache = DispatchCache::new();
-            // Distincts sharing a leaf signature answer the affected-check
-            // once, not once per value.
-            let mut screen = HashMap::new();
-            for (index, outcome) in self.outcomes.iter_mut().enumerate() {
-                let distinct = column.distinct(index);
-                debug_assert_eq!(
-                    distinct.text(),
-                    outcome.input(),
-                    "columnar outcome k must belong to distinct k"
-                );
-                if !delta.affects_interned(
-                    outcome,
-                    distinct.leaf_id(),
-                    distinct.leaf(),
-                    &mut screen,
-                ) {
-                    continue;
-                }
-                patch.distincts_redecided += 1;
-                let redecided = new_program.transform_one_by_leaf_id(
-                    &mut cache,
-                    column.interner_id(),
-                    column.interner_generation(),
-                    distinct.leaf_id(),
-                    distinct.text(),
-                    distinct.leaf(),
-                );
-                if redecided != *outcome {
-                    let weight = distinct.multiplicity();
-                    self.stats.discount_weighted(outcome, weight);
-                    self.stats.record_weighted(&redecided, weight);
-                    *outcome = redecided;
-                    patch.outcomes_patched += 1;
-                }
-            }
-            if delta.target_changed() {
-                self.target = new_program.target().clone();
-            }
-        }
-        if let Some(sink) = sink {
-            sink.counter(
-                "engine.delta.distincts_redecided",
-                patch.distincts_redecided as u64,
-            );
-            sink.counter(
-                "engine.delta.outcomes_patched",
-                patch.outcomes_patched as u64,
-            );
-        }
-        Some(patch)
+    /// [`BatchReport::columnar`]): it stores one outcome per distinct value
+    /// of `column` and shares the column's row map. A report over another
+    /// column — even one with equal values — or one merged from chunks is
+    /// not.
+    pub fn is_built_over(&self, column: &Column) -> bool {
+        self.outcomes.len() == column.distinct_count()
+            && Arc::ptr_eq(&self.row_map, column.row_map())
     }
 
     /// Number of rows covered by this report.
@@ -715,144 +575,23 @@ mod tests {
         );
     }
 
-    mod patch {
-        use super::*;
-        use crate::delta::ProgramDelta;
-        use crate::CompiledProgram;
-        use clx_pattern::parse_pattern;
-        use clx_unifi::{Branch, Expr, Program, StringExpr};
-
-        /// digits → join; letters → join. `suffix` repairs the digit plan.
-        fn program(suffix: &str) -> CompiledProgram {
-            let digits = parse_pattern("<D>2'-'<D>2").unwrap();
-            let letters = parse_pattern("<L>+'.'<L>+").unwrap();
-            CompiledProgram::compile(
-                &Program::new(vec![
-                    Branch::new(
-                        digits,
-                        Expr::concat(vec![
-                            StringExpr::extract(1),
-                            StringExpr::extract(3),
-                            StringExpr::const_str(suffix),
-                        ]),
-                    ),
-                    Branch::new(
-                        letters,
-                        Expr::concat(vec![StringExpr::extract(1), StringExpr::extract(3)]),
-                    ),
-                ]),
-                &parse_pattern("<AN>4").unwrap(),
-            )
-            .unwrap()
-        }
-
-        fn full_recompute(program: &CompiledProgram, column: &Column) -> BatchReport {
-            program.execute_column(column)
-        }
-
-        #[test]
-        fn patch_rewrites_only_affected_outcomes_and_matches_full_recompute() {
-            // "cafe" conforms to <AN>4, "!!" is flagged either way.
-            let column = Column::from_values(&["12-34", "ab.cd", "12-34", "cafe", "!!"]);
-            let old = program("");
-            let new = program("#");
-            let mut report = full_recompute(&old, &column);
-            let before: Vec<RowOutcome> = report.outcomes().to_vec();
-
-            let delta = ProgramDelta::between(&old, &new);
-            let stats = report.patch(&delta, &new, &column).unwrap();
-            assert_eq!(stats.branches_changed, 2);
-            assert_eq!(
-                stats.distincts_redecided, 1,
-                "only the digit distinct re-decides"
-            );
-            assert_eq!(stats.outcomes_patched, 1);
-
-            let expected = full_recompute(&new, &column);
-            assert_eq!(
-                report.iter_rows().collect::<Vec<_>>(),
-                expected.iter_rows().collect::<Vec<_>>()
-            );
-            assert_eq!(report.stats, expected.stats, "weighted stats re-balanced");
-            // Everything the delta proved stable is byte-identical.
-            for (i, outcome) in report.outcomes().iter().enumerate() {
-                if before[i].value() != "1234" {
-                    assert_eq!(outcome, &before[i]);
-                }
-            }
-        }
-
-        #[test]
-        fn identity_patch_changes_nothing() {
-            let column = Column::from_values(&["12-34", "ab.cd"]);
-            let old = program("");
-            let new = program("");
-            let mut report = full_recompute(&old, &column);
-            let before = report.clone();
-            let delta = ProgramDelta::between(&old, &new);
-            let stats = report.patch(&delta, &new, &column).unwrap();
-            assert_eq!(stats, PatchStats::default());
-            assert_eq!(
-                report.iter_rows().collect::<Vec<_>>(),
-                before.iter_rows().collect::<Vec<_>>()
-            );
-        }
-
-        #[test]
-        fn target_change_patch_re_decides_everything_and_retargets() {
-            let column = Column::from_values(&["12-34", "cafe"]);
-            let old = program("");
-            let digits = parse_pattern("<D>2'-'<D>2").unwrap();
-            let new = CompiledProgram::compile(
-                &Program::new(vec![Branch::new(
-                    digits,
-                    Expr::concat(vec![StringExpr::extract(1), StringExpr::extract(3)]),
-                )]),
-                &parse_pattern("<D>+").unwrap(),
-            )
-            .unwrap();
-            let mut report = full_recompute(&old, &column);
-            let delta = ProgramDelta::between(&old, &new);
-            let stats = report.patch(&delta, &new, &column).unwrap();
-            assert_eq!(stats.distincts_redecided, 2, "target change affects all");
-            assert_eq!(report.target, *new.target());
-            let expected = full_recompute(&new, &column);
-            assert_eq!(
-                report.iter_rows().collect::<Vec<_>>(),
-                expected.iter_rows().collect::<Vec<_>>()
-            );
-            assert_eq!(report.stats, expected.stats);
-        }
-
-        #[test]
-        fn patch_refuses_a_column_that_is_not_the_reports_own() {
-            let values = ["12-34", "ab.cd", "12-34", "cafe", "!!"];
-            let column = Column::from_values(&values);
-            let old = program("");
-            let new = program("#");
-            let delta = ProgramDelta::between(&old, &new);
-            let baseline = full_recompute(&old, &column);
-
-            // Same values, separately built: a different row map, so the
-            // report's outcome k is not known to belong to its distinct k.
-            let stranger = Column::from_values(&values);
-            let mut refused = baseline.clone();
-            assert_eq!(refused.patch(&delta, &new, &stranger), None);
-            assert!(refused.iter_rows().eq(baseline.iter_rows()));
-            assert_eq!(refused.stats, baseline.stats);
-
-            // A report merged from chunks shares no column's row map.
-            let mut merged = new.execute(&values);
-            let before = merged.clone();
-            assert_eq!(merged.patch(&delta, &new, &column), None);
-            assert!(merged.iter_rows().eq(before.iter_rows()));
-
-            // The report's own column is accepted.
-            let mut own = baseline.clone();
-            assert!(own.patch(&delta, &new, &column).is_some());
-            assert!(own
-                .iter_rows()
-                .eq(full_recompute(&new, &column).iter_rows()));
-        }
+    #[test]
+    fn is_built_over_only_its_own_column() {
+        let values = ["12-34", "ab.cd", "12-34", "!!"];
+        let column = Column::from_values(&values);
+        let outcomes = column
+            .distinct_values()
+            .map(|v| RowOutcome::Flagged {
+                value: v.text().to_string(),
+            })
+            .collect();
+        let report = BatchReport::columnar(tokenize("X"), outcomes, &column);
+        assert!(report.is_built_over(&column));
+        // Same values, separately built: a different row map, so the
+        // report's outcome k is not known to belong to its distinct k.
+        assert!(!report.is_built_over(&Column::from_values(&values)));
+        // A report merged from chunks shares no column's row map.
+        let merged = BatchReport::from_chunks(tokenize("X"), vec![chunk(0, &values)]);
+        assert!(!merged.is_built_over(&column));
     }
 }

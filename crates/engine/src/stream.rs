@@ -128,9 +128,8 @@ impl DistinctDecisions {
     /// decisions keep replaying untouched. Returns the number of decisions
     /// invalidated; O(decided slots) delta checks, no row ever runs here.
     ///
-    /// Screening reads each id's cached leaf from `interner` through the
-    /// same leaf-id memo [`crate::BatchReport::patch`] uses, so a swap
-    /// never re-tokenizes the decided set.
+    /// Screening reads each id's cached leaf from `interner` through a
+    /// leaf-id memo, so a swap never re-tokenizes the decided set.
     fn retain_unaffected(&mut self, delta: &ProgramDelta, interner: &ColumnInterner) -> usize {
         let mut invalidated = 0;
         let mut screen = HashMap::new();
@@ -334,16 +333,17 @@ impl ColumnStream {
     /// Hot-swap the stream's program mid-stream, keeping everything the
     /// program change cannot invalidate.
     ///
-    /// A [`ProgramDelta`] between the old and new program drives three
-    /// incremental moves, none of which touches a row:
+    /// A diff of the old and new program (branch by branch, intersected
+    /// with the analyzer's reachability facts) drives three incremental
+    /// moves, none of which touches a row:
     ///
-    /// * **decisions** — already-decided distincts whose outcome the delta
+    /// * **decisions** — already-decided distincts whose outcome the diff
     ///   cannot prove stable are invalidated and re-decide *lazily*
     ///   (through the new program, via the usual generation machinery) on
     ///   the next chunk that contains them; everything else keeps
     ///   replaying its stored outcome.
     /// * **dispatch plans** — the leaf-id dispatch cache re-binds to the new
-    ///   program *without a full reset*: plans for leaf-ids the delta
+    ///   program *without a full reset*: plans for leaf-ids the diff
     ///   proves unaffected are retained as-is (see "Rebinding without a
     ///   reset" in the `dispatch` module docs); affected ones rebuild on
     ///   next sight.
@@ -354,11 +354,10 @@ impl ColumnStream {
     ///   stay attributed correctly.
     ///
     /// Swapping in the same program (same `Arc` or a recompilation of an
-    /// identical program) is a no-op beyond the delta check. Under a
+    /// identical program) is a no-op beyond the diff. Under a
     /// telemetry sink the swap publishes `engine.delta.branches_changed`
     /// and `engine.delta.distincts_redecided` (the lazily invalidated
-    /// count). Cost: O(decided distincts + cached plans) cheap delta
-    /// checks, independent of row count; the decided values are screened
+    /// count). Cost: O(decided distincts + cached plans) cheap checks, independent of row count; the decided values are screened
     /// by their interned leaf, never re-tokenized.
     pub fn swap_program(&mut self, new_program: Arc<CompiledProgram>) -> SwapSummary {
         if Arc::ptr_eq(&self.program, &new_program)
@@ -366,8 +365,7 @@ impl ColumnStream {
         {
             return SwapSummary::default();
         }
-        let delta =
-            ProgramDelta::between_observed(&self.program, &new_program, self.telemetry.as_ref());
+        let delta = ProgramDelta::between(&self.program, &new_program, self.telemetry.as_ref());
         let interner = &self.interner;
         let distincts_invalidated = self.decisions.retain_unaffected(&delta, interner);
         let (dense_plans_retained, dense_plans_dropped) =
@@ -540,8 +538,9 @@ impl ColumnStream {
 /// incremental accounting of one mid-stream program hot-swap.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwapSummary {
-    /// Changed branch slots in the old→new delta (after the
-    /// facts intersection; see [`ProgramDelta::branches_changed`]).
+    /// Changed branch slots in the old→new diff, counted on both sides (a
+    /// modified branch counts twice); branches the analyzer proves
+    /// unreachable are not counted.
     pub branches_changed: usize,
     /// `true` when the labelled target pattern changed (which invalidates
     /// every decision and plan).

@@ -1,111 +1,9 @@
-//! Direct coverage of the [`ProgramCache`] LRU eviction order and the
-//! streaming [`ColumnStream`] `push_rows`/`finish` path.
+//! Direct coverage of the streaming [`ColumnStream`] `push_rows`/`finish`
+//! path.
 
-use std::sync::Arc;
-
-use clx_engine::{ColumnStream, CompiledProgram, ProgramCache};
+use clx_engine::{ColumnStream, CompiledProgram};
 use clx_pattern::tokenize;
 use clx_unifi::{Branch, Expr, Program, StringExpr};
-
-/// A tiny one-branch program whose constant makes each fingerprint unique.
-fn program(constant: &str) -> Program {
-    Program::new(vec![Branch::new(
-        tokenize("12/11/2017"),
-        Expr::concat(vec![
-            StringExpr::const_str(constant.to_string()),
-            StringExpr::extract(1),
-            StringExpr::const_str("-"),
-            StringExpr::extract(3),
-        ]),
-    )])
-}
-
-fn target() -> clx_pattern::Pattern {
-    tokenize("#12-11")
-}
-
-/// `true` when `(program, target)` is currently resident (serving the
-/// lookup from cache, observable through the hit counter).
-fn resident(cache: &ProgramCache, p: &Program) -> bool {
-    let hits_before = cache.hits();
-    cache.get_or_compile(p, &target()).unwrap();
-    cache.hits() == hits_before + 1
-}
-
-#[test]
-fn lru_evicts_in_least_recently_used_order() {
-    let cache = ProgramCache::new(3);
-    let (a, b, c, d, e) = (
-        program("a"),
-        program("b"),
-        program("c"),
-        program("d"),
-        program("e"),
-    );
-    cache.get_or_compile(&a, &target()).unwrap();
-    cache.get_or_compile(&b, &target()).unwrap();
-    cache.get_or_compile(&c, &target()).unwrap();
-    assert_eq!(cache.len(), 3);
-
-    // Touch order is now a, b, c. Touch `a` so `b` is the LRU entry.
-    cache.get_or_compile(&a, &target()).unwrap();
-
-    // Inserting `d` must evict `b` (the least recently used), nothing else.
-    cache.get_or_compile(&d, &target()).unwrap();
-    assert_eq!(cache.len(), 3);
-    assert!(resident(&cache, &a), "a was touched, must survive");
-    assert!(!resident(&cache, &b), "b was LRU, must be evicted");
-    // The probe for `b` just reinserted it, evicting `c` (older than a/d).
-    assert!(!resident(&cache, &c));
-
-    // Eviction keeps following recency: now resident are d, a(?) — verify
-    // the exact survivor set by filling with one more fresh program.
-    cache.get_or_compile(&e, &target()).unwrap();
-    assert_eq!(cache.len(), 3);
-    assert!(resident(&cache, &e));
-}
-
-#[test]
-fn lru_capacity_one_always_holds_the_last_program() {
-    let cache = ProgramCache::new(1);
-    for constant in ["x", "y", "z"] {
-        cache.get_or_compile(&program(constant), &target()).unwrap();
-        assert_eq!(cache.len(), 1);
-    }
-    // Only the most recent program is resident.
-    assert!(resident(&cache, &program("z")));
-    assert!(!resident(&cache, &program("y")));
-}
-
-#[test]
-fn eviction_follows_recency_not_touch_frequency() {
-    // The cache is LRU, not LFU: ten touches of `a` do not pin it once `b`
-    // becomes more recent.
-    let cache = ProgramCache::new(2);
-    let a = program("a");
-    let b = program("b");
-    cache.get_or_compile(&a, &target()).unwrap();
-    for _ in 0..10 {
-        cache.get_or_compile(&a, &target()).unwrap();
-    }
-    cache.get_or_compile(&b, &target()).unwrap();
-    assert_eq!(cache.len(), 2);
-    assert_eq!(cache.hits(), 10);
-    // `b` is now the most recent entry; inserting a third program evicts
-    // `a` despite its touch count.
-    cache.get_or_compile(&program("c"), &target()).unwrap();
-    assert!(resident(&cache, &b));
-    assert!(!resident(&cache, &a));
-}
-
-#[test]
-fn cached_compilations_are_shared_not_recompiled() {
-    let cache = Arc::new(ProgramCache::new(4));
-    let p = program("#");
-    let first = cache.get_or_compile(&p, &target()).unwrap();
-    let second = cache.get_or_compile(&p, &target()).unwrap();
-    assert!(Arc::ptr_eq(&first, &second));
-}
 
 fn dotted_to_dashed() -> CompiledProgram {
     let program = Program::new(vec![Branch::new(

@@ -12,7 +12,7 @@
 //! transformation plan; Appendix A proves the construction sound and
 //! complete, and the tests here exercise both properties.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use clx_pattern::{Pattern, Quantifier, Token};
 use clx_unifi::{Expr, StringExpr};
@@ -175,59 +175,49 @@ pub fn align(source: &Pattern, target: &Pattern) -> AlignmentDag {
     // incoming Extract edge ending at node i with the single-token Extract
     // edge (i, i+1) whenever the source tokens are consecutive. Processing
     // nodes in increasing order lets longer runs build up incrementally.
+    // Edge (i, i+1) holds single-token `Extract(j)`s only, so an incoming
+    // `Extract(a..=b)` combines with at most one of them, `j = b + 1`,
+    // looked up in the set of outgoing `j`s.
     for i in 1..m {
-        let incoming: Vec<((usize, usize), StringExpr)> = edges
-            .iter()
-            .filter(|(&(_, to), _)| to == i)
-            .flat_map(|(&k, ops)| {
-                ops.iter()
-                    .filter(|op| op.is_extract())
-                    .cloned()
-                    .map(move |op| (k, op))
+        let outgoing: HashSet<usize> = edges
+            .get(&(i, i + 1))
+            .into_iter()
+            .flatten()
+            .filter_map(|op| match op {
+                StringExpr::Extract { from, .. } => Some(*from),
+                StringExpr::ConstStr(_) => None,
             })
             .collect();
-        let outgoing: Vec<StringExpr> = edges
-            .get(&(i, i + 1))
-            .map(|ops| ops.iter().filter(|op| op.is_extract()).cloned().collect())
-            .unwrap_or_default();
-        for ((from_node, _), inc) in &incoming {
-            let StringExpr::Extract {
-                from: src_from,
-                to: src_to,
-            } = inc
-            else {
+        if outgoing.is_empty() {
+            continue;
+        }
+        for from_node in 0..i {
+            let Some(incoming) = edges.get(&(from_node, i)) else {
                 continue;
             };
-            for out in &outgoing {
-                let StringExpr::Extract {
-                    from: out_from,
-                    to: out_to,
-                } = out
-                else {
-                    continue;
-                };
-                if src_to + 1 == *out_from {
-                    let combined = StringExpr::extract_range(*src_from, *out_to);
-                    let entry = edges.entry((*from_node, i + 1)).or_default();
-                    if !entry.contains(&combined) {
-                        entry.push(combined);
+            let combined: Vec<StringExpr> = incoming
+                .iter()
+                .filter_map(|op| match op {
+                    StringExpr::Extract { from, to } if outgoing.contains(&(to + 1)) => {
+                        Some(StringExpr::extract_range(*from, to + 1))
                     }
-                }
+                    _ => None,
+                })
+                .collect();
+            if !combined.is_empty() {
+                edges
+                    .entry((from_node, i + 1))
+                    .or_default()
+                    .extend(combined);
             }
         }
     }
 
-    // Deduplicate operations on each edge while preserving insertion order.
+    // Deduplicate operations on each edge, keeping first occurrences in
+    // insertion order.
     for ops in edges.values_mut() {
-        let mut seen = Vec::new();
-        ops.retain(|op| {
-            if seen.contains(op) {
-                false
-            } else {
-                seen.push(op.clone());
-                true
-            }
-        });
+        let mut seen = HashSet::with_capacity(ops.len());
+        ops.retain(|op| seen.insert(op.clone()));
     }
 
     AlignmentDag {
@@ -241,6 +231,139 @@ mod tests {
     use super::*;
     use clx_pattern::{parse_pattern, tokenize, TokenClass};
     use clx_unifi::eval_expr;
+
+    /// The combination `align` used to run, kept as the oracle: every
+    /// incoming Extract against every outgoing one, each edge deduplicated
+    /// by linear scans. Quadratic in similar source tokens.
+    fn align_by_scans(
+        source: &Pattern,
+        target: &Pattern,
+    ) -> HashMap<(usize, usize), Vec<StringExpr>> {
+        let mut edges = align_single_tokens(source, target);
+        for i in 1..target.len() {
+            let incoming: Vec<((usize, usize), StringExpr)> = edges
+                .iter()
+                .filter(|(&(_, to), _)| to == i)
+                .flat_map(|(&k, ops)| {
+                    ops.iter()
+                        .filter(|op| op.is_extract())
+                        .cloned()
+                        .map(move |op| (k, op))
+                })
+                .collect();
+            let outgoing: Vec<StringExpr> = edges
+                .get(&(i, i + 1))
+                .map(|ops| ops.iter().filter(|op| op.is_extract()).cloned().collect())
+                .unwrap_or_default();
+            for ((from_node, _), inc) in &incoming {
+                let StringExpr::Extract {
+                    from: src_from,
+                    to: src_to,
+                } = inc
+                else {
+                    continue;
+                };
+                for out in &outgoing {
+                    let StringExpr::Extract {
+                        from: out_from,
+                        to: out_to,
+                    } = out
+                    else {
+                        continue;
+                    };
+                    if src_to + 1 == *out_from {
+                        let combined = StringExpr::extract_range(*src_from, *out_to);
+                        let entry = edges.entry((*from_node, i + 1)).or_default();
+                        if !entry.contains(&combined) {
+                            entry.push(combined);
+                        }
+                    }
+                }
+            }
+        }
+        for ops in edges.values_mut() {
+            let mut seen = Vec::new();
+            ops.retain(|op| {
+                if seen.contains(op) {
+                    false
+                } else {
+                    seen.push(op.clone());
+                    true
+                }
+            });
+        }
+        edges
+    }
+
+    /// `align`'s single-token edges alone (lines 2-9).
+    fn align_single_tokens(
+        source: &Pattern,
+        target: &Pattern,
+    ) -> HashMap<(usize, usize), Vec<StringExpr>> {
+        let mut edges: HashMap<(usize, usize), Vec<StringExpr>> = HashMap::new();
+        for (ti_idx, ti) in target.iter().enumerate() {
+            for (tj_idx, tj) in source.iter().enumerate() {
+                if syntactically_similar(ti, tj) || literal_supplies_base(tj, ti) {
+                    edges
+                        .entry((ti_idx, ti_idx + 1))
+                        .or_default()
+                        .push(StringExpr::extract(tj_idx + 1));
+                }
+            }
+            if let Some(value) = ti.literal_value() {
+                edges
+                    .entry((ti_idx, ti_idx + 1))
+                    .or_default()
+                    .push(StringExpr::const_str(value));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn align_agrees_with_the_scanning_oracle() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let classes = [
+            TokenClass::Digit,
+            TokenClass::Lower,
+            TokenClass::Upper,
+            TokenClass::Alpha,
+            TokenClass::AlphaNumeric,
+        ];
+        let literals = ["-", "/", "ab", "CPT", "7"];
+        let mut pattern = |len: usize| {
+            let tokens = (0..len)
+                .map(|_| match next(3) {
+                    0 => Token::literal(literals[next(literals.len())]),
+                    1 => Token::plus(classes[next(classes.len())].clone()),
+                    _ => Token::base(classes[next(classes.len())].clone(), 1 + next(3)),
+                })
+                .collect();
+            Pattern::new(tokens)
+        };
+        for case in 0..3_000 {
+            let source = pattern(case % 13);
+            let target = pattern(case % 7 + 1);
+            assert_eq!(
+                align(&source, &target).edges,
+                align_by_scans(&source, &target),
+                "{source} -> {target}"
+            );
+        }
+        // Long runs of similar tokens, the shape the set lookup is for.
+        let source = tokenize(&"ab1-".repeat(40));
+        let target = tokenize("ab1-ab1-");
+        assert_eq!(
+            align(&source, &target).edges,
+            align_by_scans(&source, &target)
+        );
+    }
 
     #[test]
     fn syntactic_similarity_rules() {

@@ -240,8 +240,8 @@ impl Program {
     }
 
     /// A stable 64-bit structural hash of the program; programs that
-    /// compare equal have equal fingerprints. `clx-engine` combines this
-    /// with the labelled target pattern to key its compiled-program cache.
+    /// compare equal have equal fingerprints (a key for caching anything
+    /// derived from a program).
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash as _, Hasher as _};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();

@@ -4,16 +4,15 @@
 //! loop; this example shows the serving side: `ClxSession::compile()` hands
 //! the synthesized program to the `clx-engine` subsystem, which executes it
 //! over large columns in parallel interned blocks (each distinct value of a
-//! block decided once), streams columns that do not fit
-//! in memory through a bounded `ColumnStream`, and caches compiled programs
-//! across requests.
+//! block decided once), streams columns that do not fit in memory through
+//! a bounded `ColumnStream`, and serves one compiled program to many
+//! requests.
 //!
 //! Run with: `cargo run --release --example batch_transform`
 
 use std::sync::Arc;
 
 use clx::datagen::large_case;
-use clx::engine::ProgramCache;
 use clx::{tokenize, ClxSession, ColumnStream, StreamBudget, TransformReport};
 
 fn main() {
@@ -68,17 +67,23 @@ fn main() {
         summary.peak_memory_bytes / 1024
     );
 
-    // ---- Cache compiled programs across requests ------------------------
-    let cache = ProgramCache::new(32);
-    let program = session.program();
-    let target = session.target().clone();
-    for _ in 0..3 {
-        let served = cache.get_or_compile(&program, &target).expect("compile");
-        let _ = served.execute(&case.data[..1_000]);
-    }
-    println!(
-        "program cache: {} hits / {} misses over 3 requests",
-        cache.hits(),
-        cache.misses()
-    );
+    // ---- Serve several requests from one compilation ---------------------
+    // A `CompiledProgram` is immutable and `Send + Sync`: every request
+    // handler holds a clone of the same `Arc`, so nothing is recompiled.
+    let flagged: usize = std::thread::scope(|scope| {
+        let handlers: Vec<_> = case
+            .data
+            .chunks(1_000)
+            .take(3)
+            .map(|request| {
+                let program = Arc::clone(&compiled);
+                scope.spawn(move || program.execute(request).flagged_count())
+            })
+            .collect();
+        handlers
+            .into_iter()
+            .map(|handler| handler.join().expect("request handler"))
+            .sum()
+    });
+    println!("served 3 requests of 1,000 rows from one compilation ({flagged} rows flagged)");
 }

@@ -1,29 +1,24 @@
-//! The interactive repair loop, incrementally re-verified.
+//! The interactive repair loop: apply, repair one cluster, re-verify.
 //!
 //! The CLX loop the paper describes is *iterative*: the user applies the
 //! synthesized program, spots a wrong cluster in the verification view,
-//! repairs that one cluster's plan, and looks again. Re-running the whole
-//! column after every repair would make the loop O(rows) per click; this
-//! example shows the engine's incremental path instead:
+//! repairs that one cluster's plan, and looks again. This example walks
+//! one turn of that loop:
 //!
 //! 1. `apply()` once — the report records the compiled program that
 //!    produced it (provenance);
 //! 2. `repair()` one source cluster's plan choice, which recompiles;
-//! 3. `reverify(&report)` — the session diffs the two compiled programs
-//!    into a `ProgramDelta`, compiling nothing, and patches the existing report in place,
-//!    re-deciding **only the distincts the changed branch can affect**.
+//! 3. `reverify(&report)` — the session checks that the report is its own
+//!    and re-runs the held compiled program over the column, compiling
+//!    nothing: the result is row for row a fresh `apply()`.
 //!
-//! The attached `InMemorySink` proves the claim with live counters:
-//! `engine.delta.branches_changed` (how many branches the diff found
-//! changed), `engine.delta.distincts_redecided` (how many stored outcomes
-//! were actually re-run — the slash-date third of the column, not all of
-//! it) and `engine.delta.outcomes_patched` (how many rewrites landed).
+//! What the user re-verifies is the difference between the two reports:
+//! the example counts the rows whose output changed and checks that every
+//! one of them belongs to the repaired (slash-format) cluster.
 //!
 //! Run with: `cargo run --release --example repair_loop`
 
-use std::sync::Arc;
-
-use clx::{ClxOptions, ClxSession, InMemorySink, MetricSink, Pattern};
+use clx::{ClxSession, Pattern};
 
 /// A messy date column: `per_format` distinct dates in each of three
 /// formats — slash (`12/11/2017`), dot (`12.11.2017`) and the dashed
@@ -42,19 +37,13 @@ fn date_column(per_format: usize) -> Vec<String> {
 }
 
 fn main() {
-    let per_format = 300;
-    let rows = date_column(per_format);
+    let rows = date_column(300);
     let total_rows = rows.len();
-    let sink = InMemorySink::shared();
 
     // ---- Cluster, label, synthesize, apply --------------------------------
-    let mut session = ClxSession::with_telemetry(
-        rows,
-        ClxOptions::default(),
-        Arc::clone(&sink) as Arc<dyn MetricSink>,
-    )
-    .label_by_example("12-11-2017")
-    .expect("label");
+    let mut session = ClxSession::new(rows)
+        .label_by_example("12-11-2017")
+        .expect("label");
     let report = session.apply().expect("apply");
     println!(
         "applied to {total_rows} rows ({} distinct): {} transformed, {} conforming, {} flagged",
@@ -75,31 +64,36 @@ fn main() {
     assert!(alternatives >= 2, "need a real alternative to repair to");
     assert!(session.repair(&slash, 1), "repair accepted");
 
-    // ---- Re-verify incrementally ------------------------------------------
-    let patched = session.reverify(&report).expect("reverify");
-    let snapshot = sink.snapshot();
-    let redecided = snapshot
-        .counter("engine.delta.distincts_redecided")
-        .unwrap_or(0);
-    println!(
-        "repaired slash cluster and re-verified: {redecided} of {} distincts re-decided \
-         ({} branches changed, {} outcomes rewritten)",
-        patched.distinct_outcomes().len(),
-        snapshot
-            .counter("engine.delta.branches_changed")
-            .unwrap_or(0),
-        snapshot
-            .counter("engine.delta.outcomes_patched")
-            .unwrap_or(0),
+    // ---- Re-verify --------------------------------------------------------
+    let reverified = session.reverify(&report).expect("reverify");
+    assert_eq!(
+        reverified,
+        session.apply().expect("fresh apply"),
+        "reverify == a fresh apply"
     );
 
-    // ---- The patched report is the ground truth ---------------------------
-    let fresh = session.apply().expect("fresh apply");
-    assert_eq!(patched, fresh, "patched report == full recompute");
-    println!("patched report verified equal to a fresh full apply");
-
-    // The point of the exercise: only the repaired cluster's distincts were
-    // re-decided — a third of the column, not all of it.
-    assert_eq!(redecided as usize, per_format);
-    assert!(snapshot.histogram("core.phase.reverify_ns").is_some());
+    // ---- What the user looks at again --------------------------------------
+    let changed: Vec<(usize, &str)> = session
+        .data()
+        .iter()
+        .enumerate()
+        .filter(|&(row, _)| report.row(row).value() != reverified.row(row).value())
+        .collect();
+    for (_, input) in &changed {
+        assert!(
+            slash.matches(input),
+            "{input:?} changed outside the repaired cluster"
+        );
+    }
+    println!(
+        "repaired the slash cluster: {} of {total_rows} rows changed output, all slash-format",
+        changed.len()
+    );
+    if let Some(&(row, input)) = changed.first() {
+        println!(
+            "  e.g. {input:?}: {:?} -> {:?}",
+            report.row(row).value(),
+            reverified.row(row).value()
+        );
+    }
 }

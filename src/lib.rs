@@ -18,16 +18,16 @@
 //! * [`engine`] — the compiled batch-execution subsystem:
 //!   [`ClxSession::compile`](clx_core::ClxSession::compile) turns the
 //!   synthesized program into a thread-safe [`CompiledProgram`] for
-//!   parallel block execution and LRU caching ([`ProgramCache`]);
-//!   [`ColumnStream`] streams columns larger than memory through it,
-//!   optionally within a [`StreamBudget`]. Reports are columnar
-//!   ([`TransformReport`]): one outcome per *distinct* value plus the
-//!   column's shared row map — O(distinct), never per-duplicate clones.
-//!   After a repair, [`ClxSession::reverify`](clx_core::ClxSession::reverify)
-//!   diffs old vs new program ([`ProgramDelta`]) and patches the existing
-//!   report in place, re-deciding only the *affected* distincts;
+//!   parallel block execution; [`ColumnStream`] streams columns larger
+//!   than memory through it, optionally within a [`StreamBudget`]. Reports
+//!   are columnar ([`TransformReport`]): one outcome per *distinct* value
+//!   plus the column's shared row map — O(distinct), never per-duplicate
+//!   clones. After a repair,
+//!   [`ClxSession::reverify`](clx_core::ClxSession::reverify) re-runs the
+//!   session's held program over the column, row for row a fresh `apply`;
 //!   [`ColumnStream::swap_program`](clx_engine::ColumnStream::swap_program)
-//!   does the same for a live stream;
+//!   swaps a live stream's program, re-deciding only the distincts the
+//!   change can affect;
 //! * [`column`](mod@column) — the shared column data plane: interned, deduplicated
 //!   rows with cached token streams ([`Column`]) that profiler, synthesizer,
 //!   session and engine all read instead of re-tokenizing;
@@ -110,8 +110,7 @@ pub use clx_core::{
     Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome, TransformReport,
 };
 pub use clx_engine::{
-    BatchReport, ColumnStream, CompiledProgram, DispatchStats, PatchStats, ProgramCache,
-    ProgramCacheStats, ProgramDelta, StreamSummary, SwapSummary,
+    BatchReport, ColumnStream, CompiledProgram, DispatchStats, StreamSummary, SwapSummary,
 };
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{validate_report, ValidationReport};

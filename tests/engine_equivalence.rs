@@ -4,7 +4,7 @@
 //! on the phone-number workload of `crates/datagen`.
 
 use clx::datagen::{DataGenerator, PhoneFormat};
-use clx::{tokenize, ClxSession, ColumnStream, Labelled, ProgramCache, TransformReport};
+use clx::{tokenize, ClxSession, ColumnStream, Labelled, TransformReport};
 
 /// The §7.2 study formats plus the paper's noise formats (`N/A`, `+1 ...`),
 /// so the column exercises conforming, transformed and flagged rows.
@@ -105,21 +105,27 @@ fn column_execution_is_identical_to_row_execution() {
 
 #[test]
 fn program_cache_serves_repeat_sessions() {
-    let cache = ProgramCache::new(8);
+    // One compilation shared behind an `Arc` serves every later session
+    // over the same program; each handle still agrees with apply().
     let session = labelled_session(noisy_phone_column(200, 1));
-    let program = session.program();
-    let target = session.target().clone();
+    let shared = std::sync::Arc::new(session.compile().unwrap());
+    let first = std::sync::Arc::clone(&shared);
+    let second = std::sync::Arc::clone(&shared);
+    assert!(std::sync::Arc::ptr_eq(&first, &second));
 
-    let first = cache.get_or_compile(&program, &target).unwrap();
-    let second = cache.get_or_compile(&program, &target).unwrap();
-    assert_eq!(cache.hits(), 1);
-    assert_eq!(cache.misses(), 1);
-
-    // Both handles are the same compilation and still agree with apply().
     let data = session.data().to_vec();
     let a = TransformReport::from_batch(first.execute(&data));
     let b = TransformReport::from_batch(second.execute(&data));
     let sequential = session.apply().unwrap();
     assert_eq!(a, sequential);
     assert_eq!(b, sequential);
+
+    // A later session over the same data and target needs no new
+    // compilation: the shared program reproduces its apply() as well.
+    let repeat = labelled_session(noisy_phone_column(200, 1));
+    assert_eq!(repeat.program(), session.program());
+    assert_eq!(
+        TransformReport::from_batch(shared.execute_column(repeat.data())),
+        repeat.apply().unwrap()
+    );
 }

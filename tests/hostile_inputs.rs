@@ -3,9 +3,40 @@
 //! must return, quickly, with an answer or a typed error — never abort
 //! the process.
 
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use clx::{tokenize, ClxSession, Pattern, Token, TokenClass};
+
+/// Run the ignored test `name` of this binary in a child process — a
+/// stack overflow there cannot take this process down — and fail unless it
+/// passes within `within` (the child is killed at the bound).
+fn run_child(name: &str, within: Duration) {
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", name, "--ignored"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let start = Instant::now();
+    while child.try_wait().unwrap().is_none() {
+        if start.elapsed() > within {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("{name} did not finish within {within:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "child exited with {:?}\n{stdout}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+}
 
 /// The child half of [`a_long_leaf_matches_without_overflowing_the_stack`]:
 /// a stack overflow would take the whole test binary down, so it is
@@ -24,18 +55,7 @@ fn long_leaf_child() {
 
 #[test]
 fn a_long_leaf_matches_without_overflowing_the_stack() {
-    let output = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "long_leaf_child", "--ignored"])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "child exited with {:?}\n{stdout}\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+    run_child("long_leaf_child", Duration::from_secs(120));
 }
 
 /// The child half of [`long_values_profile_without_overflowing_the_stack`]:
@@ -59,18 +79,25 @@ fn long_values_profile_child() {
 
 #[test]
 fn long_values_profile_without_overflowing_the_stack() {
-    let output = std::process::Command::new(std::env::current_exe().unwrap())
-        .args(["--exact", "long_values_profile_child", "--ignored"])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "child exited with {:?}\n{stdout}\n{}",
-        output.status,
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+    run_child("long_values_profile_child", Duration::from_secs(120));
+}
+
+/// The child half of [`long_values_label_in_bounded_time`]: aligning a
+/// 150k-token source with `"ab1-ab1-"` finds ~50k similar source tokens
+/// per target token, and sequential extracts combine them pairwise.
+#[test]
+#[ignore = "run in a child process by long_values_label_in_bounded_time"]
+fn long_values_label_child() {
+    let values = vec!["ab1-".repeat(50_000), "cd2_".repeat(50_000)];
+    let session = ClxSession::new(values)
+        .label_by_example("ab1-ab1-")
+        .expect("label");
+    assert_eq!(session.target(), &tokenize("ab1-ab1-"));
+}
+
+#[test]
+fn long_values_label_in_bounded_time() {
+    run_child("long_values_label_child", Duration::from_secs(30));
 }
 
 #[test]

@@ -11,16 +11,14 @@
 //! The differential oracle: on *random* programs (transparent, opaque,
 //! `+`-quantified, fallback-forcing wide) every execution path — `execute`,
 //! `execute_column`, chunked and budgeted streams with the fused automaton
-//! on and off, and a delta-patched report — equals the interpreter
-//! (`clx_unifi::transform_lenient` behind the target check), row for row.
+//! on and off — equals the interpreter (`clx_unifi::transform_lenient`
+//! behind the target check), row for row.
 //!
-//! The incremental re-verification properties live here too: a report
-//! patched through a `ProgramDelta` equals a fresh full recompute under
-//! the new program (row for row and in the weighted stats), a stream
-//! whose program is hot-swapped mid-flight equals a fresh stream of the
-//! new program on the remaining chunks (under every budget, including
-//! eviction), and session-level `reverify` after arbitrary repair
-//! sequences equals a fresh `apply`.
+//! The re-verification properties live here too: a stream whose program is
+//! hot-swapped mid-flight equals a fresh stream of the new program on the
+//! remaining chunks (under every budget, including eviction; an identical
+//! program re-decides nothing), and session-level `reverify` after
+//! arbitrary repair sequences equals a fresh `apply`.
 //!
 //! Also here: the sharded [`ColumnBuilder`] byte-identity property on
 //! random inputs (empty values, Unicode, single-distinct, all-distinct —
@@ -695,8 +693,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental re-verification: a delta-patched report / hot-swapped stream
-// is indistinguishable from a full recompute under the new program.
+// Re-verification: a hot-swapped stream is indistinguishable from a fresh
+// stream of the new program, and `reverify` from a fresh `apply`.
 // ---------------------------------------------------------------------------
 
 /// A "new" program derived from `old`: an unrelated random program (the
@@ -745,34 +743,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every execution path equals the interpreter on random programs:
-    /// `execute`, `execute_column`, a chunked and budgeted `ColumnStream`
-    /// with the fused automaton on and off, and a report patched to a
-    /// derived program (identity, repair-shaped or unrelated).
+    /// `execute`, `execute_column`, and a chunked and budgeted
+    /// `ColumnStream` with the fused automaton on and off.
     #[test]
     fn every_execution_path_equals_the_interpreter(
-        old_pt in any_program(),
-        other in any_program(),
-        mutate in 0..3usize,
-        which in 0..4usize,
+        program_target in any_program(),
         rows in workload(),
         splits in chunk_splits(),
         budget in budgets(),
         reps in 1..3usize,
     ) {
-        let (new_program, new_target) = derive_new_program(&old_pt, other, mutate, which);
-        let (program, target) = old_pt;
+        let (program, target) = program_target;
         let mut rows = rows;
-        for branch in program.branches.iter().chain(new_program.branches.iter()) {
+        for branch in &program.branches {
             rows.push(sample_value(&branch.pattern, reps));
         }
         rows.push(sample_value(&target, reps));
-        rows.push(sample_value(&new_target, reps));
         let oracle = interpret(&program, &target, &rows);
 
         let compiled = Arc::new(CompiledProgram::compile(&program, &target).unwrap());
         prop_assert!(compiled.execute(&rows).iter_rows().eq(oracle.iter()), "execute");
         let column = Column::from_rows(rows.clone());
-        let mut report = compiled.execute_column(&column);
+        let report = compiled.execute_column(&column);
         prop_assert!(report.iter_rows().eq(oracle.iter()), "execute_column");
         let plain = Arc::new(CompiledProgram::compile(&program, &target).unwrap().without_fused());
         for stream_program in [&compiled, &plain] {
@@ -781,18 +773,12 @@ proptest! {
             prop_assert!(streamed == oracle, "stream (fused {})", stream_program.fused_active());
             prop_assert_eq!(summary.rows(), rows.len());
         }
-
-        let new = CompiledProgram::compile(&new_program, &new_target).unwrap();
-        let delta = clx::ProgramDelta::between(&compiled, &new);
-        prop_assert!(report.patch(&delta, &new, &column).is_some());
-        let new_oracle = interpret(&new_program, &new_target, &rows);
-        prop_assert!(report.iter_rows().eq(new_oracle.iter()), "patch (mutate {})", mutate);
     }
 
-    /// Patching a finished report through a [`ProgramDelta`] equals a
-    /// fresh full recompute under the new program — row for row and in
-    /// the multiplicity-weighted stats — for identity, repair-shaped and
-    /// arbitrary program changes.
+    /// Decisions a stream already holds for a whole column, patched by a
+    /// program swap, equal a fresh full recompute under the new program —
+    /// row for row and in the multiplicity-weighted stats — for identity,
+    /// repair-shaped and arbitrary program changes.
     #[test]
     fn patched_report_equals_full_recompute(
         old_pt in any_program(),
@@ -804,8 +790,8 @@ proptest! {
     ) {
         let (new_program, new_target) = derive_new_program(&old_pt, other, mutate, which);
         let (old_program, old_target) = old_pt;
-        let old = CompiledProgram::compile(&old_program, &old_target).unwrap();
-        let new = CompiledProgram::compile(&new_program, &new_target).unwrap();
+        let old = Arc::new(CompiledProgram::compile(&old_program, &old_target).unwrap());
+        let new = Arc::new(CompiledProgram::compile(&new_program, &new_target).unwrap());
 
         // Mix in values the branches and targets actually match, so the
         // delta's affected sets are non-trivial.
@@ -815,29 +801,31 @@ proptest! {
         }
         rows.push(sample_value(&old_target, reps));
         rows.push(sample_value(&new_target, reps));
-        let column = Column::from_rows(rows);
+        let column = Column::from_rows(rows.clone());
 
-        let mut report = old.execute_column(&column);
-        let delta = clx::ProgramDelta::between(&old, &new);
-        let stats = report.patch(&delta, &new, &column).unwrap();
+        let mut stream = ColumnStream::new(Arc::clone(&old));
+        stream.push_rows(&rows);
+        let summary = stream.swap_program(Arc::clone(&new));
+        let patched = stream.push_rows(&rows);
         let expected = new.execute_column(&column);
         prop_assert!(
-            report.iter_rows().eq(expected.iter_rows()),
-            "patched report diverged from full recompute (mutate {})",
+            patched.iter_rows().eq(expected.iter_rows()),
+            "patched decisions diverged from full recompute (mutate {})",
             mutate
         );
-        prop_assert_eq!(report.stats, expected.stats);
-        prop_assert_eq!(&report.target, &expected.target);
-        prop_assert!(stats.distincts_redecided <= column.distinct_count());
+        prop_assert_eq!(patched.stats, expected.stats);
+        prop_assert!(summary.distincts_invalidated <= column.distinct_count());
         if mutate == 1 {
             // Identity delta: nothing may be re-decided.
-            prop_assert_eq!(stats.distincts_redecided, 0);
+            prop_assert_eq!(summary.distincts_invalidated, 0);
         }
     }
 
     /// Hot-swapping a stream's program mid-flight equals restarting a
     /// fresh stream of the new program on the remaining chunks — under
-    /// every budget, including eviction.
+    /// every budget, including eviction. Swapping in a recompilation of
+    /// the same program re-decides nothing, unless the stream evicted (an
+    /// evicted slot's decision is dropped, not re-decided).
     #[test]
     fn swapped_stream_equals_fresh_stream_of_new_program(
         old_pt in any_program(),
@@ -878,9 +866,16 @@ proptest! {
         let mut fresh = ColumnStream::with_budget(Arc::clone(&new), budget);
         let mut post_swap: Vec<RowOutcome> = Vec::new();
         let mut reference: Vec<RowOutcome> = Vec::new();
+        let swap = |stream: &mut ColumnStream| {
+            let summary = stream.swap_program(Arc::clone(&new));
+            if mutate == 1 && stream.evictions() == 0 {
+                prop_assert!(summary.distincts_invalidated == 0, "identity swap re-decided");
+            }
+            Ok(())
+        };
         for (index, chunk) in chunks.iter().enumerate() {
             if index == boundary {
-                swapped.swap_program(Arc::clone(&new));
+                swap(&mut swapped)?;
             }
             let report = swapped.push_rows(chunk);
             if index >= boundary {
@@ -889,7 +884,7 @@ proptest! {
             }
         }
         if boundary == chunks.len() {
-            swapped.swap_program(Arc::clone(&new));
+            swap(&mut swapped)?;
         }
         prop_assert_eq!(post_swap, reference);
     }
