@@ -1001,6 +1001,12 @@ impl<'a> ColumnChunk<'a> {
         &self.rows_local
     }
 
+    /// Consume the chunk, handing over its [`ColumnChunk::row_map`] by
+    /// move — a report can keep it without copying.
+    pub fn into_row_map(self) -> Vec<u32> {
+        self.rows_local
+    }
+
     /// The text of row `index`.
     pub fn row(&self, index: usize) -> &'a str {
         self.interner

@@ -174,7 +174,6 @@ mod tests {
                 value: "734-422-8073".into(),
             },
             RowOutcome::Transformed {
-                from: "(734) 645-8397".into(),
                 to: "734-645-8397".into(),
             },
             RowOutcome::Flagged {
@@ -219,7 +218,6 @@ mod tests {
         let perfect = columnar(
             tokenize("734-422-8073"),
             vec![RowOutcome::Transformed {
-                from: "x".into(),
                 to: "555-111-2222".into(),
             }],
             &Column::from_values(&["x"]),
@@ -294,10 +292,7 @@ mod tests {
 
     #[test]
     fn row_outcome_accessors() {
-        let t = RowOutcome::Transformed {
-            from: "a".into(),
-            to: "b".into(),
-        };
+        let t = RowOutcome::Transformed { to: "b".into() };
         assert_eq!(t.value(), "b");
         assert!(t.is_transformed() && !t.is_flagged() && !t.is_conforming());
         let c = RowOutcome::Conforming { value: "x".into() };

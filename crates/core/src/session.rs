@@ -665,7 +665,7 @@ impl ClxSession<Labelled> {
                         // Transformed rows match the target; derive. (The
                         // fallback covers an output a repaired program sent
                         // outside the target — rare, but must stay correct.)
-                        RowOutcome::Transformed { to, .. } => tokenizer
+                        RowOutcome::Transformed { to } => tokenizer
                             .tokenize(to)
                             .unwrap_or_else(|| tokenize_detailed(to)),
                     };

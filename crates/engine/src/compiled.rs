@@ -280,7 +280,7 @@ impl CompiledProgram {
     /// consistent with the outcome [`CompiledProgram::execute`] reports.
     pub fn decide(&self, value: &str) -> Decision {
         let plan = self.build_plan_observed(&tokenize(value), value, None);
-        self.run_plan(&plan, value).0
+        self.run_plan(&plan, value, &mut String::new())
     }
 
     /// The target pattern this program was compiled against.
@@ -347,6 +347,10 @@ impl CompiledProgram {
     /// telemetry sink: a first-sight decision times its fused classify as
     /// `engine.fused.decide_ns`. With `None` (and on every plan replay)
     /// no clock is read.
+    ///
+    /// Every executor builds its outcomes here, with one allocation per
+    /// decided value: a rewrite is assembled in the cache's reusable
+    /// buffer and copied once into the outcome's shared text.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn transform_one_by_leaf_id_observed(
         &self,
@@ -363,28 +367,34 @@ impl CompiledProgram {
             cache.plan_for_leaf_id(self.instance, source, source_generation, leaf_id, || {
                 self.build_plan_observed(leaf, value, telemetry)
             });
-        let (decision, rewritten) = self.run_plan(&plan, value);
-        let value = value.to_string();
-        match (decision, rewritten) {
-            (_, Some(to)) => RowOutcome::Transformed { from: value, to },
-            (Decision::Conforming, _) => RowOutcome::Conforming { value },
-            _ => RowOutcome::Flagged { value },
+        let rewrite = &mut cache.rewrite;
+        match self.run_plan(&plan, value, rewrite) {
+            Decision::Branch(_) => RowOutcome::Transformed {
+                to: Arc::from(rewrite.as_str()),
+            },
+            Decision::Conforming => RowOutcome::Conforming {
+                value: Arc::from(value),
+            },
+            Decision::Flagged => RowOutcome::Flagged {
+                value: Arc::from(value),
+            },
         }
     }
 
-    /// Replay one leaf's decision sequence against a concrete row: the
-    /// decision, plus the rewritten row when a branch fires.
-    fn run_plan(&self, plan: &LeafPlan, value: &str) -> (Decision, Option<String>) {
+    /// Replay one leaf's decision sequence against a concrete row. When a
+    /// branch fires, the rewritten row is left in `out` (cleared first).
+    fn run_plan(&self, plan: &LeafPlan, value: &str, out: &mut String) -> Decision {
+        out.clear();
         for step in &plan.steps {
             match step {
-                Step::Conforming => return (Decision::Conforming, None),
+                Step::Conforming => return Decision::Conforming,
                 Step::Apply { branch, split } => {
-                    let out = apply_split(&self.branches[*branch].expr, split, value);
-                    return (Decision::Branch(*branch), Some(out));
+                    apply_split(&self.branches[*branch].expr, split, value, out);
+                    return Decision::Branch(*branch);
                 }
                 Step::CheckTarget => {
                     if self.target.matches(value) {
-                        return (Decision::Conforming, None);
+                        return Decision::Conforming;
                     }
                 }
                 Step::CheckBranch { branch } => {
@@ -392,13 +402,14 @@ impl CompiledProgram {
                     // the match and yields the slices, so the two paths
                     // cannot drift.
                     let b = &self.branches[*branch];
-                    if let Ok(out) = eval_expr(&b.expr, &b.pattern, value) {
-                        return (Decision::Branch(*branch), Some(out));
+                    if let Ok(rewritten) = eval_expr(&b.expr, &b.pattern, value) {
+                        out.push_str(&rewritten);
+                        return Decision::Branch(*branch);
                     }
                 }
             }
         }
-        (Decision::Flagged, None)
+        Decision::Flagged
     }
 
     /// Build the decision plan for one leaf; `value` is a representative
@@ -573,11 +584,11 @@ fn char_ranges(value: &str, slices: &[clx_pattern::TokenSlice]) -> Vec<(usize, u
         .collect()
 }
 
-/// Rewrite `value` through `expr` using precomputed token boundaries.
-fn apply_split(expr: &Expr, split: &SplitPlan, value: &str) -> String {
+/// Rewrite `value` through `expr` using precomputed token boundaries,
+/// appending the result to `out`.
+fn apply_split(expr: &Expr, split: &SplitPlan, value: &str, out: &mut String) {
     if value.is_ascii() {
         // Char ranges are byte ranges: pure slice copies.
-        let mut out = String::new();
         for part in &expr.parts {
             match part {
                 StringExpr::ConstStr(s) => out.push_str(s),
@@ -588,14 +599,13 @@ fn apply_split(expr: &Expr, split: &SplitPlan, value: &str) -> String {
                 }
             }
         }
-        return out;
+        return;
     }
     let byte_offsets: Vec<usize> = value
         .char_indices()
         .map(|(b, _)| b)
         .chain(std::iter::once(value.len()))
         .collect();
-    let mut out = String::new();
     for part in &expr.parts {
         match part {
             StringExpr::ConstStr(s) => out.push_str(s),
@@ -606,7 +616,6 @@ fn apply_split(expr: &Expr, split: &SplitPlan, value: &str) -> String {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -826,13 +835,7 @@ mod tests {
         let compiled = CompiledProgram::compile(&program, &tokenize("[111]")).unwrap();
         let mut cache = Dispatch::new();
         let cpt = cache.run(&compiled, "CPT123");
-        assert_eq!(
-            cpt,
-            RowOutcome::Transformed {
-                from: "CPT123".into(),
-                to: "[123]".into(),
-            }
-        );
+        assert_eq!(cpt, RowOutcome::Transformed { to: "[123]".into() });
         let xyz = cache.run(&compiled, "XYZ123");
         assert_eq!(
             xyz,

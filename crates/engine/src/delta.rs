@@ -216,13 +216,14 @@ impl ProgramDelta {
         self.target_changed
     }
 
-    /// Can the new program decide the row behind `outcome` differently?
+    /// Can the new program decide `input`, whose stored decision is
+    /// `outcome`, differently?
     ///
     /// `false` is a proof of stability (the outcome may be kept verbatim);
     /// `true` means "re-decide to find out" — the test is conservative for
     /// opaque changed branches, whose firing needs a per-value evaluation.
     /// Cost: one pattern match per changed branch, worst case.
-    pub(crate) fn affects_outcome(&self, outcome: &RowOutcome) -> bool {
+    pub(crate) fn affects_outcome(&self, outcome: &RowOutcome, input: &str) -> bool {
         if self.target_changed {
             return true;
         }
@@ -232,11 +233,12 @@ impl ProgramDelta {
             RowOutcome::Conforming { .. } => false,
             // A flagged value matched no old branch; only a branch new to
             // this program can pick it up.
-            RowOutcome::Flagged { value } => Self::any_match(&self.changed_new, value),
+            RowOutcome::Flagged { .. } => Self::any_match(&self.changed_new, input),
             // A transformed value re-decides if its (potential) old winner
             // was removed/modified, or a changed new branch could now win.
-            RowOutcome::Transformed { from, .. } => {
-                Self::any_match(&self.changed_old, from) || Self::any_match(&self.changed_new, from)
+            RowOutcome::Transformed { .. } => {
+                Self::any_match(&self.changed_old, input)
+                    || Self::any_match(&self.changed_new, input)
             }
         }
     }
@@ -246,8 +248,8 @@ impl ProgramDelta {
     }
 
     /// [`ProgramDelta::affects_outcome`] for an interned value — one whose
-    /// dense `leaf_id` and leaf pattern `leaf` (exactly `tokenize` of the
-    /// outcome's input) are already known, as for a [`clx_column::Column`]'s
+    /// dense `leaf_id` and leaf pattern `leaf` (exactly `tokenize` of
+    /// `input`) are already known, as for a [`clx_column::Column`]'s
     /// distinct values or a [`clx_column::ColumnInterner`]'s live ids.
     ///
     /// A transparent pattern matches a value iff it matches the value's
@@ -267,19 +269,20 @@ impl ProgramDelta {
     pub(crate) fn affects_interned(
         &self,
         outcome: &RowOutcome,
+        input: &str,
         leaf_id: u32,
         leaf: &Pattern,
         memo: &mut HashMap<u32, Option<(bool, bool)>>,
     ) -> bool {
         if self.target_changed || outcome.is_conforming() {
-            return self.affects_outcome(outcome);
+            return self.affects_outcome(outcome, input);
         }
         match *memo
             .entry(leaf_id)
             .or_insert_with(|| self.screen_leaf(leaf))
         {
             Some(hits) => self.hits_affect(outcome, hits),
-            None => self.affects_outcome(outcome),
+            None => self.affects_outcome(outcome, input),
         }
     }
 
@@ -398,7 +401,7 @@ mod tests {
         assert!(is_identity(&delta));
         assert!(delta.index_stable);
         assert_eq!(delta.branches_changed(), 0);
-        assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "xy".into() }));
+        assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "xy".into() }, "xy"));
         assert!(!delta.affects_leaf(&tokenize("12-34")));
     }
 
@@ -409,7 +412,7 @@ mod tests {
         let b = compile(vec![Branch::new(p.clone(), extract_all(&p))], "<D>+");
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(delta.target_changed());
-        assert!(delta.affects_outcome(&RowOutcome::Conforming { value: "1".into() }));
+        assert!(delta.affects_outcome(&RowOutcome::Conforming { value: "1".into() }, "1"));
         assert!(delta.affects_leaf(&tokenize("zz")));
     }
 
@@ -440,21 +443,18 @@ mod tests {
         // Modified branch counts on both sides.
         assert_eq!(delta.branches_changed(), 2);
         // A value the repaired branch matches must re-decide...
-        assert!(delta.affects_outcome(&RowOutcome::Transformed {
-            from: "12-34".into(),
-            to: "1234".into(),
-        }));
+        assert!(delta.affects_outcome(&RowOutcome::Transformed { to: "1234".into() }, "12-34"));
         // ...one decided by the untouched branch must not...
-        assert!(!delta.affects_outcome(&RowOutcome::Transformed {
-            from: "abc".into(),
-            to: "abc".into(),
-        }));
+        assert!(!delta.affects_outcome(&RowOutcome::Transformed { to: "abc".into() }, "abc"));
         // ...and flagged values stay flagged unless a *new* branch could
         // pick them up (the repaired branch's new form matches "56-78").
-        assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "!!".into() }));
-        assert!(delta.affects_outcome(&RowOutcome::Flagged {
-            value: "56-78".into()
-        }));
+        assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "!!".into() }, "!!"));
+        assert!(delta.affects_outcome(
+            &RowOutcome::Flagged {
+                value: "56-78".into()
+            },
+            "56-78"
+        ));
         // Leaf-level: the digits leaf is affected, the letters leaf not.
         assert!(delta.affects_leaf(&tokenize("12-34")));
         assert!(!delta.affects_leaf(&tokenize("abc")));
@@ -482,11 +482,8 @@ mod tests {
         assert!(delta.affects_leaf(&tokenize("abc")));
         // ...but outcome-level impact stays sharp: only values the new
         // branch matches re-decide.
-        assert!(delta.affects_outcome(&RowOutcome::Flagged { value: "99".into() }));
-        assert!(!delta.affects_outcome(&RowOutcome::Transformed {
-            from: "abc".into(),
-            to: "abc".into(),
-        }));
+        assert!(delta.affects_outcome(&RowOutcome::Flagged { value: "99".into() }, "99"));
+        assert!(!delta.affects_outcome(&RowOutcome::Transformed { to: "abc".into() }, "abc"));
     }
 
     #[test]
@@ -516,10 +513,7 @@ mod tests {
         let delta = ProgramDelta::between(&a, &b, None);
         // "12" used to hit the <D>2 branch, now hits <D>+ first: the delta
         // must not call it unaffected.
-        assert!(delta.affects_outcome(&RowOutcome::Transformed {
-            from: "12".into(),
-            to: "two".into(),
-        }));
+        assert!(delta.affects_outcome(&RowOutcome::Transformed { to: "two".into() }, "12"));
     }
 
     #[test]
@@ -552,9 +546,6 @@ mod tests {
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(is_identity(&delta), "only a dead branch differs");
         assert_eq!(delta.branches_changed(), 0);
-        assert!(!delta.affects_outcome(&RowOutcome::Transformed {
-            from: "12".into(),
-            to: "n".into(),
-        }));
+        assert!(!delta.affects_outcome(&RowOutcome::Transformed { to: "n".into() }, "12"));
     }
 }

@@ -150,6 +150,9 @@ pub struct DispatchCache {
     dense_decided: usize,
     /// Lifetime hit/miss tallies; survives rebinds and resets.
     stats: DispatchStats,
+    /// Reusable buffer a rewrite is assembled in before it is copied into
+    /// its outcome, so a decision does not grow a fresh `String`.
+    pub(crate) rewrite: String,
 }
 
 /// Lifetime hit/miss counters of a [`DispatchCache`].

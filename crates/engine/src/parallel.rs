@@ -63,7 +63,7 @@ impl CompiledProgram {
         let mut cache = DispatchCache::new();
         let chunk = interner.chunk(rows);
         let outcomes = self.decide_chunk(&mut cache, &chunk, None, None);
-        ChunkReport::columnar(index, outcomes, chunk.row_map().to_vec())
+        ChunkReport::columnar(index, outcomes, chunk.into_row_map())
     }
 }
 
@@ -251,13 +251,11 @@ mod tests {
                 .iter()
                 .map(|row| {
                     if target.matches(row) {
-                        return RowOutcome::Conforming { value: row.clone() };
+                        return RowOutcome::Conforming { value: row.as_str().into() };
                     }
                     match transform_lenient(&program, row) {
-                        TransformOutcome::Transformed(to) => {
-                            RowOutcome::Transformed { from: row.clone(), to }
-                        }
-                        TransformOutcome::Flagged(value) => RowOutcome::Flagged { value },
+                        TransformOutcome::Transformed(to) => RowOutcome::Transformed { to: to.into() },
+                        TransformOutcome::Flagged(value) => RowOutcome::Flagged { value: value.into() },
                     }
                 })
                 .collect();

@@ -8,8 +8,11 @@
 //! offsetting their row maps. A report built over a [`Column`]
 //! ([`crate::CompiledProgram::execute_column`]) shares the column's row
 //! map by reference count. Either way a duplicate-heavy report costs
-//! O(distinct) outcomes — none is ever cloned per duplicate row. Both
-//! carry [`ChunkStats`], a small commutative summary that also powers the
+//! O(distinct) outcomes. An outcome holds its output as a shared
+//! `Arc<str>`, so even a copied outcome — a stream replaying a stored
+//! decision into a later chunk, or a row-oriented copy — is a
+//! reference-count bump, never a string copy. Both report kinds carry
+//! [`ChunkStats`], a small commutative summary that also powers the
 //! streaming API.
 
 use std::sync::Arc;
@@ -23,24 +26,26 @@ use clx_pattern::Pattern;
 /// target pattern are left untouched, rows matching a branch are rewritten,
 /// and rows matching nothing are left unchanged and flagged for review
 /// (§6.1 of the paper).
+///
+/// An outcome carries only the row's *output*, as shared immutable text:
+/// cloning an outcome bumps a reference count. The input is the row
+/// itself, which the caller's column or interner already holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RowOutcome {
     /// The row already matched the target pattern.
     Conforming {
         /// The (unchanged) value.
-        value: String,
+        value: Arc<str>,
     },
     /// A branch of the compiled program transformed the row.
     Transformed {
-        /// The original value.
-        from: String,
         /// The transformed value.
-        to: String,
+        to: Arc<str>,
     },
     /// No branch matched; the row is left unchanged and flagged.
     Flagged {
         /// The (unchanged) value.
-        value: String,
+        value: Arc<str>,
     },
 }
 
@@ -49,7 +54,7 @@ impl RowOutcome {
     pub fn value(&self) -> &str {
         match self {
             RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => value,
-            RowOutcome::Transformed { to, .. } => to,
+            RowOutcome::Transformed { to } => to,
         }
     }
 
@@ -187,8 +192,9 @@ impl ChunkReport {
         self.iter_rows().map(RowOutcome::value)
     }
 
-    /// Materialize one owned outcome per row, in chunk row order (cloning
-    /// per duplicate row — the row-oriented escape hatch).
+    /// Materialize one outcome per row, in chunk row order (the
+    /// row-oriented escape hatch: duplicate rows share their output text,
+    /// so each extra row costs a reference-count bump).
     pub fn into_row_outcomes(self) -> Vec<RowOutcome> {
         self.iter_rows().cloned().collect()
     }
@@ -332,8 +338,9 @@ impl BatchReport {
         RowOutcomes::new(&self.outcomes, &self.row_map)
     }
 
-    /// Materialize one owned outcome per row, in input order (cloning per
-    /// duplicate row — the explicitly row-oriented escape hatch).
+    /// Materialize one outcome per row, in input order (the explicitly
+    /// row-oriented escape hatch: duplicate rows share their output text,
+    /// so each extra row costs a reference-count bump).
     pub fn into_row_outcomes(self) -> Vec<RowOutcome> {
         self.iter_rows().cloned().collect()
     }
@@ -439,7 +446,7 @@ mod tests {
         let outcomes = column
             .distinct_values()
             .map(|v| RowOutcome::Flagged {
-                value: v.text().to_string(),
+                value: v.text().into(),
             })
             .collect();
         ChunkReport::columnar(index, outcomes, column.row_map().to_vec())
@@ -451,10 +458,7 @@ mod tests {
             0,
             vec![
                 RowOutcome::Conforming { value: "a".into() },
-                RowOutcome::Transformed {
-                    from: "b".into(),
-                    to: "c".into(),
-                },
+                RowOutcome::Transformed { to: "c".into() },
                 RowOutcome::Flagged { value: "d".into() },
             ],
             vec![0, 1, 2, 1],
@@ -497,10 +501,7 @@ mod tests {
     fn columnar_report_stores_one_outcome_per_distinct_value() {
         let column = Column::from_values(&["a", "b", "a", "a", "b"]);
         let outcomes = vec![
-            RowOutcome::Transformed {
-                from: "a".into(),
-                to: "A".into(),
-            },
+            RowOutcome::Transformed { to: "A".into() },
             RowOutcome::Flagged { value: "b".into() },
         ];
         let report = BatchReport::columnar(tokenize("X"), outcomes, &column);
@@ -513,8 +514,13 @@ mod tests {
         assert_eq!(report.values(), vec!["A", "b", "A", "A", "b"]);
         assert_eq!(report.row(3).value(), "A");
         assert_eq!(report.flagged_values(), vec!["b", "b"]);
-        // Materializing rows clones per duplicate.
-        assert_eq!(report.clone().into_row_outcomes().len(), 5);
+        // Materializing rows shares each distinct output, never copies it.
+        let rows = report.clone().into_row_outcomes();
+        assert_eq!(rows.len(), 5);
+        assert!(std::ptr::eq(
+            rows[0].value().as_ptr(),
+            rows[3].value().as_ptr()
+        ));
         // The row map is shared with the column, not copied.
         assert!(Arc::ptr_eq(&report.row_map, column.row_map()));
     }
@@ -543,10 +549,7 @@ mod tests {
 
     #[test]
     fn row_outcome_accessors() {
-        let t = RowOutcome::Transformed {
-            from: "a".into(),
-            to: "b".into(),
-        };
+        let t = RowOutcome::Transformed { to: "b".into() };
         assert_eq!(t.value(), "b");
         assert!(t.is_transformed() && !t.is_flagged() && !t.is_conforming());
         assert_eq!(RowOutcome::Conforming { value: "x".into() }.value(), "x");
@@ -582,7 +585,7 @@ mod tests {
         let outcomes = column
             .distinct_values()
             .map(|v| RowOutcome::Flagged {
-                value: v.text().to_string(),
+                value: v.text().into(),
             })
             .collect();
         let report = BatchReport::columnar(tokenize("X"), outcomes, &column);

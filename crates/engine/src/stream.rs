@@ -27,12 +27,11 @@ use crate::delta::ProgramDelta;
 use crate::dispatch::DispatchCache;
 use crate::report::{ChunkReport, ChunkStats, RowOutcome};
 
-/// Estimated heap bytes retained by one stored outcome.
+/// Estimated heap bytes retained by one stored outcome: its shared output
+/// text plus the `Arc`'s two reference counts. Replays share that
+/// allocation, so it is counted once, here in the decision cache.
 fn outcome_footprint(outcome: &RowOutcome) -> usize {
-    match outcome {
-        RowOutcome::Conforming { value } | RowOutcome::Flagged { value } => value.len(),
-        RowOutcome::Transformed { from, to } => from.len() + to.len(),
-    }
+    outcome.value().len() + 2 * size_of::<usize>()
 }
 
 /// The per-stream cache of distinct-value decisions, indexed by the
@@ -57,7 +56,7 @@ pub(crate) struct DistinctDecisions {
     decided: Vec<Option<(u64, RowOutcome)>>,
     /// Number of `Some` entries in `decided`.
     count: usize,
-    /// Estimated heap bytes of the stored outcomes' strings.
+    /// Estimated heap bytes of the stored outcomes' shared texts.
     bytes: usize,
     /// Lifetime replays of a stored decision (cumulative — survives
     /// interner switches and prunes).
@@ -142,6 +141,7 @@ impl DistinctDecisions {
                     || *gen != interner.distinct_generation(id)
                     || delta.affects_interned(
                         outcome,
+                        interner.value(id),
                         interner.leaf_id(id),
                         interner.leaf(id),
                         &mut screen,
@@ -176,7 +176,8 @@ impl DistinctDecisions {
     }
 
     /// The stored outcome of `id`, when it was decided under the slot's
-    /// current recycle generation (counted as a hit).
+    /// current recycle generation (counted as a hit). The copy shares the
+    /// stored output text: a reference-count bump, no string copy.
     pub(crate) fn replay(&mut self, id: u32, interner: &ColumnInterner) -> Option<RowOutcome> {
         let (gen, outcome) = self.decided[id as usize].as_ref()?;
         if *gen != interner.distinct_generation(id) {
@@ -186,7 +187,8 @@ impl DistinctDecisions {
         Some(outcome.clone())
     }
 
-    /// Store a fresh decision for `id` (counted as a miss).
+    /// Store a fresh decision for `id` (counted as a miss), sharing the
+    /// outcome's output text with the chunk report that returns it.
     pub(crate) fn record(&mut self, id: u32, interner: &ColumnInterner, outcome: &RowOutcome) {
         self.misses += 1;
         self.bytes += outcome_footprint(outcome);
@@ -413,8 +415,7 @@ impl ColumnStream {
             Some(&mut self.decisions),
             self.telemetry.as_ref(),
         );
-        let report = ChunkReport::columnar(self.chunks, outcomes, chunk.row_map().to_vec());
-        drop(chunk);
+        let report = ChunkReport::columnar(self.chunks, outcomes, chunk.into_row_map());
         self.stats.absorb(&report.stats);
         self.chunks += 1;
         self.peak_memory = self.peak_memory.max(self.memory_used());
@@ -567,7 +568,11 @@ pub struct StreamSummary {
     /// for unbounded streams).
     pub evictions: u64,
     /// Peak estimated bytes retained by the stream's O(distinct) state
-    /// (interner + decision cache) across the run.
+    /// (interner + decision cache) across the run. The model counts each
+    /// decided output once, in the decision cache: the chunk reports that
+    /// replay it share that text by reference count. It leaves out
+    /// allocator headers, growth slack, the in-flight chunk and the
+    /// reports the caller still holds.
     pub peak_memory_bytes: usize,
     /// Decisions replayed from the per-distinct cache. A repeated value
     /// costs a replay, not a transform — this over
@@ -706,6 +711,20 @@ mod tests {
             second.iter_values().collect::<Vec<_>>(),
             vec!["444-555-6666", "111-222-3333", "444-555-6666"]
         );
+    }
+
+    #[test]
+    fn replayed_outcomes_share_the_decided_text() {
+        let mut stream = ColumnStream::from_program(compiled());
+        let first = stream.push_rows(&["111.222.3333", "N/A"]);
+        let second = stream.push_rows(&["N/A", "111.222.3333"]);
+        // A repeat across chunks replays the stored decision: both chunks'
+        // outcomes point at the same output bytes, transformed or not.
+        for (a, b) in [(first.row(0), second.row(1)), (first.row(1), second.row(0))] {
+            assert_eq!(a, b);
+            assert!(std::ptr::eq(a.value().as_ptr(), b.value().as_ptr()));
+        }
+        assert_eq!(second.row(1).value(), "111-222-3333");
     }
 
     #[test]

@@ -239,16 +239,6 @@ impl Program {
         self.branches.iter().try_for_each(Branch::validate)
     }
 
-    /// A stable 64-bit structural hash of the program; programs that
-    /// compare equal have equal fingerprints (a key for caching anything
-    /// derived from a program).
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash as _, Hasher as _};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut hasher);
-        hasher.finish()
-    }
-
     /// Pretty-print in the paper's `Switch((Match(...), ...), ...)` form.
     pub fn pretty(&self) -> String {
         let mut out = String::from("Switch(");
@@ -466,21 +456,5 @@ mod tests {
             Expr::concat(vec![StringExpr::const_str("x")])
         ));
         assert_eq!(program, before);
-    }
-
-    #[test]
-    fn fingerprint_tracks_structural_equality() {
-        let make = |c: &str| {
-            Program::new(vec![Branch::new(
-                tokenize("abc"),
-                Expr::concat(vec![StringExpr::const_str(c), StringExpr::extract(1)]),
-            )])
-        };
-        assert_eq!(make("x").fingerprint(), make("x").fingerprint());
-        assert_ne!(make("x").fingerprint(), make("y").fingerprint());
-        assert_eq!(
-            Program::empty().fingerprint(),
-            Program::empty().fingerprint()
-        );
     }
 }

@@ -726,14 +726,15 @@ fn interpret(program: &Program, target: &Pattern, rows: &[String]) -> Vec<RowOut
     rows.iter()
         .map(|row| {
             if target.matches(row) {
-                return RowOutcome::Conforming { value: row.clone() };
+                return RowOutcome::Conforming {
+                    value: row.as_str().into(),
+                };
             }
             match transform_lenient(program, row) {
-                TransformOutcome::Transformed(to) => RowOutcome::Transformed {
-                    from: row.clone(),
-                    to,
+                TransformOutcome::Transformed(to) => RowOutcome::Transformed { to: to.into() },
+                TransformOutcome::Flagged(value) => RowOutcome::Flagged {
+                    value: value.into(),
                 },
-                TransformOutcome::Flagged(value) => RowOutcome::Flagged { value },
             }
         })
         .collect()
