@@ -20,6 +20,13 @@
 //! | `CLX005` | unsafe `Extract` (out of bounds for every matching row) | error |
 //! | `CLX006` | output conformance not provable | warning |
 //!
+//! Most language queries are settled before any search: one member string
+//! per branch answers "not empty" and, when no cover matches it, "not
+//! covered" (shadowing, union death, redundancy), and a token-level
+//! disjointness proof answers "no overlap". A screen settles a query only
+//! exactly, so every verdict is the search's; an overlap always reaches
+//! the automaton, which supplies the `CLX003` witness.
+//!
 //! `Error` findings are proofs of a defect; `Warning` findings are
 //! properties the (over-approximating) analyzer could not prove. The
 //! report also carries per-branch [`BranchFacts`] (reachable /

@@ -37,10 +37,25 @@
 //! state budget, affected passes degrade to cheaper token-level checks
 //! (`Pattern::covers`) and a `CLX000` info finding records the gap —
 //! analysis never guesses.
+//!
+//! # Screens before searches
+//!
+//! Most reachability and redundancy queries have an answer one cheap proof
+//! settles, so each is screened before any search (see
+//! [`clx_pattern::automaton`]'s screens). One member string per branch
+//! ([`member`]) settles "not empty", and "not covered" for the
+//! single-shadow, union and redundancy queries whenever no cover matches
+//! it. A token-level disjointness proof ([`provably_disjoint`]) settles
+//! the pairwise overlap query as "empty". A screen only ever settles a
+//! query exactly, so the verdicts are the search's; an overlap always
+//! reaches the search, which supplies the `CLX003` witness. `CLX006`
+//! keeps its search too, because its evidence shows the witness. Under a
+//! sink each query is tallied by what settled it, as
+//! `engine.analyze.screened` and `engine.analyze.searched`.
 
 use std::sync::Arc;
 
-use clx_pattern::automaton::MultiPatternAutomaton;
+use clx_pattern::automaton::{member, provably_disjoint, MultiPatternAutomaton};
 use clx_pattern::{tokenize, Pattern, Token};
 use clx_telemetry::{MetricSink, Span};
 use clx_unifi::{extract_bounds_violation, Program, StringExpr};
@@ -107,9 +122,23 @@ pub fn analyze_observed(
         }
     };
 
+    // One member string per branch screens its language queries.
+    let members: Vec<Option<String>> = program
+        .branches
+        .iter()
+        .map(|b| member(&b.pattern))
+        .collect();
+    let mut settled = Settled::default();
     {
         let _span = Span::start(sink, "engine.analyze.reachability_ns");
-        reachability_pass(program, automaton.as_ref(), &mut diagnostics, &mut facts);
+        reachability_pass(
+            program,
+            automaton.as_ref(),
+            &members,
+            &mut settled,
+            &mut diagnostics,
+            &mut facts,
+        );
     }
     {
         let _span = Span::start(sink, "engine.analyze.redundancy_ns");
@@ -117,6 +146,8 @@ pub fn analyze_observed(
             program,
             target,
             automaton.as_ref(),
+            &members,
+            &mut settled,
             &mut diagnostics,
             &facts,
         );
@@ -127,11 +158,21 @@ pub fn analyze_observed(
     }
 
     if let Some(s) = sink {
+        s.counter("engine.analyze.screened", settled.screened);
+        s.counter("engine.analyze.searched", settled.searched);
         for d in &diagnostics {
             s.counter(code_counter(d.code), 1);
         }
     }
     ProgramDiagnostics { diagnostics, facts }
+}
+
+/// What settled each reachability and redundancy query: a search-free
+/// screen, or the automaton's search.
+#[derive(Debug, Default)]
+struct Settled {
+    screened: u64,
+    searched: u64,
 }
 
 /// The static counter name for one diagnostic code (metric sinks take
@@ -192,6 +233,8 @@ fn extract_safety_pass(
 fn reachability_pass(
     program: &Program,
     automaton: Option<&MultiPatternAutomaton>,
+    members: &[Option<String>],
+    settled: &mut Settled,
     diagnostics: &mut Vec<Diagnostic>,
     facts: &mut [BranchFacts],
 ) {
@@ -213,10 +256,20 @@ fn reachability_pass(
     };
 
     let mut incomplete = false;
-    for index in 0..program.branches.len() {
+    for (index, branch) in program.branches.iter().enumerate() {
         let seg = index + 1;
+        let member = members[index].as_deref();
+        // Does the member prove `cover` misses part of this branch?
+        let rejects = |cover: &Pattern| member.is_some_and(|m| !cover.matches(m));
         // Emptiness first: an empty language is dead regardless of order.
-        match automaton.language_empty(seg) {
+        let empty = if member.is_some() {
+            settled.screened += 1;
+            Some(false)
+        } else {
+            settled.searched += 1;
+            automaton.language_empty(seg)
+        };
+        match empty {
             Some(true) => {
                 facts[index].reachable = false;
                 diagnostics.push(Diagnostic {
@@ -237,17 +290,40 @@ fn reachability_pass(
         // One earlier branch covering everything: shadowed. Checked
         // against every earlier branch (not only live ones) because
         // first-match semantics consult them all.
-        let earlier_segs: Vec<usize> = (1..seg).collect();
-        let single = (0..index).find(|&j| automaton.uncovered_witness(seg, &[j + 1]) == Some(None));
+        let mut single = None;
+        let mut rejected_by_all = true;
+        for (j, earlier) in program.branches[..index].iter().enumerate() {
+            if rejects(&earlier.pattern) {
+                settled.screened += 1;
+                continue;
+            }
+            rejected_by_all = false;
+            settled.searched += 1;
+            if automaton.uncovered_witness(seg, &[j + 1]) == Some(None) {
+                single = Some(j);
+                break;
+            }
+        }
         if let Some(earlier) = single {
             facts[index].reachable = false;
             diagnostics.push(shadowed(index, earlier));
             continue;
         }
         // The union of earlier branches covering everything with no
-        // single culprit: dead.
-        match automaton.uncovered_witness(seg, &earlier_segs) {
-            Some(None) => {
+        // single culprit: dead. A member every earlier branch rejects
+        // proves it live.
+        let covered = if rejected_by_all {
+            settled.screened += 1;
+            Some(false)
+        } else {
+            settled.searched += 1;
+            let earlier_segs: Vec<usize> = (1..seg).collect();
+            automaton
+                .uncovered_witness(seg, &earlier_segs)
+                .map(|witness| witness.is_none())
+        };
+        match covered {
+            Some(true) => {
                 facts[index].reachable = false;
                 diagnostics.push(Diagnostic {
                     code: DiagnosticCode::DeadBranch,
@@ -264,7 +340,7 @@ fn reachability_pass(
                 });
                 continue;
             }
-            Some(Some(_)) => {}
+            Some(false) => {}
             None => incomplete = true,
         }
         // Overlap warnings only between *live* pairs: overlap with a dead
@@ -273,6 +349,13 @@ fn reachability_pass(
             if !other_facts.reachable {
                 continue;
             }
+            // A token-level disjointness proof settles "empty"; an overlap
+            // always comes from the search, witness included.
+            if provably_disjoint(&program.branches[other].pattern, &branch.pattern) {
+                settled.screened += 1;
+                continue;
+            }
+            settled.searched += 1;
             match automaton.intersection_witness(other + 1, seg) {
                 Some(Some(witness)) => {
                     diagnostics.push(Diagnostic {
@@ -326,6 +409,8 @@ fn redundancy_pass(
     program: &Program,
     target: &Pattern,
     automaton: Option<&MultiPatternAutomaton>,
+    members: &[Option<String>],
+    settled: &mut Settled,
     diagnostics: &mut Vec<Diagnostic>,
     facts: &[BranchFacts],
 ) {
@@ -333,8 +418,19 @@ fn redundancy_pass(
         if !facts[index].reachable {
             continue;
         }
+        // A member the target rejects proves the branch is needed.
+        let needed = members[index]
+            .as_deref()
+            .is_some_and(|m| !target.matches(m));
         let redundant = match automaton {
-            Some(a) => a.uncovered_witness(index + 1, &[0]) == Some(None),
+            Some(_) if needed => {
+                settled.screened += 1;
+                false
+            }
+            Some(a) => {
+                settled.searched += 1;
+                a.uncovered_witness(index + 1, &[0]) == Some(None)
+            }
             // Token-level fallback when the automaton could not be built.
             None => target.covers(&branch.pattern) || target == &branch.pattern,
         };
@@ -657,5 +753,34 @@ mod tests {
         ] {
             assert!(snapshot.histogram(span).is_some(), "missing span {span}");
         }
+    }
+
+    #[test]
+    fn screens_settle_every_query_but_the_overlap() {
+        use clx_telemetry::InMemorySink;
+        let sink: Arc<InMemorySink> = Arc::new(InMemorySink::new());
+        let dyn_sink: Arc<dyn MetricSink> = Arc::clone(&sink) as Arc<dyn MetricSink>;
+        let target = parse_pattern("<D>4").unwrap();
+        let program = Program::new(vec![
+            Branch::new(
+                parse_pattern("<D><AN>").unwrap(),
+                Expr::concat(vec![konst("1234")]),
+            ),
+            Branch::new(
+                parse_pattern("<AN><D>").unwrap(),
+                Expr::concat(vec![konst("1234")]),
+            ),
+        ]);
+        let report = analyze_observed(&program, &target, Some(&dyn_sink));
+        assert_eq!(report, analyze_program(&program, &target));
+        let snapshot = clx_telemetry::MetricSink::snapshot(sink.as_ref());
+        // Two emptiness, two redundancy, one shadow and one union query
+        // are screened; only the overlap is searched, for its witness.
+        assert_eq!(snapshot.counter("engine.analyze.screened"), Some(6));
+        assert_eq!(snapshot.counter("engine.analyze.searched"), Some(1));
+        assert_eq!(
+            snapshot.counter("engine.analyze.diagnostics.clx003"),
+            Some(1)
+        );
     }
 }

@@ -882,7 +882,7 @@ impl ColumnInterner {
         );
         self.enforce_budget();
         let before = self.live_distinct_count();
-        let mut distinct_ids: Vec<u32> = Vec::new();
+        let mut distinct_ids: Vec<u32> = Vec::with_capacity(rows.len());
         let mut chunk_local = std::mem::take(&mut self.chunk_local);
         let mut rows_local: Vec<u32> = Vec::with_capacity(rows.len());
         for row in rows {

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use clx_cluster::{PatternHierarchy, PatternProfiler, ProfilerOptions};
 use clx_column::{Column, ColumnBuilder, StreamBudget};
@@ -148,6 +148,10 @@ pub struct Labelled {
     /// what its reports record as provenance. Replaced on every accepted
     /// [`ClxSession::repair`].
     compiled: Arc<CompiledProgram>,
+    /// `compiled` over the session's column, run on first use by
+    /// [`ClxSession::apply`] or [`ClxSession::result_patterns`] and reset
+    /// whenever `compiled` is replaced.
+    report: OnceLock<TransformReport>,
 }
 
 impl Phase for Labelled {}
@@ -362,6 +366,7 @@ impl ClxSession<Clustered> {
                 target,
                 synthesis,
                 compiled,
+                report: OnceLock::new(),
             },
             telemetry: self.telemetry,
         })
@@ -450,6 +455,7 @@ impl ClxSession<Labelled> {
             return false;
         };
         self.phase.compiled = Arc::new(compiled);
+        self.phase.report = OnceLock::new();
         true
     }
 
@@ -458,6 +464,8 @@ impl ClxSession<Labelled> {
     /// [`ClxSession::apply`] returns now. By construction it is row for row
     /// a fresh `apply` — the held compiled program runs once over the
     /// session's column, so the step is O(distinct) and compiles nothing.
+    /// It runs the program afresh every call and neither reads nor fills
+    /// the report the session holds for `apply`.
     ///
     /// `report` must be a product of this session's [`ClxSession::apply`]
     /// or `reverify`: a report that records no originating program is
@@ -471,7 +479,7 @@ impl ClxSession<Labelled> {
         if !report.batch().is_built_over(&self.data) {
             return Err(ClxError::ForeignReport);
         }
-        Ok(self.run())
+        Ok(self.fresh())
     }
 
     /// [`ClxSession::repair`] immediately followed by
@@ -499,15 +507,30 @@ impl ClxSession<Labelled> {
     /// and [`ClxSession::repair`] refuse a program that does not compile,
     /// so no value can abort the column; a value no branch rewrites is
     /// flagged.
+    ///
+    /// The session holds one report per program: the first `apply` (or
+    /// [`ClxSession::result_patterns`]) runs the program, timed as
+    /// `core.phase.apply_ns` under a session sink, and every later call
+    /// returns a clone of that report, which copies no output string (each
+    /// outcome is a reference-count bump). An accepted
+    /// [`ClxSession::repair`] drops it.
     pub fn apply(&self) -> Result<TransformReport, ClxError> {
-        let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
-        Ok(self.run())
+        Ok(self.held_report().clone())
+    }
+
+    /// The report of the held program over the session's column, run on
+    /// first use.
+    fn held_report(&self) -> &TransformReport {
+        self.phase.report.get_or_init(|| {
+            let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
+            self.fresh()
+        })
     }
 
     /// The held program over the session's column, with that program
-    /// recorded as the report's provenance: the body of both
-    /// [`ClxSession::apply`] and [`ClxSession::reverify`].
-    fn run(&self) -> TransformReport {
+    /// recorded as the report's provenance: what [`ClxSession::apply`]
+    /// holds and what [`ClxSession::reverify`] returns.
+    fn fresh(&self) -> TransformReport {
         let compiled = &self.phase.compiled;
         let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
         report.set_provenance(Arc::clone(compiled));
@@ -630,20 +653,24 @@ impl ClxSession<Labelled> {
     /// distinct patterns of the output column with their row counts, which
     /// is what the user verifies after the transformation.
     ///
+    /// It reads the report the session holds for [`ClxSession::apply`], so
+    /// a click that calls both runs the program once; called first, it
+    /// runs and holds that report itself.
+    ///
     /// The output column is assembled without re-tokenizing: conforming and
     /// flagged outputs *are* their input values (cached token streams), and
     /// transformed outputs match the labelled target, so their token
     /// streams are derived from the target's split
     /// ([`clx_pattern::SplitTokenizer`]).
     pub fn result_patterns(&self) -> Result<Vec<(Pattern, usize)>, ClxError> {
-        let report = self.apply()?;
+        let report = self.held_report();
         // The positional indexing below relies on `execute_column`
         // returning a report aligned with this session's column: stored
         // outcome `k` is the decision for `self.data.distinct(k)`.
         debug_assert_eq!(
             report.distinct_outcomes().len(),
             self.data.distinct_count(),
-            "apply() must return a report columnar over the session column"
+            "the held report must be columnar over the session column"
         );
         let tokenizer = SplitTokenizer::new(&self.phase.target);
 
@@ -1310,5 +1337,64 @@ mod tests {
         let snap = sink.snapshot();
         assert_eq!(snap.histogram("core.phase.label_ns").unwrap().count, 2);
         assert_eq!(snap.histogram("core.phase.synthesize_ns").unwrap().count, 2);
+    }
+
+    #[test]
+    fn a_click_runs_the_program_once() {
+        let sink = clx_telemetry::InMemorySink::shared();
+        let session = ClxSession::new(phone_data())
+            .attach_telemetry(Arc::clone(&sink) as Arc<dyn MetricSink>)
+            .label(tokenize("734-422-8073"))
+            .unwrap();
+        let report = session.apply().unwrap();
+        session.result_patterns().unwrap();
+        let snap = sink.snapshot();
+        assert_eq!(snap.histogram("core.phase.apply_ns").unwrap().count, 1);
+        // `reverify` runs afresh and leaves the held report alone.
+        let reverified = session.reverify(&report).unwrap();
+        assert_eq!(reverified.values(), report.values());
+        session.apply().unwrap();
+        let snap = sink.snapshot();
+        assert_eq!(snap.histogram("core.phase.apply_ns").unwrap().count, 1);
+    }
+
+    #[test]
+    fn result_patterns_do_not_depend_on_call_order() {
+        let target = tokenize("734-422-8073");
+        let first = labelled(phone_data(), target.clone());
+        let patterns_first = first.result_patterns().unwrap();
+        let report_after = first.apply().unwrap();
+        let second = labelled(phone_data(), target);
+        let report_first = second.apply().unwrap();
+        assert_eq!(second.result_patterns().unwrap(), patterns_first);
+        assert_eq!(report_after.values(), report_first.values());
+    }
+
+    #[test]
+    fn repair_never_serves_a_stale_report() {
+        let data = vec![
+            "12/11/2017".to_string(),
+            "03/04/2018".to_string(),
+            "11-12-2017".to_string(),
+        ];
+        let target = tokenize("11-12-2017");
+        let source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
+        let mut held = labelled(data.clone(), target.clone());
+        let alternatives = held.alternatives(&source).unwrap().len();
+        assert!(alternatives >= 2);
+        // Fill the held report, then repair through every alternative.
+        held.result_patterns().unwrap();
+        held.apply().unwrap();
+        for choice in 1..alternatives {
+            assert!(held.repair(&source, choice));
+            let mut fresh = labelled(data.clone(), target.clone());
+            assert!(fresh.repair(&source, choice));
+            assert_eq!(held.result_patterns(), fresh.result_patterns());
+            assert_eq!(
+                held.apply().unwrap().values(),
+                fresh.apply().unwrap().values(),
+                "choice {choice}"
+            );
+        }
     }
 }

@@ -80,6 +80,17 @@
 //! any match and are ignored. The search is bounded by
 //! [`SEARCH_STATE_LIMIT`] reachable states; overflow is reported as
 //! "inconclusive" (`None`), never as a wrong verdict.
+//!
+//! # Screens
+//!
+//! Most language queries a caller asks have an answer one cheap proof
+//! settles, so two search-free screens sit in front of the searches:
+//! [`member`] builds one string of a pattern's language (a member no cover
+//! matches settles "not covered", and any member settles "not empty"), and
+//! [`provably_disjoint`] proves two languages disjoint from their tokens.
+//! Both only ever settle a query exactly; when they prove nothing, the
+//! caller falls through to the search. `clx-synth`'s reachability pruning
+//! and `clx-analyze`'s passes share them.
 
 use std::collections::HashMap;
 
@@ -841,6 +852,159 @@ pub fn patterns_subsumed(sub: &Pattern, covers: &[&Pattern]) -> Option<bool> {
         .map(|witness| witness.is_none())
 }
 
+/// One string of `pattern`'s language, built without a search: literals
+/// verbatim, and each class token as one representative member, repeated
+/// `n` times for an exact quantifier and once for `+`. `None` when that
+/// string does not match `pattern`, so it proves nothing.
+///
+/// This is the screen in front of the subsumption queries: a member no
+/// cover matches proves `L(pattern) ⊄ ∪ L(covers)` (what
+/// [`MultiPatternAutomaton::uncovered_witness`] would answer with
+/// `Some(Some(_))`), and any member proves the language non-empty.
+pub fn member(pattern: &Pattern) -> Option<String> {
+    let mut w = String::new();
+    for token in pattern {
+        let member = match &token.class {
+            TokenClass::Literal(text) => {
+                w.push_str(text);
+                continue;
+            }
+            TokenClass::Digit => '0',
+            TokenClass::Lower | TokenClass::Alpha => 'a',
+            TokenClass::Upper => 'A',
+            // The member fewest other classes hold.
+            TokenClass::AlphaNumeric => '_',
+        };
+        w.extend(std::iter::repeat_n(member, token.quantifier.min_count()));
+    }
+    pattern.matches(&w).then_some(w)
+}
+
+/// Are `L(a)` and `L(b)` disjoint, by a token-level proof? `true` only
+/// when one of three sound checks proves it, so `true` means
+/// [`MultiPatternAutomaton::intersection_witness`] would answer
+/// `Some(None)`; `false` proves nothing.
+///
+/// Each check rests on [`TokenClass::contains_char`] being ASCII-exact:
+///
+/// * **Lengths.** The ranges of string lengths do not intersect.
+/// * **Fixed characters.** A character that is not ASCII-alphanumeric
+///   comes only from literals (`-` and `_` excepted when either pattern
+///   has an `<AN>` token), so every string of a language holds it exactly
+///   as often as the pattern's literals do. Different counts are
+///   disjoint languages.
+/// * **Fixed positions.** Up to and including the first character of the
+///   first `+` token, each character position of a string is one token's
+///   predicate; the same holds from the end. Two such positions whose
+///   character sets do not meet are disjoint languages.
+pub fn provably_disjoint(a: &Pattern, b: &Pattern) -> bool {
+    let (min_a, max_a) = length_range(a);
+    let (min_b, max_b) = length_range(b);
+    if max_a < min_b || max_b < min_a {
+        return true;
+    }
+    let any_an = [a, b]
+        .iter()
+        .any(|p| p.iter().any(|t| t.class == TokenClass::AlphaNumeric));
+    if fixed_char_counts(a, any_an) != fixed_char_counts(b, any_an) {
+        return true;
+    }
+    [false, true].into_iter().any(|from_end| {
+        let (x, y) = (fixed_positions(a, from_end), fixed_positions(b, from_end));
+        x.iter().zip(&y).any(|(x, y)| x.disjoint(*y))
+    })
+}
+
+/// The shortest and longest string lengths of `pattern`'s language
+/// (`usize::MAX` when a `+` token makes it unbounded).
+fn length_range(pattern: &Pattern) -> (usize, usize) {
+    let min = pattern.min_string_len();
+    let unbounded = pattern
+        .iter()
+        .any(|t| !t.is_literal() && t.quantifier.is_plus());
+    (min, if unbounded { usize::MAX } else { min })
+}
+
+/// How often each fixed character (see [`provably_disjoint`]) occurs in
+/// `pattern`'s literals, sorted by character.
+fn fixed_char_counts(pattern: &Pattern, any_an: bool) -> Vec<(char, usize)> {
+    let mut counts: Vec<(char, usize)> = Vec::new();
+    let fixed = |c: char| !c.is_ascii_alphanumeric() && !(any_an && (c == '-' || c == '_'));
+    for c in pattern
+        .iter()
+        .filter_map(|t| t.literal_value())
+        .flat_map(str::chars)
+    {
+        if !fixed(c) {
+            continue;
+        }
+        match counts.iter_mut().find(|(d, _)| *d == c) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((c, 1)),
+        }
+    }
+    counts.sort_unstable();
+    counts
+}
+
+/// The character set one string position is drawn from.
+#[derive(Debug, Clone, Copy)]
+enum CharSet {
+    /// A set of ASCII characters, bit `c` for character `c`.
+    Ascii(u128),
+    /// One non-ASCII character (only a literal holds one).
+    Other(char),
+}
+
+impl CharSet {
+    fn of_char(c: char) -> CharSet {
+        if c.is_ascii() {
+            CharSet::Ascii(1 << c as u32)
+        } else {
+            CharSet::Other(c)
+        }
+    }
+
+    /// A class token's characters; all ASCII, since `contains_char` is.
+    fn of_class(class: &TokenClass) -> CharSet {
+        let mask = (0..128u8)
+            .filter(|&b| class.contains_char(b as char))
+            .fold(0u128, |mask, b| mask | 1 << b);
+        CharSet::Ascii(mask)
+    }
+
+    fn disjoint(self, other: CharSet) -> bool {
+        match (self, other) {
+            (CharSet::Ascii(x), CharSet::Ascii(y)) => x & y == 0,
+            (CharSet::Other(c), CharSet::Other(d)) => c != d,
+            _ => true,
+        }
+    }
+}
+
+/// The character sets of `pattern`'s fixed positions, read from the start
+/// (or from the end): every position up to and including the first
+/// character of the first `+` token met.
+fn fixed_positions(pattern: &Pattern, from_end: bool) -> Vec<CharSet> {
+    let tokens = pattern.tokens();
+    let mut positions = Vec::new();
+    for i in 0..tokens.len() {
+        let token = &tokens[if from_end { tokens.len() - 1 - i } else { i }];
+        match token.literal_value() {
+            Some(text) if from_end => positions.extend(text.chars().rev().map(CharSet::of_char)),
+            Some(text) => positions.extend(text.chars().map(CharSet::of_char)),
+            None => {
+                let set = CharSet::of_class(&token.class);
+                positions.extend(std::iter::repeat_n(set, token.quantifier.min_count()));
+                if token.quantifier.is_plus() {
+                    break;
+                }
+            }
+        }
+    }
+    positions
+}
+
 /// Lay out one pattern as the next contiguous run of bit positions.
 fn layout_segment(
     automaton: &mut MultiPatternAutomaton,
@@ -1245,5 +1409,38 @@ mod tests {
                 assert!(!cover.matches(&witness), "{witness:?} vs {cover}");
             }
         }
+    }
+
+    #[test]
+    fn witnesses_are_members_of_their_pattern() {
+        for notation in ["<D>3'-'<D>4", "<AN>+'-'<AN>+", "<A>2<U>+'.'", "<D>+'7'", ""] {
+            let sub = parse_pattern(notation).unwrap();
+            let w = member(&sub).unwrap();
+            assert!(sub.matches(&w), "{notation}: {w:?}");
+        }
+    }
+
+    #[test]
+    fn each_disjointness_check_settles_its_own_case() {
+        let disjoint = |a: &str, b: &str| {
+            let (a, b) = (parse_pattern(a).unwrap(), parse_pattern(b).unwrap());
+            provably_disjoint(&a, &b)
+        };
+        // Lengths: 3 characters against at least 4.
+        assert!(disjoint("<D>3", "<AN>3<D>+"));
+        // Fixed characters: one '.' against two, with a `+` hiding both
+        // position frames.
+        assert!(disjoint("<AN>+'.'<AN>+", "<AN>+'.'<D>+'.'<L>+"));
+        // Fixed positions: a letter against a digit after a shared prefix,
+        // and a '€' against a digit at the end.
+        assert!(disjoint("'('<U><D>+", "'('<D>+"));
+        assert!(disjoint("<D>+'€'", "<D>+<D>"));
+        // '-' is fixed only while no `<AN>` can produce one.
+        assert!(disjoint("<D>'-'<D>", "<D>2<D>"));
+        assert!(!disjoint("<AN>'-'<D>", "<AN>2<D>"));
+        // Overlapping languages are never called disjoint.
+        assert!(!disjoint("<D><AN>", "<AN><D>"));
+        assert!(!disjoint("<D>+'-'<D>+", "<D>3'-'<D>4"));
+        assert!(!disjoint("", ""));
     }
 }

@@ -289,7 +289,18 @@ pub fn explain_program(program: &Program) -> Result<Explanation, ExplainError> {
 /// form used inside full regexes, Figure 4).
 fn wrangler_token(token: &Token) -> String {
     match &token.class {
-        TokenClass::Literal(s) => s.chars().map(|c| format!("\\{c}")).collect(),
+        // `\` before a letter or digit reads as a class or a control
+        // character (`\d`, `\n`, ...), so only other characters are escaped.
+        TokenClass::Literal(s) => s
+            .chars()
+            .map(|c| {
+                if c.is_ascii_alphanumeric() {
+                    c.to_string()
+                } else {
+                    format!("\\{c}")
+                }
+            })
+            .collect(),
         base => {
             let name = wrangler::class_wrangler_name(base).expect("base class");
             match token.quantifier {
@@ -507,5 +518,21 @@ mod tests {
         assert!(explanation.operations.is_empty());
         assert_eq!(explanation.render("c"), "");
         assert_eq!(explanation.apply("x"), "x");
+    }
+
+    #[test]
+    fn alphanumeric_literals_are_not_escaped() {
+        let cases = [
+            ("'Stanford'", "/^Stanford$/", "Stanford"),
+            ("<D>3'd'", "/^{digit}{3}d$/", "123d"),
+            ("'Dr'<U>", "/^Dr{upper}$/", "DrX"),
+        ];
+        for (notation, display, member) in cases {
+            let pattern = clx_pattern::parse_pattern(notation).unwrap();
+            let identity = (1..=pattern.len()).map(StringExpr::extract).collect();
+            let op = explain_branch(&Branch::new(pattern, Expr::concat(identity))).unwrap();
+            assert_eq!(op.regex_display.replace(['(', ')'], ""), display);
+            assert_eq!(op.apply(member).as_deref(), Some(member), "{notation}");
+        }
     }
 }

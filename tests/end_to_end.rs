@@ -175,3 +175,21 @@ fn benchmark_suite_tasks_run_end_to_end() {
         }
     }
 }
+
+#[test]
+fn explanations_verify_on_every_suite_instance() {
+    // The explained `Replace` operations must run like the program on every
+    // benchmark task, not only on phone numbers: literal text such as
+    // 'Stanford' or the 'd' of "123d" has to render as itself, not as a
+    // regex escape class.
+    for seed in 0..5 {
+        for task in clx::datagen::benchmark_suite(seed) {
+            let session = ClxSession::new(task.inputs.clone())
+                .label(task.target_pattern())
+                .unwrap();
+            if let Err(e) = session.verify_explanation() {
+                panic!("seed {seed}, task {}: {e:?}", task.name);
+            }
+        }
+    }
+}
