@@ -312,7 +312,7 @@ impl ClxSession<Clustered> {
     /// methods. Under a session sink the compilation is timed as
     /// `core.phase.compile_ns`, and synthesis adds its
     /// [`SynthesisCounts`](clx_synth::SynthesisCounts) to the counters
-    /// `synth.plans_explored`, `synth.plans_kept`,
+    /// `synth.plans_explored`, `synth.plans_dominated`, `synth.plans_kept`,
     /// `synth.budget_exhausted`, `synth.prune.screened` and
     /// `synth.prune.automaton`.
     ///
@@ -341,6 +341,7 @@ impl ClxSession<Clustered> {
             let counts = &synthesis.counts;
             for (name, value) in [
                 ("synth.plans_explored", counts.plans_explored),
+                ("synth.plans_dominated", counts.plans_dominated),
                 ("synth.plans_kept", counts.plans_kept),
                 ("synth.budget_exhausted", counts.budget_exhausted),
                 ("synth.prune.screened", counts.prune_screened),
@@ -1303,9 +1304,13 @@ mod tests {
         assert!(counts.plans_explored >= counts.plans_kept);
         assert!(counts.plans_kept >= session.synthesis().sources.len());
         assert!(counts.plans_kept > 0);
+        // The phone formats re-split their digit runs many ways; dominance
+        // drops those prefixes before they are popped.
+        assert!(counts.plans_dominated > 0);
         let snap = sink.snapshot();
         for (name, value) in [
             ("synth.plans_explored", counts.plans_explored),
+            ("synth.plans_dominated", counts.plans_dominated),
             ("synth.plans_kept", counts.plans_kept),
             ("synth.budget_exhausted", counts.budget_exhausted),
             ("synth.prune.screened", counts.prune_screened),
@@ -1315,10 +1320,15 @@ mod tests {
         }
         // A relabel adds its own counts to the same counters.
         let relabelled = session.relabel(tokenize("(734) 645-8397")).unwrap();
-        let second = relabelled.synthesis().counts.plans_explored;
+        let second = relabelled.synthesis().counts;
+        let snap = sink.snapshot();
         assert_eq!(
-            sink.snapshot().counter("synth.plans_explored"),
-            Some((counts.plans_explored + second) as u64)
+            snap.counter("synth.plans_explored"),
+            Some((counts.plans_explored + second.plans_explored) as u64)
+        );
+        assert_eq!(
+            snap.counter("synth.plans_dominated"),
+            Some((counts.plans_dominated + second.plans_dominated) as u64)
         );
     }
 

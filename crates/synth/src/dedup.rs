@@ -24,32 +24,33 @@ pub(crate) enum KeyUnit<'a> {
     Text(&'a str),
 }
 
-/// The canonical form of a plan (Appendix B): every `Extract(m, n)` split
-/// into the unit extracts `Extract(m), ..., Extract(n)`, then every unit
-/// extract of a literal source token and every `ConstStr` replaced by the
-/// text it yields. Two plans are equivalent exactly when their keys are
-/// equal, so deduplication is one hash-set insert per plan.
-pub(crate) fn plan_key<'a>(
-    parts: impl IntoIterator<Item = &'a StringExpr>,
+/// The units one operation contributes to a plan's canonical form
+/// (Appendix B): `Extract(m, n)` split into the unit extracts `Extract(m),
+/// ..., Extract(n)`, then every unit extract of a literal source token and
+/// every `ConstStr` replaced by the text it yields. Two plans are
+/// equivalent exactly when their sequences of units are equal.
+pub(crate) fn key_units<'a>(
+    part: &'a StringExpr,
     source: &'a Pattern,
-) -> Vec<KeyUnit<'a>> {
-    let mut key = Vec::new();
-    for part in parts {
-        match part {
-            StringExpr::Extract { from, to } => key.extend((*from..=*to).map(|i| {
-                match source
-                    .token_one_based(i)
-                    .ok()
-                    .and_then(|t| t.literal_value())
-                {
-                    Some(text) => KeyUnit::Text(text),
-                    None => KeyUnit::Extract(i),
-                }
-            })),
-            StringExpr::ConstStr(s) => key.push(KeyUnit::Text(s)),
-        }
-    }
-    key
+) -> impl Iterator<Item = KeyUnit<'a>> {
+    let (slots, text) = match part {
+        StringExpr::Extract { from, to } => (Some(*from..=*to), None),
+        StringExpr::ConstStr(s) => (None, Some(KeyUnit::Text(s.as_str()))),
+    };
+    slots
+        .into_iter()
+        .flatten()
+        .map(|i| {
+            match source
+                .token_one_based(i)
+                .ok()
+                .and_then(|t| t.literal_value())
+            {
+                Some(text) => KeyUnit::Text(text),
+                None => KeyUnit::Extract(i),
+            }
+        })
+        .chain(text)
 }
 
 /// Are two plans equivalent for the given source pattern (Definition 6.2,
@@ -58,14 +59,17 @@ pub(crate) fn plan_key<'a>(
 /// a literal source token and re-creating its text with `ConstStr` count as
 /// the same operation.
 pub fn plans_equivalent(a: &Expr, b: &Expr, source: &Pattern) -> bool {
-    plan_key(&a.parts, source) == plan_key(&b.parts, source)
+    a.parts
+        .iter()
+        .flat_map(|part| key_units(part, source))
+        .eq(b.parts.iter().flat_map(|part| key_units(part, source)))
 }
 
 /// Deduplicate a ranked list of plans, keeping only the simplest (lowest
 /// description length — the list order for ties) member of each equivalence
 /// class. The input order is preserved for the survivors.
 ///
-/// The pairwise deduplication the plan search's hashed keys replaced, kept
+/// The pairwise deduplication the plan search's interned keys replaced, kept
 /// as the test oracle.
 #[cfg(test)]
 pub(crate) fn dedup_plans(plans: Vec<Expr>, source: &Pattern) -> Vec<Expr> {

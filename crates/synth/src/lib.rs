@@ -15,8 +15,12 @@
 //! 3. [`AlignmentDag::ranked_plans`] — one best-first search over that DAG
 //!    that yields plans in Minimum-Description-Length rank order (Eq. 3–6)
 //!    and keeps the first `top_k` equivalence classes (§6.4, Appendix B)
-//!    via one canonical key per plan ([`PlanSearch::top_classes`]); it
-//!    never enumerates the DAG's other paths;
+//!    ([`PlanSearch::top_classes`]). Each plan prefix carries an interned
+//!    canonical-key id, so a class is one id; a prefix is dropped unqueued
+//!    when an earlier one at the same node with the same key, no larger
+//!    penalty, a subset of its extracted slots and a strictly smaller
+//!    length dominates it, which never changes a class's best member. The
+//!    search never enumerates the DAG's other paths;
 //! 4. [`synthesize`] — the top-down hierarchy traversal of Algorithm 2 that
 //!    puts it all together and supports the *program repair* interaction.
 //!

@@ -19,16 +19,32 @@
 //! frontier's bound exceeds its key by [`RANK_EPSILON`]; held plans leave
 //! in exact (penalty, length, text) order.
 //!
+//! Each prefix carries the id of its canonical key (Appendix B), interned
+//! one unit at a time as `(parent key id, unit) → id`, so equal ids are
+//! equal keys. [`PlanSearch::top_classes`] tells classes apart by the id
+//! of each complete plan, and while it runs the search also drops a new
+//! prefix `C` when an earlier prefix `A` *dominates* it: `A` ends at the
+//! same DAG node with the same key id, `A`'s penalty is at most `C`'s,
+//! `A`'s extracted slots are a subset of `C`'s, and `A`'s length plus
+//! [`RANK_EPSILON`] is below `C`'s. This is exact. The same node gives
+//! both the same completions `s`; the same key puts `A + s` and `C + s` in
+//! one class; the subset and the penalties give `A + s` a penalty at most
+//! that of `C + s`; the strictly smaller length then ranks `A + s` ahead.
+//! So `C + s` is never the best member of its class, and no class's
+//! representative changes. Prefixes within [`RANK_EPSILON`] of each other
+//! are all kept, so the text tie-break still decides between them. The
+//! plain [`Iterator`] yields every plan and never prunes.
+//!
 //! [`source_reuse_penalty`]: crate::source_reuse_penalty
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use clx_pattern::Pattern;
 use clx_unifi::{Expr, StringExpr};
 
 use crate::align::AlignmentDag;
-use crate::dedup::plan_key;
+use crate::dedup::{key_units, KeyUnit};
 use crate::mdl::{description_length, step_length};
 
 /// A ranked atomic transformation plan.
@@ -63,6 +79,8 @@ struct Prefix<'a> {
     parent: usize,
     op: Option<&'a StringExpr>,
     node: usize,
+    /// The interned id of the path's canonical key.
+    key: usize,
     penalty: usize,
     length: f64,
 }
@@ -129,6 +147,11 @@ struct Held {
 /// source slots first, then least description length, then plan text. Work
 /// is proportional to the plans taken, not to the paths through the DAG.
 ///
+/// [`PlanSearch::top_classes`] keeps only the best member of each class
+/// and so skips every prefix a cheaper prefix of the same class dominates
+/// (see the module docs); [`PlanSearch::dominated`] counts them. A dropped
+/// prefix is never queued, so it costs no pop.
+///
 /// The search gives up after popping `budget` complete plans, or after
 /// `2 × budget × (|T| + 1)` frontier pops in all (the most a DAG with at
 /// most `budget` paths needs). It then yields the plans it already holds,
@@ -143,6 +166,13 @@ pub struct PlanSearch<'a> {
     /// `p` extracts, one bit per slot.
     covered: Vec<u64>,
     words: usize,
+    /// Canonical-key interner: `(parent key id, unit) → key id`; id 0 is
+    /// the empty key.
+    keys: HashMap<(usize, KeyUnit<'a>), usize>,
+    /// While pruning: the prefixes kept at each (node, key id).
+    reached: HashMap<(usize, usize), Vec<usize>>,
+    prune: bool,
+    dominated: usize,
     frontier: BinaryHeap<Reverse<Bound>>,
     held: BinaryHeap<Reverse<Held>>,
     pushed: usize,
@@ -183,6 +213,10 @@ impl<'a> PlanSearch<'a> {
             prefixes: Vec::new(),
             covered: Vec::new(),
             words,
+            keys: HashMap::new(),
+            reached: HashMap::new(),
+            prune: false,
+            dominated: 0,
             frontier: BinaryHeap::new(),
             held: BinaryHeap::new(),
             pushed: 0,
@@ -197,6 +231,7 @@ impl<'a> PlanSearch<'a> {
                 parent: usize::MAX,
                 op: None,
                 node: 0,
+                key: 0,
                 penalty: 0,
                 length: 0.0,
             });
@@ -212,6 +247,12 @@ impl<'a> PlanSearch<'a> {
         self.popped_plans
     }
 
+    /// Prefixes dropped because an earlier prefix dominates them (only
+    /// [`PlanSearch::top_classes`] drops any).
+    pub fn dominated(&self) -> usize {
+        self.dominated
+    }
+
     /// Did the search give up on its budget with plans left unexplored?
     pub fn exhausted(&self) -> bool {
         self.exhausted
@@ -219,14 +260,16 @@ impl<'a> PlanSearch<'a> {
 
     /// The best-ranked member of each of the first `k` equivalence classes
     /// (Definition 6.2, Appendix B), in rank order. Classes are told apart
-    /// by one hashed canonical key per yielded plan, and the search stops
-    /// as soon as the `k`-th class appears.
+    /// by the interned canonical key id of each yielded plan, prefixes an
+    /// earlier prefix dominates are dropped, and the search stops as soon
+    /// as the `k`-th class appears.
     pub fn top_classes(&mut self, k: usize) -> Vec<RankedPlan> {
+        self.prune = true;
         let mut seen = HashSet::new();
         let mut kept = Vec::new();
         while kept.len() < k {
             let Some(held) = self.next_held() else { break };
-            if seen.insert(plan_key(self.ops(held.prefix), self.source)) {
+            if seen.insert(self.prefixes[held.prefix].key) {
                 kept.push(RankedPlan {
                     expr: held.expr,
                     description_length: held.length.0,
@@ -315,10 +358,12 @@ impl<'a> PlanSearch<'a> {
     }
 
     /// Build the extension of prefix `id` by its node's step `step`, and
-    /// queue the steps after it.
+    /// queue the steps after it. While pruning, an extension an earlier
+    /// prefix dominates is dropped instead.
     fn extend(&mut self, id: usize, step: usize) {
         let Prefix {
             node,
+            key,
             penalty,
             length,
             ..
@@ -350,15 +395,64 @@ impl<'a> PlanSearch<'a> {
                 }
             }
         }
+        let child_key = self.key_of(key, op);
         self.prefixes.push(Prefix {
             parent: id,
             op: Some(op),
             node: next_node,
+            key: child_key,
             penalty: child_penalty,
             length: length + step_len,
         });
+        if self.prune && self.is_dominated(child) {
+            self.prefixes.pop();
+            self.covered.truncate(child * words);
+            self.dominated += 1;
+            return;
+        }
         self.push_prefix(child);
     }
+
+    /// The key id of a prefix with key id `key` extended by `op`.
+    fn key_of(&mut self, mut key: usize, op: &'a StringExpr) -> usize {
+        for unit in key_units(op, self.source) {
+            let next = self.keys.len() + 1;
+            key = *self.keys.entry((key, unit)).or_insert(next);
+        }
+        key
+    }
+
+    /// Does an earlier prefix dominate the newest prefix `child`? If none
+    /// does, `child` is recorded for the prefixes after it.
+    fn is_dominated(&mut self, child: usize) -> bool {
+        let Prefix { node, key, .. } = self.prefixes[child];
+        let reached = self.reached.entry((node, key)).or_default();
+        if reached
+            .iter()
+            .any(|&a| dominates(&self.prefixes, &self.covered, self.words, a, child))
+        {
+            return true;
+        }
+        reached.push(child);
+        false
+    }
+}
+
+/// Does prefix `a` dominate prefix `c`? It does when both end at the same
+/// node with the same key id, `a`'s penalty is at most `c`'s, the slots
+/// `a` extracts are a subset of `c`'s, and `a` is shorter by more than
+/// [`RANK_EPSILON`]. Then no completion of `c` ranks ahead of the same
+/// completion of `a`, which is in the same class.
+fn dominates(prefixes: &[Prefix], covered: &[u64], words: usize, a: usize, c: usize) -> bool {
+    let (pa, pc) = (&prefixes[a], &prefixes[c]);
+    pa.node == pc.node
+        && pa.key == pc.key
+        && pa.penalty <= pc.penalty
+        && pa.length + RANK_EPSILON < pc.length
+        && covered[a * words..(a + 1) * words]
+            .iter()
+            .zip(&covered[c * words..(c + 1) * words])
+            .all(|(x, y)| x & !y == 0)
 }
 
 impl Iterator for PlanSearch<'_> {
@@ -423,6 +517,145 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The first `k` class representatives of the full rank order, which
+    /// the iterator yields without pruning.
+    fn first_classes(source: &Pattern, target: &Pattern, k: usize) -> Vec<RankedPlan> {
+        let mut kept: Vec<RankedPlan> = Vec::new();
+        for plan in align(source, target).ranked_plans(source, usize::MAX) {
+            if kept.len() == k {
+                break;
+            }
+            if !kept
+                .iter()
+                .any(|p| crate::plans_equivalent(&p.expr, &plan.expr, source))
+            {
+                kept.push(plan);
+            }
+        }
+        kept
+    }
+
+    /// The `prose-country-number` suite task: a country code to strip.
+    const COUNTRY: (&str, &str) = ("+1 734-422-8073", "734-422-8073");
+
+    #[test]
+    fn pruned_top_classes_match_the_unpruned_order() {
+        for (src, tgt) in PAIRS.into_iter().chain([COUNTRY]) {
+            let (source, target) = (tokenize(src), tokenize(tgt));
+            for k in [1, 5, 40] {
+                assert_eq!(
+                    top(&source, &target, 2_000, k),
+                    first_classes(&source, &target, k),
+                    "{src:?} -> {tgt:?}, k = {k}"
+                );
+            }
+        }
+    }
+
+    /// The id of the prefix of `search` whose operations are `ops`.
+    fn prefix_of(search: &PlanSearch, ops: &[StringExpr]) -> usize {
+        (0..search.prefixes.len())
+            .find(|&p| search.ops(p).into_iter().eq(ops))
+            .unwrap_or_else(|| panic!("no prefix {ops:?}"))
+    }
+
+    fn dominated_by(search: &PlanSearch, a: usize, c: usize) -> bool {
+        dominates(&search.prefixes, &search.covered, search.words, a, c)
+    }
+
+    #[test]
+    fn equal_length_re_splits_both_survive() {
+        // '+'<D>' '<D>3'-'<D>3'-'<D>4: slots 4..=8 are the phone number.
+        let (source, target) = (tokenize(COUNTRY.0), tokenize(COUNTRY.1));
+        let dag = align(&source, &target);
+        let mut search = dag.ranked_plans(&source, usize::MAX);
+        search.by_ref().count();
+        let whole = prefix_of(&search, &[StringExpr::extract_range(4, 8)]);
+        let a = prefix_of(
+            &search,
+            &[StringExpr::extract(4), StringExpr::extract_range(5, 8)],
+        );
+        let b = prefix_of(
+            &search,
+            &[
+                StringExpr::extract_range(4, 5),
+                StringExpr::extract_range(6, 8),
+            ],
+        );
+        assert_eq!(search.prefixes[a].key, search.prefixes[b].key);
+        // Neither re-split is shorter than the other by more than the
+        // epsilon, so the text tie-break decides between them.
+        assert!(!dominated_by(&search, a, b));
+        assert!(!dominated_by(&search, b, a));
+        // The single extract is shorter than both, and in the same class.
+        assert!(dominated_by(&search, whole, a));
+        assert!(dominated_by(&search, whole, b));
+    }
+
+    #[test]
+    fn a_costlier_route_that_extracts_fewer_slots_is_kept() {
+        // Re-creating the '-' (slot 5) costs more than extracting it, but
+        // leaves slot 5 free for a later extract without a reuse penalty.
+        let (source, target) = (tokenize(COUNTRY.0), tokenize(COUNTRY.1));
+        let dag = align(&source, &target);
+        let mut search = dag.ranked_plans(&source, 2_000);
+        assert!(search.top_classes(40).len() < 40, "the search ran out");
+        assert!(search.dominated() > 0);
+        let extracted = prefix_of(&search, &[StringExpr::extract_range(4, 5)]);
+        let recreated = prefix_of(
+            &search,
+            &[StringExpr::extract(4), StringExpr::const_str("-")],
+        );
+        let (e, r) = (&search.prefixes[extracted], &search.prefixes[recreated]);
+        assert_eq!((e.node, e.key), (r.node, r.key));
+        assert!(e.length + RANK_EPSILON < r.length);
+        assert!(!dominated_by(&search, extracted, recreated));
+        // Its completion through slot 5 keeps a penalty of 0.
+        let plan = |ops: Vec<StringExpr>| crate::source_reuse_penalty(&Expr::concat(ops));
+        let tail = || {
+            [
+                StringExpr::extract(6),
+                StringExpr::extract(5),
+                StringExpr::extract(8),
+            ]
+        };
+        let via_const = [StringExpr::extract(4), StringExpr::const_str("-")];
+        let via_extract = [StringExpr::extract_range(4, 5)];
+        assert_eq!(plan(via_const.into_iter().chain(tail()).collect()), 0);
+        assert_eq!(plan(via_extract.into_iter().chain(tail()).collect()), 1);
+    }
+
+    #[test]
+    fn dominance_cuts_the_plans_explored() {
+        let (source, target) = (tokenize(COUNTRY.0), tokenize(COUNTRY.1));
+        let dag = align(&source, &target);
+        // The same top 5 classes drawn from the unpruned iterator (the
+        // pair has only 4, so both searches reach the end of the order).
+        let mut unpruned = dag.ranked_plans(&source, 2_000);
+        let mut classes: Vec<Expr> = Vec::new();
+        while classes.len() < 5 {
+            let Some(RankedPlan { expr: plan, .. }) = unpruned.next() else {
+                break;
+            };
+            if !classes
+                .iter()
+                .any(|c| crate::plans_equivalent(c, &plan, &source))
+            {
+                classes.push(plan);
+            }
+        }
+        let mut pruned = dag.ranked_plans(&source, 2_000);
+        assert_eq!(pruned.top_classes(5).len(), classes.len());
+        assert!(
+            pruned.explored() * 2 < unpruned.explored(),
+            "{} explored with pruning, {} without, {} classes",
+            pruned.explored(),
+            unpruned.explored(),
+            classes.len()
+        );
+        assert_eq!(unpruned.dominated(), 0);
     }
 
     #[test]

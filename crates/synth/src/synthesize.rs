@@ -100,6 +100,9 @@ pub struct Synthesis {
 pub struct SynthesisCounts {
     /// Complete plans the searches popped and scored.
     pub plans_explored: usize,
+    /// Plan prefixes the searches dropped unqueued because a cheaper
+    /// prefix of the same class dominates them ([`PlanSearch::dominated`](crate::PlanSearch::dominated)).
+    pub plans_dominated: usize,
     /// Plan classes the searches kept (at most `top_k` per aligned source,
     /// before the data check).
     pub plans_kept: usize,
@@ -288,6 +291,7 @@ fn synthesize_impl(
             let mut search = dag.ranked_plans(pattern, options.max_plans_per_source);
             let mut plans = search.top_classes(options.top_k);
             counts.plans_explored += search.explored();
+            counts.plans_dominated += search.dominated();
             counts.plans_kept += plans.len();
             counts.budget_exhausted += usize::from(search.exhausted());
             if let Some(column) = column {
