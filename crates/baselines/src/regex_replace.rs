@@ -201,7 +201,7 @@ fn author_replace_op(
 /// `7342363466 -> 734-236-3466`. Returns `None` when the target cannot be
 /// built by an order-preserving split of the source.
 fn author_splitting_op(source: &Pattern, target: &Pattern) -> Option<ReplaceOp> {
-    use clx_pattern::wrangler::class_wrangler_name;
+    use clx_pattern::wrangler::{class_wrangler_name, render_token};
     use clx_pattern::Quantifier;
 
     let src: Vec<_> = source.tokens().to_vec();
@@ -210,13 +210,6 @@ fn author_splitting_op(source: &Pattern, target: &Pattern) -> Option<ReplaceOp> 
     let mut regex = String::from("/^");
     let mut replacement = String::new();
     let mut group = 0usize;
-
-    let emit_source_literal = |tok: &clx_pattern::Token, regex: &mut String| {
-        for c in tok.literal_value().unwrap_or_default().chars() {
-            regex.push('\\');
-            regex.push(c);
-        }
-    };
 
     for t in target.tokens() {
         match t.literal_value() {
@@ -227,7 +220,7 @@ fn author_splitting_op(source: &Pattern, target: &Pattern) -> Option<ReplaceOp> 
                 };
                 // Skip source literals standing between us and the next base run.
                 while si < src.len() && src[si].is_literal() {
-                    emit_source_literal(&src[si], &mut regex);
+                    regex.push_str(&render_token(&src[si], true));
                     si += 1;
                     remaining = src.get(si).map(token_width).unwrap_or(0);
                 }
@@ -250,7 +243,7 @@ fn author_splitting_op(source: &Pattern, target: &Pattern) -> Option<ReplaceOp> 
     while si < src.len() {
         let tok = &src[si];
         if tok.is_literal() {
-            emit_source_literal(tok, &mut regex);
+            regex.push_str(&render_token(tok, true));
         } else if remaining > 0 {
             let class = class_wrangler_name(&tok.class)?;
             regex.push_str(&format!("{class}{{{remaining}}}"));
@@ -282,6 +275,15 @@ mod tests {
         assert_eq!(op.regex_display, "/^({digit}{3})({digit}{3})({digit}{4})$/");
         assert_eq!(op.replacement, "$1-$2-$3");
         assert_eq!(op.apply("2315550199").unwrap(), "231-555-0199");
+    }
+
+    #[test]
+    fn splitting_author_keeps_alphanumeric_source_literals() {
+        // `\N\o` would read as "not a newline" and an unknown escape.
+        let source = clx_pattern::parse_pattern("'No'<D>6").unwrap();
+        let op = author_splitting_op(&source, &tokenize("123-456")).expect("splitting op");
+        assert_eq!(op.regex_display, "/^No({digit}{3})({digit}{3})$/");
+        assert_eq!(op.apply("No123456").unwrap(), "123-456");
     }
 
     #[test]

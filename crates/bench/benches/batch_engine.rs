@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use clx_core::{ClxSession, TransformReport};
+use clx_core::ClxSession;
 use clx_datagen::large_case;
 use clx_pattern::tokenize;
 
@@ -30,7 +30,7 @@ fn bench_batch_engine(c: &mut Criterion) {
     // Sanity: the two paths agree on this workload (a benchmark of a wrong
     // answer would be worthless).
     let sequential = session.apply().expect("apply");
-    let executed = TransformReport::from_batch(compiled.execute(&case.data));
+    let executed = compiled.execute(&case.data);
     assert_eq!(sequential, executed);
 
     let mut group = c.benchmark_group("batch_engine");

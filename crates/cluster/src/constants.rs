@@ -11,12 +11,13 @@
 //! The statistics are computed over the *distinct* values of a cluster, not
 //! its raw rows: a value repeated a thousand times contributes one
 //! observation, exactly like a value occurring once. Row-weighted counting
-//! let duplicates manufacture "constants" — a cluster holding one value N
-//! times agreed at every position, froze into a single giant literal, and
-//! became unsynthesizable (every row flagged). The distinct-value weighting
-//! restores the intent of the guard that already existed for single-row
-//! clusters: support below [`ConstantDiscoveryOptions::min_distinct_values`] distinct
-//! values is no evidence of constancy at all.
+//! would let duplicates manufacture "constants" — a cluster holding one
+//! value N times agrees at every position, freezes into a single giant
+//! literal, and becomes unsynthesizable (every row flagged). The
+//! distinct-value weighting keeps the intent of the guard for single-row
+//! clusters: support below
+//! [`ConstantDiscoveryOptions::min_distinct_values`] distinct values is no
+//! evidence of constancy at all.
 
 use std::collections::HashMap;
 
@@ -49,20 +50,6 @@ pub struct ConstantDiscoveryOptions {
     /// transformable patterns untransformable, so the default is `false`;
     /// alphabetic prefixes such as `"Dr."` or `"CPT"` are still folded.
     pub fold_digit_tokens: bool,
-    /// Weight the dominance statistics by *row* multiplicity instead of
-    /// counting each distinct value once.
-    ///
-    /// The default (`false`) counts distinct values, which is what makes a
-    /// value repeated N times no evidence of constancy (the
-    /// duplicated-values quirk — see the module docs). On noisy columns
-    /// where frequency *is* signal — a dominant well-formed value drowning
-    /// out rare typos — row weighting combined with a
-    /// [`ConstantDiscoveryOptions::dominance_threshold`] below `1.0` lets
-    /// the frequent spelling win the position. The
-    /// [`ConstantDiscoveryOptions::min_distinct_values`] guard still counts
-    /// *distinct* values in either mode, so a single repeated value never
-    /// freezes into one literal.
-    pub row_weighted: bool,
 }
 
 impl Default for ConstantDiscoveryOptions {
@@ -72,7 +59,6 @@ impl Default for ConstantDiscoveryOptions {
             max_constant_len: 16,
             min_distinct_values: 2,
             fold_digit_tokens: false,
-            row_weighted: false,
         }
     }
 }
@@ -105,59 +91,29 @@ pub fn discover_constants_cached(
     values: &[&TokenizedString],
     options: &ConstantDiscoveryOptions,
 ) -> (Pattern, Vec<usize>) {
-    discover_constants_weighted(pattern, values, None, options)
-}
-
-/// [`discover_constants_cached`] with per-value row multiplicities.
-///
-/// `multiplicities[i]` is the number of rows holding `values[i]`. It only
-/// influences the statistics when
-/// [`ConstantDiscoveryOptions::row_weighted`] is set; the default
-/// distinct-value weighting ignores it. Passing `None` means "each value
-/// once" in either mode.
-pub fn discover_constants_weighted(
-    pattern: &Pattern,
-    values: &[&TokenizedString],
-    multiplicities: Option<&[usize]>,
-    options: &ConstantDiscoveryOptions,
-) -> (Pattern, Vec<usize>) {
-    if let Some(m) = multiplicities {
-        assert_eq!(m.len(), values.len(), "one multiplicity per value");
-    }
-    // The support guard counts *distinct* values in both modes: repeats of
-    // one value are never evidence of constancy (see module docs).
+    // Repeats of one value are never evidence of constancy (see module
+    // docs), so support is counted in distinct values.
     if values.len() < options.min_distinct_values.max(1) || pattern.is_empty() {
         return (pattern.clone(), (0..values.len()).collect());
     }
-    let weight_of = |i: usize| -> usize {
-        if options.row_weighted {
-            multiplicities.map_or(1, |m| m[i])
-        } else {
-            1
-        }
-    };
 
     // Collect, per token position, the slice-text frequencies across the
-    // values — each counted once (distinct-weighted, the default) or once
-    // per duplicate row (`row_weighted`).
+    // values, each value counted once.
     let mut position_values: Vec<HashMap<&str, usize>> = vec![HashMap::new(); pattern.len()];
-    let mut total_weight = 0usize;
-    for (i, value) in values.iter().enumerate() {
+    for value in values {
         debug_assert_eq!(
             &value.pattern, pattern,
             "all values of a cluster share its leaf pattern"
         );
-        let weight = weight_of(i);
-        total_weight += weight;
         for slice in &value.slices {
             *position_values[slice.token_index]
                 .entry(slice.text.as_str())
-                .or_insert(0) += weight;
+                .or_insert(0) += 1;
         }
     }
 
     // Decide which base-token positions become constants.
-    let n = total_weight as f64;
+    let n = values.len() as f64;
     let mut constant_value: Vec<Option<&str>> = vec![None; pattern.len()];
     for (i, token) in pattern.iter().enumerate() {
         if !token.is_base() {
@@ -335,88 +291,6 @@ mod tests {
         // The alphabetic prefix folds; the digits stay extractable.
         assert_eq!(refined.to_string(), "'USD '<D>3");
         assert_eq!(conforming, vec![0]);
-    }
-
-    /// One tokenized stream per distinct value, for the weighted entry point.
-    fn streams(values: &[&str]) -> Vec<TokenizedString> {
-        values.iter().map(|v| tokenize_detailed(v)).collect()
-    }
-
-    #[test]
-    fn row_weighting_pairs_against_the_distinct_weighted_default() {
-        // Noise scenario: two well-formed spellings heavily repeated, one
-        // rare typo. Distinct-weighted statistics see 2-of-3 values agree on
-        // "CPT" (0.67 < 0.8: no fold); row-weighted statistics see 18-of-19
-        // rows agree (0.95 >= 0.8: fold) — on this column, frequency *is*
-        // the signal that "CPT" is the intended constant.
-        let values = streams(&["CPT115", "CPT200", "XYZ999"]);
-        let refs: Vec<&TokenizedString> = values.iter().collect();
-        let multiplicities = [10usize, 8, 1];
-        let pattern = tokenize("CPT115");
-
-        let distinct_weighted = ConstantDiscoveryOptions {
-            dominance_threshold: 0.8,
-            ..opts()
-        };
-        let (refined, conforming) =
-            discover_constants_weighted(&pattern, &refs, Some(&multiplicities), &distinct_weighted);
-        assert_eq!(refined, pattern, "distinct-weighted: no fold at 2/3");
-        assert_eq!(conforming.len(), 3);
-
-        let row_weighted = ConstantDiscoveryOptions {
-            dominance_threshold: 0.8,
-            row_weighted: true,
-            ..opts()
-        };
-        let (refined, conforming) =
-            discover_constants_weighted(&pattern, &refs, Some(&multiplicities), &row_weighted);
-        assert!(
-            refined.to_string().starts_with("'CPT'"),
-            "row-weighted: the frequent prefix folds, got {refined}"
-        );
-        // The rare spelling no longer conforms and is split off.
-        assert_eq!(conforming, vec![0, 1]);
-    }
-
-    #[test]
-    fn row_weighting_still_guards_single_distinct_values() {
-        // The duplicated-values quirk must not return through the back
-        // door: one value repeated N times stays unfolded even when the
-        // statistics are row-weighted, because the support guard counts
-        // distinct values.
-        let values = streams(&["Dr. Eran Yahav"]);
-        let refs: Vec<&TokenizedString> = values.iter().collect();
-        let pattern = tokenize("Dr. Eran Yahav");
-        let options = ConstantDiscoveryOptions {
-            row_weighted: true,
-            ..opts()
-        };
-        let (refined, conforming) =
-            discover_constants_weighted(&pattern, &refs, Some(&[1_000]), &options);
-        assert_eq!(refined, pattern);
-        assert_eq!(conforming, vec![0]);
-    }
-
-    #[test]
-    fn row_weighting_without_multiplicities_equals_the_default() {
-        let values = streams(&["CPT115", "CPT200", "XYZ999"]);
-        let refs: Vec<&TokenizedString> = values.iter().collect();
-        let pattern = tokenize("CPT115");
-        let options = ConstantDiscoveryOptions {
-            dominance_threshold: 0.6,
-            row_weighted: true,
-            ..opts()
-        };
-        let weighted = discover_constants_weighted(&pattern, &refs, None, &options);
-        let default = discover_constants_cached(
-            &pattern,
-            &refs,
-            &ConstantDiscoveryOptions {
-                dominance_threshold: 0.6,
-                ..opts()
-            },
-        );
-        assert_eq!(weighted, default);
     }
 
     #[test]

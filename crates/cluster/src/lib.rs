@@ -41,10 +41,7 @@ mod hierarchy;
 mod profiler;
 mod refine;
 
-pub use constants::{
-    discover_constants, discover_constants_cached, discover_constants_weighted,
-    ConstantDiscoveryOptions,
-};
+pub use constants::{discover_constants, discover_constants_cached, ConstantDiscoveryOptions};
 pub use hierarchy::{ClusterNode, NodeId, PatternHierarchy};
 pub use profiler::{PatternProfiler, ProfilerOptions};
 pub use refine::{refine_level, GeneralizationStrategy, STANDARD_STRATEGIES};

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use clx_column::Column;
 use clx_pattern::{Pattern, TokenizedString};
 
-use crate::constants::{discover_constants_weighted, ConstantDiscoveryOptions};
+use crate::constants::{discover_constants_cached, ConstantDiscoveryOptions};
 use crate::hierarchy::{NodeId, PatternHierarchy};
 use crate::refine::{refine_level, GeneralizationStrategy, STANDARD_STRATEGIES};
 
@@ -121,22 +121,8 @@ impl PatternProfiler {
                     .iter()
                     .map(|&v| column.distinct(v).tokenized())
                     .collect();
-                // Row multiplicities only matter in `row_weighted` mode;
-                // the default statistics count each distinct value once, so
-                // skip collecting them on the (hot) default path.
-                let multiplicities: Option<Vec<usize>> =
-                    self.options.constant_options.row_weighted.then(|| {
-                        members
-                            .iter()
-                            .map(|&v| column.distinct(v).multiplicity())
-                            .collect()
-                    });
-                let (refined, conforming) = discover_constants_weighted(
-                    &pattern,
-                    &streams,
-                    multiplicities.as_deref(),
-                    &self.options.constant_options,
-                );
+                let (refined, conforming) =
+                    discover_constants_cached(&pattern, &streams, &self.options.constant_options);
                 if conforming.len() == members.len() {
                     final_clusters.push((refined, members));
                 } else {
@@ -357,47 +343,6 @@ mod tests {
         let leaf = &h.leaves()[0];
         assert_eq!(leaf.size(), 40);
         assert_eq!(leaf.pattern, clx_pattern::tokenize("Dr. Eran Yahav"));
-    }
-
-    #[test]
-    fn row_weighted_constants_flow_through_the_profiler() {
-        // 18 rows agree on the "CPT" prefix, 1 typo row disagrees: only the
-        // row-weighted mode (with a sub-1.0 threshold) folds the prefix and
-        // splits the typo into its own cluster.
-        let mut data = vec!["CPT115"; 10];
-        data.extend(vec!["CPT200"; 8]);
-        data.push("XYZ999");
-
-        let default = PatternProfiler::with_options(ProfilerOptions {
-            constant_options: crate::ConstantDiscoveryOptions {
-                dominance_threshold: 0.8,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-        .profile(&data);
-        assert!(default
-            .leaves()
-            .iter()
-            .all(|n| !n.pattern.to_string().contains("'CPT'")));
-
-        let row_weighted = PatternProfiler::with_options(ProfilerOptions {
-            constant_options: crate::ConstantDiscoveryOptions {
-                dominance_threshold: 0.8,
-                row_weighted: true,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
-        .profile(&data);
-        let leaves = row_weighted.leaves();
-        let folded = leaves
-            .iter()
-            .find(|n| n.pattern.to_string().starts_with("'CPT'"))
-            .expect("row-weighted profiling folds the dominant prefix");
-        assert_eq!(folded.size(), 18);
-        // The typo splits into its own cluster; every row stays accounted.
-        assert_eq!(row_weighted.total_rows(), 19);
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //! [`ClxSession::apply`] runs that [`CompiledProgram`] over the session's
 //! column, producing a **columnar** [`TransformReport`]: one
 //! [`RowOutcome`] per *distinct* value plus the column's shared row map, so
-//! reporting is O(distinct) end to end on duplicate-heavy columns. For bulk
-//! execution beyond the interactive loop, [`ClxSession::compile`] hands a
-//! fresh compilation to the `clx-engine` batch subsystem (parallel block
-//! execution); [`ClxSession::stream_columns`] opens a [`ColumnStream`] over
-//! it. After a repair, [`ClxSession::reverify`] re-runs the held program
-//! over the column, so what the user re-verifies is exactly what `apply`
-//! returns.
+//! reporting is O(distinct) end to end on duplicate-heavy columns. The
+//! report is `clx-engine`'s own: `apply`, [`ClxSession::reverify`],
+//! [`CompiledProgram::execute`] and [`CompiledProgram::execute_column`] all
+//! return the same type. For bulk execution beyond the interactive loop,
+//! [`ClxSession::compile`] hands a fresh compilation to the `clx-engine`
+//! batch subsystem (parallel block execution);
+//! [`ClxSession::stream_columns`] opens a [`ColumnStream`] over it. After a
+//! repair, [`ClxSession::reverify`] re-runs the held program over the
+//! column, so what the user re-verifies is exactly what `apply` returns.
 //!
 //! ```
 //! use clx_core::ClxSession;
@@ -61,18 +63,18 @@
 #![forbid(unsafe_code)]
 
 mod preview;
-mod report;
 mod session;
 
 pub use preview::{PreviewRow, PreviewTable};
-pub use report::{RowOutcome, TransformReport};
 pub use session::{Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, Phase};
 
 // Re-export the key types a downstream user needs so that `clx-core` (or the
 // `clx` facade) is a one-stop dependency.
 pub use clx_cluster::{ClusterNode, PatternHierarchy, PatternProfiler, ProfilerOptions};
 pub use clx_column::{Column, ColumnBuilder, ColumnChunk, ColumnInterner, DistinctValue};
-pub use clx_engine::{BatchReport, ChunkReport, ColumnStream, CompiledProgram, RowOutcomes};
+pub use clx_engine::{
+    ChunkReport, ColumnStream, CompiledProgram, RowOutcome, RowOutcomes, TransformReport,
+};
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{RankedPlan, Synthesis, SynthesisOptions};
 pub use clx_unifi::{Explanation, Program, ReplaceOp, TransformOutcome};

@@ -2,7 +2,6 @@
 //! output for a sample of the data, used to visualize the effect of each
 //! suggested `Replace` operation before the user commits to it.
 
-use crate::report::TransformReport;
 use crate::session::{ClxError, ClxSession, Labelled};
 
 /// One row of a preview table.
@@ -59,7 +58,7 @@ impl ClxSession<Labelled> {
     /// (Like every transform-phase method, `preview` exists only on a
     /// labelled session.)
     pub fn preview(&self, sample: usize) -> Result<PreviewTable, ClxError> {
-        let report: TransformReport = self.apply()?;
+        let report = self.apply()?;
         let mut rows = Vec::new();
         let mut per_pattern_seen: Vec<(String, usize)> = Vec::new();
         for (row, outcome) in report.iter_rows().enumerate() {

@@ -22,13 +22,11 @@ use std::sync::{Arc, OnceLock};
 
 use clx_cluster::{PatternHierarchy, PatternProfiler, ProfilerOptions};
 use clx_column::{Column, ColumnBuilder, StreamBudget};
-use clx_engine::{ColumnStream, CompiledProgram};
+use clx_engine::{ColumnStream, CompiledProgram, RowOutcome, TransformReport};
 use clx_pattern::{tokenize, tokenize_detailed, Pattern, SplitTokenizer, TokenizedString};
 use clx_synth::{synthesize_column, RankedPlan, Synthesis, SynthesisOptions};
 use clx_telemetry::{MetricSink, Span};
 use clx_unifi::{explain_program, transform_lenient, Explanation, Program};
-
-use crate::report::{RowOutcome, TransformReport};
 
 /// Errors produced by the session API.
 ///
@@ -52,12 +50,8 @@ pub enum ClxError {
     /// ([`clx_analyze`]) proved an `Error`-severity defect (dead branch,
     /// shadowed branch, or unsafe `Extract`) before any row ran.
     Analysis(String),
-    /// [`ClxSession::reverify`] was handed a report that records no
-    /// originating program (one assembled outside the session's apply
-    /// paths).
-    MissingProvenance,
-    /// [`ClxSession::reverify`] was handed a report produced over a
-    /// different column than this session's (another session's report):
+    /// [`ClxSession::reverify`] was handed a report not built over this
+    /// session's column (another session's, or one merged from blocks):
     /// its outcomes cannot be matched to this session's distinct values.
     ForeignReport,
 }
@@ -70,9 +64,6 @@ impl fmt::Display for ClxError {
             ClxError::Eval(e) => write!(f, "failed to evaluate program: {e}"),
             ClxError::Compile(e) => write!(f, "failed to compile program: {e}"),
             ClxError::Analysis(e) => write!(f, "program rejected by static analysis: {e}"),
-            ClxError::MissingProvenance => {
-                write!(f, "the report records no originating program to re-verify")
-            }
             ClxError::ForeignReport => {
                 write!(f, "the report was not produced over this session's column")
             }
@@ -144,8 +135,8 @@ impl Phase for Clustered {}
 pub struct Labelled {
     target: Pattern,
     synthesis: Synthesis,
-    /// The selected program, compiled: what [`ClxSession::apply`] runs and
-    /// what its reports record as provenance. Replaced on every accepted
+    /// The selected program, compiled: what [`ClxSession::apply`] and
+    /// [`ClxSession::reverify`] run. Replaced on every accepted
     /// [`ClxSession::repair`].
     compiled: Arc<CompiledProgram>,
     /// `compiled` over the session's column, run on first use by
@@ -468,19 +459,20 @@ impl ClxSession<Labelled> {
     /// It runs the program afresh every call and neither reads nor fills
     /// the report the session holds for `apply`.
     ///
-    /// `report` must be a product of this session's [`ClxSession::apply`]
-    /// or `reverify`: a report that records no originating program is
-    /// refused with [`ClxError::MissingProvenance`], and one built over
-    /// another column (another session's) with [`ClxError::ForeignReport`].
+    /// `report` must have been built over this session's column — by
+    /// [`ClxSession::apply`], `reverify`, or
+    /// [`CompiledProgram::execute_column`] on [`ClxSession::data`]. Any
+    /// other report (over another session's column, or merged from
+    /// [`CompiledProgram::execute`]'s blocks) is refused with
+    /// [`ClxError::ForeignReport`].
     ///
     /// Under a session sink the step is timed as `core.phase.reverify_ns`.
     pub fn reverify(&self, report: &TransformReport) -> Result<TransformReport, ClxError> {
         let _reverify = Span::start(self.telemetry.as_ref(), "core.phase.reverify_ns");
-        report.provenance().ok_or(ClxError::MissingProvenance)?;
-        if !report.batch().is_built_over(&self.data) {
+        if !report.is_built_over(&self.data) {
             return Err(ClxError::ForeignReport);
         }
-        Ok(self.fresh())
+        Ok(self.phase.compiled.execute_column(&self.data))
     }
 
     /// [`ClxSession::repair`] immediately followed by
@@ -503,11 +495,10 @@ impl ClxSession<Labelled> {
     /// Runs the session's compiled program through
     /// [`CompiledProgram::execute_column`]: each *distinct* value is
     /// decided once, and the report is columnar (it shares the column's row
-    /// map), so the step is O(distinct) in time and memory. The report
-    /// records that compiled program as its provenance. [`ClxSession::label`]
-    /// and [`ClxSession::repair`] refuse a program that does not compile,
-    /// so no value can abort the column; a value no branch rewrites is
-    /// flagged.
+    /// map), so the step is O(distinct) in time and memory.
+    /// [`ClxSession::label`] and [`ClxSession::repair`] refuse a program
+    /// that does not compile, so no value can abort the column; a value no
+    /// branch rewrites is flagged.
     ///
     /// The session holds one report per program: the first `apply` (or
     /// [`ClxSession::result_patterns`]) runs the program, timed as
@@ -524,18 +515,8 @@ impl ClxSession<Labelled> {
     fn held_report(&self) -> &TransformReport {
         self.phase.report.get_or_init(|| {
             let _apply = Span::start(self.telemetry.as_ref(), "core.phase.apply_ns");
-            self.fresh()
+            self.phase.compiled.execute_column(&self.data)
         })
-    }
-
-    /// The held program over the session's column, with that program
-    /// recorded as the report's provenance: what [`ClxSession::apply`]
-    /// holds and what [`ClxSession::reverify`] returns.
-    fn fresh(&self) -> TransformReport {
-        let compiled = &self.phase.compiled;
-        let mut report = TransformReport::from_batch(compiled.execute_column(&self.data));
-        report.set_provenance(Arc::clone(compiled));
-        report
     }
 
     /// Compile the current program for high-throughput batch execution:
@@ -607,11 +588,7 @@ impl ClxSession<Labelled> {
     /// possibly-adversarial streams use
     /// [`ClxSession::stream_columns_with_budget`].
     pub fn stream_columns(&self) -> Result<ColumnStream, ClxError> {
-        let mut stream = ColumnStream::new(Arc::new(self.compile()?));
-        if let Some(sink) = &self.telemetry {
-            stream = stream.with_telemetry(Arc::clone(sink));
-        }
-        Ok(stream)
+        self.stream_columns_with_budget(StreamBudget::unbounded())
     }
 
     /// [`ClxSession::stream_columns`] with a memory budget, for untrusted
@@ -669,7 +646,7 @@ impl ClxSession<Labelled> {
         // returning a report aligned with this session's column: stored
         // outcome `k` is the decision for `self.data.distinct(k)`.
         debug_assert_eq!(
-            report.distinct_outcomes().len(),
+            report.outcomes().len(),
             self.data.distinct_count(),
             "the held report must be columnar over the session column"
         );
@@ -679,8 +656,8 @@ impl ClxSession<Labelled> {
         // collide on their output, so dedup by output text as we go.
         let mut dedup: HashMap<String, u32> = HashMap::new();
         let mut out_values: Vec<TokenizedString> = Vec::new();
-        let mut input_to_output: Vec<u32> = Vec::with_capacity(report.distinct_outcomes().len());
-        for (input_index, outcome) in report.distinct_outcomes().iter().enumerate() {
+        let mut input_to_output: Vec<u32> = Vec::with_capacity(report.outcomes().len());
+        for (input_index, outcome) in report.outcomes().iter().enumerate() {
             let text = outcome.value();
             let output_index = match dedup.get(text) {
                 Some(&k) => k,
@@ -839,10 +816,9 @@ mod tests {
         }
         // And a clean program passes the strict compile gate.
         let compiled = session.compile_strict().expect("strict compile");
-        let batch = compiled.execute_column(session.data());
         assert_eq!(
-            TransformReport::from_batch(batch).values(),
-            session.apply().unwrap().values()
+            compiled.execute_column(session.data()),
+            session.apply().unwrap()
         );
     }
 
@@ -891,10 +867,7 @@ mod tests {
     fn report_is_columnar_over_session_column() {
         let session = labelled(phone_data(), tokenize("734-422-8073"));
         let report = session.apply().unwrap();
-        assert_eq!(
-            report.distinct_outcomes().len(),
-            session.data().distinct_count()
-        );
+        assert_eq!(report.outcomes().len(), session.data().distinct_count());
         assert_eq!(report.len(), session.data().len());
     }
 
@@ -1019,29 +992,41 @@ mod tests {
         let mut session = labelled(data, tokenize("11-12-2017"));
         let source = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
         let baseline = session.apply().unwrap();
-        assert!(baseline.provenance().is_some(), "apply records provenance");
         let alternatives = session.alternatives(&source).unwrap().len();
         assert!(alternatives >= 2);
-        // `baseline` carries the original program, so each iteration diffs
-        // original → current alternative — including back to choice 0.
+        // `baseline` came from the original program; each iteration
+        // re-verifies it under the current alternative, back to choice 0.
         for choice in (0..alternatives).rev() {
             assert!(session.repair(&source, choice));
             let patched = session.reverify(&baseline).unwrap();
             let fresh = session.apply().unwrap();
             assert_eq!(patched, fresh, "choice {choice}");
             // The patched report can itself seed the next reverify.
-            assert!(patched.provenance().is_some());
+            assert_eq!(session.reverify(&patched).unwrap(), fresh);
         }
     }
 
     #[test]
-    fn reverify_without_provenance_is_rejected() {
+    fn reverify_accepts_only_reports_over_the_session_column() {
         let session = labelled(phone_data(), tokenize("734-422-8073"));
-        let hand_built =
-            TransformReport::from_batch(clx_engine::BatchReport::empty(tokenize("734-422-8073")));
+        let hand_built = TransformReport::empty(tokenize("734-422-8073"));
         assert_eq!(
             session.reverify(&hand_built).unwrap_err(),
-            ClxError::MissingProvenance
+            ClxError::ForeignReport
+        );
+        // A report over the session's own column needs no session origin.
+        let compiled = session.compile().unwrap();
+        let by_engine = compiled.execute_column(session.data());
+        assert_eq!(
+            session.reverify(&by_engine).unwrap(),
+            session.apply().unwrap()
+        );
+        // One merged from `execute`'s blocks over the same rows is refused.
+        let merged = compiled.execute(&session.data().to_vec());
+        assert_eq!(merged, by_engine);
+        assert_eq!(
+            session.reverify(&merged).unwrap_err(),
+            ClxError::ForeignReport
         );
     }
 
@@ -1220,7 +1205,7 @@ mod tests {
         assert_eq!(compiled.target(), &tokenize("734-422-8073"));
         // The compiled program serves a column the session never saw.
         let other = vec!["555.867.5309".to_string(), "not a phone".to_string()];
-        let report = TransformReport::from_batch(compiled.execute(&other));
+        let report = compiled.execute(&other);
         assert_eq!(report.values(), vec!["555-867-5309", "not a phone"]);
         assert_eq!(report.flagged_count(), 1);
     }

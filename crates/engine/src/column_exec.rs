@@ -5,7 +5,7 @@
 //! re-tokenizing, never hashing a `Pattern`. A [`Column`] already carries
 //! each distinct value's leaf and leaf-id, and its shared row map says
 //! where every duplicate lives, so executing a column is one decision per
-//! distinct value and the resulting [`BatchReport`] keeps the distinct
+//! distinct value and the resulting [`TransformReport`] keeps the distinct
 //! decisions plus a reference-counted clone of the column's row map.
 //! Raw rows ([`CompiledProgram::execute`], [`crate::ColumnStream`]) are
 //! first interned into a [`ColumnChunk`], whose distinct ids
@@ -21,7 +21,7 @@ use clx_telemetry::MetricSink;
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
-use crate::report::{BatchReport, RowOutcome};
+use crate::report::{RowOutcome, TransformReport};
 use crate::stream::DistinctDecisions;
 
 impl CompiledProgram {
@@ -34,7 +34,7 @@ impl CompiledProgram {
     /// The report is row-for-row identical to
     /// [`CompiledProgram::execute`] over the same rows: a program is a pure
     /// function of the row value, so duplicates share one outcome.
-    pub fn execute_column(&self, column: &Column) -> BatchReport {
+    pub fn execute_column(&self, column: &Column) -> TransformReport {
         let mut cache = DispatchCache::new();
         let decided: Vec<RowOutcome> = column
             .distinct_values()
@@ -49,7 +49,7 @@ impl CompiledProgram {
                 )
             })
             .collect();
-        BatchReport::columnar(self.target().clone(), decided, column)
+        TransformReport::columnar(self.target().clone(), decided, column)
     }
 
     /// Decide the distinct ids of an interned chunk, in chunk order, each

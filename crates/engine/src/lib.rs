@@ -5,7 +5,8 @@
 //! The interactive `ClxSession` (in `clx-core`) drives the paper's
 //! Cluster–Label–Transform loop; every transform it runs — its own
 //! `apply`, its re-verification, and the bulk and streaming entry points
-//! below — goes through this crate's one execution path, with the UniFi
+//! below — goes through this crate's one execution path into this
+//! crate's one column report, [`TransformReport`], with the UniFi
 //! interpreter kept as the test oracle:
 //!
 //! * [`CompiledProgram::compile`] turns a UniFi [`Program`](clx_unifi::Program)
@@ -36,7 +37,7 @@
 //! * [`CompiledProgram::execute`] runs raw `&[S]` rows in contiguous
 //!   blocks over `std::thread::scope` workers, each block interned and
 //!   decided on its own, merging the per-block columnar [`ChunkReport`]s
-//!   into an order-preserving [`BatchReport`];
+//!   into an order-preserving [`TransformReport`];
 //! * [`ColumnStream`] (then [`ColumnStream::push_rows`] /
 //!   [`ColumnStream::finish`]) processes columns larger than memory:
 //!   chunks are interned through one persistent interner, so a distinct
@@ -100,5 +101,5 @@ pub use compiled::{CompiledBranch, CompiledProgram, Decision, FusedStats};
 pub use dispatch::{DispatchCache, DispatchStats};
 pub use error::CompileError;
 pub use fused::{FusedFallback, FUSED_MAX_WIDTH};
-pub use report::{BatchReport, ChunkReport, ChunkStats, RowOutcome, RowOutcomes};
+pub use report::{ChunkReport, ChunkStats, RowOutcome, RowOutcomes, TransformReport};
 pub use stream::{ColumnStream, StreamSummary, SwapSummary};

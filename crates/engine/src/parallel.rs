@@ -6,7 +6,7 @@
 //! distinct value stored once, tokenized only when its leaf pattern is new
 //! to the block), every distinct value is decided once through the shared
 //! chunk helper ([`CompiledProgram::decide_chunk`]), and the block's
-//! columnar [`ChunkReport`] moves into the merged [`BatchReport`]. This is
+//! columnar [`ChunkReport`] moves into the merged [`TransformReport`]. This is
 //! the same interned, dense leaf-id path [`crate::ColumnStream::push_rows`]
 //! runs, minus the stream's cross-chunk decision cache.
 
@@ -14,7 +14,7 @@ use clx_column::ColumnInterner;
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
-use crate::report::{BatchReport, ChunkReport};
+use crate::report::{ChunkReport, TransformReport};
 
 impl CompiledProgram {
     /// Execute the program over a column of raw rows. Each distinct value
@@ -24,7 +24,7 @@ impl CompiledProgram {
     /// The block count follows [`clx_column::auto_block_count`]: one
     /// block below 16,384 rows, otherwise one per available CPU with at
     /// least 8,192 rows each.
-    pub fn execute<S: AsRef<str> + Sync>(&self, rows: &[S]) -> BatchReport {
+    pub fn execute<S: AsRef<str> + Sync>(&self, rows: &[S]) -> TransformReport {
         self.execute_blocks(rows, clx_column::auto_block_count(rows.len()))
     }
 
@@ -34,9 +34,9 @@ impl CompiledProgram {
         &self,
         rows: &[S],
         blocks: usize,
-    ) -> BatchReport {
+    ) -> TransformReport {
         if rows.is_empty() {
-            return BatchReport::empty(self.target.clone());
+            return TransformReport::empty(self.target.clone());
         }
         let block_size = rows.len().div_ceil(blocks.clamp(1, rows.len()));
         let mut blocks = rows.chunks(block_size).enumerate();
@@ -53,7 +53,7 @@ impl CompiledProgram {
             );
             reports
         });
-        BatchReport::from_chunks(self.target.clone(), reports)
+        TransformReport::from_chunks(self.target.clone(), reports)
     }
 
     /// Intern one block into a fresh interner and decide its distinct

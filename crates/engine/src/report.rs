@@ -4,8 +4,8 @@
 //! [`RowOutcome`]s — one per distinct value — plus a row→outcome map. A
 //! [`ChunkReport`] covers one chunk (a streamed chunk, or one block of
 //! [`crate::CompiledProgram::execute`]); chunk reports merge, in chunk
-//! order, into a column-level [`BatchReport`] by moving their outcomes and
-//! offsetting their row maps. A report built over a [`Column`]
+//! order, into a column-level [`TransformReport`] by moving their outcomes
+//! and offsetting their row maps. A report built over a [`Column`]
 //! ([`crate::CompiledProgram::execute_column`]) shares the column's row
 //! map by reference count. Either way a duplicate-heavy report costs
 //! O(distinct) outcomes. An outcome holds its output as a shared
@@ -111,7 +111,7 @@ impl ChunkStats {
 
 /// The outcome of executing a compiled program over one chunk of rows.
 ///
-/// Like [`BatchReport`], a chunk report stores its outcomes *columnar*: one
+/// Like [`TransformReport`], a chunk report stores its outcomes *columnar*: one
 /// outcome per distinct value appearing in the chunk plus the chunk's
 /// row→distinct map — O(distinct-in-chunk), no per-duplicate clones.
 /// Row-oriented access ([`ChunkReport::iter_rows`], [`ChunkReport::row`],
@@ -200,16 +200,18 @@ impl ChunkReport {
     }
 }
 
-/// A column-level report: every row's outcome, stored columnar — one
+/// A column-level report — the one report every entry point returns, and
+/// what the user verifies: every row's outcome, stored columnar — one
 /// outcome per distinct value plus a row→outcome map.
 ///
 /// Reports from [`crate::CompiledProgram::execute_column`] store one
 /// outcome per distinct value of the column and share the column's row
 /// map; reports merged from chunks ([`crate::CompiledProgram::execute`],
-/// [`BatchReport::from_chunks`]) store one outcome per distinct value of
-/// each chunk. Both answer row-oriented queries identically.
+/// [`TransformReport::from_chunks`]) store one outcome per distinct value
+/// of each chunk. Both answer row-oriented queries identically, and
+/// compare equal when they say the same about every row.
 #[derive(Debug, Clone)]
-pub struct BatchReport {
+pub struct TransformReport {
     /// The target pattern the program was compiled against.
     pub target: Pattern,
     /// Stored outcomes, one per distinct value (per chunk, for merged
@@ -225,10 +227,10 @@ pub struct BatchReport {
     pub chunk_count: usize,
 }
 
-impl BatchReport {
+impl TransformReport {
     /// An empty report for `target`.
     pub fn empty(target: Pattern) -> Self {
-        BatchReport {
+        TransformReport {
             target,
             outcomes: Vec::new(),
             row_map: Arc::from(Vec::new()),
@@ -262,7 +264,7 @@ impl BatchReport {
             outcomes.extend(chunk.outcomes);
             stats.absorb(&chunk.stats);
         }
-        BatchReport {
+        TransformReport {
             target,
             outcomes,
             row_map: row_map.into(),
@@ -291,7 +293,7 @@ impl BatchReport {
         for (outcome, value) in outcomes.iter().zip(column.distinct_values()) {
             stats.record_weighted(outcome, value.multiplicity());
         }
-        BatchReport {
+        TransformReport {
             target,
             outcomes,
             row_map: column.row_map().clone(),
@@ -302,7 +304,7 @@ impl BatchReport {
 
     /// `true` when this report was built over `column` (by
     /// [`crate::CompiledProgram::execute_column`] or
-    /// [`BatchReport::columnar`]): it stores one outcome per distinct value
+    /// [`TransformReport::columnar`]): it stores one outcome per distinct value
     /// of `column` and shares the column's row map. A report over another
     /// column — even one with equal values — or one merged from chunks is
     /// not.
@@ -351,8 +353,9 @@ impl BatchReport {
     }
 
     /// Borrowing iterator over every row's *output value*, in input order.
-    /// Unlike [`BatchReport::values`] this materializes nothing: serving
-    /// paths can stream the output column without one `String` per row.
+    /// Unlike [`TransformReport::values`] this materializes nothing:
+    /// serving paths can stream the output column without one `String` per
+    /// row.
     pub fn iter_values(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
         self.iter_rows().map(RowOutcome::value)
     }
@@ -402,6 +405,19 @@ impl BatchReport {
         matching as f64 / self.len() as f64
     }
 }
+
+/// Reports compare by what they say about every row: same target, same
+/// per-row outcomes in order — regardless of how the outcomes are stored
+/// (per distinct value of a column, or of each merged chunk).
+impl PartialEq for TransformReport {
+    fn eq(&self, other: &Self) -> bool {
+        self.target == other.target
+            && self.len() == other.len()
+            && self.iter_rows().eq(other.iter_rows())
+    }
+}
+
+impl Eq for TransformReport {}
 
 /// Iterator over every row's outcome of a report, in input order.
 #[derive(Debug, Clone)]
@@ -473,7 +489,7 @@ mod tests {
 
     #[test]
     fn merge_preserves_chunk_order() {
-        let merged = BatchReport::from_chunks(
+        let merged = TransformReport::from_chunks(
             tokenize("1"),
             vec![
                 chunk(0, &["a", "b", "a"]),
@@ -494,7 +510,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "index order")]
     fn out_of_order_chunks_are_rejected() {
-        BatchReport::from_chunks(tokenize("1"), vec![chunk(1, &["a"])]);
+        TransformReport::from_chunks(tokenize("1"), vec![chunk(1, &["a"])]);
     }
 
     #[test]
@@ -504,7 +520,7 @@ mod tests {
             RowOutcome::Transformed { to: "A".into() },
             RowOutcome::Flagged { value: "b".into() },
         ];
-        let report = BatchReport::columnar(tokenize("X"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("X"), outcomes, &column);
         assert_eq!(report.outcomes().len(), 2);
         assert_eq!(report.len(), 5);
         // Stats are multiplicity-weighted.
@@ -527,10 +543,81 @@ mod tests {
 
     #[test]
     fn columnar_report_of_empty_column_is_empty() {
-        let report = BatchReport::columnar(tokenize("X"), Vec::new(), &Column::default());
+        let report = TransformReport::columnar(tokenize("X"), Vec::new(), &Column::default());
         assert!(report.is_empty());
         assert_eq!(report.chunk_count, 0);
         assert_eq!(report.iter_rows().count(), 0);
+    }
+
+    #[test]
+    fn perfection_and_conformance() {
+        let column = Column::from_values(&["734-422-8073", "(734) 645-8397", "N/A"]);
+        let outcomes = vec![
+            RowOutcome::Conforming {
+                value: "734-422-8073".into(),
+            },
+            RowOutcome::Transformed {
+                to: "734-645-8397".into(),
+            },
+            RowOutcome::Flagged {
+                value: "N/A".into(),
+            },
+        ];
+        let report = TransformReport::columnar(tokenize("734-422-8073"), outcomes, &column);
+        assert!(!report.is_perfect());
+        assert!((report.conformance_ratio() - 2.0 / 3.0).abs() < 1e-9);
+
+        let perfect = TransformReport::columnar(
+            tokenize("734-422-8073"),
+            vec![RowOutcome::Transformed {
+                to: "555-111-2222".into(),
+            }],
+            &Column::from_values(&["x"]),
+        );
+        assert!(perfect.is_perfect());
+        assert_eq!(perfect.conformance_ratio(), 1.0);
+    }
+
+    #[test]
+    fn empty_report_is_perfect() {
+        let report = TransformReport::empty(tokenize("1"));
+        assert!(report.is_perfect());
+        assert!(report.is_empty());
+        assert_eq!(report.conformance_ratio(), 1.0);
+    }
+
+    #[test]
+    fn columnar_and_row_reports_compare_equal() {
+        // Same logical rows, different storage: equality is by row.
+        let column = Column::from_values(&["a-1", "N/A", "a-1"]);
+        let conforming = RowOutcome::Conforming {
+            value: "a-1".into(),
+        };
+        let flagged = RowOutcome::Flagged {
+            value: "N/A".into(),
+        };
+        let by_column = TransformReport::columnar(
+            tokenize("a-1"),
+            vec![conforming.clone(), flagged.clone()],
+            &column,
+        );
+        let by_chunk = TransformReport::from_chunks(
+            tokenize("a-1"),
+            vec![ChunkReport::columnar(
+                0,
+                vec![conforming.clone(), flagged, conforming],
+                vec![0, 1, 2],
+            )],
+        );
+        assert_eq!(by_column, by_chunk);
+        assert_eq!(by_column.outcomes().len(), 2);
+        assert_eq!(by_chunk.outcomes().len(), 3);
+        // The same rows under another target are another report.
+        let retargeted = TransformReport {
+            target: tokenize("X"),
+            ..by_column.clone()
+        };
+        assert_ne!(retargeted, by_chunk);
     }
 
     #[test]
@@ -540,7 +627,7 @@ mod tests {
             RowOutcome::Conforming { value: "a".into() },
             RowOutcome::Conforming { value: "b".into() },
         ];
-        let report = BatchReport::columnar(tokenize("X"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("X"), outcomes, &column);
         let mut iter = report.iter_rows();
         assert_eq!(iter.len(), 3);
         iter.next();
@@ -588,13 +675,13 @@ mod tests {
                 value: v.text().into(),
             })
             .collect();
-        let report = BatchReport::columnar(tokenize("X"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("X"), outcomes, &column);
         assert!(report.is_built_over(&column));
         // Same values, separately built: a different row map, so the
         // report's outcome k is not known to belong to its distinct k.
         assert!(!report.is_built_over(&Column::from_values(&values)));
         // A report merged from chunks shares no column's row map.
-        let merged = BatchReport::from_chunks(tokenize("X"), vec![chunk(0, &values)]);
+        let merged = TransformReport::from_chunks(tokenize("X"), vec![chunk(0, &values)]);
         assert!(!merged.is_built_over(&column));
     }
 }

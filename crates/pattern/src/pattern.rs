@@ -309,24 +309,6 @@ impl Pattern {
         out
     }
 
-    /// Render the pattern as an anchored `clx-regex` regular expression in
-    /// which every token listed in `grouped` (zero-based indices, ascending)
-    /// is wrapped in its own capture group.
-    pub fn to_regex_grouped(&self, grouped: &[usize]) -> String {
-        let mut out = String::from("^");
-        for (i, t) in self.tokens.iter().enumerate() {
-            if grouped.contains(&i) {
-                out.push('(');
-                out.push_str(&t.to_regex());
-                out.push(')');
-            } else {
-                out.push_str(&t.to_regex());
-            }
-        }
-        out.push('$');
-        out
-    }
-
     /// A compact notation string, e.g. `<U><L>2<D>3'@'<L>5'.'<L>3`.
     pub fn notation(&self) -> String {
         self.tokens.iter().map(Token::notation).collect()
@@ -845,7 +827,6 @@ mod tests {
     fn regex_rendering() {
         let p = Pattern::new(vec![d(3), lit("-"), d(4)]);
         assert_eq!(p.to_regex(), "^[0-9]{3}-[0-9]{4}$");
-        assert_eq!(p.to_regex_grouped(&[0, 2]), "^([0-9]{3})-([0-9]{4})$");
     }
 
     #[test]

@@ -2,14 +2,11 @@
 //! syntax popularized by Wrangler / Trifacta, which is how CLX presents
 //! patterns and Replace operations to end users (Figures 2–4 of the paper).
 //!
-//! Two renderings are provided:
-//!
-//! * [`pattern_to_wrangler`] — the compact cluster label shown in the
-//!   pattern list, e.g. `\({digit}3\)\ {digit}3\-{digit}4`;
-//! * [`pattern_to_wrangler_regex`] — the full `/^...$/` regex shown inside a
-//!   suggested `Replace` operation, e.g.
-//!   `/^\(({digit}{3})\)({digit}{3})\-({digit}{4})$/`, with the tokens to be
-//!   extracted wrapped in capture groups.
+//! [`render_token`] is the one token renderer. [`pattern_to_wrangler`]
+//! joins its compact form into the cluster label shown in the pattern
+//! list, e.g. `\({digit}3\)\ {digit}3\-{digit}4`; the program explainer
+//! joins its braced form (`{digit}{3}`) into the `/^...$/` regex of a
+//! suggested `Replace` operation (Figure 4).
 
 use crate::token::{Quantifier, Token, TokenClass};
 use crate::Pattern;
@@ -27,18 +24,26 @@ pub fn class_wrangler_name(class: &TokenClass) -> Option<&'static str> {
     }
 }
 
-/// Escape a literal for display in the Wrangler syntax: every character is
-/// preceded by a backslash, as in `\(` or `\ ` (Figure 2 of the paper).
+/// Escape a literal for the Wrangler syntax: every character that is not
+/// an ASCII letter or digit is preceded by a backslash, as in `\(` or `\ `
+/// (Figure 2 of the paper). A letter or digit stays bare: `\` before it
+/// reads as a class or a control character (`\d`, `\r`, ...).
 fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len() * 2);
     for c in s.chars() {
-        out.push('\\');
+        if !c.is_ascii_alphanumeric() {
+            out.push('\\');
+        }
         out.push(c);
     }
     out
 }
 
-fn render_token(token: &Token, braced_quantifier: bool) -> String {
+/// Render one token in the Wrangler syntax: a literal with each character
+/// that is not an ASCII letter or digit escaped, a base token as its class
+/// name with its quantifier — `{digit}3` compact, or `{digit}{3}` with
+/// `braced_quantifier` (the form used inside a full regex, Figure 4).
+pub fn render_token(token: &Token, braced_quantifier: bool) -> String {
     match &token.class {
         TokenClass::Literal(s) => escape_literal(s),
         base => {
@@ -57,24 +62,6 @@ fn render_token(token: &Token, braced_quantifier: bool) -> String {
 /// cluster list, e.g. `\({digit}3\)\ {digit}3\-{digit}4`.
 pub fn pattern_to_wrangler(pattern: &Pattern) -> String {
     pattern.iter().map(|t| render_token(t, false)).collect()
-}
-
-/// Render a pattern as a full `/^...$/` Wrangler regular expression, with the
-/// (zero-based) token indices in `grouped` wrapped in capture groups, e.g.
-/// `/^\(({digit}{3})\)({digit}{3})\-({digit}{4})$/`.
-pub fn pattern_to_wrangler_regex(pattern: &Pattern, grouped: &[usize]) -> String {
-    let mut out = String::from("/^");
-    for (i, t) in pattern.iter().enumerate() {
-        if grouped.contains(&i) {
-            out.push('(');
-            out.push_str(&render_token(t, true));
-            out.push(')');
-        } else {
-            out.push_str(&render_token(t, true));
-        }
-    }
-    out.push_str("$/");
-    out
 }
 
 #[cfg(test)]
@@ -109,22 +96,27 @@ mod tests {
 
     #[test]
     fn figure_4_replace_regex() {
+        // tokens: '(' <D>3 ')' <D>3 '-' <D>4 — the regex of Figure 4,
+        // line 1, without its capture groups.
         let p = tokenize("(734)586-7252");
-        // tokens: '(' <D>3 ')' <D>3 '-' <D>4 ; groups on the three digit runs
-        assert_eq!(
-            pattern_to_wrangler_regex(&p, &[1, 3, 5]),
-            "/^\\(({digit}{3})\\)({digit}{3})\\-({digit}{4})$/"
-        );
+        let body: String = p.iter().map(|t| render_token(t, true)).collect();
+        assert_eq!(body, "\\({digit}{3}\\){digit}{3}\\-{digit}{4}");
+    }
+
+    #[test]
+    fn alphanumeric_literals_render_bare() {
+        let p = crate::parse_pattern("'Dr'<U>").unwrap();
+        assert_eq!(pattern_to_wrangler(&p), "Dr{upper}");
+        let p = crate::parse_pattern("'Dr. '<U>").unwrap();
+        assert_eq!(pattern_to_wrangler(&p), "Dr\\.\\ {upper}");
     }
 
     #[test]
     fn plus_and_single_quantifiers() {
         let p = crate::parse_pattern("<U><L>+'@'<AN>+").unwrap();
         assert_eq!(pattern_to_wrangler(&p), "{upper}{lower}+\\@{alnum}+");
-        assert_eq!(
-            pattern_to_wrangler_regex(&p, &[]),
-            "/^{upper}{lower}+\\@{alnum}+$/"
-        );
+        let braced: String = p.iter().map(|t| render_token(t, true)).collect();
+        assert_eq!(braced, "{upper}{lower}+\\@{alnum}+");
     }
 
     #[test]
@@ -137,6 +129,5 @@ mod tests {
     #[test]
     fn empty_pattern_renders_empty() {
         assert_eq!(pattern_to_wrangler(&Pattern::empty()), "");
-        assert_eq!(pattern_to_wrangler_regex(&Pattern::empty(), &[]), "/^$/");
     }
 }

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use clx_pattern::wrangler;
-use clx_pattern::{Pattern, Quantifier, Token, TokenClass};
+use clx_pattern::Pattern;
 use clx_regex::Regex;
 
 use crate::ast::{Branch, Program, StringExpr};
@@ -210,7 +210,7 @@ pub fn explain_branch(branch: &Branch) -> Result<ReplaceOp, ExplainError> {
         if ranges.iter().any(|&(from, _)| from == idx) {
             regex_body.push('(');
         }
-        regex_body.push_str(&wrangler_token(token));
+        regex_body.push_str(&wrangler::render_token(token, true));
         if ranges.iter().any(|&(_, to)| to == idx) {
             regex_body.push(')');
         }
@@ -235,15 +235,8 @@ pub fn explain_branch(branch: &Branch) -> Result<ReplaceOp, ExplainError> {
         }
     }
 
-    let regex =
-        Regex::new(&format!("^{regex_body}$")).map_err(|e| ExplainError::Regex(e.to_string()))?;
-
-    Ok(ReplaceOp {
-        regex_display,
-        replacement,
-        source_pattern: pattern.clone(),
-        regex,
-    })
+    // The executed regex is parsed from the displayed text itself.
+    ReplaceOp::from_parts(&regex_display, &replacement, pattern.clone())
 }
 
 /// Do any two extract ranges of the plan overlap without being identical?
@@ -283,33 +276,6 @@ pub fn explain_program(program: &Program) -> Result<Explanation, ExplainError> {
         .map(explain_branch)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Explanation { operations })
-}
-
-/// Wrangler rendering of a single token, with `{n}`-braced quantifiers (the
-/// form used inside full regexes, Figure 4).
-fn wrangler_token(token: &Token) -> String {
-    match &token.class {
-        // `\` before a letter or digit reads as a class or a control
-        // character (`\d`, `\n`, ...), so only other characters are escaped.
-        TokenClass::Literal(s) => s
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_string()
-                } else {
-                    format!("\\{c}")
-                }
-            })
-            .collect(),
-        base => {
-            let name = wrangler::class_wrangler_name(base).expect("base class");
-            match token.quantifier {
-                Quantifier::Exact(1) => name.to_string(),
-                Quantifier::Exact(n) => format!("{name}{{{n}}}"),
-                Quantifier::OneOrMore => format!("{name}+"),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

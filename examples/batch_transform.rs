@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use clx::datagen::large_case;
-use clx::{tokenize, ClxSession, ColumnStream, StreamBudget, TransformReport};
+use clx::{tokenize, ClxSession, ColumnStream, StreamBudget};
 
 fn main() {
     // ---- Interactive phase: one labelled session ------------------------
@@ -36,7 +36,7 @@ fn main() {
     );
 
     // ---- Execute in parallel blocks -------------------------------------
-    let report = TransformReport::from_batch(compiled.execute(&case.data));
+    let report = compiled.execute(&case.data);
     println!(
         "parallel apply: {} transformed, {} conforming, {} flagged",
         report.transformed_count(),

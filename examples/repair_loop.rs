@@ -5,12 +5,11 @@
 //! repairs that one cluster's plan, and looks again. This example walks
 //! one turn of that loop:
 //!
-//! 1. `apply()` once — the report records the compiled program that
-//!    produced it (provenance);
+//! 1. `apply()` once — a report built over the session's column;
 //! 2. `repair()` one source cluster's plan choice, which recompiles;
-//! 3. `reverify(&report)` — the session checks that the report is its own
-//!    and re-runs the held compiled program over the column, compiling
-//!    nothing: the result is row for row a fresh `apply()`.
+//! 3. `reverify(&report)` — the session checks that the report was built
+//!    over its column and re-runs the held compiled program over it,
+//!    compiling nothing: the result is row for row a fresh `apply()`.
 //!
 //! What the user re-verifies is the difference between the two reports:
 //! the example counts the rows whose output changed and checks that every
@@ -47,7 +46,7 @@ fn main() {
     let report = session.apply().expect("apply");
     println!(
         "applied to {total_rows} rows ({} distinct): {} transformed, {} conforming, {} flagged",
-        report.distinct_outcomes().len(),
+        report.outcomes().len(),
         report.transformed_count(),
         report.conforming_count(),
         report.flagged_count(),

@@ -19,10 +19,12 @@
 //!   [`ClxSession::compile`](clx_core::ClxSession::compile) turns the
 //!   synthesized program into a thread-safe [`CompiledProgram`] for
 //!   parallel block execution; [`ColumnStream`] streams columns larger
-//!   than memory through it, optionally within a [`StreamBudget`]. Reports
-//!   are columnar ([`TransformReport`]): one outcome per *distinct* value
-//!   plus the column's shared row map — O(distinct), never per-duplicate
-//!   clones. After a repair,
+//!   than memory through it, optionally within a [`StreamBudget`]. One
+//!   report type serves every entry point — the session's `apply` and
+//!   `reverify`, and the engine's `execute` and `execute_column` all return
+//!   a columnar [`TransformReport`]: one outcome per *distinct* value plus
+//!   a shared row map — O(distinct), never per-duplicate clones. After a
+//!   repair,
 //!   [`ClxSession::reverify`](clx_core::ClxSession::reverify) re-runs the
 //!   session's held program over the column, row for row a fresh `apply`;
 //!   [`ColumnStream::swap_program`](clx_engine::ColumnStream::swap_program)
@@ -109,9 +111,7 @@ pub use clx_column::{
 pub use clx_core::{
     Clustered, ClxError, ClxOptions, ClxSession, LabelError, Labelled, RowOutcome, TransformReport,
 };
-pub use clx_engine::{
-    BatchReport, ColumnStream, CompiledProgram, DispatchStats, StreamSummary, SwapSummary,
-};
+pub use clx_engine::{ColumnStream, CompiledProgram, DispatchStats, StreamSummary, SwapSummary};
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{validate_report, ValidationReport};
 pub use clx_telemetry::{InMemorySink, MetricSink, NoopSink, Span, TelemetrySnapshot};

@@ -7,7 +7,7 @@
 //! weights constant discovery by *distinct* value, so repeats are no longer
 //! evidence of constancy and the normal program comes back.
 
-use clx::{tokenize, ClxSession, Column, TransformReport};
+use clx::{tokenize, ClxSession, Column};
 
 #[test]
 fn repeated_value_column_synthesizes_a_working_program() {
@@ -21,7 +21,7 @@ fn repeated_value_column_synthesizes_a_working_program() {
     assert_eq!(report.transformed_count(), 100);
     assert!(report.iter_rows().all(|r| r.value() == "Eran Yahav"));
     // Columnar reporting: 100 rows, one stored outcome.
-    assert_eq!(report.distinct_outcomes().len(), 1);
+    assert_eq!(report.outcomes().len(), 1);
 }
 
 #[test]
@@ -65,8 +65,8 @@ fn engine_and_sequential_agree_on_duplicated_columns() {
 
     let sequential = session.apply().unwrap();
     let compiled = session.compile().unwrap();
-    let via_column = TransformReport::from_batch(compiled.execute_column(session.data()));
-    let via_rows = TransformReport::from_batch(compiled.execute(&data));
+    let via_column = compiled.execute_column(session.data());
+    let via_rows = compiled.execute(&data);
 
     assert_eq!(sequential, via_column);
     assert_eq!(sequential, via_rows);

@@ -190,6 +190,17 @@ fn explanations_verify_on_every_suite_instance() {
             if let Err(e) = session.verify_explanation() {
                 panic!("seed {seed}, task {}: {e:?}", task.name);
             }
+            // What runs is parsed from what is displayed.
+            for op in session.explanation().unwrap().operations {
+                assert_eq!(
+                    Some(op.regex().as_str()),
+                    op.regex_display
+                        .strip_prefix('/')
+                        .and_then(|d| d.strip_suffix('/')),
+                    "seed {seed}, task {}",
+                    task.name
+                );
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! on the phone-number workload of `crates/datagen`.
 
 use clx::datagen::{DataGenerator, PhoneFormat};
-use clx::{tokenize, ClxSession, ColumnStream, Labelled, TransformReport};
+use clx::{tokenize, ClxSession, ColumnStream, Labelled};
 
 /// The §7.2 study formats plus the paper's noise formats (`N/A`, `+1 ...`),
 /// so the column exercises conforming, transformed and flagged rows.
@@ -29,8 +29,7 @@ fn parallel_report_is_identical_to_sequential_apply() {
     let session = labelled_session(data);
 
     let sequential = session.apply().unwrap();
-    let parallel =
-        TransformReport::from_batch(session.compile().unwrap().execute_column(session.data()));
+    let parallel = session.compile().unwrap().execute_column(session.data());
 
     // Row-for-row identity: same variants, same values, same order.
     assert_eq!(sequential, parallel);
@@ -43,7 +42,7 @@ fn flagged_rows_match_exactly() {
 
     let sequential = session.apply().unwrap();
     let compiled = session.compile().unwrap();
-    let parallel = TransformReport::from_batch(compiled.execute(&data));
+    let parallel = compiled.execute(&data);
 
     // The workload really produces flagged rows: "N/A" never reaches the
     // target pattern, and bare 10-digit rows (`<D>10`) cannot be split at
@@ -95,8 +94,8 @@ fn column_execution_is_identical_to_row_execution() {
     let compiled = session.compile().unwrap();
 
     let sequential = session.apply().unwrap();
-    let per_row = TransformReport::from_batch(compiled.execute(&data));
-    let per_column = TransformReport::from_batch(compiled.execute_column(session.data()));
+    let per_row = compiled.execute(&data);
+    let per_column = compiled.execute_column(session.data());
 
     assert_eq!(sequential, per_row);
     assert_eq!(sequential, per_column);
@@ -114,8 +113,8 @@ fn program_cache_serves_repeat_sessions() {
     assert!(std::sync::Arc::ptr_eq(&first, &second));
 
     let data = session.data().to_vec();
-    let a = TransformReport::from_batch(first.execute(&data));
-    let b = TransformReport::from_batch(second.execute(&data));
+    let a = first.execute(&data);
+    let b = second.execute(&data);
     let sequential = session.apply().unwrap();
     assert_eq!(a, sequential);
     assert_eq!(b, sequential);
@@ -125,7 +124,7 @@ fn program_cache_serves_repeat_sessions() {
     let repeat = labelled_session(noisy_phone_column(200, 1));
     assert_eq!(repeat.program(), session.program());
     assert_eq!(
-        TransformReport::from_batch(shared.execute_column(repeat.data())),
+        shared.execute_column(repeat.data()),
         repeat.apply().unwrap()
     );
 }

@@ -14,7 +14,7 @@ fn duplicate_heavy_session(rows: usize, distinct: usize, seed: u64) -> ClxSessio
 
 /// The session's program run through the compiled engine over its column.
 fn compiled_report(session: &ClxSession<Labelled>) -> TransformReport {
-    TransformReport::from_batch(session.compile().unwrap().execute_column(session.data()))
+    session.compile().unwrap().execute_column(session.data())
 }
 
 #[test]
@@ -26,7 +26,7 @@ fn iter_rows_is_row_identical_to_the_per_row_path() {
     // The compiled engine over the raw rows, which interns them in blocks
     // and stores one outcome per distinct value of each block.
     let rows = session.data().to_vec();
-    let by_rows = TransformReport::from_batch(session.compile().unwrap().execute(&rows));
+    let by_rows = session.compile().unwrap().execute(&rows);
 
     // Row-for-row identity, in order — variants and values both.
     assert_eq!(columnar.len(), by_rows.len());
@@ -44,12 +44,9 @@ fn iter_rows_is_row_identical_to_the_per_row_path() {
 
     // And the storage claim behind the redesign: O(distinct) outcomes on
     // both sides — per column, and per block of at least 8,192 rows.
-    assert_eq!(
-        columnar.distinct_outcomes().len(),
-        session.data().distinct_count()
-    );
-    assert!(columnar.distinct_outcomes().len() <= 200);
-    assert!(by_rows.distinct_outcomes().len() <= 200 * (20_000 / 8_192));
+    assert_eq!(columnar.outcomes().len(), session.data().distinct_count());
+    assert!(columnar.outcomes().len() <= 200);
+    assert!(by_rows.outcomes().len() <= 200 * (20_000 / 8_192));
 }
 
 #[test]
@@ -60,7 +57,7 @@ fn empty_column_report() {
     assert_eq!(report.len(), 0);
     assert_eq!(report.iter_rows().count(), 0);
     assert_eq!(report.values(), Vec::<String>::new());
-    assert_eq!(report.distinct_outcomes().len(), 0);
+    assert_eq!(report.outcomes().len(), 0);
     assert_eq!(report.transformed_count(), 0);
     assert_eq!(report.conforming_count(), 0);
     assert_eq!(report.flagged_count(), 0);
@@ -94,7 +91,7 @@ fn all_flagged_report() {
     // though only 3 distinct outcomes are stored.
     assert_eq!(report.values(), data);
     assert_eq!(report.flagged_values(), data.iter().collect::<Vec<_>>());
-    assert_eq!(report.distinct_outcomes().len(), 3);
+    assert_eq!(report.outcomes().len(), 3);
     assert!(!report.is_perfect());
     assert_eq!(report.conformance_ratio(), 0.0);
     assert_eq!(report, compiled_report(&session));
