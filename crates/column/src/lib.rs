@@ -90,10 +90,13 @@
 //! interner offers ("ids are append-only" and "a leaf-id always names the
 //! same leaf") are replaced by explicit **versioning**: every eviction
 //! batch bumps the interner's [`generation`](ColumnInterner::generation),
-//! and every recycled slot bumps its own
-//! [`distinct_generation`](ColumnInterner::distinct_generation). Consumers
-//! caching per distinct-id or per leaf-id key their entries on those
-//! counters and can never be served a stale decision under a reused id.
+//! every recycled slot bumps its own
+//! [`distinct_generation`](ColumnInterner::distinct_generation), and every
+//! freed leaf-id bumps the
+//! [`leaf_generation`](ColumnInterner::leaf_generation). Consumers caching
+//! per distinct-id key their entries on the slot generation, consumers
+//! caching per leaf-id on the leaf generation, and neither can be served a
+//! stale decision under a reused id.
 //! Budgets are enforced at **chunk boundaries** ([`ColumnInterner::chunk`]
 //! runs [`ColumnInterner::enforce_budget`] before interning, and a live
 //! [`ColumnChunk`] borrow keeps the interner immutable), so a chunk's own
@@ -332,9 +335,11 @@ impl SpanTable {
 #[derive(Debug, Clone)]
 pub struct ColumnInterner {
     instance: Instance,
-    /// Bumped once per eviction batch; consumers caching per *leaf-id* key
-    /// their cache on `(instance, generation)`.
+    /// Bumped once per eviction batch (the cursor of `eviction_log`).
     generation: u64,
+    /// Bumped each time a leaf-id is freed; consumers caching per
+    /// *leaf-id* key their cache on `(instance, leaf_generation)`.
+    leaf_generation: u64,
     /// The memory budget enforced at chunk boundaries.
     budget: StreamBudget,
     /// All interned values, concatenated; [`InternedEntry::span`] slices
@@ -431,6 +436,7 @@ impl ColumnInterner {
         ColumnInterner {
             instance: Instance(next_instance()),
             generation: 0,
+            leaf_generation: 0,
             budget,
             arena: String::new(),
             entries: Vec::new(),
@@ -515,11 +521,21 @@ impl ColumnInterner {
     }
 
     /// The eviction-batch counter. Bumped once per batch; a consumer
-    /// caching per *leaf-id* keys its cache on
-    /// `(instance, generation)`, because an eviction batch may recycle
-    /// leaf-ids. Always `0` for unbounded interners.
+    /// caching per *distinct-id* reads it to ask
+    /// [`ColumnInterner::evicted_since`] which slots to drop. Always `0`
+    /// for unbounded interners.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The leaf-id recycle counter. Bumped each time an eviction frees a
+    /// leaf-id (its last live value went), and never otherwise: a consumer
+    /// caching per *leaf-id* keys its cache on
+    /// `(instance, leaf_generation)`, so a recycled leaf-id is never served
+    /// the freed leaf's entry, while eviction batches that leave every
+    /// leaf live keep the cache. Always `0` for unbounded interners.
+    pub fn leaf_generation(&self) -> u64 {
+        self.leaf_generation
     }
 
     /// The recycle generation of distinct-id slot `id`. Bumped each time
@@ -845,6 +861,7 @@ impl ColumnInterner {
             self.leaf_bytes -= size_of_val(pattern.tokens()) + self.key_buf.len();
             self.leaves.remove(self.key_buf.as_slice());
             self.leaf_free.push(entry.leaf_id);
+            self.leaf_generation += 1;
         }
     }
 
@@ -1368,11 +1385,11 @@ impl Column {
         self.source
     }
 
-    /// The eviction [`generation`](ColumnInterner::generation) of this
-    /// column's id space: always `0`, because a column never evicts.
-    /// Paired with [`Column::interner_id`] by consumers whose leaf-id
-    /// caches also serve *streaming* interners, where the generation moves
-    /// on eviction.
+    /// The [`leaf_generation`](ColumnInterner::leaf_generation) of this
+    /// column's id space: always `0`, because a column never frees a
+    /// leaf-id. Paired with [`Column::interner_id`] by consumers whose
+    /// leaf-id caches also serve *streaming* interners, where the leaf
+    /// generation moves when an eviction frees a leaf-id.
     pub fn interner_generation(&self) -> u64 {
         0
     }
@@ -1911,6 +1928,35 @@ mod tests {
         drop(c);
         assert_eq!(interner.value(0), "a-1");
         assert_eq!(interner.distinct_generation(0), 1);
+    }
+
+    #[test]
+    fn leaf_generation_moves_only_when_a_leaf_id_is_freed() {
+        let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(2));
+        drop(interner.chunk(&["a-1", "b-2", "cc"]));
+        assert_eq!(interner.leaf_count(), 2);
+        // Evicting a-1 leaves its leaf live through b-2: the eviction
+        // generation moves, the leaf generation does not.
+        drop(interner.chunk(&["cc"]));
+        assert_eq!((interner.evictions(), interner.generation()), (1, 1));
+        assert_eq!(interner.leaf_generation(), 0);
+        drop(interner.chunk(&["dd", "ee"]));
+        // Evicting b-2 frees the `<L>'-'<D>` leaf-id; evicting cc in the
+        // same batch frees nothing (dd and ee keep `<L>2` live).
+        drop(interner.chunk(&["ff"]));
+        assert_eq!((interner.evictions(), interner.generation()), (3, 2));
+        assert_eq!(interner.leaf_generation(), 1);
+        assert_eq!(interner.leaf_count(), 1);
+        // A batch that frees no leaf-id keeps the leaf generation, and the
+        // freed leaf-id is recycled for a new leaf without moving it.
+        drop(interner.chunk(&["1.2"]));
+        assert_eq!((interner.evictions(), interner.generation()), (4, 3));
+        assert_eq!(interner.leaf_generation(), 1);
+        assert_eq!(interner.leaf_count(), 2);
+        // An unbounded interner never moves it.
+        let mut unbounded = ColumnInterner::new();
+        drop(unbounded.chunk(&["a-1", "b", "7"]));
+        assert_eq!(unbounded.leaf_generation(), 0);
     }
 
     #[test]

@@ -54,10 +54,10 @@ impl CompiledProgram {
 
     /// Decide the distinct ids of an interned chunk, in chunk order, each
     /// through `cache`'s leaf-id dispatch. `decisions` is a stream's
-    /// cross-chunk decision cache: when given, ids it already holds replay
-    /// their stored outcome and every fresh decision is recorded in it.
-    /// `telemetry` (if any) times each first-sight fused classification as
-    /// `engine.fused.decide_ns`.
+    /// cross-chunk decision cache: when given, ids it holds a decision for
+    /// replay it while the leaf's plan that made it is still cached, and
+    /// every fresh decision is recorded in it. `telemetry` (if any) times
+    /// each first-sight fused classification as `engine.fused.decide_ns`.
     pub(crate) fn decide_chunk(
         &self,
         cache: &mut DispatchCache,
@@ -66,29 +66,36 @@ impl CompiledProgram {
         telemetry: Option<&Arc<dyn MetricSink>>,
     ) -> Vec<RowOutcome> {
         let interner = chunk.interner();
+        // Bound before the first replay, which reads the cached serials.
+        cache.bind(
+            self.instance(),
+            interner.instance(),
+            interner.leaf_generation(),
+        );
         if let Some(decisions) = decisions.as_deref_mut() {
-            decisions.sync(interner);
+            decisions.sync(interner, cache);
         }
         chunk
             .distinct_ids()
             .iter()
             .map(|&id| {
+                let leaf_id = interner.leaf_id(id);
                 if let Some(decisions) = decisions.as_deref_mut() {
-                    if let Some(outcome) = decisions.replay(id, interner) {
+                    if let Some(outcome) = decisions.replay(id, leaf_id, interner, cache) {
                         return outcome;
                     }
                 }
                 let outcome = self.transform_one_by_leaf_id_observed(
                     cache,
                     interner.instance(),
-                    interner.generation(),
-                    interner.leaf_id(id),
+                    interner.leaf_generation(),
+                    leaf_id,
                     interner.value(id),
                     interner.leaf(id),
                     telemetry,
                 );
                 if let Some(decisions) = decisions.as_deref_mut() {
-                    decisions.record(id, interner, &outcome);
+                    decisions.record(id, leaf_id, interner, cache, &outcome);
                 }
                 outcome
             })

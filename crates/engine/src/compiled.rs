@@ -314,12 +314,15 @@ impl CompiledProgram {
     ///
     /// `source` names the id space `leaf_id` belongs to (the interner's
     /// instance id — [`clx_column::Column::interner_id`] for columns) and
-    /// `source_generation` that interner's eviction generation
-    /// ([`clx_column::ColumnInterner::generation`];
+    /// `source_generation` that interner's leaf generation
+    /// ([`clx_column::ColumnInterner::leaf_generation`];
     /// [`clx_column::Column::interner_generation`] for columns). The cache
     /// resets when handed ids from a different space *or* a different
-    /// generation — a bounded interner recycles leaf-ids when it evicts —
-    /// so a stale plan can never be replayed under an aliased id. `leaf`
+    /// generation — a bounded interner recycles a leaf-id once eviction
+    /// frees it — so a stale plan can never be replayed under an aliased
+    /// id. Any counter that moves at least whenever a leaf-id is freed is
+    /// sound here, [`clx_column::ColumnInterner::generation`] included; it
+    /// only drops plans more often. `leaf`
     /// must be exactly `tokenize(value)`: the leaf-signature dispatch (see
     /// the `dispatch` module docs) is only sound for leaves produced by the
     /// same tokenizer rules.
@@ -420,7 +423,7 @@ impl CompiledProgram {
     /// boundaries are reconstructed — first sight never re-runs
     /// `Pattern::split` on the fused path. Falls back to the per-branch
     /// loop for fallback programs and for non-leaf signatures.
-    fn build_plan_observed(
+    pub(crate) fn build_plan_observed(
         &self,
         leaf: &Pattern,
         value: &str,
@@ -647,7 +650,7 @@ mod tests {
             compiled.transform_one_by_leaf_id(
                 &mut self.cache,
                 interner.instance(),
-                interner.generation(),
+                interner.leaf_generation(),
                 interner.leaf_id(id),
                 interner.value(id),
                 interner.leaf(id),

@@ -1,11 +1,14 @@
 //! Change-impact analysis between two compiled programs.
 //!
 //! A [`ProgramDelta`] drives [`crate::ColumnStream::swap_program`]: after a
-//! mid-stream program swap it answers, per already-decided outcome and per
-//! leaf pattern, *"can the new program decide this differently?"* —
-//! without re-running anything. The stream then invalidates only the
-//! affected entries of its decision cache and retains dense dispatch plans
-//! for unaffected leaf-ids.
+//! mid-stream program swap it answers, per cached dispatch plan, *"would
+//! the new program build exactly this plan for this leaf?"* — without
+//! re-running anything. The stream keeps the plans it proves and drops the
+//! rest. Stored per-value decisions are never visited: each one replays
+//! only while the plan that decided it is still its leaf's plan (see "Plan
+//! serials" in the `dispatch` module docs), so the swap costs O(cached
+//! plans) and the values under dropped plans re-decide lazily, on their
+//! next sight.
 //!
 //! # How the diff works
 //!
@@ -18,36 +21,30 @@
 //! unreachable** on its own side can never (have) won a row, so it is
 //! skipped entirely and widens no impact set.
 //!
-//! # Why `affects_outcome` is sound
+//! # Why `keeps_plan` is sound
 //!
-//! Take a value `v` whose stored outcome the delta reports unaffected
-//! (target unchanged, `v` matches no changed branch's pattern, old and
-//! new side). If the outcome was `Conforming`, the target still matches —
-//! branches are never consulted. Otherwise `v`'s old winner (or, for
-//! `Flagged`, the absence of one) involved only *unchanged* branches, the
-//! greedy matching preserves their relative order, and every changed
-//! branch ahead of the winner in the new order fails to match `v` — so
-//! the new program picks the same winner with the same plan and produces
-//! byte-for-byte the same outcome. A pattern match is a superset of
-//! "fires" (an opaque branch additionally needs its plan to evaluate), so
-//! the test errs toward re-deciding, never toward staleness. The match is
-//! [`Pattern::matches`], the matcher the interpreter and the compiled
-//! program run.
+//! A [`LeafPlan`] is the prefix of the sequential decision sequence (target
+//! first, then each branch) that the leaf alone cannot resolve, ended by
+//! the first leaf-resolved outcome. With the target unchanged:
 //!
-//! # Why `affects_leaf` can retain whole dispatch plans
+//! * a `[Conforming]` plan never reaches a branch, so every program with
+//!   this target builds it, whatever the branches;
+//! * an empty plan (flagged: no branch matched, none opaque) stays empty
+//!   unless a branch new to this program is opaque or matches the leaf;
+//! * any other plan embeds branch *indices*, so it is kept only when every
+//!   matched branch keeps its index (the `index_stable` field) and no
+//!   changed branch on either side is opaque or matches the leaf. Opaque
+//!   branches get `CheckBranch` steps in **every** plan, so any opaque
+//!   change conservatively drops them. Transparent branches appear in a
+//!   plan only when they match the leaf signature — and transparent
+//!   matching is decided *by* the leaf signature — so a leaf that no
+//!   changed transparent pattern matches (answered by one pass over a
+//!   dedicated multi-pattern automaton over just the changed patterns)
+//!   keeps a plan that is step-for-step the new program's.
 //!
-//! A [`LeafPlan`](crate::dispatch) embeds branch *indices*, so plans are
-//! only retainable at all when every matched branch keeps its index (the
-//! `index_stable` field) and the target is unchanged. Opaque branches get
-//! `CheckBranch` steps in **every** plan, so any opaque change
-//! conservatively affects every leaf. Transparent branches appear
-//! in a plan only when they match the leaf signature — and transparent
-//! matching is decided *by* the leaf signature — so a leaf that no changed
-//! transparent pattern matches (answered by one pass over a dedicated
-//! multi-pattern automaton over just the changed patterns) keeps a plan
-//! that is step-for-step valid under the new program.
+//! In each case the kept plan replays every value with the leaf exactly as
+//! the new program decides it, so the decisions it made stay valid too.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use clx_pattern::Pattern;
@@ -55,51 +52,40 @@ use clx_telemetry::MetricSink;
 use clx_unifi::{Branch, Program};
 
 use crate::compiled::CompiledProgram;
+use crate::dispatch::{LeafPlan, Step};
 use crate::fused::FusedMatcher;
-use crate::report::RowOutcome;
-
-/// One changed branch slot: enough of the compiled branch to test values
-/// and leaves against it without holding the whole program alive.
-#[derive(Debug)]
-struct ChangedBranch {
-    /// The branch's source pattern.
-    pattern: Pattern,
-    /// Whether pattern matching is decided by the leaf signature alone.
-    transparent: bool,
-}
 
 /// The compiled difference between an old and a new [`CompiledProgram`]:
-/// which branch slots changed, and the machinery to test whether a stored
-/// outcome or a cached per-leaf plan can be invalidated by the change.
+/// which branch slots changed, and the machinery to test whether a cached
+/// per-leaf plan survives the change.
 ///
-/// Built by [`ProgramDelta::between`]; all queries are read-only and
-/// `O(changed branches)` per call.
+/// Built by [`ProgramDelta::between`]; every query is read-only and costs
+/// one classification pass over the leaf, at most.
 #[derive(Debug)]
 pub(crate) struct ProgramDelta {
     /// `true` when the labelled target pattern itself differs — every
-    /// outcome and every leaf is affected.
+    /// plan is affected.
     target_changed: bool,
     /// `true` when both programs have the same branch count and every
     /// matched (identical) branch keeps its index — the precondition for
-    /// retaining dispatch plans, which embed branch indices.
+    /// retaining plans that embed branch indices.
     index_stable: bool,
-    /// Branches present in the old program with no identical counterpart
-    /// in the new one (removed or modified), minus proven-unreachable ones.
-    changed_old: Vec<ChangedBranch>,
-    /// Branches present in the new program with no identical counterpart
-    /// in the old one (added or modified), minus proven-unreachable ones.
-    changed_new: Vec<ChangedBranch>,
+    /// Patterns of the branches present in the old program with no
+    /// identical counterpart in the new one (removed or modified), minus
+    /// proven-unreachable ones.
+    changed_old: Vec<Pattern>,
+    /// Patterns of the branches present in the new program with no
+    /// identical counterpart in the old one (added or modified), minus
+    /// proven-unreachable ones.
+    changed_new: Vec<Pattern>,
     /// `true` when any changed branch (either side) is opaque: opaque
-    /// branches are checked per value in every plan, so leaf-level
-    /// retention is off the table.
+    /// branches are checked per value, so the leaf cannot answer for them.
     has_opaque_change: bool,
-    /// One automaton over all changed *transparent* patterns (old and new
-    /// sides together): classifies a leaf against every changed pattern in
-    /// a single pass. `None` when there is nothing transparent to fuse or
-    /// construction fell back — queries then answer conservatively.
+    /// One automaton over every changed pattern, old side then new side:
+    /// classifies a leaf against all of them in a single pass. `None` when
+    /// nothing changed, an opaque branch changed, or construction fell back
+    /// — queries then answer conservatively.
     leaf_matcher: Option<FusedMatcher>,
-    /// Number of changed transparent patterns behind `leaf_matcher`.
-    leaf_matcher_width: usize,
 }
 
 impl ProgramDelta {
@@ -147,40 +133,30 @@ impl ProgramDelta {
         let changed_old_idx = filter_reachable(old, changed_old_idx);
         let changed_new_idx = filter_reachable(new, changed_new_idx);
 
+        let has_opaque_change = changed_old_idx
+            .iter()
+            .any(|&i| !old_branches[i].is_transparent())
+            || changed_new_idx
+                .iter()
+                .any(|&j| !new_branches[j].is_transparent());
         let snapshot = |branches: &[crate::CompiledBranch], idx: &[usize]| {
             idx.iter()
-                .map(|&i| ChangedBranch {
-                    pattern: branches[i].pattern().clone(),
-                    transparent: branches[i].is_transparent(),
-                })
+                .map(|&i| branches[i].pattern().clone())
                 .collect::<Vec<_>>()
         };
         let changed_old = snapshot(old_branches, &changed_old_idx);
         let changed_new = snapshot(new_branches, &changed_new_idx);
 
-        let has_opaque_change = changed_old
-            .iter()
-            .chain(&changed_new)
-            .any(|b| !b.transparent);
-
-        // One automaton over every changed transparent pattern, so
-        // `affects_leaf` is a single classification pass regardless of how
-        // many branches changed. Opaque changes make leaf-level retention
-        // moot, so the matcher is only built in the all-transparent case.
-        let transparent: Vec<&Pattern> = changed_old
-            .iter()
-            .chain(&changed_new)
-            .filter(|b| b.transparent)
-            .map(|b| &b.pattern)
-            .collect();
-        let (leaf_matcher, leaf_matcher_width) = if has_opaque_change || transparent.is_empty() {
-            (None, 0)
+        // One automaton over every changed pattern, so a leaf query is a
+        // single classification pass however many branches changed.
+        // Opaque changes are answered without it.
+        let leaf_matcher = if has_opaque_change || changed_old.is_empty() && changed_new.is_empty()
+        {
+            None
         } else {
-            let slots: Vec<Option<&Pattern>> = transparent.iter().copied().map(Some).collect();
-            match FusedMatcher::build(None, &slots) {
-                Ok(m) => (Some(m), transparent.len()),
-                Err(_) => (None, 0),
-            }
+            let slots: Vec<Option<&Pattern>> =
+                changed_old.iter().chain(&changed_new).map(Some).collect();
+            FusedMatcher::build(None, &slots).ok()
         };
 
         let delta = ProgramDelta {
@@ -190,7 +166,6 @@ impl ProgramDelta {
             changed_new,
             has_opaque_change,
             leaf_matcher,
-            leaf_matcher_width,
         };
         if let Some(sink) = sink {
             sink.counter(
@@ -211,144 +186,45 @@ impl ProgramDelta {
     }
 
     /// `true` when the labelled target pattern changed (which affects
-    /// every outcome).
+    /// every plan).
     pub(crate) fn target_changed(&self) -> bool {
         self.target_changed
     }
 
-    /// Can the new program decide `input`, whose stored decision is
-    /// `outcome`, differently?
-    ///
-    /// `false` is a proof of stability (the outcome may be kept verbatim);
-    /// `true` means "re-decide to find out" — the test is conservative for
-    /// opaque changed branches, whose firing needs a per-value evaluation.
-    /// Cost: one pattern match per changed branch, worst case.
-    pub(crate) fn affects_outcome(&self, outcome: &RowOutcome, input: &str) -> bool {
+    /// Would the new program build exactly `plan`, a plan the old program
+    /// built for leaf signature `leaf`? `true` is a proof: the plan, and
+    /// every decision it made, may be kept as-is (see "Why `keeps_plan` is
+    /// sound" in the module docs). `false` means "rebuild to find out".
+    pub(crate) fn keeps_plan(&self, plan: &LeafPlan, leaf: &Pattern) -> bool {
         if self.target_changed {
-            return true;
-        }
-        match outcome {
-            // Conforming short-circuits before any branch runs: only a
-            // target change can disturb it.
-            RowOutcome::Conforming { .. } => false,
-            // A flagged value matched no old branch; only a branch new to
-            // this program can pick it up.
-            RowOutcome::Flagged { .. } => Self::any_match(&self.changed_new, input),
-            // A transformed value re-decides if its (potential) old winner
-            // was removed/modified, or a changed new branch could now win.
-            RowOutcome::Transformed { .. } => {
-                Self::any_match(&self.changed_old, input)
-                    || Self::any_match(&self.changed_new, input)
-            }
-        }
-    }
-
-    fn any_match(changed: &[ChangedBranch], value: &str) -> bool {
-        changed.iter().any(|b| b.pattern.matches(value))
-    }
-
-    /// [`ProgramDelta::affects_outcome`] for an interned value — one whose
-    /// dense `leaf_id` and leaf pattern `leaf` (exactly `tokenize` of
-    /// `input`) are already known, as for a [`clx_column::Column`]'s
-    /// distinct values or a [`clx_column::ColumnInterner`]'s live ids.
-    ///
-    /// A transparent pattern matches a value iff it matches the value's
-    /// leaf signature, so when every changed branch is transparent the
-    /// per-value pattern matches collapse to one fused classification per
-    /// **distinct leaf**: `memo` carries each leaf-id's
-    /// [`ProgramDelta::screen_leaf`] answer across calls (callers keep one
-    /// memo per id space). On distincts that share a handful of formats
-    /// this turns the screening cost from O(distincts × changed-branch
-    /// matches) into O(leaves × classify) plus an integer lookup per
-    /// distinct, with no tokenization at all.
-    ///
-    /// Falls back to the exact per-value check when an opaque branch
-    /// changed (opaque matching can distinguish values within one leaf) or
-    /// the fused matcher declined a pattern. Answers are identical to
-    /// [`ProgramDelta::affects_outcome`] either way.
-    pub(crate) fn affects_interned(
-        &self,
-        outcome: &RowOutcome,
-        input: &str,
-        leaf_id: u32,
-        leaf: &Pattern,
-        memo: &mut HashMap<u32, Option<(bool, bool)>>,
-    ) -> bool {
-        if self.target_changed || outcome.is_conforming() {
-            return self.affects_outcome(outcome, input);
-        }
-        match *memo
-            .entry(leaf_id)
-            .or_insert_with(|| self.screen_leaf(leaf))
-        {
-            Some(hits) => self.hits_affect(outcome, hits),
-            None => self.affects_outcome(outcome, input),
-        }
-    }
-
-    /// Classify `leaf` against the changed-pattern matcher: `Some((old
-    /// side hit, new side hit))` when every changed branch is transparent
-    /// and the matcher accepted the leaf. `None` means the screen cannot
-    /// answer (an opaque branch changed, the matcher declined a pattern,
-    /// or `leaf` is not a tokenizer-producible signature) — callers fall
-    /// back to the exact per-value [`ProgramDelta::affects_outcome`].
-    fn screen_leaf(&self, leaf: &Pattern) -> Option<(bool, bool)> {
-        let matcher = match (&self.leaf_matcher, self.has_opaque_change) {
-            (Some(matcher), false) => matcher,
-            _ => return None,
-        };
-        let run = matcher.classify(leaf)?;
-        // All changed patterns are transparent here, so the matcher's
-        // slots are `changed_old` followed by `changed_new`.
-        let split = self.changed_old.len();
-        Some((
-            (0..split).any(|i| matcher.branch_matches(&run, i)),
-            (split..self.leaf_matcher_width).any(|i| matcher.branch_matches(&run, i)),
-        ))
-    }
-
-    /// Resolve a [`ProgramDelta::screen_leaf`] answer for `outcome`'s
-    /// kind — the transparent-case equivalent of
-    /// [`ProgramDelta::affects_outcome`] for an unchanged target.
-    fn hits_affect(&self, outcome: &RowOutcome, (old_hit, new_hit): (bool, bool)) -> bool {
-        match outcome {
-            RowOutcome::Conforming { .. } => false,
-            RowOutcome::Flagged { .. } => new_hit,
-            RowOutcome::Transformed { .. } => old_hit || new_hit,
-        }
-    }
-
-    /// Can the new program decide *any* value with leaf signature `leaf`
-    /// differently than a plan compiled for the old program would replay
-    /// it? `false` additionally guarantees the old plan's steps are valid
-    /// under the new program (indices stable, embedded branches
-    /// identical), so the plan may be retained as-is.
-    pub(crate) fn affects_leaf(&self, leaf: &Pattern) -> bool {
-        if self.target_changed || !self.index_stable {
-            return true;
-        }
-        if self.changed_old.is_empty() && self.changed_new.is_empty() {
             return false;
         }
-        // Opaque branches sit in every plan as per-value checks; their
-        // change can flip any leaf's rows.
+        match plan.steps.as_slice() {
+            [Step::Conforming] => true,
+            [] => self.screen(leaf).is_some_and(|(_, new_hit)| !new_hit),
+            _ => self.index_stable && self.screen(leaf) == Some((false, false)),
+        }
+    }
+
+    /// Which sides of the changed set match `leaf`: `(old side hit, new
+    /// side hit)`. `None` means the screen cannot answer (an opaque branch
+    /// changed, the matcher declined a pattern, or `leaf` is not a
+    /// tokenizer-producible signature) — callers must then assume a hit.
+    fn screen(&self, leaf: &Pattern) -> Option<(bool, bool)> {
         if self.has_opaque_change {
-            return true;
+            return None;
         }
-        match &self.leaf_matcher {
-            Some(matcher) => match matcher.classify(leaf) {
-                // `branch_matches` slot i is pattern i of the changed set
-                // (the matcher was built with no target segment occupying
-                // slot 0 — `FusedMatcher` still offsets internally).
-                Some(run) => (0..self.leaf_matcher_width).any(|i| matcher.branch_matches(&run, i)),
-                // Not a tokenizer-producible leaf signature: answer
-                // conservatively rather than guess.
-                None => true,
-            },
-            // Changed transparent patterns but no matcher (construction
-            // fell back): conservative.
-            None => true,
+        if self.branches_changed() == 0 {
+            return Some((false, false));
         }
+        let matcher = self.leaf_matcher.as_ref()?;
+        let run = matcher.classify(leaf)?;
+        // Slot i is changed pattern i, old side first (the matcher was
+        // built with no target segment; `FusedMatcher` offsets internally).
+        let split = self.changed_old.len();
+        let hit =
+            |mut slots: std::ops::Range<usize>| slots.any(|i| matcher.branch_matches(&run, i));
+        Some((hit(0..split), hit(split..self.branches_changed())))
     }
 }
 
@@ -392,6 +268,39 @@ mod tests {
         Expr::concat(vec![StringExpr::extract_range(1, pattern.len())])
     }
 
+    fn constant(text: &str) -> Expr {
+        Expr::concat(vec![StringExpr::const_str(text)])
+    }
+
+    fn branch(pattern: &str, expr: Expr) -> Branch {
+        Branch::new(parse_pattern(pattern).unwrap(), expr)
+    }
+
+    /// `program`'s plan for `value`'s leaf.
+    fn plan(program: &CompiledProgram, value: &str) -> LeafPlan {
+        program.build_plan_observed(&tokenize(value), value, None)
+    }
+
+    /// Does `delta` keep the plan `old` built for `value`? Checks the
+    /// answer against the plan `new` builds: a kept plan must be it.
+    fn keeps(
+        delta: &ProgramDelta,
+        old: &CompiledProgram,
+        new: &CompiledProgram,
+        value: &str,
+    ) -> bool {
+        let (before, after) = (plan(old, value), plan(new, value));
+        let kept = delta.keeps_plan(&before, &tokenize(value));
+        if kept {
+            assert_eq!(
+                format!("{before:?}"),
+                format!("{after:?}"),
+                "kept a stale plan for {value}"
+            );
+        }
+        kept
+    }
+
     #[test]
     fn identical_programs_are_an_identity_delta() {
         let p = tokenize("12-34");
@@ -400,9 +309,9 @@ mod tests {
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(is_identity(&delta));
         assert!(delta.index_stable);
-        assert_eq!(delta.branches_changed(), 0);
-        assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "xy".into() }, "xy"));
-        assert!(!delta.affects_leaf(&tokenize("12-34")));
+        for value in ["12-34", "1-2", "xy"] {
+            assert!(keeps(&delta, &a, &b, value), "{value}");
+        }
     }
 
     #[test]
@@ -412,8 +321,9 @@ mod tests {
         let b = compile(vec![Branch::new(p.clone(), extract_all(&p))], "<D>+");
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(delta.target_changed());
-        assert!(delta.affects_outcome(&RowOutcome::Conforming { value: "1".into() }, "1"));
-        assert!(delta.affects_leaf(&tokenize("zz")));
+        for value in ["1-2", "12-34", "zz"] {
+            assert!(!keeps(&delta, &a, &b, value), "{value}");
+        }
     }
 
     #[test]
@@ -425,7 +335,7 @@ mod tests {
                 Branch::new(digits.clone(), extract_all(&digits)),
                 Branch::new(letters.clone(), extract_all(&letters)),
             ],
-            "<AN>+",
+            "<U>+",
         );
         let b = compile(
             vec![
@@ -435,117 +345,104 @@ mod tests {
                 ),
                 Branch::new(letters.clone(), extract_all(&letters)),
             ],
-            "<AN>+",
+            "<U>+",
         );
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(!is_identity(&delta));
         assert!(delta.index_stable, "unchanged branch keeps its index");
         // Modified branch counts on both sides.
         assert_eq!(delta.branches_changed(), 2);
-        // A value the repaired branch matches must re-decide...
-        assert!(delta.affects_outcome(&RowOutcome::Transformed { to: "1234".into() }, "12-34"));
-        // ...one decided by the untouched branch must not...
-        assert!(!delta.affects_outcome(&RowOutcome::Transformed { to: "abc".into() }, "abc"));
-        // ...and flagged values stay flagged unless a *new* branch could
-        // pick them up (the repaired branch's new form matches "56-78").
-        assert!(!delta.affects_outcome(&RowOutcome::Flagged { value: "!!".into() }, "!!"));
-        assert!(delta.affects_outcome(
-            &RowOutcome::Flagged {
-                value: "56-78".into()
-            },
-            "56-78"
-        ));
-        // Leaf-level: the digits leaf is affected, the letters leaf not.
-        assert!(delta.affects_leaf(&tokenize("12-34")));
-        assert!(!delta.affects_leaf(&tokenize("abc")));
+        // The repaired branch's leaf rebuilds; the untouched branch's,
+        // the conforming and the flagged leaves keep their plans.
+        assert!(!keeps(&delta, &a, &b, "12-34"));
+        assert!(keeps(&delta, &a, &b, "abc"));
+        assert!(keeps(&delta, &a, &b, "ABC"));
+        assert!(keeps(&delta, &a, &b, "!!"));
+    }
+
+    #[test]
+    fn conforming_and_flagged_plans_survive_a_changed_generic_branch() {
+        // `<AN>+` matches the conforming leaf `<D>4` too, but a conforming
+        // plan never reaches a branch.
+        let a = compile(vec![branch("<AN>+", constant("x"))], "<D>4");
+        let b = compile(vec![branch("<AN>+", constant("y"))], "<D>4");
+        let delta = ProgramDelta::between(&a, &b, None);
+        assert!(keeps(&delta, &a, &b, "1234"));
+        // A flagged leaf falls only when the new side matches it.
+        assert!(keeps(&delta, &a, &b, "!!"));
+        assert!(!keeps(&delta, &a, &b, "ab"));
+
+        // An added branch picks up a flagged leaf: only that one falls.
+        let c = compile(
+            vec![
+                branch("<AN>+", constant("x")),
+                Branch::new(tokenize("!!"), constant("z")),
+            ],
+            "<D>4",
+        );
+        let delta = ProgramDelta::between(&a, &c, None);
+        assert!(!keeps(&delta, &a, &c, "!!"));
+        assert!(keeps(&delta, &a, &c, "??"));
+        assert!(keeps(&delta, &a, &c, "1234"));
     }
 
     #[test]
     fn inserted_branch_breaks_index_stability() {
-        let digits = parse_pattern("<D>+").unwrap();
-        let letters = parse_pattern("<L>+").unwrap();
-        let a = compile(
-            vec![Branch::new(letters.clone(), extract_all(&letters))],
-            "<AN>+",
-        );
+        let a = compile(vec![branch("<L>+", constant("l"))], "<U>+");
         let b = compile(
-            vec![
-                Branch::new(digits.clone(), extract_all(&digits)),
-                Branch::new(letters.clone(), extract_all(&letters)),
-            ],
-            "<AN>+",
+            vec![branch("<D>+", constant("d")), branch("<L>+", constant("l"))],
+            "<U>+",
         );
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(!delta.index_stable, "shared branch shifted from 0 to 1");
         assert_eq!(delta.branches_changed(), 1);
-        // Index instability forfeits every leaf's plan...
-        assert!(delta.affects_leaf(&tokenize("abc")));
-        // ...but outcome-level impact stays sharp: only values the new
-        // branch matches re-decide.
-        assert!(delta.affects_outcome(&RowOutcome::Flagged { value: "99".into() }, "99"));
-        assert!(!delta.affects_outcome(&RowOutcome::Transformed { to: "abc".into() }, "abc"));
+        // Index instability forfeits every plan that names a branch...
+        assert!(!keeps(&delta, &a, &b, "abc"));
+        // ...but not the conforming plan, nor a flagged leaf the new
+        // branch does not match.
+        assert!(keeps(&delta, &a, &b, "ABC"));
+        assert!(keeps(&delta, &a, &b, "!!"));
+        assert!(!keeps(&delta, &a, &b, "99"));
     }
 
     #[test]
     fn swapped_branch_order_is_conservatively_changed() {
-        let d2 = parse_pattern("<D>2").unwrap();
-        let dplus = parse_pattern("<D>+").unwrap();
         let a = compile(
             vec![
-                Branch::new(d2.clone(), Expr::concat(vec![StringExpr::const_str("two")])),
-                Branch::new(
-                    dplus.clone(),
-                    Expr::concat(vec![StringExpr::const_str("many")]),
-                ),
+                branch("<D>2", constant("two")),
+                branch("<D>+", constant("many")),
             ],
             "<L>+",
         );
         let b = compile(
             vec![
-                Branch::new(
-                    dplus.clone(),
-                    Expr::concat(vec![StringExpr::const_str("many")]),
-                ),
-                Branch::new(d2.clone(), Expr::concat(vec![StringExpr::const_str("two")])),
+                branch("<D>+", constant("many")),
+                branch("<D>2", constant("two")),
             ],
             "<L>+",
         );
         let delta = ProgramDelta::between(&a, &b, None);
         // "12" used to hit the <D>2 branch, now hits <D>+ first: the delta
-        // must not call it unaffected.
-        assert!(delta.affects_outcome(&RowOutcome::Transformed { to: "two".into() }, "12"));
+        // must not keep its plan.
+        assert!(!keeps(&delta, &a, &b, "12"));
     }
 
     #[test]
     fn unreachable_changed_branches_are_skipped_entirely() {
-        let dplus = parse_pattern("<D>+").unwrap();
-        let d2 = parse_pattern("<D>2").unwrap();
         // <D>2 is shadowed by <D>+ in both programs: the analyzer proves
         // it unreachable, so editing it changes no outcome and the facts
         // intersection drops it from the changed sets.
         let a = compile(
-            vec![
-                Branch::new(
-                    dplus.clone(),
-                    Expr::concat(vec![StringExpr::const_str("n")]),
-                ),
-                Branch::new(d2.clone(), Expr::concat(vec![StringExpr::const_str("a")])),
-            ],
+            vec![branch("<D>+", constant("n")), branch("<D>2", constant("a"))],
             "<L>+",
         );
         let b = compile(
-            vec![
-                Branch::new(
-                    dplus.clone(),
-                    Expr::concat(vec![StringExpr::const_str("n")]),
-                ),
-                Branch::new(d2.clone(), Expr::concat(vec![StringExpr::const_str("b")])),
-            ],
+            vec![branch("<D>+", constant("n")), branch("<D>2", constant("b"))],
             "<L>+",
         );
         let delta = ProgramDelta::between(&a, &b, None);
         assert!(is_identity(&delta), "only a dead branch differs");
         assert_eq!(delta.branches_changed(), 0);
-        assert!(!delta.affects_outcome(&RowOutcome::Transformed { to: "n".into() }, "12"));
+        assert!(keeps(&delta, &a, &b, "12"));
     }
 }

@@ -43,8 +43,11 @@
 //! [`DispatchCache`] is therefore a plain array indexed by leaf-id; every
 //! executor looks plans up by array index and never hashes a `Pattern`.
 //! The id is only meaningful within the interner that assigned it, so the
-//! cache is bound to the interner's process-unique instance id and resets
-//! when ids from a different id space appear.
+//! cache is bound to the interner's process-unique instance id and to its
+//! [`leaf_generation`](clx_column::ColumnInterner::leaf_generation), and
+//! resets when ids from a different id space appear or a freed leaf-id may
+//! have been recycled. Value evictions that free no leaf-id keep every
+//! plan.
 //!
 //! ## The full cascade
 //!
@@ -56,24 +59,36 @@
 //! that pass's accepting path — single-pass first sight, no second
 //! `Pattern::split` run over the tokens — and finally the per-branch
 //! `Pattern::split` loop, the recorded per-program fallback, plus the
-//! per-value check for opaque patterns. Tier 1 replays what tiers 2 and 3 decided.
+//! per-value check for opaque patterns. Tier 1 replays what tiers 2 and 3
+//! decided.
+//!
+//! ## Plan serials
+//!
+//! Every plan the cache builds gets a fresh *serial*, never repeated within
+//! the cache. A stream's per-value decision cache records the serial of the
+//! plan that decided each value and replays the decision only while that
+//! plan is still the leaf's current one: the plan decides the value, so the
+//! decision is exactly as valid as the plan. Invalidating plans therefore
+//! invalidates every decision they made, lazily, without visiting a value.
+//! Should the serial counter run out, the cache drops every plan and moves
+//! to a new serial epoch, and decision caches following it reset.
 //!
 //! ## Rebinding without a reset
 //!
 //! Handing the cache to a *different* program normally clears every plan
-//! ([`DispatchCache::rebind`]): plans embed branch indices and
+//! ([`DispatchCache::bind`]): plans embed branch indices and
 //! split boundaries of the program that built them. But a program *swap*
 //! mid-stream ([`crate::ColumnStream::swap_program`]) usually changes only
 //! a few branches, and a diff of the two programs (the `delta` module's
-//! `ProgramDelta`) can prove, per leaf, that the old plan's every step is
-//! still valid under the new program — same target verdict, identical
-//! branches at identical indices, and no changed branch able to match the
-//! leaf. For those leaves [`DispatchCache::rebind_retaining`] re-binds the
-//! cache to the new program instance while keeping the proven plans in
-//! place, dense tier included: only affected leaf-ids lose their slot and
-//! rebuild (through the new program's fused automaton, built once at
-//! compile time) on next sight. The interner binding (`source`) is untouched — the id space did
-//! not move, only the program did.
+//! `ProgramDelta`) can prove, per cached plan, that the plan is exactly the
+//! one the new program would build for its leaf. For those leaves
+//! [`DispatchCache::rebind_retaining`] re-binds the cache to the new
+//! program instance while keeping the proven plans, and their serials, in
+//! place: only the other leaf-ids lose their slot and rebuild (through the
+//! new program's fused automaton, built once at compile time) on next
+//! sight, and only the values those plans decided re-decide. The interner
+//! binding (`source`) is untouched — the id space did not move, only the
+//! program did.
 
 use std::sync::Arc;
 
@@ -131,28 +146,40 @@ pub(crate) struct SplitPlan {
 /// stale plan can never be replayed against the wrong branch list. The
 /// cache is additionally bound to the id space that handed out its
 /// leaf-ids: the interner **instance**
-/// ([`clx_column::Column::interner_id`]) *and* that interner's eviction
-/// [`generation`](clx_column::ColumnInterner::generation). A bounded
-/// interner ([`clx_column::StreamBudget`]) recycles leaf-ids when it
-/// evicts, bumping its generation; the generation binding guarantees a
-/// recycled leaf-id is never served the evicted leaf's plan — the cache
-/// resets instead of aliasing. Ids from a different interner instance
-/// likewise clear the slots.
+/// ([`clx_column::Column::interner_id`]) *and* that interner's
+/// [`leaf_generation`](clx_column::ColumnInterner::leaf_generation). A
+/// bounded interner ([`clx_column::StreamBudget`]) recycles a leaf-id once
+/// eviction frees it, bumping its leaf generation; the generation binding
+/// guarantees a recycled leaf-id is never served the freed leaf's plan —
+/// the cache resets instead of aliasing. Ids from a different interner
+/// instance likewise clear the slots.
 #[derive(Debug, Default)]
 pub struct DispatchCache {
     program: Option<u64>,
     /// The id space binding: the interner instance whose leaf-ids index
-    /// `dense`, plus that interner's eviction generation.
+    /// `dense`, plus that interner's leaf generation.
     source: Option<(u64, u64)>,
     /// Leaf-id -> plan.
-    dense: Vec<Option<Arc<LeafPlan>>>,
+    dense: Vec<Option<DensePlan>>,
     /// Number of `Some` slots in `dense`.
     dense_decided: usize,
+    /// The serial the next built plan gets.
+    next_serial: u32,
+    /// Bumped each time the serial counter runs out and restarts.
+    serial_epoch: u64,
     /// Lifetime hit/miss tallies; survives rebinds and resets.
     stats: DispatchStats,
     /// Reusable buffer a rewrite is assembled in before it is copied into
     /// its outcome, so a decision does not grow a fresh `String`.
     pub(crate) rewrite: String,
+}
+
+/// One dense slot: a plan and its serial (see "Plan serials" in the module
+/// docs).
+#[derive(Debug, Clone)]
+struct DensePlan {
+    serial: u32,
+    plan: Arc<LeafPlan>,
 }
 
 /// Lifetime hit/miss counters of a [`DispatchCache`].
@@ -198,34 +225,46 @@ impl DispatchCache {
         self.dense_decided = 0;
     }
 
-    /// Reset everything if the cache is handed to a different compiled
-    /// program.
-    fn rebind(&mut self, instance: u64) {
-        if self.program != Some(instance) {
+    /// Bind the cache to program `instance` and to the leaf-ids handed out
+    /// by interner `source` at leaf generation `leaf_generation`, dropping
+    /// every plan when either binding moved. Idempotent; callers that read
+    /// [`DispatchCache::serial`] bind first.
+    pub(crate) fn bind(&mut self, instance: u64, source: u64, leaf_generation: u64) {
+        let binding = (Some(instance), Some((source, leaf_generation)));
+        if (self.program, self.source) != binding {
             self.clear();
-            self.source = None;
-            self.program = Some(instance);
+            (self.program, self.source) = binding;
         }
+    }
+
+    /// The serial of leaf-id `leaf_id`'s current plan, if it has one.
+    pub(crate) fn serial(&self, leaf_id: u32) -> Option<u32> {
+        self.dense.get(leaf_id as usize)?.as_ref().map(|d| d.serial)
+    }
+
+    /// The serial epoch: moves only when the serial counter restarts, so a
+    /// serial recorded in one epoch must never be compared in another.
+    pub(crate) fn serial_epoch(&self) -> u64 {
+        self.serial_epoch
     }
 
     /// Re-bind the cache to program `new_instance` keeping every plan the
     /// caller can prove still valid — the mid-stream program-swap path
     /// (see "Rebinding without a reset" in the module docs).
     ///
-    /// `retain` is asked once per decided slot (by leaf-id); answering
-    /// `true` keeps the plan for the new program, `false` drops it so the
-    /// next sight rebuilds it. The interner binding and the lifetime
-    /// hit/miss tallies are preserved either way. Returns
-    /// `(retained, dropped)`.
+    /// `retain` is asked once per decided slot, with its leaf-id and plan;
+    /// answering `true` keeps the plan and its serial for the new program,
+    /// `false` drops it so the next sight rebuilds it. The interner binding
+    /// and the lifetime hit/miss tallies are preserved either way. Returns
+    /// `(retained, dropped)`. Cost: O(cached plans).
     ///
-    /// Soundness is the caller's obligation: retain a plan only when every
-    /// step in it replays identically under the new program —
-    /// `ProgramDelta::affects_leaf` answering `false` is exactly
-    /// that proof.
+    /// Soundness is the caller's obligation: retain a plan only when the
+    /// new program would build exactly that plan for the leaf —
+    /// `ProgramDelta::keeps_plan` answering `true` is that proof.
     pub(crate) fn rebind_retaining(
         &mut self,
         new_instance: u64,
-        retain: impl Fn(u32) -> bool,
+        retain: impl Fn(u32, &LeafPlan) -> bool,
     ) -> (usize, usize) {
         if self.program == Some(new_instance) {
             return (self.dense_decided, 0);
@@ -234,10 +273,10 @@ impl DispatchCache {
         let mut retained = 0;
         let mut dropped = 0;
         for (leaf_id, slot) in self.dense.iter_mut().enumerate() {
-            if slot.is_none() {
+            let Some(dense) = slot else {
                 continue;
-            }
-            if retain(leaf_id as u32) {
+            };
+            if retain(leaf_id as u32, &dense.plan) {
                 retained += 1;
             } else {
                 *slot = None;
@@ -248,39 +287,57 @@ impl DispatchCache {
         (retained, dropped)
     }
 
+    /// A serial never handed out before in the current epoch. When the
+    /// counter runs out, every plan goes and a new epoch starts.
+    fn fresh_serial(&mut self) -> u32 {
+        if self.next_serial == u32::MAX {
+            self.clear();
+            self.next_serial = 0;
+            self.serial_epoch += 1;
+        }
+        self.next_serial += 1;
+        self.next_serial - 1
+    }
+
+    /// Make the next plan built exhaust the serial counter.
+    #[cfg(test)]
+    pub(crate) fn exhaust_serials(&mut self) {
+        self.next_serial = u32::MAX;
+    }
+
     /// The plan for the leaf with dense id `leaf_id` (handed out by the
-    /// interner instance `source` at eviction generation
-    /// `source_generation`) under program `instance`, building it on first
-    /// sight. Pure array indexing on the hit path — the leaf pattern
-    /// itself is never hashed or compared.
+    /// interner instance `source` at leaf generation `leaf_generation`)
+    /// under program `instance`, building it on first sight. Pure array
+    /// indexing on the hit path — the leaf pattern itself is never hashed
+    /// or compared.
     ///
-    /// A generation change (the interner evicted, possibly recycling
-    /// leaf-ids) resets the cache, so a stale plan is never served under a
+    /// A leaf generation change (the interner freed a leaf-id, which it may
+    /// recycle) resets the cache, so a stale plan is never served under a
     /// reused id.
     pub(crate) fn plan_for_leaf_id(
         &mut self,
         instance: u64,
         source: u64,
-        source_generation: u64,
+        leaf_generation: u64,
         leaf_id: u32,
         build: impl FnOnce() -> LeafPlan,
     ) -> Arc<LeafPlan> {
-        self.rebind(instance);
-        if self.source != Some((source, source_generation)) {
-            self.clear();
-            self.source = Some((source, source_generation));
-        }
+        self.bind(instance, source, leaf_generation);
         let slot = leaf_id as usize;
-        if slot >= self.dense.len() {
-            self.dense.resize(slot + 1, None);
-        }
-        if let Some(plan) = &self.dense[slot] {
+        if let Some(Some(dense)) = self.dense.get(slot) {
             self.stats.dense_hits += 1;
-            return Arc::clone(plan);
+            return Arc::clone(&dense.plan);
         }
         self.stats.dense_misses += 1;
         let plan = Arc::new(build());
-        self.dense[slot] = Some(Arc::clone(&plan));
+        let serial = self.fresh_serial();
+        if slot >= self.dense.len() {
+            self.dense.resize(slot + 1, None);
+        }
+        self.dense[slot] = Some(DensePlan {
+            serial,
+            plan: Arc::clone(&plan),
+        });
         self.dense_decided += 1;
         plan
     }
@@ -289,6 +346,7 @@ impl DispatchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clx_column::{ColumnInterner, StreamBudget};
 
     /// A sentinel plan recognizable by its step shape: serving it after its
     /// id space moved would be the eviction-aliasing bug this module's
@@ -311,23 +369,39 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_dense_entries() {
+        let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(2));
         let mut cache = DispatchCache::new();
-        // Decide leaf-id 0 under (source 7, generation 0) with the sentinel.
-        let plan = cache.plan_for_leaf_id(1, 7, 0, 0, poisoned);
+        drop(interner.chunk(&["a-1", "b-2", "cc"]));
+        let leaf = interner.leaf_id(0);
+        let src = interner.instance();
+        // Decide a-1's leaf with the sentinel.
+        let plan = cache.plan_for_leaf_id(1, src, interner.leaf_generation(), leaf, poisoned);
+        assert!(is_poisoned(&plan));
+
+        // A value-eviction batch that frees no leaf-id (b-2 keeps a-1's
+        // leaf live) keeps every plan: served from the dense tier.
+        drop(interner.chunk(&["cc"]));
+        assert!(interner.generation() > 0 && !interner.is_live(0));
+        let plan = cache.plan_for_leaf_id(1, src, interner.leaf_generation(), leaf, || {
+            panic!("a value eviction that frees no leaf-id must keep the plan")
+        });
         assert!(is_poisoned(&plan));
         assert_eq!(cache.dense_len(), 1);
-        // Same generation: served from the dense tier, builder not run.
-        let plan = cache.plan_for_leaf_id(1, 7, 0, 0, || panic!("must be cached"));
-        assert!(is_poisoned(&plan));
-        // The interner evicted (generation bumped, leaf-id 0 possibly
-        // recycled for a different leaf): the stale sentinel must never be
-        // served — the tier resets and the builder runs again.
-        let plan = cache.plan_for_leaf_id(1, 7, 1, 0, benign);
+
+        // Evicting b-2 frees the leaf-id, and "1.2" recycles it for a
+        // different leaf: the stale sentinel must never be served — the
+        // tier resets and the builder runs again.
+        drop(interner.chunk(&["dd", "ee"]));
+        let chunk = interner.chunk(&["1.2"]);
+        let id = chunk.distinct_ids()[0];
+        drop(chunk);
+        assert_eq!(interner.leaf_id(id), leaf, "the freed leaf-id was recycled");
+        let plan = cache.plan_for_leaf_id(1, src, interner.leaf_generation(), leaf, benign);
         assert!(!is_poisoned(&plan));
         assert_eq!(cache.dense_len(), 1);
-        // The poisoned plan is gone for good, even if generation 0 ids
-        // were ever replayed.
-        let plan = cache.plan_for_leaf_id(1, 7, 0, 0, benign);
+        // The poisoned plan is gone for good, even if the old leaf
+        // generation were ever replayed.
+        let plan = cache.plan_for_leaf_id(1, src, 0, leaf, benign);
         assert!(!is_poisoned(&plan));
     }
 
@@ -348,7 +422,7 @@ mod tests {
         cache.plan_for_leaf_id(1, 7, 0, 0, benign); // miss
         cache.plan_for_leaf_id(1, 7, 0, 0, benign); // hit
 
-        // A generation bump resets the *plans*, not the tallies; so does a
+        // A leaf-id recycle resets the *plans*, not the tallies; so does a
         // new program instance.
         cache.plan_for_leaf_id(1, 7, 1, 0, benign); // miss (reset)
         cache.plan_for_leaf_id(2, 7, 1, 0, benign); // miss (rebind)
@@ -356,5 +430,34 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.dense_hits, 1);
         assert_eq!(stats.dense_misses, 3);
+    }
+
+    #[test]
+    fn serials_are_fresh_and_survive_retaining_rebinds() {
+        let mut cache = DispatchCache::new();
+        cache.plan_for_leaf_id(1, 7, 0, 0, benign);
+        cache.plan_for_leaf_id(1, 7, 0, 1, poisoned);
+        let (a, b) = (cache.serial(0).unwrap(), cache.serial(1).unwrap());
+        assert_ne!(a, b);
+        // A swap keeping leaf 0's plan keeps its serial; leaf 1 rebuilds
+        // under a serial never seen before.
+        let kept = cache.rebind_retaining(2, |leaf_id, _| leaf_id == 0);
+        assert_eq!(kept, (1, 1));
+        assert_eq!(cache.serial(0), Some(a));
+        assert_eq!(cache.serial(1), None);
+        cache.plan_for_leaf_id(2, 7, 0, 1, benign);
+        let c = cache.serial(1).unwrap();
+        assert!(c != a && c != b);
+        // A full rebind or reset rebuilds under fresh serials too.
+        cache.plan_for_leaf_id(3, 7, 0, 0, benign);
+        assert!(![a, b, c].contains(&cache.serial(0).unwrap()));
+
+        // Running out of serials drops every plan and moves the epoch.
+        cache.exhaust_serials();
+        let epoch = cache.serial_epoch();
+        cache.plan_for_leaf_id(3, 7, 0, 1, benign);
+        assert_eq!(cache.serial_epoch(), epoch + 1);
+        assert_eq!(cache.dense_len(), 1);
+        assert_eq!(cache.serial(0), None);
     }
 }

@@ -46,9 +46,9 @@
 //! * [`CompiledProgram::execute_column`] executes a `clx-column`
 //!   [`Column`](clx_column::Column) through its cached leaf signatures —
 //!   no row of a session column is ever tokenized twice;
-//! * [`ColumnStream::swap_program`] re-decides, after a program change,
-//!   only the stream's decisions a diff of the two programs cannot prove
-//!   stable, screening by the cached leaf-ids.
+//! * [`ColumnStream::swap_program`] keeps, after a program change, every
+//!   cached dispatch plan a diff of the two programs proves, in O(cached
+//!   plans); only the values decided by the other plans re-decide, lazily.
 //!
 //! The executor's semantics are exactly those of the sequential path: rows
 //! already matching the target conform, the first matching branch rewrites,

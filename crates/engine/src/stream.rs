@@ -13,7 +13,6 @@
 //! counters plus the O(distinct) interner and per-id decision cache, both
 //! capped by an optional [`StreamBudget`].
 
-use std::collections::HashMap;
 use std::mem::size_of;
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,21 +38,30 @@ fn outcome_footprint(outcome: &RowOutcome) -> usize {
 ///
 /// A value repeated across chunks is transformed exactly once per stream;
 /// every later chunk containing it replays the stored outcome. Validity is
-/// versioned at two levels: the cache is bound to the interner *instance*
-/// whose ids index it (a chunk from a different interner resets it), and
-/// every stored decision carries the distinct-id slot's recycle
-/// [`generation`](clx_column::ColumnInterner::distinct_generation) — a
-/// bounded interner that evicted and recycled a slot can therefore never
-/// replay the old value's outcome for the new value. Stale entries are
-/// pruned whenever the interner's eviction generation moves, so the cache
-/// footprint tracks the interner's live set.
+/// versioned at three levels: the cache is bound to the interner *instance*
+/// whose ids index it (a chunk from a different interner resets it); every
+/// stored decision carries the distinct-id slot's recycle
+/// [`generation`](clx_column::ColumnInterner::distinct_generation), so a
+/// bounded interner that evicted and recycled a slot can never replay the
+/// old value's outcome for the new value; and every stored decision carries
+/// the serial of the dispatch plan that decided it, replaying only while
+/// that plan is still its leaf's (see "Plan serials" in the `dispatch`
+/// module docs). A program swap therefore invalidates decisions by dropping
+/// plans, never by visiting values. Stale entries are pruned whenever the
+/// interner's eviction generation moves, so the cache footprint tracks the
+/// interner's live set.
 #[derive(Debug, Default)]
 pub(crate) struct DistinctDecisions {
     source: Option<u64>,
     /// The interner eviction generation the cache was last pruned at.
     generation: u64,
-    /// Slot -> (slot generation at decision time, outcome).
-    decided: Vec<Option<(u64, RowOutcome)>>,
+    /// The dispatch cache's serial epoch the stored serials belong to.
+    serial_epoch: u64,
+    /// Slot -> (slot generation at decision time, serial of the deciding
+    /// plan, outcome). The generation keeps only its low 32 bits so an
+    /// entry stays 32 bytes: prune drops an evicted slot's decision before
+    /// any replay, so the generation check is a second guard.
+    decided: Vec<Option<(u32, u32, RowOutcome)>>,
     /// Number of `Some` entries in `decided`.
     count: usize,
     /// Estimated heap bytes of the stored outcomes' shared texts.
@@ -63,17 +71,21 @@ pub(crate) struct DistinctDecisions {
     hits: u64,
     /// Lifetime decisions that had to run the program.
     misses: u64,
+    /// Lifetime misses that found a stored decision whose plan had been
+    /// rebuilt since (a program swap or a recycled leaf-id dropped it).
+    redecided: u64,
 }
 
 impl DistinctDecisions {
-    /// Decisions currently held (live distinct values decided this stream).
+    /// Decisions currently held (live distinct values decided this stream,
+    /// including those whose plan has since been dropped).
     fn len(&self) -> usize {
         self.count
     }
 
     /// Estimated heap bytes retained by the decision cache.
     fn memory_used(&self) -> usize {
-        self.decided.capacity() * size_of::<Option<(u64, RowOutcome)>>() + self.bytes
+        self.decided.capacity() * size_of::<Option<(u32, u32, RowOutcome)>>() + self.bytes
     }
 
     fn clear(&mut self) {
@@ -110,62 +122,27 @@ impl DistinctDecisions {
         let Some(slot) = self.decided.get_mut(id as usize) else {
             return;
         };
-        let stale = slot.as_ref().is_some_and(|(gen, _)| {
-            !interner.is_live(id) || *gen != interner.distinct_generation(id)
+        let stale = slot.as_ref().is_some_and(|(gen, _, _)| {
+            !interner.is_live(id) || *gen != interner.distinct_generation(id) as u32
         });
         if stale {
-            let (_, outcome) = slot.take().expect("checked above");
+            let (_, _, outcome) = slot.take().expect("checked above");
             self.count -= 1;
             self.bytes -= outcome_footprint(&outcome);
         }
     }
 
-    /// Program-swap invalidation: drop every stored decision `delta`
-    /// cannot prove stable, so the next chunk touching those ids
-    /// re-decides them through the new program — the generation machinery
-    /// then takes over as if they had never been decided. Unaffected
-    /// decisions keep replaying untouched. Returns the number of decisions
-    /// invalidated; O(decided slots) delta checks, no row ever runs here.
-    ///
-    /// Screening reads each id's cached leaf from `interner` through a
-    /// leaf-id memo, so a swap never re-tokenizes the decided set.
-    fn retain_unaffected(&mut self, delta: &ProgramDelta, interner: &ColumnInterner) -> usize {
-        let mut invalidated = 0;
-        let mut screen = HashMap::new();
-        for (id, slot) in self.decided.iter_mut().enumerate() {
-            let id = id as u32;
-            let affected = slot.as_ref().is_some_and(|(gen, outcome)| {
-                // A slot evicted or recycled since its decision can never
-                // replay; drop it rather than screen another value's leaf.
-                !interner.is_live(id)
-                    || *gen != interner.distinct_generation(id)
-                    || delta.affects_interned(
-                        outcome,
-                        interner.value(id),
-                        interner.leaf_id(id),
-                        interner.leaf(id),
-                        &mut screen,
-                    )
-            });
-            if affected {
-                let (_, outcome) = slot.take().expect("checked above");
-                self.count -= 1;
-                self.bytes -= outcome_footprint(&outcome);
-                invalidated += 1;
-            }
-        }
-        invalidated
-    }
-
-    /// Bind the cache to `interner`'s id space ahead of deciding one of
-    /// its chunks: a chunk from a different interner resets the cache, and
-    /// an interner that evicted since the last chunk has the evicted
-    /// slots' outcomes released first.
-    pub(crate) fn sync(&mut self, interner: &ColumnInterner) {
-        if self.source != Some(interner.instance()) {
+    /// Bind the cache to `interner`'s id space and `cache`'s serial epoch
+    /// ahead of deciding one of the interner's chunks: a chunk from a
+    /// different interner, or a serial epoch the stored serials do not
+    /// belong to, resets the cache, and an interner that evicted since the
+    /// last chunk has the evicted slots' outcomes released first.
+    pub(crate) fn sync(&mut self, interner: &ColumnInterner, cache: &DispatchCache) {
+        if self.source != Some(interner.instance()) || self.serial_epoch != cache.serial_epoch() {
             self.clear();
             self.source = Some(interner.instance());
             self.generation = interner.generation();
+            self.serial_epoch = cache.serial_epoch();
         } else if self.generation != interner.generation() {
             self.prune(interner);
             self.generation = interner.generation();
@@ -175,29 +152,59 @@ impl DistinctDecisions {
         }
     }
 
-    /// The stored outcome of `id`, when it was decided under the slot's
-    /// current recycle generation (counted as a hit). The copy shares the
-    /// stored output text: a reference-count bump, no string copy.
-    pub(crate) fn replay(&mut self, id: u32, interner: &ColumnInterner) -> Option<RowOutcome> {
-        let (gen, outcome) = self.decided[id as usize].as_ref()?;
-        if *gen != interner.distinct_generation(id) {
+    /// The stored outcome of `id` (whose leaf-id is `leaf_id`), when it
+    /// was decided under the slot's current recycle generation by the
+    /// leaf's current plan in `cache` (counted as a hit). The copy shares
+    /// the stored output text: a reference-count bump, no string copy.
+    /// `cache` must be bound to the chunk's program and id space.
+    pub(crate) fn replay(
+        &mut self,
+        id: u32,
+        leaf_id: u32,
+        interner: &ColumnInterner,
+        cache: &DispatchCache,
+    ) -> Option<RowOutcome> {
+        let (gen, serial, outcome) = self.decided[id as usize].as_ref()?;
+        if *gen != interner.distinct_generation(id) as u32 {
+            return None;
+        }
+        if cache.serial(leaf_id) != Some(*serial) {
+            self.redecided += 1;
             return None;
         }
         self.hits += 1;
         Some(outcome.clone())
     }
 
-    /// Store a fresh decision for `id` (counted as a miss), sharing the
-    /// outcome's output text with the chunk report that returns it.
-    pub(crate) fn record(&mut self, id: u32, interner: &ColumnInterner, outcome: &RowOutcome) {
+    /// Store a fresh decision for `id` (counted as a miss), made by the
+    /// plan `cache` now holds for `leaf_id`, sharing the outcome's output
+    /// text with the chunk report that returns it.
+    pub(crate) fn record(
+        &mut self,
+        id: u32,
+        leaf_id: u32,
+        interner: &ColumnInterner,
+        cache: &DispatchCache,
+        outcome: &RowOutcome,
+    ) {
         self.misses += 1;
+        if self.serial_epoch != cache.serial_epoch() {
+            // The serial counter restarted while this chunk was decided:
+            // no stored serial can be trusted any more.
+            self.sync(interner, cache);
+        }
+        let Some(serial) = cache.serial(leaf_id) else {
+            return;
+        };
         self.bytes += outcome_footprint(outcome);
-        let decision = (interner.distinct_generation(id), outcome.clone());
+        let decision = (
+            interner.distinct_generation(id) as u32,
+            serial,
+            outcome.clone(),
+        );
         match self.decided[id as usize].replace(decision) {
-            // Overwrote a stale decision prune() had not seen
-            // (unreachable through chunk(), which always steps the
-            // generation when it evicts — kept for safety).
-            Some((_, stale)) => self.bytes -= outcome_footprint(&stale),
+            // Overwrote a decision whose plan was dropped since.
+            Some((_, _, stale)) => self.bytes -= outcome_footprint(&stale),
             None => self.count += 1,
         }
     }
@@ -261,8 +268,9 @@ pub struct ColumnStream {
     telemetry: Option<Arc<dyn MetricSink>>,
     /// Dispatch-tier tallies already published to the sink (delta basis).
     published_dispatch: crate::dispatch::DispatchStats,
-    /// Decision-cache tallies already published to the sink (delta basis).
-    published_decisions: (u64, u64),
+    /// Decision-cache hit, miss and re-decision tallies already published
+    /// to the sink (delta basis).
+    published_decisions: (u64, u64, u64),
     /// Fused cold-path tallies already published to the sink (delta
     /// basis). The tallies live on the shared program, so a program
     /// driven by several streams attributes each delta to whichever
@@ -293,7 +301,7 @@ impl ColumnStream {
             peak_memory: 0,
             telemetry: None,
             published_dispatch: crate::dispatch::DispatchStats::default(),
-            published_decisions: (0, 0),
+            published_decisions: (0, 0, 0),
             published_fused,
         }
     }
@@ -336,19 +344,19 @@ impl ColumnStream {
     /// program change cannot invalidate.
     ///
     /// A diff of the old and new program (branch by branch, intersected
-    /// with the analyzer's reachability facts) drives three incremental
-    /// moves, none of which touches a row:
+    /// with the analyzer's reachability facts) decides, per cached dispatch
+    /// plan, whether the new program would build exactly that plan. No row
+    /// and no decided value is touched:
     ///
-    /// * **decisions** — already-decided distincts whose outcome the diff
-    ///   cannot prove stable are invalidated and re-decide *lazily*
-    ///   (through the new program, via the usual generation machinery) on
-    ///   the next chunk that contains them; everything else keeps
-    ///   replaying its stored outcome.
     /// * **dispatch plans** — the leaf-id dispatch cache re-binds to the new
-    ///   program *without a full reset*: plans for leaf-ids the diff
-    ///   proves unaffected are retained as-is (see "Rebinding without a
-    ///   reset" in the `dispatch` module docs); affected ones rebuild on
-    ///   next sight.
+    ///   program *without a full reset*: plans the diff proves are retained
+    ///   as-is, serials included (see "Rebinding without a reset" in the
+    ///   `dispatch` module docs); the others rebuild on next sight.
+    /// * **decisions** — each stored decision replays only while the plan
+    ///   that decided it is its leaf's plan, so the distincts under a
+    ///   dropped plan re-decide *lazily*, through the new program, on the
+    ///   next chunk that contains them; everything else keeps replaying its
+    ///   stored outcome.
     /// * **fused automaton** — the new program already carries its own,
     ///   built once at compile time; first-sight decisions after the swap
     ///   classify through it with no per-distinct rebuild cost. The
@@ -356,11 +364,11 @@ impl ColumnStream {
     ///   stay attributed correctly.
     ///
     /// Swapping in the same program (same `Arc` or a recompilation of an
-    /// identical program) is a no-op beyond the diff. Under a
-    /// telemetry sink the swap publishes `engine.delta.branches_changed`
-    /// and `engine.delta.distincts_redecided` (the lazily invalidated
-    /// count). Cost: O(decided distincts + cached plans) cheap checks, independent of row count; the decided values are screened
-    /// by their interned leaf, never re-tokenized.
+    /// identical program) is a no-op beyond the diff. Under a telemetry
+    /// sink the swap publishes `engine.delta.branches_changed`; the pushes
+    /// that follow publish `engine.delta.distincts_redecided`. Cost:
+    /// O(cached plans) leaf checks plus the program-sized diff, independent
+    /// of row and distinct count.
     pub fn swap_program(&mut self, new_program: Arc<CompiledProgram>) -> SwapSummary {
         if Arc::ptr_eq(&self.program, &new_program)
             || self.program.instance() == new_program.instance()
@@ -369,20 +377,13 @@ impl ColumnStream {
         }
         let delta = ProgramDelta::between(&self.program, &new_program, self.telemetry.as_ref());
         let interner = &self.interner;
-        let distincts_invalidated = self.decisions.retain_unaffected(&delta, interner);
         let (dense_plans_retained, dense_plans_dropped) =
             self.cache
-                .rebind_retaining(new_program.instance(), |leaf_id| {
+                .rebind_retaining(new_program.instance(), |leaf_id, plan| {
                     interner
                         .leaf_pattern(leaf_id)
-                        .is_some_and(|leaf| !delta.affects_leaf(leaf))
+                        .is_some_and(|leaf| delta.keeps_plan(plan, leaf))
                 });
-        if let Some(sink) = &self.telemetry {
-            sink.counter(
-                "engine.delta.distincts_redecided",
-                distincts_invalidated as u64,
-            );
-        }
         // Re-baseline the fused tallies: they live on the program, and
         // this stream now publishes deltas of the new program's counters.
         self.published_fused = new_program.fused_stats();
@@ -390,7 +391,6 @@ impl ColumnStream {
         SwapSummary {
             branches_changed: delta.branches_changed(),
             target_changed: delta.target_changed(),
-            distincts_invalidated,
             dense_plans_retained,
             dense_plans_dropped,
         }
@@ -444,10 +444,18 @@ impl ColumnStream {
 
         // Hot loops tally plain u64s; only the since-last-chunk deltas
         // touch the sink here.
-        let decisions = (self.decisions.hits, self.decisions.misses);
-        let (prev_hits, prev_misses) = self.published_decisions;
+        let decisions = (
+            self.decisions.hits,
+            self.decisions.misses,
+            self.decisions.redecided,
+        );
+        let (prev_hits, prev_misses, prev_redecided) = self.published_decisions;
         sink.counter("engine.stream.decision_hits", decisions.0 - prev_hits);
         sink.counter("engine.stream.decision_misses", decisions.1 - prev_misses);
+        sink.counter(
+            "engine.delta.distincts_redecided",
+            decisions.2 - prev_redecided,
+        );
         self.published_decisions = decisions;
 
         let dispatch = self.cache.stats();
@@ -486,7 +494,9 @@ impl ColumnStream {
         sink.gauge("engine.stream.peak_memory_bytes", self.peak_memory as u64);
     }
 
-    /// Distinct values decided and currently retained this stream.
+    /// Distinct values decided and currently retained this stream. A
+    /// decision whose plan a program swap dropped stays counted until its
+    /// value is re-decided or evicted.
     pub fn distinct_decided(&self) -> usize {
         self.decisions.len()
     }
@@ -546,12 +556,12 @@ pub struct SwapSummary {
     /// `true` when the labelled target pattern changed (which invalidates
     /// every decision and plan).
     pub target_changed: bool,
-    /// Stored distinct decisions invalidated for lazy re-decide; every
-    /// other decided distinct keeps replaying its outcome.
-    pub distincts_invalidated: usize,
-    /// Dense dispatch plans proven still valid and retained as-is.
+    /// Dense dispatch plans proven still valid and retained as-is, with
+    /// every decision they made.
     pub dense_plans_retained: usize,
-    /// Dense dispatch plans dropped for rebuild on next sight.
+    /// Dense dispatch plans dropped for rebuild on next sight. The
+    /// decisions they made re-decide on their value's next sight, counted
+    /// then in [`StreamSummary::decision_cache_misses`].
     pub dense_plans_dropped: usize,
 }
 
@@ -579,8 +589,9 @@ pub struct StreamSummary {
     /// [`decision_cache_misses`](StreamSummary::decision_cache_misses)
     /// is the stream's headline reuse ratio.
     pub decision_cache_hits: u64,
-    /// Decisions that had to run the program (first sight of a distinct
-    /// value, or re-decision after its slot was evicted).
+    /// Decisions that had to run the program: first sight of a distinct
+    /// value, or re-decision after its slot was evicted or its leaf's plan
+    /// was dropped (by a program swap or a recycled leaf-id).
     pub decision_cache_misses: u64,
 }
 
@@ -1089,15 +1100,10 @@ mod tests {
         let swap = stream.swap_program(Arc::new(two_branch_program("#")));
         assert_eq!(swap.branches_changed, 2, "old + new form of one branch");
         assert!(!swap.target_changed);
-        assert_eq!(
-            swap.distincts_invalidated, 2,
-            "only the digit distincts re-decide"
-        );
         assert_eq!(swap.dense_plans_retained, 1, "letters leaf plan survives");
         assert_eq!(swap.dense_plans_dropped, 1);
-        assert_eq!(stream.distinct_decided(), 2);
 
-        // Replaying the same rows re-decides exactly the invalidated ids,
+        // Replaying the same rows re-decides exactly the digit distincts,
         // through the new program — and matches a fresh stream of it.
         let patched = stream.push_rows(&rows);
         let mut fresh = ColumnStream::new(Arc::new(two_branch_program("#")));
@@ -1110,6 +1116,12 @@ mod tests {
             patched.iter_values().any(|v| v == "1234#"),
             "new plan's output visible post-swap"
         );
+        assert_eq!(stream.distinct_decided(), 4);
+        assert_eq!(
+            stream.finish().decision_cache_misses,
+            4 + 2,
+            "only the digit distincts re-decide"
+        );
     }
 
     #[test]
@@ -1121,11 +1133,14 @@ mod tests {
         // semantic change — the delta proves everything stable.
         let swap = stream.swap_program(Arc::new(two_branch_program("")));
         assert_eq!(swap.branches_changed, 0);
-        assert_eq!(swap.distincts_invalidated, 0);
         assert_eq!(swap.dense_plans_dropped, 0);
         assert_eq!(swap.dense_plans_retained, 2);
         assert_eq!(stream.distinct_decided(), decided);
         assert_eq!(stream.dispatch_cache().dense_len(), 2);
+        stream.push_rows(&["12-34", "ab.cd"]);
+        let summary = stream.finish();
+        assert_eq!(summary.decision_cache_misses, 2, "nothing re-decided");
+        assert_eq!(summary.decision_cache_hits, 2);
     }
 
     #[test]
@@ -1143,13 +1158,82 @@ mod tests {
         .unwrap();
         let swap = stream.swap_program(Arc::new(retarget));
         assert!(swap.target_changed);
-        assert_eq!(swap.distincts_invalidated, 2);
         assert_eq!(swap.dense_plans_retained, 0);
-        assert_eq!(stream.distinct_decided(), 0);
-        // Post-swap pushes equal a fresh stream of the new program.
+        assert_eq!(stream.dispatch_cache().dense_len(), 0);
+        // Post-swap pushes equal a fresh stream of the new program, and
+        // every decided distinct re-decides.
         let report = stream.push_rows(&["12-34", "ab.cd"]);
         assert_eq!(report.stats.transformed, 1);
         assert_eq!(report.stats.flagged, 1);
+        let summary = stream.finish();
+        assert_eq!(summary.decision_cache_misses, 2 + 2);
+        assert_eq!(summary.decision_cache_hits, 0);
+    }
+
+    #[test]
+    fn conforming_ids_replay_across_a_changed_generic_branch() {
+        // `<AN>+` also matches the conforming leaf `<D>4`; repairing it
+        // must neither drop the conforming plan nor re-decide its ids.
+        let program = |to: &str| {
+            let generic = clx_pattern::parse_pattern("<AN>+").unwrap();
+            let branch = Branch::new(generic, Expr::concat(vec![StringExpr::const_str(to)]));
+            let target = clx_pattern::parse_pattern("<D>4").unwrap();
+            Arc::new(CompiledProgram::compile(&Program::new(vec![branch]), &target).unwrap())
+        };
+        let sink = clx_telemetry::InMemorySink::shared();
+        let mut stream = ColumnStream::new(program("x")).with_telemetry(sink.clone());
+        let rows = ["1234", "5678", "ab", "!!"];
+        stream.push_rows(&rows);
+        let swap = stream.swap_program(program("y"));
+        // Conforming `<D>4` and flagged `'!!'` plans stay; `<L>2` goes.
+        assert_eq!(
+            (swap.dense_plans_retained, swap.dense_plans_dropped),
+            (2, 1)
+        );
+        let report = stream.push_rows(&rows);
+        assert_eq!(
+            report.iter_values().collect::<Vec<_>>(),
+            vec!["1234", "5678", "y", "!!"]
+        );
+        let summary = stream.finish();
+        assert_eq!(
+            summary.decision_cache_misses,
+            4 + 1,
+            "only \"ab\" re-decides"
+        );
+        let snap = MetricSink::snapshot(&*sink);
+        assert_eq!(snap.counter("engine.delta.distincts_redecided"), Some(1));
+    }
+
+    #[test]
+    fn serial_restart_resets_the_decision_cache() {
+        let mut stream = ColumnStream::new(Arc::new(two_branch_program("")));
+        let rows = ["12-34", "ab.cd"];
+        stream.push_rows(&rows);
+        // The next plan built exhausts the serials: every plan, and with
+        // them every stored decision, must go.
+        stream.swap_program(Arc::new(two_branch_program("#")));
+        stream.cache.exhaust_serials();
+        let report = stream.push_rows(&rows);
+        assert_eq!(
+            report.iter_values().collect::<Vec<_>>(),
+            vec!["1234#", "abcd"]
+        );
+        // Both re-decided: "ab.cd"'s kept plan went with the restart.
+        assert_eq!(stream.distinct_decided(), 2);
+        let report = stream.push_rows(&rows);
+        assert_eq!(
+            report.iter_values().collect::<Vec<_>>(),
+            vec!["1234#", "abcd"]
+        );
+        let summary = stream.finish();
+        assert_eq!(summary.decision_cache_misses, 2 + 2);
+        assert_eq!(summary.decision_cache_hits, 2);
+    }
+
+    #[test]
+    fn a_stored_decision_stays_32_bytes() {
+        assert_eq!(size_of::<Option<(u32, u32, RowOutcome)>>(), 32);
     }
 
     #[test]

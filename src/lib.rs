@@ -28,8 +28,8 @@
 //!   [`ClxSession::reverify`](clx_core::ClxSession::reverify) re-runs the
 //!   session's held program over the column, row for row a fresh `apply`;
 //!   [`ColumnStream::swap_program`](clx_engine::ColumnStream::swap_program)
-//!   swaps a live stream's program, re-deciding only the distincts the
-//!   change can affect;
+//!   swaps a live stream's program, re-deciding only the distincts whose
+//!   leaf's dispatch plan the change can affect;
 //! * [`column`](mod@column) — the shared column data plane: interned, deduplicated
 //!   rows with cached token streams ([`Column`]) that profiler, synthesizer,
 //!   session and engine all read instead of re-tokenizing;
