@@ -45,17 +45,17 @@
 //! [`clx_pattern::automaton`]'s screens). One member string per branch
 //! ([`member`]) settles "not empty", and "not covered" for the
 //! single-shadow, union and redundancy queries whenever no cover matches
-//! it. A token-level disjointness proof ([`provably_disjoint`]) settles
-//! the pairwise overlap query as "empty". A screen only ever settles a
-//! query exactly, so the verdicts are the search's; an overlap always
-//! reaches the search, which supplies the `CLX003` witness. `CLX006`
-//! keeps its search too, because its evidence shows the witness. Under a
-//! sink each query is tallied by what settled it, as
+//! it. A token-level disjointness proof ([`DisjointFacts`], built once
+//! per branch) settles the pairwise overlap query as "empty". A screen
+//! only ever settles a query exactly, so the verdicts are the search's;
+//! an overlap always reaches the search, which supplies the `CLX003`
+//! witness. `CLX006` keeps its search too, because its evidence shows the
+//! witness. Under a sink each query is tallied by what settled it, as
 //! `engine.analyze.screened` and `engine.analyze.searched`.
 
 use std::sync::Arc;
 
-use clx_pattern::automaton::{member, provably_disjoint, MultiPatternAutomaton};
+use clx_pattern::automaton::{member, DisjointFacts, MultiPatternAutomaton};
 use clx_pattern::{tokenize, Pattern, Token};
 use clx_telemetry::{MetricSink, Span};
 use clx_unifi::{extract_bounds_violation, Program, StringExpr};
@@ -255,8 +255,13 @@ fn reachability_pass(
         return;
     };
 
+    let disjoint_facts: Vec<DisjointFacts> = program
+        .branches
+        .iter()
+        .map(|b| DisjointFacts::new(&b.pattern))
+        .collect();
     let mut incomplete = false;
-    for (index, branch) in program.branches.iter().enumerate() {
+    for (index, this_branch) in disjoint_facts.iter().enumerate() {
         let seg = index + 1;
         let member = members[index].as_deref();
         // Does the member prove `cover` misses part of this branch?
@@ -351,7 +356,7 @@ fn reachability_pass(
             }
             // A token-level disjointness proof settles "empty"; an overlap
             // always comes from the search, witness included.
-            if provably_disjoint(&program.branches[other].pattern, &branch.pattern) {
+            if disjoint_facts[other].disjoint(this_branch) {
                 settled.screened += 1;
                 continue;
             }

@@ -1,3 +1,4 @@
+use std::cell::RefCell;
 use std::fmt;
 
 use crate::error::PatternError;
@@ -94,8 +95,20 @@ impl Pattern {
     }
 
     /// Does the whole string `s` match this pattern?
+    ///
+    /// Runs [`Pattern::split`]'s forward pass only. On ASCII input it does
+    /// not allocate: the pass reads the bytes in place and fills per-thread
+    /// buffers that are reused from call to call. (A pass needing more than
+    /// 256 reachable positions, such as a `+` token over a long run, grows
+    /// them for that call.) Other input is decoded to characters first.
     pub fn matches(&self, s: &str) -> bool {
-        self.reach(&s.chars().collect::<Vec<_>>()).is_some()
+        with_reach(|reach| {
+            if s.is_ascii() {
+                self.reach(s.as_bytes(), reach)
+            } else {
+                self.reach(&s.chars().collect::<Vec<_>>(), reach)
+            }
+        })
     }
 
     /// Split `s` into the per-token slices described by this pattern, or
@@ -112,33 +125,22 @@ impl Pattern {
     /// is O(tokens × chars), O(tokens + chars) when every token has one
     /// reachable start; no input recurses.
     pub fn split(&self, s: &str) -> Result<Vec<TokenSlice>, PatternError> {
-        let chars: Vec<char> = s.chars().collect();
-        let Some((starts, bounds)) = self.reach(&chars) else {
+        let cuts = if s.is_ascii() {
+            self.cuts(s.as_bytes())
+        } else {
+            let chars: Vec<char> = s.chars().collect();
+            self.cuts(&chars).map(|mut cuts| {
+                let bytes: Vec<usize> = s.char_indices().map(|(b, _)| b).chain([s.len()]).collect();
+                cuts.iter_mut().for_each(|cut| *cut = bytes[*cut]);
+                cuts
+            })
+        };
+        let Some(cuts) = cuts else {
             return Err(PatternError::NoMatch {
                 pattern: self.to_string(),
                 value: s.to_string(),
             });
         };
-        // Backward walk: `cuts[i]` is where token `i` starts.
-        let mut cuts = vec![0; self.tokens.len() + 1];
-        cuts[self.tokens.len()] = chars.len();
-        for (i, tok) in self.tokens.iter().enumerate().rev() {
-            let end = cuts[i + 1];
-            cuts[i] = match (&tok.class, tok.quantifier) {
-                (TokenClass::Literal(lit), _) => end - lit.chars().count(),
-                (_, Quantifier::Exact(n)) => end - n,
-                // Every reachable start below `end` lies inside the class
-                // run ending at `end`, or `end` would not be reachable.
-                (_, Quantifier::OneOrMore) => {
-                    let set = &starts[bounds[i]..bounds[i + 1]];
-                    set[set.partition_point(|&p| p < end) - 1]
-                }
-            };
-        }
-        if !s.is_ascii() {
-            let bytes: Vec<usize> = s.char_indices().map(|(b, _)| b).chain([s.len()]).collect();
-            cuts.iter_mut().for_each(|cut| *cut = bytes[*cut]);
-        }
         Ok(cuts
             .windows(2)
             .enumerate()
@@ -151,14 +153,45 @@ impl Pattern {
             .collect())
     }
 
-    /// The matcher's forward pass: `starts[bounds[i]..bounds[i + 1]]` are the
+    /// Where each token starts in `units` (plus `units.len()` last), or
+    /// `None` on no match: the forward pass, then a backward walk that
+    /// picks each token's largest feasible start.
+    fn cuts<U: Copy + Into<char>>(&self, units: &[U]) -> Option<Vec<usize>> {
+        with_reach(|reach| {
+            if !self.reach(units, reach) {
+                return None;
+            }
+            let Reach { starts, bounds } = reach;
+            let mut cuts = vec![0; self.tokens.len() + 1];
+            cuts[self.tokens.len()] = units.len();
+            for (i, tok) in self.tokens.iter().enumerate().rev() {
+                let end = cuts[i + 1];
+                cuts[i] = match (&tok.class, tok.quantifier) {
+                    (TokenClass::Literal(lit), _) => end - lit.chars().count(),
+                    (_, Quantifier::Exact(n)) => end - n,
+                    // Every reachable start below `end` lies inside the class
+                    // run ending at `end`, or `end` would not be reachable.
+                    (_, Quantifier::OneOrMore) => {
+                        let set = &starts[bounds[i]..bounds[i + 1]];
+                        set[set.partition_point(|&p| p < end) - 1]
+                    }
+                };
+            }
+            Some(cuts)
+        })
+    }
+
+    /// The matcher's forward pass over `units` (the bytes of an ASCII
+    /// string, or the characters of any string): fills
+    /// `reach.starts[reach.bounds[i]..reach.bounds[i + 1]]` with the
     /// ascending positions `p` where the tokens before `i` match
-    /// `chars[..p]`. `None` once a set is empty or `chars.len()` is not
+    /// `units[..p]`. `false` once a set is empty or `units.len()` is not
     /// reachable.
-    fn reach(&self, chars: &[char]) -> Option<(Vec<usize>, Vec<usize>)> {
-        let mut starts = Vec::with_capacity(self.tokens.len() + 1);
+    fn reach<U: Copy + Into<char>>(&self, units: &[U], reach: &mut Reach) -> bool {
+        let Reach { starts, bounds } = reach;
+        starts.clear();
         starts.push(0);
-        let mut bounds = Vec::with_capacity(self.tokens.len() + 2);
+        bounds.clear();
         bounds.extend([0, 1]);
         for (i, tok) in self.tokens.iter().enumerate() {
             let (lo, hi) = (bounds[i], starts.len());
@@ -167,26 +200,26 @@ impl Pattern {
                     let width = lit.chars().count();
                     for k in lo..hi {
                         let p = starts[k];
-                        if chars
+                        if units
                             .get(p..p + width)
-                            .is_some_and(|w| lit.chars().eq(w.iter().copied()))
+                            .is_some_and(|w| lit.chars().eq(w.iter().map(|&u| u.into())))
                         {
                             starts.push(p + width);
                         }
                     }
                 }
                 (class, quantifier) => {
-                    // `chars[p..run_end]` is in the class for the current
-                    // start `p`; starts ascend, so the scan is O(chars).
+                    // `units[p..run_end]` is in the class for the current
+                    // start `p`; starts ascend, so the scan is O(units).
                     let mut run_end = 0;
                     for k in lo..hi {
                         let p = starts[k];
                         let limit = match quantifier {
-                            Quantifier::Exact(n) => p.saturating_add(n).min(chars.len()),
-                            Quantifier::OneOrMore => chars.len(),
+                            Quantifier::Exact(n) => p.saturating_add(n).min(units.len()),
+                            Quantifier::OneOrMore => units.len(),
                         };
                         run_end = run_end.max(p);
-                        while run_end < limit && class.contains_char(chars[run_end]) {
+                        while run_end < limit && class.contains_char(units[run_end].into()) {
                             run_end += 1;
                         }
                         match quantifier {
@@ -206,11 +239,11 @@ impl Pattern {
                 }
             }
             if starts.len() == hi {
-                return None;
+                return false;
             }
             bounds.push(starts.len());
         }
-        (starts.last() == Some(&chars.len())).then_some((starts, bounds))
+        starts.last() == Some(&units.len())
     }
 
     /// Is `self` equal to or a generalization of `child`?
@@ -350,6 +383,46 @@ impl Pattern {
     }
 }
 
+/// The matcher's forward-pass buffers (see [`Pattern::split`]):
+/// `starts[bounds[i]..bounds[i + 1]]` are the positions token `i` can
+/// start at.
+struct Reach {
+    starts: Vec<usize>,
+    bounds: Vec<usize>,
+}
+
+impl Reach {
+    /// Buffers for [`REACH_CAPACITY`] positions and tokens.
+    fn new() -> Reach {
+        Reach {
+            starts: Vec::with_capacity(REACH_CAPACITY),
+            bounds: Vec::with_capacity(REACH_CAPACITY),
+        }
+    }
+}
+
+/// The capacity a thread's buffers hold between calls. A call that
+/// outgrows it gets fresh buffers of this size afterwards, so a long value
+/// does not pin its buffers for the thread's life, and whether a call
+/// allocates depends only on its own input.
+const REACH_CAPACITY: usize = 256;
+
+thread_local! {
+    static REACH: RefCell<Reach> = RefCell::new(Reach::new());
+}
+
+/// Run `f` on this thread's reusable matcher buffers.
+fn with_reach<R>(f: impl FnOnce(&mut Reach) -> R) -> R {
+    REACH.with(|cell| {
+        let mut reach = cell.borrow_mut();
+        let out = f(&mut reach);
+        if reach.starts.capacity() > REACH_CAPACITY || reach.bounds.capacity() > REACH_CAPACITY {
+            *reach = Reach::new();
+        }
+        out
+    })
+}
+
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.notation())
@@ -377,7 +450,7 @@ impl<'a> IntoIterator for &'a Pattern {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::tokenize;
 
@@ -450,11 +523,11 @@ mod tests {
         })
     }
 
-    /// A seeded xorshift stream for the randomized oracle property.
-    struct Rng(u64);
+    /// A seeded xorshift stream for the randomized oracle properties.
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             self.0 ^= self.0 << 13;
             self.0 ^= self.0 >> 7;
             self.0 ^= self.0 << 17;
@@ -479,7 +552,7 @@ mod tests {
     const ALPHABET: [char; 12] = ['0', '7', 'a', 'z', 'A', 'Q', '-', '_', '.', '/', ' ', 'é'];
     const LITERALS: [&str; 8] = ["-", "_", ".", "/", "a", "7", "ab", "-é"];
 
-    fn random_pattern(rng: &mut Rng) -> Pattern {
+    pub(crate) fn random_pattern(rng: &mut Rng) -> Pattern {
         (0..1 + rng.below(5))
             .map(|_| {
                 if rng.below(3) == 0 {

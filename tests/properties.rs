@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use clx::cluster::PatternProfiler;
-use clx::pattern::{parse_pattern, tokenize};
+use clx::pattern::{parse_pattern, tokenize, Pattern, Quantifier, Token, TokenClass};
 use clx::regex::Regex;
 use clx::synth::{align, validate};
 use clx::unifi::{eval_expr, explain_branch, Branch};
@@ -52,6 +52,161 @@ fn data_column() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec(data_string(), 1..20)
 }
 
+const MATCHER_CLASSES: [TokenClass; 5] = [
+    TokenClass::Digit,
+    TokenClass::Lower,
+    TokenClass::Upper,
+    TokenClass::Alpha,
+    TokenClass::AlphaNumeric,
+];
+const MATCHER_LITERALS: [&str; 9] = [",", " ", "-", "_", "€", ", ", "ab", "-7", "x€"];
+/// Characters values are drawn and mutated from: members of every class,
+/// the `-`/`_` only `<AN>` holds, and literal characters.
+const ASCII_CHARS: [char; 10] = ['0', '7', 'a', 'z', 'A', 'Q', '-', '_', ',', ' '];
+const OTHER_CHARS: [char; 2] = ['€', 'é'];
+
+/// Strategy: a pattern of up to six tokens, each a literal, an exact
+/// class token (1 to 3) or a `+` class token, with `<A>` and `<AN>`
+/// among the classes.
+fn matcher_pattern() -> impl Strategy<Value = Pattern> {
+    proptest::collection::vec(0usize..3 * 5 * 9 * 3, 0..7).prop_map(|specs| {
+        specs
+            .into_iter()
+            .map(|spec| {
+                let (kind, class, literal, count) =
+                    (spec % 3, spec / 3 % 5, spec / 15 % 9, spec / 135);
+                let class = MATCHER_CLASSES[class].clone();
+                match kind {
+                    0 => Token::literal(MATCHER_LITERALS[literal]),
+                    1 => Token::plus(class),
+                    _ => Token::base(class, 1 + count),
+                }
+            })
+            .collect()
+    })
+}
+
+/// A string of `pattern`'s language, its choices read from `picks`.
+fn draw(pattern: &Pattern, picks: &[usize]) -> String {
+    let mut picks = picks.iter().copied().cycle();
+    let mut out = String::new();
+    for token in pattern {
+        match (&token.class, token.quantifier) {
+            (TokenClass::Literal(text), _) => out.push_str(text),
+            (class, quantifier) => {
+                let members: Vec<char> = ASCII_CHARS
+                    .into_iter()
+                    .filter(|&c| class.contains_char(c))
+                    .collect();
+                let count = match quantifier {
+                    Quantifier::Exact(n) => n,
+                    Quantifier::OneOrMore => 1 + picks.next().unwrap_or(0) % 4,
+                };
+                for _ in 0..count {
+                    out.push(members[picks.next().unwrap_or(0) % members.len()]);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Insert, replace or delete one character at a picked position, the new
+/// character taken from `alphabet`.
+fn mutate(value: &str, alphabet: &[char], pick: usize) -> String {
+    let mut chars: Vec<char> = value.chars().collect();
+    let at = pick / 3 % (chars.len() + 1);
+    let c = alphabet[pick / 7 % alphabet.len()];
+    match pick % 3 {
+        0 => chars.insert(at, c),
+        1 if at < chars.len() => chars[at] = c,
+        _ if at < chars.len() => {
+            chars.remove(at);
+        }
+        _ => chars.push(c),
+    }
+    chars.into_iter().collect()
+}
+
+/// The matcher before it read ASCII input as bytes, kept as the oracle:
+/// a forward pass over the value's `Vec<char>` recording each token's
+/// reachable starts, then a backward walk picking each token's largest
+/// feasible start. Returns each token's `(start, end, text)` in bytes.
+fn char_matcher_split(pattern: &Pattern, s: &str) -> Option<Vec<(usize, usize, String)>> {
+    let tokens = pattern.tokens();
+    let chars: Vec<char> = s.chars().collect();
+    let mut starts = vec![0];
+    let mut bounds = vec![0, 1];
+    for (i, tok) in tokens.iter().enumerate() {
+        let (lo, hi) = (bounds[i], starts.len());
+        match (&tok.class, tok.quantifier) {
+            (TokenClass::Literal(lit), _) => {
+                let width = lit.chars().count();
+                for k in lo..hi {
+                    let p = starts[k];
+                    if chars
+                        .get(p..p + width)
+                        .is_some_and(|w| lit.chars().eq(w.iter().copied()))
+                    {
+                        starts.push(p + width);
+                    }
+                }
+            }
+            (class, quantifier) => {
+                let mut run_end = 0;
+                for k in lo..hi {
+                    let p = starts[k];
+                    let limit = match quantifier {
+                        Quantifier::Exact(n) => p.saturating_add(n).min(chars.len()),
+                        Quantifier::OneOrMore => chars.len(),
+                    };
+                    run_end = run_end.max(p);
+                    while run_end < limit && class.contains_char(chars[run_end]) {
+                        run_end += 1;
+                    }
+                    match quantifier {
+                        Quantifier::Exact(n) => {
+                            if run_end - p >= n {
+                                starts.push(p + n);
+                            }
+                        }
+                        Quantifier::OneOrMore => {
+                            let from = starts[hi..].last().map_or(p, |&last| last.max(p));
+                            starts.extend(from + 1..=run_end);
+                        }
+                    }
+                }
+            }
+        }
+        if starts.len() == hi {
+            return None;
+        }
+        bounds.push(starts.len());
+    }
+    if starts.last() != Some(&chars.len()) {
+        return None;
+    }
+    let mut cuts = vec![0; tokens.len() + 1];
+    cuts[tokens.len()] = chars.len();
+    for (i, tok) in tokens.iter().enumerate().rev() {
+        let end = cuts[i + 1];
+        cuts[i] = match (&tok.class, tok.quantifier) {
+            (TokenClass::Literal(lit), _) => end - lit.chars().count(),
+            (_, Quantifier::Exact(n)) => end - n,
+            (_, Quantifier::OneOrMore) => {
+                let set = &starts[bounds[i]..bounds[i + 1]];
+                set[set.partition_point(|&p| p < end) - 1]
+            }
+        };
+    }
+    let bytes: Vec<usize> = s.char_indices().map(|(b, _)| b).chain([s.len()]).collect();
+    Some(
+        cuts.windows(2)
+            .map(|w| (bytes[w[0]], bytes[w[1]], chars[w[0]..w[1]].iter().collect()))
+            .collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -66,6 +221,38 @@ proptest! {
         // The split slices reconstruct the original string.
         let rebuilt: String = pattern.split(&s).unwrap().iter().map(|t| t.text.clone()).collect();
         prop_assert_eq!(rebuilt, s);
+    }
+
+    /// The matcher agrees with itself and with the `Vec<char>` matcher it
+    /// replaced, on strings of the pattern's language and on ASCII and
+    /// non-ASCII mutations of them: `matches` is `split(..).is_ok()`, and
+    /// the slices are the oracle's.
+    #[test]
+    fn matcher_agrees_with_the_char_matcher(
+        pattern in matcher_pattern(),
+        picks in proptest::collection::vec(0usize..1_000, 1..12),
+    ) {
+        let drawn = draw(&pattern, &picks);
+        prop_assert!(pattern.matches(&drawn), "{} on {:?}", pattern, drawn);
+        let ascii = mutate(&drawn, &ASCII_CHARS, picks[0]);
+        let other = mutate(&drawn, &OTHER_CHARS, picks[picks.len() - 1]);
+        for value in [drawn, ascii, other] {
+            let split = pattern.split(&value).ok().map(|slices| {
+                slices
+                    .into_iter()
+                    .map(|slice| (slice.start, slice.end, slice.text))
+                    .collect::<Vec<_>>()
+            });
+            let want = char_matcher_split(&pattern, &value);
+            prop_assert!(
+                pattern.matches(&value) == split.is_some() && split == want,
+                "{} on {:?}: split {:?}, oracle {:?}",
+                pattern,
+                value,
+                split,
+                want
+            );
+        }
     }
 
     /// Profiling covers every row exactly once, every row matches its leaf
