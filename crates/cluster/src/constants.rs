@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use clx_pattern::{tokenize_detailed, Pattern, Token, TokenizedString};
+use clx_pattern::{tokenize_detailed, Pattern, Token, TokenSlice, TokenizedString};
 
 /// Options controlling constant discovery.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +72,7 @@ impl Default for ConstantDiscoveryOptions {
 /// conform to it. With the default threshold of 1.0 all values conform.
 ///
 /// This entry point tokenizes each value; the profiler's column path calls
-/// [`discover_constants_cached`] with the token streams the
+/// [`discover_constants_cached`] with the token slices the
 /// [`clx_column::Column`] already carries, so nothing is tokenized twice.
 pub fn discover_constants(
     pattern: &Pattern,
@@ -80,15 +80,19 @@ pub fn discover_constants(
     options: &ConstantDiscoveryOptions,
 ) -> (Pattern, Vec<usize>) {
     let tokenized: Vec<TokenizedString> = values.iter().map(|v| tokenize_detailed(v)).collect();
-    let streams: Vec<&TokenizedString> = tokenized.iter().collect();
+    let streams: Vec<(&str, &[TokenSlice])> = tokenized
+        .iter()
+        .map(|t| (t.raw.as_str(), t.slices.as_slice()))
+        .collect();
     discover_constants_cached(pattern, &streams, options)
 }
 
-/// [`discover_constants`] over pre-tokenized value streams (the cached
-/// per-distinct-value tokenizations of a [`clx_column::Column`]).
+/// [`discover_constants`] over pre-split values: each value's text with
+/// its leaf token slices (the cached per-distinct-value slices of a
+/// [`clx_column::Column`]).
 pub fn discover_constants_cached(
     pattern: &Pattern,
-    values: &[&TokenizedString],
+    values: &[(&str, &[TokenSlice])],
     options: &ConstantDiscoveryOptions,
 ) -> (Pattern, Vec<usize>) {
     // Repeats of one value are never evidence of constancy (see module
@@ -100,14 +104,15 @@ pub fn discover_constants_cached(
     // Collect, per token position, the slice-text frequencies across the
     // values, each value counted once.
     let mut position_values: Vec<HashMap<&str, usize>> = vec![HashMap::new(); pattern.len()];
-    for value in values {
+    for &(text, slices) in values {
         debug_assert_eq!(
-            &value.pattern, pattern,
+            slices.len(),
+            pattern.len(),
             "all values of a cluster share its leaf pattern"
         );
-        for slice in &value.slices {
+        for slice in slices {
             *position_values[slice.token_index]
-                .entry(slice.text.as_str())
+                .entry(slice.text(text))
                 .or_insert(0) += 1;
         }
     }
@@ -154,10 +159,10 @@ pub fn discover_constants_cached(
     let conforming: Vec<usize> = values
         .iter()
         .enumerate()
-        .filter(|(_, value)| {
-            value.slices.iter().all(|slice| {
+        .filter(|(_, &(text, slices))| {
+            slices.iter().all(|slice| {
                 constant_value[slice.token_index]
-                    .map(|v| slice.text == v)
+                    .map(|v| slice.text(text) == v)
                     .unwrap_or(true)
             })
         })

@@ -4,15 +4,13 @@
 //!
 //! Profiling runs over the shared column data plane ([`clx_column::Column`]):
 //! only the column's *distinct* values are analyzed — their leaf patterns
-//! and token streams come straight from the column's cache — and the
+//! and token slices come straight from the column's cache — and the
 //! resulting cluster row sets are fanned back out to original row indices
-//! through the column's multiplicity lists. A duplicate-heavy column
+//! through the column's row lists. A duplicate-heavy column
 //! therefore profiles in O(distinct values), not O(rows).
 
-use std::collections::HashMap;
-
 use clx_column::Column;
-use clx_pattern::{Pattern, TokenizedString};
+use clx_pattern::{Pattern, TokenSlice};
 
 use crate::constants::{discover_constants_cached, ConstantDiscoveryOptions};
 use crate::hierarchy::{NodeId, PatternHierarchy};
@@ -87,74 +85,18 @@ impl PatternProfiler {
 
     /// Profile a [`Column`] into a pattern-cluster hierarchy.
     ///
-    /// Phase 1 clusters the column's *distinct* values by their cached leaf
-    /// patterns and runs constant discovery over the cached token streams;
-    /// row sets are fanned back out through the column's multiplicity
-    /// lists. Phase 2 (agglomerative refinement) operates on patterns only.
+    /// Phase 1 clusters the column's *distinct* values by their leaf-ids
+    /// and runs constant discovery over the cached token slices; row sets
+    /// are fanned back out through the column's row lists. Phase 2
+    /// (agglomerative refinement) operates on patterns only.
     pub fn profile_column(&self, column: &Column) -> PatternHierarchy {
         let mut hierarchy = PatternHierarchy::new(column.len());
 
         // ---- Phase 1: initial clustering through tokenization (§4.1) ----
-        // Group distinct values by their cached leaf pattern. `clusters`
-        // holds indices into the column's distinct-value table.
-        let mut by_leaf: HashMap<&Pattern, usize> = HashMap::new();
-        let mut order: Vec<Pattern> = Vec::new();
-        let mut clusters: Vec<Vec<usize>> = Vec::new();
-        for value in column.distinct_values() {
-            let slot = *by_leaf.entry(value.leaf()).or_insert_with(|| {
-                order.push(value.leaf().clone());
-                clusters.push(Vec::new());
-                clusters.len() - 1
-            });
-            clusters[slot].push(value.index());
-        }
-
-        // Constant discovery may refine each cluster's pattern; it reads the
-        // cached token streams and counts each distinct value once.
-        // Non-conforming values (only possible with a dominance threshold
-        // below 1.0) are split off into a cluster keyed by the original
-        // pattern.
-        let mut final_clusters: Vec<(Pattern, Vec<usize>)> = Vec::new();
-        for (pattern, members) in order.into_iter().zip(clusters) {
-            if self.options.discover_constants {
-                let streams: Vec<&TokenizedString> = members
-                    .iter()
-                    .map(|&v| column.distinct(v).tokenized())
-                    .collect();
-                let (refined, conforming) =
-                    discover_constants_cached(&pattern, &streams, &self.options.constant_options);
-                if conforming.len() == members.len() {
-                    final_clusters.push((refined, members));
-                } else {
-                    let conforming_values: Vec<usize> =
-                        conforming.iter().map(|&i| members[i]).collect();
-                    let rest: Vec<usize> = members
-                        .iter()
-                        .copied()
-                        .filter(|v| !conforming_values.contains(v))
-                        .collect();
-                    final_clusters.push((refined, conforming_values));
-                    final_clusters.push((pattern, rest));
-                }
-            } else {
-                final_clusters.push((pattern, members));
-            }
-        }
-
-        // Merge clusters whose refined patterns collide.
-        let mut merged: Vec<(Pattern, Vec<usize>)> = Vec::new();
-        for (pattern, members) in final_clusters {
-            if let Some(existing) = merged.iter_mut().find(|(p, _)| *p == pattern) {
-                existing.1.extend(members);
-            } else {
-                merged.push((pattern, members));
-            }
-        }
-
         // Materialize the leaf nodes: fan distinct-value membership back out
-        // to original row indices through the multiplicity lists.
+        // to original row indices through the row lists.
         let mut current_level: Vec<NodeId> = Vec::new();
-        for (pattern, members) in merged {
+        for (pattern, members) in self.leaf_clusters(column) {
             let mut rows: Vec<usize> = members
                 .iter()
                 .flat_map(|&v| column.distinct(v).rows())
@@ -207,6 +149,101 @@ impl PatternProfiler {
 
         debug_assert!(hierarchy.check_invariants().is_ok());
         hierarchy
+    }
+
+    /// The leaf clusters of `column` with their row counts: what
+    /// [`PatternHierarchy::pattern_summary`] reads off
+    /// [`PatternProfiler::profile_column`]'s hierarchy, from phase 1 alone
+    /// (no refinement levels, no row lists), largest cluster first.
+    ///
+    /// ```
+    /// use clx_cluster::PatternProfiler;
+    /// use clx_column::Column;
+    ///
+    /// let column = Column::from_values(&["a1", "b2", "xyz-9", "a1"]);
+    /// let profiler = PatternProfiler::new();
+    /// let summary = profiler.leaf_summary(&column);
+    /// assert_eq!(summary, profiler.profile_column(&column).pattern_summary());
+    /// assert_eq!(summary[0].1, 3);
+    /// ```
+    pub fn leaf_summary(&self, column: &Column) -> Vec<(Pattern, usize)> {
+        let mut summary: Vec<(Pattern, usize)> = self
+            .leaf_clusters(column)
+            .into_iter()
+            .map(|(pattern, members)| {
+                let rows = members
+                    .iter()
+                    .map(|&v| column.distinct(v).multiplicity())
+                    .sum();
+                (pattern, rows)
+            })
+            .collect();
+        // Stable, so equal sizes keep cluster order, as `leaves` does.
+        summary.sort_by_key(|&(_, rows)| std::cmp::Reverse(rows));
+        summary
+    }
+
+    /// Phase 1, initial clustering through tokenization (§4.1): each leaf
+    /// cluster's pattern with its members, as indices into the column's
+    /// distinct-value table, in the order the hierarchy's leaves take.
+    fn leaf_clusters(&self, column: &Column) -> Vec<(Pattern, Vec<usize>)> {
+        // Group distinct values by leaf-id. Leaf-ids are dense and assigned
+        // in order of each leaf's first value, so this is also the order of
+        // first occurrence.
+        let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); column.leaf_count()];
+        for value in column.distinct_values() {
+            clusters[value.leaf_id() as usize].push(value.index());
+        }
+
+        // Constant discovery may refine each cluster's pattern; it reads the
+        // cached token slices and counts each distinct value once.
+        // Non-conforming values (only possible with a dominance threshold
+        // below 1.0) are split off into a cluster keyed by the original
+        // pattern.
+        let mut final_clusters: Vec<(Pattern, Vec<usize>)> = Vec::new();
+        for (leaf_id, members) in clusters.into_iter().enumerate() {
+            let pattern = column
+                .leaf_pattern(leaf_id as u32)
+                .expect("leaf-ids below leaf_count are live")
+                .clone();
+            if self.options.discover_constants {
+                let streams: Vec<(&str, &[TokenSlice])> = members
+                    .iter()
+                    .map(|&v| {
+                        let value = column.distinct(v);
+                        (value.text(), value.token_slices())
+                    })
+                    .collect();
+                let (refined, conforming) =
+                    discover_constants_cached(&pattern, &streams, &self.options.constant_options);
+                if conforming.len() == members.len() {
+                    final_clusters.push((refined, members));
+                } else {
+                    let conforming_values: Vec<usize> =
+                        conforming.iter().map(|&i| members[i]).collect();
+                    let rest: Vec<usize> = members
+                        .iter()
+                        .copied()
+                        .filter(|v| !conforming_values.contains(v))
+                        .collect();
+                    final_clusters.push((refined, conforming_values));
+                    final_clusters.push((pattern, rest));
+                }
+            } else {
+                final_clusters.push((pattern, members));
+            }
+        }
+
+        // Merge clusters whose refined patterns collide.
+        let mut merged: Vec<(Pattern, Vec<usize>)> = Vec::new();
+        for (pattern, members) in final_clusters {
+            if let Some(existing) = merged.iter_mut().find(|(p, _)| *p == pattern) {
+                existing.1.extend(members);
+            } else {
+                merged.push((pattern, members));
+            }
+        }
+        merged
     }
 }
 

@@ -13,11 +13,13 @@
 //!   leaf pattern gets a *leaf-id*; both id spaces are append-only, so ids
 //!   stay stable as more data streams in. Per value it keeps only an arena
 //!   span, a leaf-id and LRU links; each leaf pattern is stored once.
-//! * [`Column`] — a finished column: its distinct values with their full
-//!   token streams plus a row→distinct map. Construction deduplicates the
-//!   rows and tokenizes each *distinct* value exactly once;
-//!   [`ColumnBuilder`] shards that work across threads for multi-core
-//!   construction of very large columns (row-for-row identical output).
+//! * [`Column`] — a finished column, stored the way the interner stores a
+//!   stream: per distinct value an arena span, a leaf-id and a range of one
+//!   flat list of token slices (byte ranges), each leaf pattern once per
+//!   leaf-id, and a row→distinct map. Construction deduplicates the rows
+//!   and tokenizes only a leaf it has not seen yet; [`ColumnBuilder`]
+//!   shards the dedup across threads for very large columns (row-for-row
+//!   identical output).
 //! * [`ColumnChunk`] — one streamed slice of a column, interned through a
 //!   shared [`ColumnInterner`] so its distinct-ids are **stable across
 //!   chunks**: a value seen in chunk 0 keeps its id in chunk 9, which is
@@ -26,7 +28,7 @@
 //!
 //! Everything downstream then works in O(distinct) instead of O(rows):
 //! the profiler clusters distinct values and fans counts back out to row
-//! indices, synthesis validates plans against cached token streams, and the
+//! indices, synthesis validates plans against cached token slices, and the
 //! engine dispatches on cached leaf signatures — by integer leaf-id, an
 //! array index — without ever re-tokenizing.
 //!
@@ -113,7 +115,7 @@ use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use clx_pattern::{leaf_key, tokenize, tokenize_detailed, Pattern, TokenSlice, TokenizedString};
+use clx_pattern::{leaf_key, leaf_slices, tokenize, Pattern, TokenSlice};
 use clx_telemetry::{MetricSink, Span};
 
 /// Source of process-unique [`ColumnInterner::instance`] ids (also used for
@@ -1059,15 +1061,16 @@ pub fn auto_block_count(rows: usize) -> usize {
 /// Sharded, multi-threaded column construction.
 ///
 /// `Column::from_rows` is sequential; for very large columns (10M+ rows)
-/// the builder runs construction in parallel phases: contiguous row blocks
-/// are deduplicated on worker threads, a cheap sequential merge assigns
-/// global distinct-ids and the row map, and per-distinct tokenization (the
-/// expensive part) is sharded across workers again — each distinct value
-/// tokenized exactly once, no matter how many blocks contained it. The
+/// the builder deduplicates contiguous row blocks on worker threads, then
+/// a cheap sequential merge assigns global distinct-ids and the row map,
+/// and one sequential pass assembles the column from the distinct values
+/// (the pass [`Column::from_distinct`] runs: a leaf key per value, a
+/// `tokenize` per *new* leaf only, and the value's token slices). The
 /// merge processes blocks in row order and each block's distinct values in
-/// block-first-occurrence order, so the output is **row-for-row identical**
-/// to the sequential path: same distinct order (global first occurrence),
-/// same row map, same leaf signatures, same leaf-id assignment.
+/// block-first-occurrence order, so the output is **row-for-row
+/// identical** to the sequential path: same distinct order (global first
+/// occurrence), same row map, same leaf signatures, same leaf-id
+/// assignment.
 ///
 /// ```
 /// use clx_column::{Column, ColumnBuilder};
@@ -1130,8 +1133,8 @@ impl ColumnBuilder {
 
     /// Attach a telemetry sink: each [`ColumnBuilder::build`] records the
     /// whole-build latency plus (on the sharded path) per-phase
-    /// `column.builder.*_ns` histograms — dedup, merge, tokenize,
-    /// assemble. Without a sink no clock is ever read.
+    /// `column.builder.*_ns` histograms — dedup, merge, assemble. Without
+    /// a sink no clock is ever read.
     pub fn with_telemetry(mut self, sink: Arc<dyn MetricSink>) -> Self {
         self.telemetry = Some(sink);
         self
@@ -1147,8 +1150,8 @@ impl ColumnBuilder {
         auto_block_count(rows)
     }
 
-    /// Build a [`Column`] from owned rows, sharding the interning and
-    /// per-distinct tokenization across worker threads.
+    /// Build a [`Column`] from owned rows, sharding the dedup across
+    /// worker threads.
     pub fn build(&self, rows: Vec<String>) -> Column {
         assert!(
             rows.len() < u32::MAX as usize,
@@ -1160,9 +1163,7 @@ impl ColumnBuilder {
             return Column::from_rows(rows);
         }
 
-        // Phase 1 (parallel): per-block dedup. No tokenization yet — a
-        // value spanning several blocks must only be tokenized once, and
-        // which values those are is not known until the merge.
+        // Phase 1 (parallel): per-block dedup.
         let dedup_span = Span::start(self.telemetry.as_ref(), "column.builder.dedup_ns");
         let block_size = rows.len().div_ceil(shards);
         let blocks: Vec<&[String]> = rows.chunks(block_size).collect();
@@ -1192,167 +1193,164 @@ impl ColumnBuilder {
             row_map.extend(block.rows_local.iter().map(|&l| global[l as usize]));
             offset += block.entries.len();
         }
-        let distinct = merged.entries;
         drop(merge_span);
 
-        // Phase 3 (parallel): per-distinct tokenization — each worker takes
-        // a slice of the global distinct list, so every distinct value is
-        // tokenized exactly once no matter how many blocks contained it.
-        let tokenize_span = Span::start(self.telemetry.as_ref(), "column.builder.tokenize_ns");
-        let tokenize_block = distinct.len().div_ceil(shards).max(1);
-        let tokenized: Vec<TokenizedString> = std::thread::scope(|scope| {
-            let handles: Vec<_> = distinct
-                .chunks(tokenize_block)
-                .map(|texts| {
-                    scope.spawn(move || {
-                        texts
-                            .iter()
-                            .map(|t| tokenize_detailed(t))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("tokenize shard worker panicked"))
-                .collect()
-        });
-
-        drop(tokenize_span);
-
-        // Phase 4 (sequential, O(distinct)): assemble the column in global
-        // first-occurrence order from the prepared tokenizations.
+        // Phase 3 (sequential, O(distinct)): assemble the column in global
+        // first-occurrence order.
         let _assemble_span = Span::start(self.telemetry.as_ref(), "column.builder.assemble_ns");
-        Column::from_distinct(tokenized, row_map)
+        Column::from_distinct(&merged.entries, row_map)
     }
 }
 
-/// One distinct value's interned span, row list and cached analysis.
-#[derive(Debug, Clone)]
+/// One distinct value: its interned span, its leaf-id and where its token
+/// slices start.
+#[derive(Debug, Clone, Copy)]
 struct DistinctEntry {
     /// Half-open byte span of the value inside the column arena.
     span: (usize, usize),
-    /// Original row indices holding this value, in ascending order.
-    rows: Vec<u32>,
-    /// The cached token stream: leaf pattern plus per-token slices,
-    /// computed exactly once per distinct value.
-    tokenized: TokenizedString,
+    /// Index of the value's first token slice in the column's flat slice
+    /// list; it has one slice per token of its leaf pattern.
+    first_slice: usize,
     /// Dense id of this value's leaf pattern within the column's id space.
     leaf_id: u32,
 }
 
 /// A column of string data with interned rows, deduplicated values and
-/// per-distinct-value cached token streams.
+/// per-distinct-value cached token slices.
 ///
-/// Construction tokenizes each *distinct* value exactly once; every later
-/// consumer (profiler, synthesizer, session, engine) reads the cached
-/// [`TokenizedString`] instead of re-deriving it. Each distinct value also
-/// carries the dense [`leaf_id`](DistinctValue::leaf_id) of its leaf
-/// pattern, so executors can dispatch by array index
-/// (see [`Column::interner_id`] for the id-space guard).
+/// It is stored the way [`ColumnInterner`] stores a stream: per distinct
+/// value an arena span, a leaf-id and a range of one flat list of
+/// [`TokenSlice`]s (byte ranges into the arena text); each leaf pattern
+/// once per leaf-id ([`Column::leaf_pattern`]); and the rows of each
+/// distinct value as one range of a single flat row list. Construction
+/// tokenizes only a leaf it has not seen yet; every later consumer
+/// (profiler, synthesizer, session, engine) reads the cached leaf and
+/// slices instead of re-deriving them. The dense
+/// [`leaf_id`](DistinctValue::leaf_id) lets executors dispatch by array
+/// index (see [`Column::interner_id`] for the id-space guard).
 #[derive(Debug, Clone)]
 pub struct Column {
     /// All distinct values, concatenated; [`DistinctEntry::span`] slices it.
     arena: String,
     /// Distinct values in first-occurrence order.
     values: Vec<DistinctEntry>,
+    /// Every distinct value's token slices, value after value.
+    slices: Vec<TokenSlice>,
+    /// Leaf-id -> leaf pattern.
+    leaves: Vec<Pattern>,
+    /// Distinct value `k` is held by rows
+    /// `row_list[row_starts[k]..row_starts[k + 1]]`, ascending.
+    row_starts: Vec<u32>,
+    /// Every distinct value's rows, value after value.
+    row_list: Vec<u32>,
     /// Row index -> index into `values`. Shared (`Arc`) so that columnar
     /// reports can reference the map without copying it per report.
     rows: Arc<[u32]>,
     /// The id space the distinct-ids / leaf-ids of this column belong to
     /// (a fresh instance id per column).
     source: u64,
-    /// Number of distinct leaf patterns (the size of the leaf-id space).
-    leaf_count: usize,
 }
 
 impl Default for Column {
     fn default() -> Self {
-        Column {
-            arena: String::new(),
-            values: Vec::new(),
-            rows: Arc::from(Vec::new()),
-            source: next_instance(),
-            leaf_count: 0,
-        }
+        Column::from_distinct::<&str>(&[], Vec::new())
     }
 }
 
 impl Column {
     /// Build a column from owned rows, deduplicating them and tokenizing
-    /// each distinct value once (sequentially; see [`ColumnBuilder`] for
-    /// the sharded multi-core equivalent).
+    /// each new leaf once (sequentially; see [`ColumnBuilder`] for the
+    /// sharded multi-core equivalent).
     pub fn from_rows(rows: Vec<String>) -> Self {
-        assert!(
-            rows.len() < u32::MAX as usize,
-            "column exceeds u32 row indexing"
-        );
-        let deduped = dedup(rows.iter().map(String::as_str));
-        let values = deduped
-            .entries
-            .iter()
-            .map(|v| tokenize_detailed(v))
-            .collect();
-        Column::from_distinct(values, deduped.rows_local)
+        Column::from_values(&rows)
     }
 
-    /// Build a column from already-distinct, already-tokenized values plus
-    /// the row→distinct map, skipping tokenization entirely.
+    /// Build a column from already-distinct values plus the row→distinct
+    /// map, skipping the dedup.
     ///
-    /// `values[k]` is the `k`-th distinct value (with its precomputed
-    /// [`TokenizedString`]), and `row_map[r]` names the distinct value held
-    /// by row `r`. This is how `result_patterns` builds the *output* column
-    /// of a transformation in O(distinct): transformed outputs derive their
-    /// token streams from the labelled target's split, so nothing needs to
-    /// be re-tokenized. The column owns a fresh id space (leaf-ids are
-    /// assigned by deduplicating the given values' leaf patterns).
+    /// `values[k]` is the `k`-th distinct value, and `row_map[r]` names the
+    /// distinct value held by row `r`. This is how `result_patterns` builds
+    /// the *output* column of a transformation in O(distinct outputs). The
+    /// column owns a fresh id space: leaf-ids are assigned in order of each
+    /// leaf's first value, and only a value with a leaf not seen yet is
+    /// tokenized; the others cost a leaf key and their token slices.
     ///
     /// # Panics
     ///
-    /// Panics if a `row_map` entry is out of bounds, or if `row_map` is
-    /// non-empty while `values` is empty.
-    pub fn from_distinct(values: Vec<TokenizedString>, row_map: Vec<u32>) -> Self {
-        let mut arena = String::new();
-        let mut leaves: HashMap<Pattern, u32> = HashMap::new();
+    /// Panics if a `row_map` entry is out of bounds (so also if `row_map`
+    /// is non-empty while `values` is empty), or if `row_map` does not fit
+    /// `u32` row indexing.
+    pub fn from_distinct<S: AsRef<str>>(values: &[S], row_map: Vec<u32>) -> Self {
+        assert!(
+            row_map.len() < u32::MAX as usize,
+            "column exceeds u32 row indexing"
+        );
+        let mut arena = String::with_capacity(values.iter().map(|v| v.as_ref().len()).sum());
         let mut entries: Vec<DistinctEntry> = Vec::with_capacity(values.len());
-        for tokenized in values {
-            let leaf_id = match leaves.get(&tokenized.pattern) {
+        let mut slices: Vec<TokenSlice> = Vec::new();
+        let mut leaves: Vec<Pattern> = Vec::new();
+        let mut leaf_ids: HashMap<Box<[u8]>, u32> = HashMap::new();
+        let mut key = Vec::new();
+        for value in values {
+            let text = value.as_ref();
+            leaf_key(text, &mut key);
+            let leaf_id = match leaf_ids.get(key.as_slice()) {
                 Some(&l) => l,
                 None => {
-                    let l = leaves.len() as u32;
-                    leaves.insert(tokenized.pattern.clone(), l);
+                    leaves.push(tokenize(text));
+                    let l = leaves.len() as u32 - 1;
+                    leaf_ids.insert(key.as_slice().into(), l);
                     l
                 }
             };
             let start = arena.len();
-            arena.push_str(&tokenized.raw);
+            arena.push_str(text);
+            let first_slice = slices.len();
+            leaf_slices(text, &mut slices);
             entries.push(DistinctEntry {
                 span: (start, arena.len()),
-                rows: Vec::new(),
-                tokenized,
+                first_slice,
                 leaf_id,
             });
         }
-        for (row_index, &value_index) in row_map.iter().enumerate() {
+
+        // The row lists as one counting sort: count each value's rows,
+        // turn the counts into starts, then place the rows in order.
+        let mut row_starts = vec![0u32; entries.len() + 1];
+        for &value_index in &row_map {
             assert!(
                 (value_index as usize) < entries.len(),
                 "row map entry {value_index} out of bounds ({} distinct values)",
                 entries.len()
             );
-            entries[value_index as usize].rows.push(row_index as u32);
+            row_starts[value_index as usize + 1] += 1;
+        }
+        for k in 1..row_starts.len() {
+            row_starts[k] += row_starts[k - 1];
+        }
+        let mut next = row_starts.clone();
+        let mut row_list = vec![0u32; row_map.len()];
+        for (row_index, &value_index) in row_map.iter().enumerate() {
+            let at = &mut next[value_index as usize];
+            row_list[*at as usize] = row_index as u32;
+            *at += 1;
         }
         Column {
             arena,
             values: entries,
+            slices,
+            leaves,
+            row_starts,
+            row_list,
             rows: Arc::from(row_map),
             source: next_instance(),
-            leaf_count: leaves.len(),
         }
     }
 
     /// Build a column from borrowed values.
     pub fn from_values<S: AsRef<str>>(values: &[S]) -> Self {
-        Self::from_rows(values.iter().map(|v| v.as_ref().to_string()).collect())
+        let deduped = dedup(values.iter().map(AsRef::as_ref));
+        Column::from_distinct(&deduped.entries, deduped.rows_local)
     }
 
     /// Number of rows (including duplicates).
@@ -1373,7 +1371,14 @@ impl Column {
     /// Number of distinct leaf patterns across the column's distinct values
     /// (the size of the column's leaf-id space).
     pub fn leaf_count(&self) -> usize {
-        self.leaf_count
+        self.leaves.len()
+    }
+
+    /// The leaf pattern behind leaf-id `leaf_id`, or `None` when the id is
+    /// out of range: [`ColumnInterner::leaf_pattern`] for a finished
+    /// column, whose leaf-ids are never recycled.
+    pub fn leaf_pattern(&self, leaf_id: u32) -> Option<&Pattern> {
+        self.leaves.get(leaf_id as usize)
     }
 
     /// The process-unique id of the id space this column's distinct-ids and
@@ -1496,7 +1501,7 @@ impl FromIterator<String> for Column {
 }
 
 /// A handle to one distinct value of a [`Column`]: its interned text, the
-/// original rows holding it, and its cached token stream.
+/// original rows holding it, its leaf pattern and its cached token slices.
 #[derive(Debug, Clone, Copy)]
 pub struct DistinctValue<'a> {
     column: &'a Column,
@@ -1519,19 +1524,28 @@ impl<'a> DistinctValue<'a> {
         &self.column.arena[start..end]
     }
 
+    /// The value's range of the column's flat row list.
+    fn row_range(&self) -> std::ops::Range<usize> {
+        let starts = &self.column.row_starts;
+        starts[self.index] as usize..starts[self.index + 1] as usize
+    }
+
     /// Number of rows holding this value.
     pub fn multiplicity(&self) -> usize {
-        self.entry().rows.len()
+        self.row_range().len()
     }
 
     /// Original row indices holding this value, ascending.
     pub fn rows(&self) -> impl Iterator<Item = usize> + 'a {
-        self.entry().rows.iter().map(|&r| r as usize)
+        self.column.row_list[self.row_range()]
+            .iter()
+            .map(|&r| r as usize)
     }
 
-    /// The cached leaf pattern (the value's `tokenize` signature).
+    /// The cached leaf pattern (the value's `tokenize` signature), stored
+    /// once per leaf-id.
     pub fn leaf(&self) -> &'a Pattern {
-        &self.entry().tokenized.pattern
+        &self.column.leaves[self.entry().leaf_id as usize]
     }
 
     /// The dense leaf-id of this value's leaf pattern within the column's
@@ -1541,21 +1555,18 @@ impl<'a> DistinctValue<'a> {
         self.entry().leaf_id
     }
 
-    /// The cached per-token slices of the value.
+    /// The cached per-token slices of the value: byte ranges into
+    /// [`DistinctValue::text`], one per token of [`DistinctValue::leaf`].
     pub fn token_slices(&self) -> &'a [TokenSlice] {
-        &self.entry().tokenized.slices
-    }
-
-    /// The full cached tokenization (raw text + leaf pattern + slices).
-    pub fn tokenized(&self) -> &'a TokenizedString {
-        &self.entry().tokenized
+        let first = self.entry().first_slice;
+        &self.column.slices[first..first + self.leaf().len()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clx_pattern::tokenize;
+    use clx_pattern::tokenize_detailed;
 
     fn sample() -> Column {
         Column::from_rows(vec![
@@ -1615,10 +1626,11 @@ mod tests {
             let rebuilt: String = value
                 .token_slices()
                 .iter()
-                .map(|s| s.text.as_str())
+                .map(|s| s.text(value.text()))
                 .collect();
             assert_eq!(rebuilt, value.text());
-            assert_eq!(value.tokenized().raw, value.text());
+            assert_eq!(value.token_slices(), tokenize_detailed(value.text()).slices);
+            assert_eq!(c.leaf_pattern(value.leaf_id()), Some(value.leaf()));
         }
     }
 
@@ -1679,8 +1691,7 @@ mod tests {
             "a-1".to_string(),
         ];
         let baseline = Column::from_rows(rows.clone());
-        let values = vec![tokenize_detailed("a-1"), tokenize_detailed("b-2")];
-        let rebuilt = Column::from_distinct(values, vec![0, 1, 0, 0]);
+        let rebuilt = Column::from_distinct(&["a-1", "b-2"], vec![0, 1, 0, 0]);
         assert_eq!(rebuilt.len(), baseline.len());
         assert_eq!(rebuilt.distinct_count(), baseline.distinct_count());
         assert_eq!(rebuilt.leaf_count(), baseline.leaf_count());
@@ -1689,6 +1700,7 @@ mod tests {
             assert_eq!(a.text(), b.text());
             assert_eq!(a.leaf(), b.leaf());
             assert_eq!(a.leaf_id(), b.leaf_id());
+            assert_eq!(a.token_slices(), b.token_slices());
             assert_eq!(a.rows().collect::<Vec<_>>(), b.rows().collect::<Vec<_>>());
         }
     }
@@ -1696,7 +1708,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn from_distinct_rejects_bad_row_map() {
-        Column::from_distinct(vec![tokenize_detailed("x")], vec![0, 1]);
+        Column::from_distinct(&["x"], vec![0, 1]);
     }
 
     #[test]
@@ -1814,7 +1826,6 @@ mod tests {
             "column.builder.build_ns",
             "column.builder.dedup_ns",
             "column.builder.merge_ns",
-            "column.builder.tokenize_ns",
             "column.builder.assemble_ns",
         ] {
             assert_eq!(snap.histogram(phase).map(|h| h.count), Some(1), "{phase}");
@@ -1874,7 +1885,7 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn from_distinct_rejects_foreign_ids() {
         // A row map naming any id over an empty distinct table.
-        Column::from_distinct(Vec::new(), vec![0]);
+        Column::from_distinct::<&str>(&[], vec![0]);
     }
 
     #[test]
@@ -2117,7 +2128,7 @@ mod tests {
             assert_eq!(va.text(), vb.text());
             assert_eq!(va.leaf(), vb.leaf());
             assert_eq!(va.leaf_id(), vb.leaf_id());
-            assert_eq!(va.tokenized().slices.len(), vb.tokenized().slices.len());
+            assert_eq!(va.token_slices(), vb.token_slices());
             assert_eq!(va.rows().collect::<Vec<_>>(), vb.rows().collect::<Vec<_>>());
         }
     }

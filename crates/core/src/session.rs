@@ -22,8 +22,8 @@ use std::sync::{Arc, OnceLock};
 
 use clx_cluster::{PatternHierarchy, PatternProfiler, ProfilerOptions};
 use clx_column::{Column, ColumnBuilder, StreamBudget};
-use clx_engine::{ColumnStream, CompiledProgram, RowOutcome, TransformReport};
-use clx_pattern::{tokenize, tokenize_detailed, Pattern, SplitTokenizer, TokenizedString};
+use clx_engine::{ColumnStream, CompiledProgram, TransformReport};
+use clx_pattern::{tokenize, Pattern};
 use clx_synth::{synthesize_column, RankedPlan, Synthesis, SynthesisOptions};
 use clx_telemetry::{MetricSink, Span};
 use clx_unifi::{explain_program, transform_lenient, Explanation, Program};
@@ -151,9 +151,10 @@ impl Phase for Labelled {}
 ///
 /// The session walks the user through the Cluster–Label–Transform loop and
 /// owns all intermediate state: the shared [`Column`] (interned rows with
-/// per-distinct-value cached token streams, which profiling, synthesis and
-/// execution all read), the pattern hierarchy, and — once labelled — the
-/// target pattern, the synthesized program and its repair alternatives.
+/// per-distinct-value cached leaves and token slices, which profiling,
+/// synthesis and execution all read), the pattern hierarchy, and — once
+/// labelled — the target pattern, the synthesized program and its repair
+/// alternatives.
 ///
 /// The phase parameter makes illegal orderings unrepresentable: transform
 /// methods exist only on `ClxSession<Labelled>`, which only
@@ -196,7 +197,7 @@ pub struct ClxSession<P: Phase = Clustered> {
 
 impl<P: Phase> ClxSession<P> {
     /// The session's column: the raw rows plus the interned distinct
-    /// values and their cached token streams.
+    /// values and their cached leaves and token slices.
     pub fn data(&self) -> &Column {
         &self.data
     }
@@ -249,9 +250,9 @@ impl ClxSession<Clustered> {
     /// Start a session with custom options.
     ///
     /// The column is built through the sharded [`ColumnBuilder`]
-    /// (automatic shard selection): interning and per-distinct-value
-    /// tokenization run across worker threads for very large inputs, with
-    /// output row-for-row identical to the sequential path.
+    /// (automatic shard selection): the dedup runs across worker threads
+    /// for very large inputs, with output row-for-row identical to the
+    /// sequential path.
     pub fn with_options(data: Vec<String>, options: ClxOptions) -> Self {
         Self::from_column(ColumnBuilder::new().build(data), options)
     }
@@ -259,7 +260,7 @@ impl ClxSession<Clustered> {
     /// Start an *observed* session: every phase of the CLX loop reports to
     /// `sink` as `core.phase.*` latency histograms (`cluster_ns`,
     /// `label_ns`, `synthesize_ns`, `compile_ns`, `apply_ns`), the column
-    /// build reports its `column.builder.*` shard timings, and streams
+    /// build reports its `column.builder.*` phase timings, and streams
     /// opened by [`ClxSession::stream_columns`] /
     /// [`ClxSession::stream_columns_with_budget`] inherit the sink for
     /// their per-chunk `engine.stream.*` / `column.interner.*` series.
@@ -278,7 +279,7 @@ impl ClxSession<Clustered> {
     }
 
     /// Start a session over an already-built [`Column`] (reusing its
-    /// interned values and cached token streams).
+    /// interned values and cached leaves and token slices).
     pub fn from_column(data: Column, options: ClxOptions) -> Self {
         Self::build(data, options, None)
     }
@@ -635,11 +636,10 @@ impl ClxSession<Labelled> {
     /// a click that calls both runs the program once; called first, it
     /// runs and holds that report itself.
     ///
-    /// The output column is assembled without re-tokenizing: conforming and
-    /// flagged outputs *are* their input values (cached token streams), and
-    /// transformed outputs match the labelled target, so their token
-    /// streams are derived from the target's split
-    /// ([`clx_pattern::SplitTokenizer`]).
+    /// The output column is built from the distinct output texts (a
+    /// distinct input costs a lookup, a distinct output its leaf key and
+    /// token slices), and only its leaf clusters are computed: no
+    /// refinement levels, which the summary does not read.
     pub fn result_patterns(&self) -> Result<Vec<(Pattern, usize)>, ClxError> {
         let report = self.held_report();
         // The positional indexing below relies on `execute_column`
@@ -650,38 +650,21 @@ impl ClxSession<Labelled> {
             self.data.distinct_count(),
             "the held report must be columnar over the session column"
         );
-        let tokenizer = SplitTokenizer::new(&self.phase.target);
 
-        // One output tokenization per *distinct input*; distinct inputs may
-        // collide on their output, so dedup by output text as we go.
-        let mut dedup: HashMap<String, u32> = HashMap::new();
-        let mut out_values: Vec<TokenizedString> = Vec::new();
-        let mut input_to_output: Vec<u32> = Vec::with_capacity(report.outcomes().len());
-        for (input_index, outcome) in report.outcomes().iter().enumerate() {
-            let text = outcome.value();
-            let output_index = match dedup.get(text) {
-                Some(&k) => k,
-                None => {
-                    let tokenized = match outcome {
-                        // Unchanged rows keep their cached tokenization.
-                        RowOutcome::Conforming { .. } | RowOutcome::Flagged { .. } => {
-                            self.data.distinct(input_index).tokenized().clone()
-                        }
-                        // Transformed rows match the target; derive. (The
-                        // fallback covers an output a repaired program sent
-                        // outside the target — rare, but must stay correct.)
-                        RowOutcome::Transformed { to } => tokenizer
-                            .tokenize(to)
-                            .unwrap_or_else(|| tokenize_detailed(to)),
-                    };
-                    let k = out_values.len() as u32;
-                    out_values.push(tokenized);
-                    dedup.insert(text.to_string(), k);
-                    k
-                }
-            };
-            input_to_output.push(output_index);
-        }
+        // Distinct inputs may collide on their output: dedup by text.
+        let mut dedup: HashMap<&str, u32> = HashMap::new();
+        let mut out_values: Vec<&str> = Vec::new();
+        let input_to_output: Vec<u32> = report
+            .outcomes()
+            .iter()
+            .map(|outcome| {
+                let text = outcome.value();
+                *dedup.entry(text).or_insert_with(|| {
+                    out_values.push(text);
+                    out_values.len() as u32 - 1
+                })
+            })
+            .collect();
 
         // Compose the row map: row -> input distinct -> output distinct.
         let row_map: Vec<u32> = self
@@ -690,10 +673,8 @@ impl ClxSession<Labelled> {
             .iter()
             .map(|&d| input_to_output[d as usize])
             .collect();
-        let output = Column::from_distinct(out_values, row_map);
-        let hierarchy =
-            PatternProfiler::with_options(self.options.profiler.clone()).profile_column(&output);
-        Ok(hierarchy.pattern_summary())
+        let output = Column::from_distinct(&out_values, row_map);
+        Ok(PatternProfiler::with_options(self.options.profiler.clone()).leaf_summary(&output))
     }
 
     /// Cross-check that the explained `Replace` operations behave exactly

@@ -2,11 +2,11 @@
 //! executable form.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use clx_pattern::{tokenize, Pattern};
 use clx_telemetry::{MetricSink, Span};
-use clx_unifi::{eval_expr, Expr, Program, StringExpr};
+use clx_unifi::{eval_expr, Branch, Expr, Program, StringExpr};
 
 use crate::dispatch::{DispatchCache, LeafPlan, SplitPlan, Step};
 use crate::error::CompileError;
@@ -83,6 +83,10 @@ pub struct CompiledProgram {
     /// across executor threads; plan builds are per distinct leaf, so the
     /// increment never sits on the per-row path).
     tallies: FusedTallies,
+    /// Per branch, whether the static analyzer finds it reachable; filled
+    /// by the first [`CompiledProgram::branch_reachable`] (a program swap),
+    /// so compiling never runs the analyzer.
+    reachable: OnceLock<Vec<bool>>,
 }
 
 /// The decision class of one value under a [`CompiledProgram`] — the §6.1
@@ -189,6 +193,7 @@ impl CompiledProgram {
             fused_fallback,
             derive_splits: true,
             tallies: FusedTallies::default(),
+            reachable: OnceLock::new(),
         })
     }
 
@@ -291,6 +296,25 @@ impl CompiledProgram {
     /// The compiled branches, in dispatch order.
     pub fn branches(&self) -> &[CompiledBranch] {
         &self.branches
+    }
+
+    /// Per branch, whether `clx-analyze` finds it reachable (not proven
+    /// dead or shadowed). Analyzed on the first call, then read from the
+    /// program: a stream swapping between the same programs analyzes each
+    /// once.
+    pub(crate) fn branch_reachable(&self) -> &[bool] {
+        self.reachable.get_or_init(|| {
+            let source = Program::new(
+                self.branches
+                    .iter()
+                    .map(|b| Branch::new(b.pattern.clone(), b.expr.clone()))
+                    .collect(),
+            );
+            let diagnostics = clx_analyze::analyze_program(&source, &self.target);
+            (0..self.branches.len())
+                .map(|i| diagnostics.branch_facts(i).reachable)
+                .collect()
+        })
     }
 
     /// The process-unique instance id of this compilation (distinct even

@@ -49,7 +49,6 @@ use std::sync::Arc;
 
 use clx_pattern::Pattern;
 use clx_telemetry::MetricSink;
-use clx_unifi::{Branch, Program};
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::{LeafPlan, Step};
@@ -93,7 +92,8 @@ impl ProgramDelta {
     /// `engine.delta.branches_changed` counter to `sink`. Cost is
     /// `O(branches²)` worst case on the greedy matching (linear when branch
     /// order is preserved, the repair case) plus one `clx-analyze` run per
-    /// program — all program-sized, never row- or distinct-sized.
+    /// program the first time it takes part in a swap (the result stays on
+    /// the program) — all program-sized, never row- or distinct-sized.
     pub(crate) fn between(
         old: &CompiledProgram,
         new: &CompiledProgram,
@@ -234,25 +234,15 @@ fn filter_reachable(program: &CompiledProgram, changed: Vec<usize>) -> Vec<usize
     if changed.is_empty() {
         return changed;
     }
-    let source = Program::new(
-        program
-            .branches()
-            .iter()
-            .map(|b| Branch::new(b.pattern().clone(), b.expr().clone()))
-            .collect(),
-    );
-    let diagnostics = clx_analyze::analyze_program(&source, program.target());
-    changed
-        .into_iter()
-        .filter(|&i| diagnostics.branch_facts(i).reachable)
-        .collect()
+    let reachable = program.branch_reachable();
+    changed.into_iter().filter(|&i| reachable[i]).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use clx_pattern::{parse_pattern, tokenize};
-    use clx_unifi::{Expr, StringExpr};
+    use clx_unifi::{Branch, Expr, Program, StringExpr};
 
     fn compile(branches: Vec<Branch>, target: &str) -> CompiledProgram {
         CompiledProgram::compile(&Program::new(branches), &parse_pattern(target).unwrap())

@@ -17,8 +17,9 @@ pub struct Pattern {
 }
 
 /// The slice of a concrete string covered by one token of a pattern, as
-/// produced by [`Pattern::split`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// produced by [`Pattern::split`]: a byte range into that string, read
+/// back with [`TokenSlice::text`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenSlice {
     /// Zero-based index of the token within the pattern.
     pub token_index: usize,
@@ -26,8 +27,13 @@ pub struct TokenSlice {
     pub start: usize,
     /// Byte offset (exclusive) where the slice ends.
     pub end: usize,
-    /// The matched text.
-    pub text: String,
+}
+
+impl TokenSlice {
+    /// The text this slice covers in `s`, the string it was cut from.
+    pub fn text<'s>(&self, s: &'s str) -> &'s str {
+        &s[self.start..self.end]
+    }
 }
 
 impl Pattern {
@@ -148,7 +154,6 @@ impl Pattern {
                 token_index,
                 start: w[0],
                 end: w[1],
-                text: s[w[0]..w[1]].to_string(),
             })
             .collect())
     }
@@ -618,10 +623,7 @@ pub(crate) mod tests {
                 let got = p.split(&value).ok().map(|slices| {
                     slices
                         .into_iter()
-                        .map(|s| {
-                            assert_eq!(&value[s.start..s.end], s.text, "byte offsets");
-                            (s.token_index, s.text)
-                        })
+                        .map(|s| (s.token_index, s.text(&value).to_string()))
                         .collect::<Vec<_>>()
                 });
                 assert_eq!(got, oracle_split(&p, &value), "{p} on {value:?}");
@@ -783,11 +785,11 @@ pub(crate) mod tests {
         assert!(p.matches("abc-def"));
         assert!(p.matches("a-b-c"));
         // The leading `+` takes the longest run that leaves a match.
-        let texts: Vec<String> = p
+        let texts: Vec<&str> = p
             .split("a-b-c")
             .unwrap()
             .into_iter()
-            .map(|s| s.text)
+            .map(|s| s.text("a-b-c"))
             .collect();
         assert_eq!(texts, ["a-b", "-", "c"]);
         assert!(!p.matches("abc"));
@@ -799,9 +801,9 @@ pub(crate) mod tests {
         let p = Pattern::new(vec![d(3), lit("-"), d(4)]);
         let slices = p.split("555-1234").unwrap();
         assert_eq!(slices.len(), 3);
-        assert_eq!(slices[0].text, "555");
-        assert_eq!(slices[1].text, "-");
-        assert_eq!(slices[2].text, "1234");
+        assert_eq!(slices[0].text("555-1234"), "555");
+        assert_eq!(slices[1].text("555-1234"), "-");
+        assert_eq!(slices[2].text("555-1234"), "1234");
         assert_eq!(slices[2].start, 4);
         assert_eq!(slices[2].end, 8);
     }
@@ -819,7 +821,7 @@ pub(crate) mod tests {
         let slices = p.split("é42").unwrap();
         assert_eq!(slices[0].end, 2); // 'é' is two bytes
         assert_eq!(slices[1].start, 2);
-        assert_eq!(slices[1].text, "42");
+        assert_eq!(slices[1].text("é42"), "42");
     }
 
     #[test]

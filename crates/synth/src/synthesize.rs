@@ -168,7 +168,7 @@ pub fn synthesize(
 /// Alignment proves a plan maps the source **pattern** into the target
 /// pattern; the data check proves it maps the cluster's actual **values**
 /// there too, evaluating each candidate plan on a few cached distinct
-/// examples (through the column's cached token streams — nothing is
+/// examples (through the column's cached token slices — nothing is
 /// re-tokenized) and dropping plans whose output fails to match the target.
 /// A source whose every plan fails the check is treated like a failed
 /// validation: the search descends to more specific children.
@@ -186,7 +186,7 @@ pub fn synthesize_column(
 const DATA_CHECK_EXAMPLES: usize = 3;
 
 /// Evaluate `expr` on one distinct value of `column`, reusing the value's
-/// cached token stream when the source pattern *is* its leaf pattern (the
+/// cached token slices when the source pattern *is* its leaf pattern (the
 /// common case; constant-folded patterns fall back to a fresh split).
 fn eval_on_distinct(
     expr: &Expr,
@@ -194,7 +194,7 @@ fn eval_on_distinct(
     value: clx_column::DistinctValue<'_>,
 ) -> Result<String, clx_unifi::EvalError> {
     if pattern == value.leaf() {
-        eval_expr_on_slices(expr, value.token_slices())
+        eval_expr_on_slices(expr, value.text(), value.token_slices())
     } else {
         eval_expr(expr, pattern, value.text())
     }
@@ -658,7 +658,9 @@ mod tests {
                     if value.leaf() != &source.pattern {
                         continue;
                     }
-                    let cached = eval_expr_on_slices(&plan.expr, value.token_slices()).unwrap();
+                    let cached =
+                        eval_expr_on_slices(&plan.expr, value.text(), value.token_slices())
+                            .unwrap();
                     let fresh = eval_expr(&plan.expr, &source.pattern, value.text()).unwrap();
                     assert_eq!(cached, fresh);
                 }

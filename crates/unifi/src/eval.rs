@@ -128,15 +128,16 @@ impl TransformOutcome {
 /// `source_pattern`.
 pub fn eval_expr(expr: &Expr, source_pattern: &Pattern, input: &str) -> Result<String, EvalError> {
     let slices = source_pattern.split(input)?;
-    eval_expr_on_slices(expr, &slices)
+    eval_expr_on_slices(expr, input, &slices)
 }
 
-/// Evaluate an atomic transformation plan against a string already split
-/// into per-token slices (for example the cached token stream a
-/// `clx-column` `Column` carries per distinct value, when the source
-/// pattern is the value's leaf pattern). Skips the pattern split entirely.
+/// Evaluate an atomic transformation plan against `input` already split
+/// into per-token slices (for example the cached slices a `clx-column`
+/// `Column` carries per distinct value, when the source pattern is the
+/// value's leaf pattern). Skips the pattern split entirely.
 pub fn eval_expr_on_slices(
     expr: &Expr,
+    input: &str,
     slices: &[clx_pattern::TokenSlice],
 ) -> Result<String, EvalError> {
     let mut out = String::new();
@@ -152,9 +153,8 @@ pub fn eval_expr_on_slices(
                         rule,
                     });
                 }
-                for slice in &slices[from - 1..*to] {
-                    out.push_str(&slice.text);
-                }
+                // Split slices are contiguous: the range is one substring.
+                out.push_str(&input[slices[from - 1].start..slices[to - 1].end]);
             }
         }
     }

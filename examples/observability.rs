@@ -6,7 +6,8 @@
 //! * `core.phase.*` — per-phase latency histograms of the
 //!   Cluster–Label–Transform loop (cluster, label, synthesize, compile,
 //!   apply);
-//! * `column.builder.*` / `column.interner.*` — column-build shard timings,
+//! * `column.builder.*` / `column.interner.*` — column-build phase timings
+//!   (dedup, merge, assemble),
 //!   interner hit/miss counters, arena byte gauges and eviction batches;
 //! * `engine.stream.*` — per-chunk latency and rows/s histograms, the
 //!   decision-cache hit/miss counters, memory gauges;

@@ -30,9 +30,10 @@
 //!   [`ColumnStream::swap_program`](clx_engine::ColumnStream::swap_program)
 //!   swaps a live stream's program, re-deciding only the distincts whose
 //!   leaf's dispatch plan the change can affect;
-//! * [`column`](mod@column) — the shared column data plane: interned, deduplicated
-//!   rows with cached token streams ([`Column`]) that profiler, synthesizer,
-//!   session and engine all read instead of re-tokenizing;
+//! * [`column`](mod@column) — the shared column data plane: interned,
+//!   deduplicated rows with cached leaves and token slices ([`Column`])
+//!   that profiler, synthesizer, session and engine all read instead of
+//!   re-tokenizing;
 //! * [`pattern`] — the token/pattern language and tokenizer;
 //! * [`regex`] — the Pike-VM regular-expression engine that executes the
 //!   explained `Replace` operations;

@@ -17,9 +17,9 @@ fn assert_byte_identical(a: &Column, b: &Column) {
         assert_eq!(va.leaf(), vb.leaf());
         assert_eq!(va.leaf_id(), vb.leaf_id());
         assert_eq!(
-            va.tokenized().slices.len(),
-            vb.tokenized().slices.len(),
-            "cached token streams must match on {}",
+            va.token_slices(),
+            vb.token_slices(),
+            "cached token slices must match on {}",
             va.text()
         );
         assert_eq!(va.rows().collect::<Vec<_>>(), vb.rows().collect::<Vec<_>>());

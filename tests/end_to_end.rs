@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: complete Cluster–Label–Transform sessions
 //! on the paper's running examples, exercising the public `clx` facade.
 
+use clx::cluster::PatternProfiler;
 use clx::{parse_pattern, tokenize, ClxSession};
 
 #[test]
@@ -199,6 +200,47 @@ fn explanations_verify_on_every_suite_instance() {
                         .and_then(|d| d.strip_suffix('/')),
                     "seed {seed}, task {}",
                     task.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn result_patterns_equal_a_full_profile_of_the_output() {
+    // `result_patterns` builds the output column from the distinct output
+    // texts and computes only its leaf clusters; the summary must be the
+    // leaves of a full profile of the output rows, before and after a
+    // repair (whose outputs need not match the target).
+    let summary_of = |session: &ClxSession<clx::Labelled>| {
+        let output = clx::Column::from_rows(session.apply().unwrap().values());
+        PatternProfiler::with_options(session.options().profiler.clone())
+            .profile_column(&output)
+            .pattern_summary()
+    };
+    for seed in 0..5 {
+        for task in clx::datagen::benchmark_suite(seed) {
+            let mut session = ClxSession::new(task.inputs.clone())
+                .label(task.target_pattern())
+                .unwrap();
+            let context = format!("seed {seed}, task {}", task.name);
+            assert_eq!(
+                session.result_patterns().unwrap(),
+                summary_of(&session),
+                "{context}"
+            );
+            let source = session
+                .synthesis()
+                .sources
+                .iter()
+                .find(|source| source.plans.len() >= 2)
+                .map(|source| source.pattern.clone());
+            if let Some(source) = source {
+                assert!(session.repair(&source, 1), "{context}");
+                assert_eq!(
+                    session.result_patterns().unwrap(),
+                    summary_of(&session),
+                    "{context}, repaired"
                 );
             }
         }

@@ -5,10 +5,13 @@
 use proptest::prelude::*;
 
 use clx::cluster::PatternProfiler;
-use clx::pattern::{parse_pattern, tokenize, Pattern, Quantifier, Token, TokenClass};
+use clx::column::Column;
+use clx::pattern::{
+    leaf_slices, parse_pattern, tokenize, tokenize_detailed, Pattern, Quantifier, Token, TokenClass,
+};
 use clx::regex::Regex;
 use clx::synth::{align, validate};
-use clx::unifi::{eval_expr, explain_branch, Branch};
+use clx::unifi::{eval_expr, eval_expr_on_slices, explain_branch, Branch};
 
 /// Strategy: strings drawn from the kind of characters CLX columns contain.
 fn data_string() -> impl Strategy<Value = String> {
@@ -219,7 +222,7 @@ proptest! {
         let reparsed = parse_pattern(&pattern.notation()).unwrap();
         prop_assert_eq!(&pattern, &reparsed);
         // The split slices reconstruct the original string.
-        let rebuilt: String = pattern.split(&s).unwrap().iter().map(|t| t.text.clone()).collect();
+        let rebuilt: String = pattern.split(&s).unwrap().iter().map(|t| t.text(&s)).collect();
         prop_assert_eq!(rebuilt, s);
     }
 
@@ -240,7 +243,7 @@ proptest! {
             let split = pattern.split(&value).ok().map(|slices| {
                 slices
                     .into_iter()
-                    .map(|slice| (slice.start, slice.end, slice.text))
+                    .map(|slice| (slice.start, slice.end, slice.text(&value).to_string()))
                     .collect::<Vec<_>>()
             });
             let want = char_matcher_split(&pattern, &value);
@@ -252,6 +255,38 @@ proptest! {
                 split,
                 want
             );
+        }
+    }
+
+    /// The flat leaf slices a column caches are `tokenize_detailed`'s (on
+    /// each value and on a non-ASCII mutation of it), cover the value
+    /// contiguously, and evaluate a plan exactly like a fresh split.
+    #[test]
+    fn leaf_slices_equal_detailed_tokenization(column in data_column(), tgt in short_data_string()) {
+        let values: Vec<String> = column
+            .iter()
+            .flat_map(|s| [s.clone(), mutate(s, &OTHER_CHARS, 3 * s.len())])
+            .collect();
+        for s in &values {
+            let mut slices = Vec::new();
+            leaf_slices(s, &mut slices);
+            let detailed = tokenize_detailed(s);
+            prop_assert!(slices == detailed.slices, "{:?}: {:?} vs {:?}", s, slices, detailed.slices);
+            let mut at = 0;
+            for (i, slice) in slices.iter().enumerate() {
+                prop_assert!(slice.token_index == i && slice.start == at, "{:?}: {:?}", s, slices);
+                at = slice.end;
+            }
+            prop_assert!(at == s.len(), "{:?}: {:?}", s, slices);
+        }
+        let column = Column::from_values(&values);
+        let target = tokenize(&tgt);
+        for value in column.distinct_values().take(4) {
+            for plan in align(value.leaf(), &target).enumerate_plans(8) {
+                let cached = eval_expr_on_slices(&plan, value.text(), value.token_slices());
+                let fresh = eval_expr(&plan, value.leaf(), value.text());
+                prop_assert!(cached == fresh, "{} on {:?}: {:?} vs {:?}", plan, value.text(), cached, fresh);
+            }
         }
     }
 

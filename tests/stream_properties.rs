@@ -256,7 +256,7 @@ proptest! {
 
     /// Sharded column construction is byte-identical to sequential on
     /// random inputs: same distinct order, row map, interned bytes, leaf
-    /// ids and cached token streams — for every shard count.
+    /// ids and cached token slices — for every shard count.
     #[test]
     fn sharded_builder_matches_sequential(rows in workload(), shards in 1..9usize) {
         let sequential = Column::from_rows(rows.clone());
@@ -270,7 +270,7 @@ proptest! {
             prop_assert_eq!(a.text(), b.text());
             prop_assert_eq!(a.leaf(), b.leaf());
             prop_assert_eq!(a.leaf_id(), b.leaf_id());
-            prop_assert_eq!(a.token_slices().len(), b.token_slices().len());
+            prop_assert_eq!(a.token_slices(), b.token_slices());
             prop_assert_eq!(
                 a.rows().collect::<Vec<_>>(),
                 b.rows().collect::<Vec<_>>()

@@ -10,7 +10,8 @@
 //!   second-ranked plan) are the same for a stream holding 20k decided
 //!   distinct values as for one holding 1k over the same leaves. A swap
 //!   that visited decided values would free the outcome texts it
-//!   invalidates, thousands of calls at 20k;
+//!   invalidates, thousands of calls at 20k. Both programs are warmed
+//!   first, since each analyzes its reachability once, on its first swap;
 //! * **plan work** — over a bounded all-distinct stream of 200 chunks
 //!   (the `ingest_distinct` shape, with a swap every 25 chunks), the
 //!   dispatch cache builds at most `leaves × (swaps + 1)` plans: value
@@ -116,6 +117,10 @@ fn swap_work_is_independent_of_decided_distincts() {
         .cloned()
         .collect();
     small.extend(large[..1_000 - small.len()].iter().cloned());
+    // A program analyzes its branches' reachability on its first swap and
+    // keeps the result: warm both on an empty stream, so the two measured
+    // swaps do the same work.
+    ColumnStream::new(Arc::clone(&programs[0])).swap_program(Arc::clone(&programs[1]));
     let (small_calls, small_decided, small_plans) = swap_calls(&programs, &small);
     let (large_calls, large_decided, large_plans) = swap_calls(&programs, large);
     println!(
