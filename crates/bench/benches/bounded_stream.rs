@@ -16,10 +16,15 @@
 //! * **churn_small_chunks** — the first 100k of those all-distinct rows in
 //!   64-row chunks under the same 10k budget: ~1.5k chunk boundaries, each
 //!   evicting a ~64-victim batch out of a ~10k-slot decision table. This is
-//!   the shape that isolates the decision-cache prune: the old prune walked
-//!   every slot at every boundary (O(live)), the incremental one reads the
-//!   interner's per-batch eviction log (`evicted_since`) and touches only
-//!   the ~64 actual victims.
+//!   the shape that isolates the decision-cache prune: each chunk carries
+//!   the victims of its own boundary (`ColumnChunk::evicted`), and the
+//!   stream drops exactly those ~64 decisions instead of walking every
+//!   slot.
+//!
+//! `CLX_BENCH_SMOKE=1` shrinks the workloads (10k zipf and churn rows, 50k
+//! adversarial rows) and the budget to 1k, so CI can execute the binary
+//! end to end and drive eviction churn on every change; smoke numbers are
+//! not comparable to a full-size run.
 //!
 //! This bench records no numbers in its source. The repository benchmark
 //! (`perfbench/`, see its README) measures the stream, the interner and
@@ -39,15 +44,27 @@ use clx_core::ClxSession;
 use clx_datagen::duplicate_heavy_case;
 use clx_engine::{ColumnStream, CompiledProgram};
 
-const ROWS: usize = 100_000;
 const DISTINCT: usize = 1_000;
 const CHUNK: usize = 8_192;
-const ADVERSARIAL_ROWS: usize = 1_000_000;
-const BUDGET: usize = 10_000;
 /// Chunk size for the eviction-churn variant: small enough that the
 /// stream crosses ~1.5k chunk boundaries, every one of which evicts a
 /// small batch from a ~10k-slot table.
 const CHURN_CHUNK: usize = 64;
+
+/// `CLX_BENCH_SMOKE=1`: tiny workloads so CI can execute (not just
+/// compile) this binary on every change.
+fn smoke() -> bool {
+    std::env::var_os("CLX_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Zipf and churn rows, adversarial rows, and the `max_distinct` budget.
+fn sizes() -> (usize, usize, usize) {
+    if smoke() {
+        (10_000, 50_000, 1_000)
+    } else {
+        (100_000, 1_000_000, 10_000)
+    }
+}
 
 fn compile() -> Arc<CompiledProgram> {
     let case = duplicate_heavy_case(2_000, 200, 11);
@@ -112,15 +129,16 @@ fn run_stream_chunked(
 }
 
 fn bench_bounded_stream(c: &mut Criterion) {
+    let (rows, adversarial_len, budget) = sizes();
     let program = compile();
-    let zipf = zipf_rows(ROWS, DISTINCT);
-    let adversarial = adversarial_rows(ADVERSARIAL_ROWS);
-    let churn: Vec<String> = adversarial[..ROWS].to_vec();
+    let zipf = zipf_rows(rows, DISTINCT);
+    let adversarial = adversarial_rows(adversarial_len);
+    let churn: Vec<String> = adversarial[..rows].to_vec();
 
     // Report the adversarial stream's memory profile once, outside timing.
     {
         let mut stream =
-            ColumnStream::with_budget(Arc::clone(&program), StreamBudget::max_distinct(BUDGET));
+            ColumnStream::with_budget(Arc::clone(&program), StreamBudget::max_distinct(budget));
         for chunk in adversarial.chunks(CHUNK) {
             stream.push_rows(chunk);
         }
@@ -135,15 +153,16 @@ fn bench_bounded_stream(c: &mut Criterion) {
             summary.rows()
         );
 
-        // The O(distinct) growth the budget removes, measured on a 100k
-        // prefix of the same stream (1M unbounded would retain ~10x this).
+        // The O(distinct) growth the budget removes, measured on a prefix
+        // of the same stream (the whole stream would retain
+        // proportionally more).
         let mut unbounded = ColumnStream::new(Arc::clone(&program));
-        for chunk in adversarial[..ROWS].chunks(CHUNK) {
+        for chunk in adversarial[..rows].chunks(CHUNK) {
             unbounded.push_rows(chunk);
         }
         println!(
             "unbounded stream at {} adversarial rows: {} KB retained (grows linearly)",
-            ROWS,
+            rows,
             unbounded.memory_used() / 1024
         );
     }
@@ -151,50 +170,49 @@ fn bench_bounded_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("bounded_stream");
     group.sample_size(10);
 
-    group.throughput(Throughput::Elements(ROWS as u64));
+    group.throughput(Throughput::Elements(rows as u64));
     group.bench_with_input(
-        BenchmarkId::new("zipf_unbounded", ROWS),
+        BenchmarkId::new("zipf_unbounded", rows),
         &zipf,
         |b, data| b.iter(|| run_stream(&program, data, StreamBudget::unbounded())),
     );
     group.bench_with_input(
-        BenchmarkId::new("zipf_bounded_10000", ROWS),
+        BenchmarkId::new(format!("zipf_bounded_{budget}"), rows),
         &zipf,
-        |b, data| b.iter(|| run_stream(&program, data, StreamBudget::max_distinct(BUDGET))),
+        |b, data| b.iter(|| run_stream(&program, data, StreamBudget::max_distinct(budget))),
     );
     // A budget tighter than the distinct count: evicts at every boundary,
     // the worst case for a well-behaved stream.
     group.bench_with_input(
-        BenchmarkId::new("zipf_bounded_500", ROWS),
+        BenchmarkId::new("zipf_bounded_500", rows),
         &zipf,
         |b, data| b.iter(|| run_stream(&program, data, StreamBudget::max_distinct(500))),
     );
     // Eviction *churn*: all-distinct rows in tiny chunks over a large
     // budget, so every one of ~1.5k boundaries evicts a ~chunk-sized batch
-    // from a ~10k-slot table. Per-boundary cache maintenance — the
-    // decision cache's prune in particular — is the shape the incremental
-    // (eviction-log) prune targets: O(evicted)=64 per boundary instead of
-    // a full O(slots)=10k walk.
+    // from a ~10k-slot table. The stream drops the decisions of exactly
+    // the victims each chunk carries: O(evicted)=64 per boundary, never an
+    // O(slots) walk.
     group.bench_with_input(
-        BenchmarkId::new("churn_small_chunks", ROWS),
+        BenchmarkId::new("churn_small_chunks", rows),
         &churn,
         |b, data| {
             b.iter(|| {
                 run_stream_chunked(
                     &program,
                     data,
-                    StreamBudget::max_distinct(BUDGET),
+                    StreamBudget::max_distinct(budget),
                     CHURN_CHUNK,
                 )
             })
         },
     );
 
-    group.throughput(Throughput::Elements(ADVERSARIAL_ROWS as u64));
+    group.throughput(Throughput::Elements(adversarial_len as u64));
     group.bench_with_input(
-        BenchmarkId::new("adversarial_bounded", ADVERSARIAL_ROWS),
+        BenchmarkId::new("adversarial_bounded", adversarial_len),
         &adversarial,
-        |b, data| b.iter(|| run_stream(&program, data, StreamBudget::max_distinct(BUDGET))),
+        |b, data| b.iter(|| run_stream(&program, data, StreamBudget::max_distinct(budget))),
     );
     group.finish();
 }

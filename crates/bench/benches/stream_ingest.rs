@@ -1,6 +1,6 @@
 //! Streaming ingest throughput: one-shot `execute` over the whole column
 //! vs the chunked `push_rows` path through a persistent interner, plus
-//! sharded vs single-threaded `Column` construction.
+//! `Column` construction from the same rows.
 //!
 //! Workload: 100k rows / ≤1k distinct values (datagen `duplicate_heavy_case`),
 //! streamed in 8,192-row chunks. Each iteration runs a whole stream
@@ -9,18 +9,13 @@
 //! CPU above 16,384 rows) and decides each distinct value once per block;
 //! the stream decides it once per stream and reports chunk by chunk.
 //!
-//! The sharded builder only beats sequential construction once the
-//! per-shard work outweighs its constant merge and row-translation cost,
-//! which depends on the host's core count; the 1-vs-N byte-identity is
-//! locked by `tests/column_builder.rs` either way.
-//!
 //! Run with: `cargo bench --bench stream_ingest`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use clx_column::{Column, ColumnBuilder};
+use clx_column::Column;
 use clx_core::ClxSession;
 use clx_datagen::duplicate_heavy_case;
 use clx_engine::{ColumnStream, CompiledProgram};
@@ -77,16 +72,6 @@ fn bench_stream_ingest(c: &mut Criterion) {
         &case.data,
         |b, data| b.iter(|| black_box(Column::from_rows(black_box(data).clone()))),
     );
-    for shards in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new(format!("builder_{shards}_shards"), ROWS),
-            &case.data,
-            |b, data| {
-                let builder = ColumnBuilder::new().shards(shards);
-                b.iter(|| black_box(builder.build(black_box(data).clone())))
-            },
-        );
-    }
 
     group.finish();
 }

@@ -17,9 +17,8 @@
 //!   stream: per distinct value an arena span, a leaf-id and a range of one
 //!   flat list of token slices (byte ranges), each leaf pattern once per
 //!   leaf-id, and a row→distinct map. Construction deduplicates the rows
-//!   and tokenizes only a leaf it has not seen yet; [`ColumnBuilder`]
-//!   shards the dedup across threads for very large columns (row-for-row
-//!   identical output).
+//!   and tokenizes only a leaf it has not seen yet, on the calling thread;
+//!   [`ColumnBuilder`] runs the same build under a telemetry span.
 //! * [`ColumnChunk`] — one streamed slice of a column, interned through a
 //!   shared [`ColumnInterner`] so its distinct-ids are **stable across
 //!   chunks**: a value seen in chunk 0 keeps its id in chunk 9, which is
@@ -81,8 +80,10 @@
 //! let a = interner.chunk(&["a-1", "b-2", "c-3"]); // over budget, but pinned
 //! assert_eq!(a.distinct_count(), 3);
 //! drop(a);
-//! // The next chunk boundary evicts the coldest values down to the budget.
+//! // The next chunk boundary evicts the coldest values down to the budget,
+//! // and the chunk lists them.
 //! let b = interner.chunk(&["d-4"]);
+//! assert_eq!(b.evicted(), &[0]);
 //! drop(b);
 //! assert!(interner.live_distinct_count() <= 3);
 //! assert!(interner.evictions() > 0);
@@ -90,17 +91,18 @@
 //!
 //! Eviction recycles distinct-id slots, so two invariants the unbounded
 //! interner offers ("ids are append-only" and "a leaf-id always names the
-//! same leaf") are replaced by explicit **versioning**: every eviction
-//! batch bumps the interner's [`generation`](ColumnInterner::generation),
-//! every recycled slot bumps its own
-//! [`distinct_generation`](ColumnInterner::distinct_generation), and every
-//! freed leaf-id bumps the
+//! same leaf") are replaced by explicit **versioning**: every recycled slot
+//! bumps its own [`distinct_generation`](ColumnInterner::distinct_generation),
+//! and every freed leaf-id bumps the
 //! [`leaf_generation`](ColumnInterner::leaf_generation). Consumers caching
 //! per distinct-id key their entries on the slot generation, consumers
 //! caching per leaf-id on the leaf generation, and neither can be served a
-//! stale decision under a reused id.
-//! Budgets are enforced at **chunk boundaries** ([`ColumnInterner::chunk`]
-//! runs [`ColumnInterner::enforce_budget`] before interning, and a live
+//! stale decision under a reused id. Each chunk also carries the
+//! distinct-ids its boundary evicted ([`ColumnChunk::evicted`]), so a
+//! per-id cache can release exactly those entries.
+//!
+//! Budgets are enforced only at **chunk boundaries**
+//! ([`ColumnInterner::chunk`] evicts before interning, and a live
 //! [`ColumnChunk`] borrow keeps the interner immutable), so a chunk's own
 //! rows are always resolvable while its report is built: peak memory is
 //! bounded by the budget plus one chunk's distinct values.
@@ -109,7 +111,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -337,8 +339,6 @@ impl SpanTable {
 #[derive(Debug, Clone)]
 pub struct ColumnInterner {
     instance: Instance,
-    /// Bumped once per eviction batch (the cursor of `eviction_log`).
-    generation: u64,
     /// Bumped each time a leaf-id is freed; consumers caching per
     /// *leaf-id* key their cache on `(instance, leaf_generation)`.
     leaf_generation: u64,
@@ -388,23 +388,7 @@ pub struct ColumnInterner {
     telemetry: Option<Arc<dyn MetricSink>>,
     /// The tallies already published to the sink (delta basis).
     published: InternerStats,
-    /// Recent eviction batches as `(generation after the batch, victim
-    /// distinct-ids)`, bounded by [`EVICTION_LOG_BATCHES`] /
-    /// [`EVICTION_LOG_IDS`]. The dirty list behind
-    /// [`ColumnInterner::evicted_since`].
-    eviction_log: VecDeque<(u64, Vec<u32>)>,
-    /// The newest generation *not* covered by `eviction_log`: the log holds
-    /// every batch with generation in `(log_floor, generation]`.
-    log_floor: u64,
 }
-
-/// Max eviction batches retained in the dirty-list log.
-const EVICTION_LOG_BATCHES: usize = 8;
-/// Max total victim ids retained across all logged batches. A single batch
-/// larger than this is not logged at all (the floor advances instead):
-/// applying it incrementally would cost as much as a full cache walk anyway,
-/// so consumers fall back without the log paying the memory.
-const EVICTION_LOG_IDS: usize = 4096;
 
 /// Lifetime counters of a [`ColumnInterner`], readable via
 /// [`ColumnInterner::stats`] with or without a telemetry sink attached.
@@ -414,7 +398,7 @@ pub struct InternerStats {
     pub intern_hits: u64,
     /// Interns that stored a new distinct value (tokenizing it).
     pub intern_misses: u64,
-    /// Eviction batches run (boundaries at which the generation bumped).
+    /// Eviction batches run (chunk boundaries that evicted a value).
     pub eviction_batches: u64,
     /// Distinct values evicted across all batches.
     pub evicted_values: u64,
@@ -437,7 +421,6 @@ impl ColumnInterner {
     pub fn with_budget(budget: StreamBudget) -> Self {
         ColumnInterner {
             instance: Instance(next_instance()),
-            generation: 0,
             leaf_generation: 0,
             budget,
             arena: String::new(),
@@ -458,8 +441,6 @@ impl ColumnInterner {
             stats: InternerStats::default(),
             telemetry: None,
             published: InternerStats::default(),
-            eviction_log: VecDeque::new(),
-            log_floor: 0,
         }
     }
 
@@ -522,14 +503,6 @@ impl ColumnInterner {
         self.live_bytes
     }
 
-    /// The eviction-batch counter. Bumped once per batch; a consumer
-    /// caching per *distinct-id* reads it to ask
-    /// [`ColumnInterner::evicted_since`] which slots to drop. Always `0`
-    /// for unbounded interners.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The leaf-id recycle counter. Bumped each time an eviction frees a
     /// leaf-id (its last live value went), and never otherwise: a consumer
     /// caching per *leaf-id* keys its cache on
@@ -578,11 +551,6 @@ impl ColumnInterner {
             + self.leaves.len() * size_of::<(Box<[u8]>, u32)>()
             + self.key_buf.capacity()
             + self.leaf_bytes
-            + self
-                .eviction_log
-                .iter()
-                .map(|(_, ids)| ids.capacity() * size_of::<u32>())
-                .sum::<usize>()
     }
 
     /// `true` when the live state exceeds the budget; the next chunk
@@ -751,20 +719,15 @@ impl ColumnInterner {
     }
 
     /// Evict cold distinct values until the live state fits the budget,
-    /// returning how many were evicted. A no-op for unbounded budgets and
-    /// while within budget. Runs automatically at every [`ColumnInterner::chunk`]
-    /// boundary; callers driving [`ColumnInterner::intern`] directly can
-    /// invoke it at their own batch boundaries.
+    /// returning the victims' distinct-ids, coldest first. A no-op for
+    /// unbounded budgets and while within budget; [`ColumnInterner::chunk`]
+    /// runs it at every boundary, the only place the interner evicts.
     ///
-    /// Eviction order is coldest-first (least recently interned). Each
-    /// batch bumps the evicted slots' recycle generations and the
-    /// interner-wide [`generation`](ColumnInterner::generation). Once the
-    /// evicted text in the arena reaches the live text, the batch compacts
-    /// the arena so the freed bytes are actually released.
-    pub fn enforce_budget(&mut self) -> usize {
-        if !self.over_budget() {
-            return 0;
-        }
+    /// Eviction order is coldest-first (least recently interned), and
+    /// every victim's slot recycle generation is bumped. Once the evicted
+    /// text in the arena reaches the live text, the batch compacts the
+    /// arena so the freed bytes are actually released.
+    fn enforce_budget(&mut self) -> Vec<u32> {
         // Victims come off the cold end of the LRU list: O(1) each, and no
         // walk over the live set.
         let mut victims: Vec<u32> = Vec::new();
@@ -773,64 +736,16 @@ impl ColumnInterner {
             self.evict_slot(id);
             victims.push(id);
         }
-        let evicted = victims.len();
-        if evicted > 0 {
-            self.generation += 1;
+        if !victims.is_empty() {
             self.stats.eviction_batches += 1;
-            self.stats.evicted_values += evicted as u64;
+            self.stats.evicted_values += victims.len() as u64;
             // Amortized O(evicted bytes) per batch rather than O(live); the
             // arena stays within twice the live text.
             if self.arena.len() - self.live_bytes >= self.live_bytes {
                 self.compact_arena();
             }
-            self.record_eviction_batch(victims);
         }
-        evicted
-    }
-
-    /// Append one eviction batch to the bounded dirty-list log, retiring
-    /// old batches (and advancing `log_floor` past them) to stay within
-    /// [`EVICTION_LOG_BATCHES`] / [`EVICTION_LOG_IDS`]. Must run after the
-    /// batch's generation bump so the entry carries the post-batch
-    /// generation.
-    fn record_eviction_batch(&mut self, victims: Vec<u32>) {
-        if victims.len() > EVICTION_LOG_IDS {
-            self.eviction_log.clear();
-            self.log_floor = self.generation;
-            return;
-        }
-        self.eviction_log.push_back((self.generation, victims));
-        let mut retained: usize = self.eviction_log.iter().map(|(_, v)| v.len()).sum();
-        while self.eviction_log.len() > EVICTION_LOG_BATCHES || retained > EVICTION_LOG_IDS {
-            let (generation, ids) = self
-                .eviction_log
-                .pop_front()
-                .expect("log is non-empty while over its caps");
-            retained -= ids.len();
-            self.log_floor = generation;
-        }
-    }
-
-    /// The distinct-ids evicted since `generation` (a value previously read
-    /// from [`ColumnInterner::generation`]), oldest batch first. Repeats are
-    /// possible — a recycled slot re-evicted later appears once per batch —
-    /// so per-id invalidation must be idempotent. Returns `None` when the
-    /// bounded log no longer reaches back that far (or `generation` is from
-    /// the future, i.e. another interner); the consumer must then fall back
-    /// to a full walk of its per-id cache. The contract: when this returns
-    /// `Some`, every id whose slot was evicted or recycled after
-    /// `generation` is yielded, so ids *not* yielded are guaranteed
-    /// unchanged.
-    pub fn evicted_since(&self, generation: u64) -> Option<impl Iterator<Item = u32> + '_> {
-        if generation < self.log_floor || generation > self.generation {
-            return None;
-        }
-        Some(
-            self.eviction_log
-                .iter()
-                .filter(move |(batch, _)| *batch > generation)
-                .flat_map(|(_, ids)| ids.iter().copied()),
-        )
+        victims
     }
 
     /// Evict one live slot: unlink it from the LRU list, drop its dedup key
@@ -890,16 +805,16 @@ impl ColumnInterner {
     /// per-id decision it already made.
     ///
     /// A bounded interner enforces its budget here, *before* interning the
-    /// chunk: cold values from earlier chunks may be evicted, but every id
-    /// this chunk resolves to stays live while the returned [`ColumnChunk`]
-    /// exists (the chunk borrows the interner, so no eviction can run under
-    /// it).
+    /// chunk: cold values from earlier chunks may be evicted (the chunk
+    /// lists them, [`ColumnChunk::evicted`]), but every id this chunk
+    /// resolves to stays live while the returned [`ColumnChunk`] exists
+    /// (the chunk borrows the interner, so no eviction can run under it).
     pub fn chunk<S: AsRef<str>>(&mut self, rows: &[S]) -> ColumnChunk<'_> {
         assert!(
             rows.len() < u32::MAX as usize,
             "chunk exceeds u32 row indexing"
         );
-        self.enforce_budget();
+        let evicted = self.enforce_budget();
         let before = self.live_distinct_count();
         let mut distinct_ids: Vec<u32> = Vec::with_capacity(rows.len());
         let mut chunk_local = std::mem::take(&mut self.chunk_local);
@@ -930,6 +845,7 @@ impl ColumnInterner {
             distinct_ids,
             rows_local,
             newly_interned,
+            evicted,
         }
     }
 
@@ -978,6 +894,8 @@ pub struct ColumnChunk<'a> {
     rows_local: Vec<u32>,
     /// How many of `distinct_ids` were first interned by this chunk.
     newly_interned: usize,
+    /// Distinct-ids evicted at this chunk's boundary, coldest first.
+    evicted: Vec<u32>,
 }
 
 impl<'a> ColumnChunk<'a> {
@@ -1013,6 +931,16 @@ impl<'a> ColumnChunk<'a> {
         &self.distinct_ids
     }
 
+    /// The distinct-ids the interner evicted at this chunk's boundary,
+    /// before interning its rows, coldest first; empty when the budget did
+    /// not bind. A consumer caching per distinct-id drops exactly these
+    /// entries to track the live set. A victim's slot may already hold one
+    /// of this chunk's own values, under a bumped
+    /// [`distinct_generation`](ColumnInterner::distinct_generation).
+    pub fn evicted(&self) -> &[u32] {
+        &self.evicted
+    }
+
     /// Row index -> index into [`ColumnChunk::distinct_ids`] (a *local*
     /// index, not the global id — ready to serve as a columnar report's
     /// row→outcome map).
@@ -1040,165 +968,43 @@ impl<'a> ColumnChunk<'a> {
     }
 }
 
-/// Minimum rows per block before automatic blocking bothers spawning
-/// threads.
-const AUTO_MIN_BLOCK: usize = 8_192;
-
-/// The automatic block count for parallel work over `rows` rows: one block
-/// below `2 * 8_192` rows, otherwise one per available CPU, capped so every
-/// block keeps at least 8,192 rows. [`ColumnBuilder`] shards by this rule,
-/// and the engine's batch executor cuts its input by it.
-pub fn auto_block_count(rows: usize) -> usize {
-    if rows < 2 * AUTO_MIN_BLOCK {
-        return 1;
-    }
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    cpus.min(rows / AUTO_MIN_BLOCK).max(1)
-}
-
-/// Sharded, multi-threaded column construction.
+/// Column construction under an optional telemetry sink.
 ///
-/// `Column::from_rows` is sequential; for very large columns (10M+ rows)
-/// the builder deduplicates contiguous row blocks on worker threads, then
-/// a cheap sequential merge assigns global distinct-ids and the row map,
-/// and one sequential pass assembles the column from the distinct values
-/// (the pass [`Column::from_distinct`] runs: a leaf key per value, a
-/// `tokenize` per *new* leaf only, and the value's token slices). The
-/// merge processes blocks in row order and each block's distinct values in
-/// block-first-occurrence order, so the output is **row-for-row
-/// identical** to the sequential path: same distinct order (global first
-/// occurrence), same row map, same leaf signatures, same leaf-id
-/// assignment.
+/// [`ColumnBuilder::build`] is [`Column::from_rows`], timed as one
+/// `column.builder.build_ns` histogram sample when a sink is attached.
+/// Without a sink no clock is ever read.
 ///
 /// ```
 /// use clx_column::{Column, ColumnBuilder};
 ///
 /// let rows: Vec<String> = (0..1000).map(|i| format!("{:03}", i % 7)).collect();
-/// let sequential = Column::from_rows(rows.clone());
-/// let sharded = ColumnBuilder::new().shards(4).build(rows);
-/// assert_eq!(sequential.to_vec(), sharded.to_vec());
-/// assert_eq!(sequential.distinct_count(), sharded.distinct_count());
+/// let built = ColumnBuilder::new().build(rows.clone());
+/// assert_eq!(built.to_vec(), Column::from_rows(rows).to_vec());
+/// assert_eq!(built.distinct_count(), 7);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ColumnBuilder {
-    shards: usize,
-    /// Optional metrics destination for per-phase build timings.
+    /// Optional metrics destination for the build timing.
     telemetry: Option<Arc<dyn MetricSink>>,
 }
 
-/// A sequence of values deduplicated in first-occurrence order.
-struct Dedup<'a> {
-    /// The distinct values, in first-occurrence order.
-    entries: Vec<&'a str>,
-    /// Position in the sequence -> index into `entries`.
-    rows_local: Vec<u32>,
-}
-
-fn dedup<'a>(values: impl Iterator<Item = &'a str>) -> Dedup<'a> {
-    let mut seen: HashMap<&str, u32> = HashMap::new();
-    let mut entries: Vec<&str> = Vec::new();
-    let mut rows_local: Vec<u32> = Vec::with_capacity(values.size_hint().0);
-    for value in values {
-        let local = *seen.entry(value).or_insert_with(|| {
-            entries.push(value);
-            entries.len() as u32 - 1
-        });
-        rows_local.push(local);
-    }
-    Dedup {
-        entries,
-        rows_local,
-    }
-}
-
 impl ColumnBuilder {
-    /// A builder with automatic shard selection (one shard per available
-    /// CPU for large columns, sequential for small ones).
+    /// A builder without a telemetry sink.
     pub fn new() -> Self {
-        ColumnBuilder {
-            shards: 0,
-            telemetry: None,
-        }
+        ColumnBuilder::default()
     }
 
-    /// Set the number of shards explicitly; `0` restores automatic
-    /// selection. Explicit shard counts are honored even for small inputs
-    /// (clamped to the row count so every block is non-empty).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Attach a telemetry sink: each [`ColumnBuilder::build`] records the
-    /// whole-build latency plus (on the sharded path) per-phase
-    /// `column.builder.*_ns` histograms — dedup, merge, assemble. Without
-    /// a sink no clock is ever read.
+    /// Attach a telemetry sink: each [`ColumnBuilder::build`] records its
+    /// latency as a `column.builder.build_ns` histogram sample.
     pub fn with_telemetry(mut self, sink: Arc<dyn MetricSink>) -> Self {
         self.telemetry = Some(sink);
         self
     }
 
-    fn resolved_shards(&self, rows: usize) -> usize {
-        if rows == 0 {
-            return 1;
-        }
-        if self.shards > 0 {
-            return self.shards.min(rows);
-        }
-        auto_block_count(rows)
-    }
-
-    /// Build a [`Column`] from owned rows, sharding the dedup across
-    /// worker threads.
+    /// Build a [`Column`] from owned rows: [`Column::from_rows`].
     pub fn build(&self, rows: Vec<String>) -> Column {
-        assert!(
-            rows.len() < u32::MAX as usize,
-            "column exceeds u32 row indexing"
-        );
-        let shards = self.resolved_shards(rows.len());
         let _build_span = Span::start(self.telemetry.as_ref(), "column.builder.build_ns");
-        if shards <= 1 {
-            return Column::from_rows(rows);
-        }
-
-        // Phase 1 (parallel): per-block dedup.
-        let dedup_span = Span::start(self.telemetry.as_ref(), "column.builder.dedup_ns");
-        let block_size = rows.len().div_ceil(shards);
-        let blocks: Vec<&[String]> = rows.chunks(block_size).collect();
-        let deduped: Vec<Dedup<'_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = blocks
-                .iter()
-                .map(|&block| scope.spawn(move || dedup(block.iter().map(String::as_str))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("column shard worker panicked"))
-                .collect()
-        });
-        drop(dedup_span);
-        let merge_span = Span::start(self.telemetry.as_ref(), "column.builder.merge_ns");
-
-        // Phase 2 (sequential, cheap — O(block distinct) hashing plus
-        // O(rows) integer translation): merge blocks in row order. Each
-        // block's entries are in block-first-occurrence order, so walking
-        // them block by block reproduces the global first-occurrence order
-        // exactly — and with it the sequential path's id assignment.
-        let merged = dedup(deduped.iter().flat_map(|b| b.entries.iter().copied()));
-        let mut row_map: Vec<u32> = Vec::with_capacity(rows.len());
-        let mut offset = 0;
-        for block in &deduped {
-            let global = &merged.rows_local[offset..offset + block.entries.len()];
-            row_map.extend(block.rows_local.iter().map(|&l| global[l as usize]));
-            offset += block.entries.len();
-        }
-        drop(merge_span);
-
-        // Phase 3 (sequential, O(distinct)): assemble the column in global
-        // first-occurrence order.
-        let _assemble_span = Span::start(self.telemetry.as_ref(), "column.builder.assemble_ns");
-        Column::from_distinct(&merged.entries, row_map)
+        Column::from_rows(rows)
     }
 }
 
@@ -1259,8 +1065,7 @@ impl Default for Column {
 
 impl Column {
     /// Build a column from owned rows, deduplicating them and tokenizing
-    /// each new leaf once (sequentially; see [`ColumnBuilder`] for the
-    /// sharded multi-core equivalent).
+    /// each new leaf once, on the calling thread.
     pub fn from_rows(rows: Vec<String>) -> Self {
         Column::from_values(&rows)
     }
@@ -1349,8 +1154,19 @@ impl Column {
 
     /// Build a column from borrowed values.
     pub fn from_values<S: AsRef<str>>(values: &[S]) -> Self {
-        let deduped = dedup(values.iter().map(AsRef::as_ref));
-        Column::from_distinct(&deduped.entries, deduped.rows_local)
+        let mut seen: HashMap<&str, u32> = HashMap::new();
+        let mut distinct: Vec<&str> = Vec::new();
+        let row_map: Vec<u32> = values
+            .iter()
+            .map(|value| {
+                let value = value.as_ref();
+                *seen.entry(value).or_insert_with(|| {
+                    distinct.push(value);
+                    distinct.len() as u32 - 1
+                })
+            })
+            .collect();
+        Column::from_distinct(&distinct, row_map)
     }
 
     /// Number of rows (including duplicates).
@@ -1388,15 +1204,6 @@ impl Column {
     /// validity on this value.
     pub fn interner_id(&self) -> u64 {
         self.source
-    }
-
-    /// The [`leaf_generation`](ColumnInterner::leaf_generation) of this
-    /// column's id space: always `0`, because a column never frees a
-    /// leaf-id. Paired with [`Column::interner_id`] by consumers whose
-    /// leaf-id caches also serve *streaming* interners, where the leaf
-    /// generation moves when an eviction frees a leaf-id.
-    pub fn interner_generation(&self) -> u64 {
-        0
     }
 
     /// The raw string of row `index` (a slice of the arena).
@@ -1813,23 +1620,16 @@ mod tests {
     fn builder_with_telemetry_records_phase_timings() {
         let sink = clx_telemetry::InMemorySink::shared();
         let rows: Vec<String> = (0..200).map(|i| format!("{:03}", i % 17)).collect();
-        let plain = ColumnBuilder::new().shards(3).build(rows.clone());
         let timed = ColumnBuilder::new()
-            .shards(3)
             .with_telemetry(sink.clone())
-            .build(rows);
+            .build(rows.clone());
         // Telemetry never changes the built column.
-        assert_eq!(plain.to_vec(), timed.to_vec());
-        assert_eq!(plain.distinct_count(), timed.distinct_count());
+        assert_columns_identical(&Column::from_rows(rows), &timed);
         let snap = MetricSink::snapshot(&*sink);
-        for phase in [
-            "column.builder.build_ns",
-            "column.builder.dedup_ns",
-            "column.builder.merge_ns",
-            "column.builder.assemble_ns",
-        ] {
-            assert_eq!(snap.histogram(phase).map(|h| h.count), Some(1), "{phase}");
-        }
+        let recorded: Vec<&str> = snap.histograms.keys().map(String::as_str).collect();
+        assert_eq!(recorded, ["column.builder.build_ns"]);
+        assert_eq!(snap.histograms["column.builder.build_ns"].count, 1);
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty());
     }
 
     #[test]
@@ -1924,10 +1724,10 @@ mod tests {
         let b = interner.chunk(&["c-3"]);
         assert_eq!(b.row(0), "c-3");
         drop(b);
-        // Only the coldest value was evicted; its slot generation and the
-        // interner generation both moved.
+        // Only the coldest value was evicted, in one batch, and its slot
+        // generation moved.
         assert_eq!(interner.evictions(), 1);
-        assert_eq!(interner.generation(), 1);
+        assert_eq!(interner.stats().eviction_batches, 1);
         assert!(!interner.is_live(0));
         assert!(interner.is_live(1) && interner.is_live(2));
         assert_eq!(interner.distinct_generation(0), 1);
@@ -1946,22 +1746,23 @@ mod tests {
         let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(2));
         drop(interner.chunk(&["a-1", "b-2", "cc"]));
         assert_eq!(interner.leaf_count(), 2);
-        // Evicting a-1 leaves its leaf live through b-2: the eviction
-        // generation moves, the leaf generation does not.
+        // Evicting a-1 leaves its leaf live through b-2: a batch runs, the
+        // leaf generation does not move.
         drop(interner.chunk(&["cc"]));
-        assert_eq!((interner.evictions(), interner.generation()), (1, 1));
+        let batches = |interner: &ColumnInterner| interner.stats().eviction_batches;
+        assert_eq!((interner.evictions(), batches(&interner)), (1, 1));
         assert_eq!(interner.leaf_generation(), 0);
         drop(interner.chunk(&["dd", "ee"]));
         // Evicting b-2 frees the `<L>'-'<D>` leaf-id; evicting cc in the
         // same batch frees nothing (dd and ee keep `<L>2` live).
         drop(interner.chunk(&["ff"]));
-        assert_eq!((interner.evictions(), interner.generation()), (3, 2));
+        assert_eq!((interner.evictions(), batches(&interner)), (3, 2));
         assert_eq!(interner.leaf_generation(), 1);
         assert_eq!(interner.leaf_count(), 1);
         // A batch that frees no leaf-id keeps the leaf generation, and the
         // freed leaf-id is recycled for a new leaf without moving it.
         drop(interner.chunk(&["1.2"]));
-        assert_eq!((interner.evictions(), interner.generation()), (4, 3));
+        assert_eq!((interner.evictions(), batches(&interner)), (4, 3));
         assert_eq!(interner.leaf_generation(), 1);
         assert_eq!(interner.leaf_count(), 2);
         // An unbounded interner never moves it.
@@ -1983,72 +1784,33 @@ mod tests {
     }
 
     #[test]
-    fn evicted_since_reports_exactly_the_batch_victims() {
+    fn chunk_evicted_lists_exactly_the_boundary_victims() {
         let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(2));
-        drop(interner.chunk(&["a-1", "b-2", "c-3"]));
-        let synced = interner.generation();
-        // Nothing evicted yet: the log answers for the synced generation
-        // with an empty dirty list.
-        assert_eq!(interner.evicted_since(synced).unwrap().count(), 0);
+        let first = interner.chunk(&["a-1", "b-2", "c-3"]);
+        // Nothing to evict before the first chunk's own rows.
+        assert!(first.evicted().is_empty());
+        drop(first);
+        // The boundary evicts the coldest value (id 0), and the chunk
+        // that crossed it says so; a chunk inside the budget lists none.
+        assert_eq!(interner.chunk(&["c-3"]).evicted(), &[0]);
+        assert!(interner.chunk(&["c-3"]).evicted().is_empty());
 
-        // The boundary evicts the coldest value (id 0).
-        drop(interner.chunk(&["c-3"]));
-        let dirty: Vec<u32> = interner.evicted_since(synced).unwrap().collect();
-        assert_eq!(dirty, vec![0]);
-        // A consumer already at the current generation sees nothing dirty.
-        assert_eq!(
-            interner
-                .evicted_since(interner.generation())
-                .unwrap()
-                .count(),
-            0
-        );
-        // A generation this interner has not reached is a foreign sync
-        // point: decline rather than under-report.
-        assert!(interner.evicted_since(interner.generation() + 1).is_none());
-    }
-
-    #[test]
-    fn evicted_since_accumulates_across_batches_and_forgets_old_ones() {
+        // Each boundary's victims, coldest first, however large the batch:
+        // 5,000 pinned values drop to the budget of one in one batch.
         let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(1));
-        drop(interner.chunk(&["v-0"]));
-        // Each boundary past the second evicts the coldest value: one
-        // batch per chunk, ping-ponging between the two slots.
-        for i in 1..=3u32 {
-            drop(interner.chunk(&[format!("v-{i}")]));
-        }
-        let dirty: Vec<u32> = interner.evicted_since(0).unwrap().collect();
-        assert_eq!(dirty, vec![0, 1]);
-
-        // Push past the batch cap: the floor advances and a stale sync
-        // point falls off the log.
-        for i in 4..=20u32 {
-            drop(interner.chunk(&[format!("v-{i}")]));
-        }
-        assert!(interner.evicted_since(0).is_none());
-        let recent = interner.generation() - 1;
-        assert_eq!(interner.evicted_since(recent).unwrap().count(), 1);
-    }
-
-    #[test]
-    fn oversized_eviction_batches_clear_the_log_instead_of_storing_it() {
-        let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(1));
-        let huge: Vec<String> = (0..(EVICTION_LOG_IDS + 2))
-            .map(|i| format!("r-{i}"))
-            .collect();
+        let huge: Vec<String> = (0..5_000).map(|i| format!("r-{i}")).collect();
         drop(interner.chunk(&huge));
-        drop(interner.chunk(&["after"]));
-        // The batch that evicted the huge chunk was too large to log:
-        // pre-batch sync points must fall back to a full walk...
-        assert!(interner.evicted_since(0).is_none());
-        // ...but the log resumes cleanly from the post-batch generation.
-        assert_eq!(
-            interner
-                .evicted_since(interner.generation())
-                .unwrap()
-                .count(),
-            0
-        );
+        let after = interner.chunk(&["after"]);
+        assert_eq!(after.evicted(), (0..4_999).collect::<Vec<u32>>());
+        drop(after);
+        // Later boundaries evict one value each, in their own batches.
+        assert_eq!(interner.chunk(&["next"]).evicted(), &[4_999]);
+        // The last boundary evicts "after", and "last" reuses its slot.
+        let last = interner.chunk(&["last"]);
+        assert_eq!(last.evicted().len(), 1);
+        assert_eq!(last.evicted(), last.distinct_ids());
+        drop(last);
+        assert_eq!(interner.stats().eviction_batches, 3);
     }
 
     #[test]
@@ -2073,7 +1835,7 @@ mod tests {
         assert_eq!(c.interner().leaf_id(id), 0);
         drop(c);
         assert_eq!(interner.leaf_count(), 2);
-        assert!(interner.generation() > 0);
+        assert!(interner.stats().eviction_batches > 0);
     }
 
     #[test]
@@ -2102,7 +1864,7 @@ mod tests {
             interner.intern(&format!("value-{k:03}"));
         }
         let peak = interner.memory_used();
-        assert!(interner.enforce_budget() > 0);
+        assert_eq!(interner.enforce_budget().len(), 56);
         assert!(interner.memory_used() < peak);
         assert!(interner.live_distinct_count() <= 8);
         assert_eq!(interner.interned_bytes(), 8 * "value-000".len());
@@ -2134,37 +1896,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_is_identical_to_sequential() {
-        // Values deliberately straddle shard boundaries.
-        let rows: Vec<String> = (0..4_000)
-            .map(|i| match i % 5 {
-                0 | 1 => format!("{:03}-{:03}-{:04}", i % 13, i % 7, i % 23),
-                2 => format!("({:03}) {:03}-{:04}", i % 13, i % 7, i % 23),
-                3 => "N/A".to_string(),
-                _ => format!("{:02}", i % 9),
-            })
-            .collect();
-        let sequential = Column::from_rows(rows.clone());
-        for shards in [1, 2, 3, 4, 7, 16] {
-            let sharded = ColumnBuilder::new().shards(shards).build(rows.clone());
-            assert_columns_identical(&sequential, &sharded);
-        }
-    }
-
-    #[test]
     fn builder_handles_edge_sizes() {
-        // Empty column.
-        let empty = ColumnBuilder::new().shards(4).build(Vec::new());
+        let empty = ColumnBuilder::new().build(Vec::new());
         assert!(empty.is_empty());
-        // Fewer rows than shards.
-        let tiny = ColumnBuilder::new()
-            .shards(8)
-            .build(vec!["a".into(), "a".into()]);
-        assert_eq!(tiny.len(), 2);
-        assert_eq!(tiny.distinct_count(), 1);
-        // Auto selection on a small column stays sequential and correct.
-        let auto = ColumnBuilder::new().build(vec!["a".into(), "b".into()]);
-        assert_eq!(auto.distinct_count(), 2);
+        let small = ColumnBuilder::new().build(vec!["a".into(), "b".into(), "a".into()]);
+        assert_eq!((small.len(), small.distinct_count()), (3, 2));
     }
 
     #[test]

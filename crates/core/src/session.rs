@@ -247,20 +247,16 @@ impl ClxSession<Clustered> {
         Self::with_options(data, ClxOptions::default())
     }
 
-    /// Start a session with custom options.
-    ///
-    /// The column is built through the sharded [`ColumnBuilder`]
-    /// (automatic shard selection): the dedup runs across worker threads
-    /// for very large inputs, with output row-for-row identical to the
-    /// sequential path.
+    /// Start a session with custom options, building the column with
+    /// [`Column::from_rows`].
     pub fn with_options(data: Vec<String>, options: ClxOptions) -> Self {
-        Self::from_column(ColumnBuilder::new().build(data), options)
+        Self::from_column(Column::from_rows(data), options)
     }
 
     /// Start an *observed* session: every phase of the CLX loop reports to
     /// `sink` as `core.phase.*` latency histograms (`cluster_ns`,
     /// `label_ns`, `synthesize_ns`, `compile_ns`, `apply_ns`), the column
-    /// build reports its `column.builder.*` phase timings, and streams
+    /// build reports its `column.builder.build_ns` latency, and streams
     /// opened by [`ClxSession::stream_columns`] /
     /// [`ClxSession::stream_columns_with_budget`] inherit the sink for
     /// their per-chunk `engine.stream.*` / `column.interner.*` series.

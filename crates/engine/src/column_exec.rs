@@ -39,13 +39,15 @@ impl CompiledProgram {
         let decided: Vec<RowOutcome> = column
             .distinct_values()
             .map(|v| {
-                self.transform_one_by_leaf_id(
+                self.transform_one_by_leaf_id_observed(
                     &mut cache,
                     column.interner_id(),
-                    column.interner_generation(),
+                    // A column never frees a leaf-id: its leaf generation is 0.
+                    0,
                     v.leaf_id(),
                     v.text(),
                     v.leaf(),
+                    None,
                 )
             })
             .collect();
@@ -73,7 +75,7 @@ impl CompiledProgram {
             interner.leaf_generation(),
         );
         if let Some(decisions) = decisions.as_deref_mut() {
-            decisions.sync(interner, cache);
+            decisions.sync(interner, chunk.evicted(), cache);
         }
         chunk
             .distinct_ids()

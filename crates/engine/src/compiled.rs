@@ -338,42 +338,19 @@ impl CompiledProgram {
     ///
     /// `source` names the id space `leaf_id` belongs to (the interner's
     /// instance id — [`clx_column::Column::interner_id`] for columns) and
-    /// `source_generation` that interner's leaf generation
-    /// ([`clx_column::ColumnInterner::leaf_generation`];
-    /// [`clx_column::Column::interner_generation`] for columns). The cache
-    /// resets when handed ids from a different space *or* a different
-    /// generation — a bounded interner recycles a leaf-id once eviction
-    /// frees it — so a stale plan can never be replayed under an aliased
-    /// id. Any counter that moves at least whenever a leaf-id is freed is
-    /// sound here, [`clx_column::ColumnInterner::generation`] included; it
-    /// only drops plans more often. `leaf`
-    /// must be exactly `tokenize(value)`: the leaf-signature dispatch (see
-    /// the `dispatch` module docs) is only sound for leaves produced by the
+    /// `source_generation` that interner's
+    /// [`leaf_generation`](clx_column::ColumnInterner::leaf_generation)
+    /// (`0` for columns, which never free a leaf-id). The cache resets
+    /// when handed ids from a different space *or* a different generation
+    /// — a bounded interner recycles a leaf-id once eviction frees it — so
+    /// a stale plan can never be replayed under an aliased id. `leaf` must
+    /// be exactly `tokenize(value)`: the leaf-signature dispatch (see the
+    /// `dispatch` module docs) is only sound for leaves produced by the
     /// same tokenizer rules.
-    pub fn transform_one_by_leaf_id(
-        &self,
-        cache: &mut DispatchCache,
-        source: u64,
-        source_generation: u64,
-        leaf_id: u32,
-        value: &str,
-        leaf: &Pattern,
-    ) -> RowOutcome {
-        self.transform_one_by_leaf_id_observed(
-            cache,
-            source,
-            source_generation,
-            leaf_id,
-            value,
-            leaf,
-            None,
-        )
-    }
-
-    /// [`CompiledProgram::transform_one_by_leaf_id`] under an optional
-    /// telemetry sink: a first-sight decision times its fused classify as
-    /// `engine.fused.decide_ns`. With `None` (and on every plan replay)
-    /// no clock is read.
+    ///
+    /// Under a telemetry sink a first-sight decision times its fused
+    /// classify as `engine.fused.decide_ns`. With `None` (and on every plan
+    /// replay) no clock is read.
     ///
     /// Every executor builds its outcomes here, with one allocation per
     /// decided value: a rewrite is assembled in the cache's reusable
@@ -671,13 +648,14 @@ mod tests {
         fn run(&mut self, compiled: &CompiledProgram, value: &str) -> RowOutcome {
             let id = self.interner.intern(value);
             let interner = &self.interner;
-            compiled.transform_one_by_leaf_id(
+            compiled.transform_one_by_leaf_id_observed(
                 &mut self.cache,
                 interner.instance(),
                 interner.leaf_generation(),
                 interner.leaf_id(id),
                 interner.value(id),
                 interner.leaf(id),
+                None,
             )
         }
 

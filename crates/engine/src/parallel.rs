@@ -16,16 +16,32 @@ use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
 use crate::report::{ChunkReport, TransformReport};
 
+/// Minimum rows per block before automatic blocking bothers spawning
+/// threads.
+const AUTO_MIN_BLOCK: usize = 8_192;
+
+/// The automatic block count for `rows` rows: one block below
+/// `2 * AUTO_MIN_BLOCK` rows, otherwise one per available CPU, capped so
+/// every block keeps at least `AUTO_MIN_BLOCK` rows.
+fn auto_block_count(rows: usize) -> usize {
+    if rows < 2 * AUTO_MIN_BLOCK {
+        return 1;
+    }
+    let cpus = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    cpus.min(rows / AUTO_MIN_BLOCK).max(1)
+}
+
 impl CompiledProgram {
     /// Execute the program over a column of raw rows. Each distinct value
     /// of a block is decided once; the report stores one outcome per
     /// distinct value of each block.
     ///
-    /// The block count follows [`clx_column::auto_block_count`]: one
-    /// block below 16,384 rows, otherwise one per available CPU with at
-    /// least 8,192 rows each.
+    /// One block below 16,384 rows, otherwise one per available CPU with
+    /// at least 8,192 rows each.
     pub fn execute<S: AsRef<str> + Sync>(&self, rows: &[S]) -> TransformReport {
-        self.execute_blocks(rows, clx_column::auto_block_count(rows.len()))
+        self.execute_blocks(rows, auto_block_count(rows.len()))
     }
 
     /// [`CompiledProgram::execute`] over exactly `blocks` contiguous blocks

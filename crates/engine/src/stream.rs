@@ -47,19 +47,17 @@ fn outcome_footprint(outcome: &RowOutcome) -> usize {
 /// the serial of the dispatch plan that decided it, replaying only while
 /// that plan is still its leaf's (see "Plan serials" in the `dispatch`
 /// module docs). A program swap therefore invalidates decisions by dropping
-/// plans, never by visiting values. Stale entries are pruned whenever the
-/// interner's eviction generation moves, so the cache footprint tracks the
-/// interner's live set.
+/// plans, never by visiting values. The decisions of the values each
+/// chunk's boundary evicted are dropped as that chunk is synced, so the
+/// cache footprint tracks the interner's live set.
 #[derive(Debug, Default)]
 pub(crate) struct DistinctDecisions {
     source: Option<u64>,
-    /// The interner eviction generation the cache was last pruned at.
-    generation: u64,
     /// The dispatch cache's serial epoch the stored serials belong to.
     serial_epoch: u64,
     /// Slot -> (slot generation at decision time, serial of the deciding
     /// plan, outcome). The generation keeps only its low 32 bits so an
-    /// entry stays 32 bytes: prune drops an evicted slot's decision before
+    /// entry stays 32 bytes: sync drops an evicted slot's decision before
     /// any replay, so the generation check is a second guard.
     decided: Vec<Option<(u32, u32, RowOutcome)>>,
     /// Number of `Some` entries in `decided`.
@@ -94,30 +92,9 @@ impl DistinctDecisions {
         self.bytes = 0;
     }
 
-    /// Drop decisions whose slot was evicted (or recycled) since they were
-    /// recorded, so evicted values release their outcome storage too.
-    ///
-    /// Incremental when the interner's bounded eviction log still covers
-    /// the generation this cache last synced at: only the logged victim ids
-    /// are probed, O(evicted) instead of O(slots). When the log has been
-    /// outrun (many batches, or one oversized batch), falls back to the
-    /// full walk — which is also what the log's caps guarantee is then the
-    /// cheaper of the two.
-    fn prune(&mut self, interner: &ColumnInterner) {
-        if let Some(dirty) = interner.evicted_since(self.generation) {
-            for id in dirty {
-                self.invalidate_if_stale(id, interner);
-            }
-            return;
-        }
-        for id in 0..self.decided.len() {
-            self.invalidate_if_stale(id as u32, interner);
-        }
-    }
-
     /// Drop the decision stored for `id` if its slot was evicted or
-    /// recycled since it was recorded. Idempotent, so repeated ids in the
-    /// eviction log are harmless.
+    /// recycled since it was recorded, so an evicted value releases its
+    /// outcome storage too.
     fn invalidate_if_stale(&mut self, id: u32, interner: &ColumnInterner) {
         let Some(slot) = self.decided.get_mut(id as usize) else {
             return;
@@ -135,17 +112,23 @@ impl DistinctDecisions {
     /// Bind the cache to `interner`'s id space and `cache`'s serial epoch
     /// ahead of deciding one of the interner's chunks: a chunk from a
     /// different interner, or a serial epoch the stored serials do not
-    /// belong to, resets the cache, and an interner that evicted since the
-    /// last chunk has the evicted slots' outcomes released first.
-    pub(crate) fn sync(&mut self, interner: &ColumnInterner, cache: &DispatchCache) {
+    /// belong to, resets the cache; otherwise the outcomes of `evicted`,
+    /// the chunk's [`evicted`](clx_column::ColumnChunk::evicted) ids, are
+    /// released.
+    pub(crate) fn sync(
+        &mut self,
+        interner: &ColumnInterner,
+        evicted: &[u32],
+        cache: &DispatchCache,
+    ) {
         if self.source != Some(interner.instance()) || self.serial_epoch != cache.serial_epoch() {
             self.clear();
             self.source = Some(interner.instance());
-            self.generation = interner.generation();
             self.serial_epoch = cache.serial_epoch();
-        } else if self.generation != interner.generation() {
-            self.prune(interner);
-            self.generation = interner.generation();
+        } else {
+            for &id in evicted {
+                self.invalidate_if_stale(id, interner);
+            }
         }
         if self.decided.len() < interner.distinct_count() {
             self.decided.resize(interner.distinct_count(), None);
@@ -190,8 +173,8 @@ impl DistinctDecisions {
         self.misses += 1;
         if self.serial_epoch != cache.serial_epoch() {
             // The serial counter restarted while this chunk was decided:
-            // no stored serial can be trusted any more.
-            self.sync(interner, cache);
+            // no stored serial can be trusted any more, so this resets.
+            self.sync(interner, &[], cache);
         }
         let Some(serial) = cache.serial(leaf_id) else {
             return;
@@ -407,7 +390,7 @@ impl ColumnStream {
     pub fn push_rows<S: AsRef<str>>(&mut self, rows: &[S]) -> ChunkReport {
         // The only disabled-path cost of telemetry: this `is_some()`.
         let start = self.telemetry.is_some().then(Instant::now);
-        // chunk() runs enforce_budget() before interning a single row.
+        // chunk() evicts down to the budget before interning a single row.
         let chunk = self.interner.chunk(rows);
         let outcomes = self.program.decide_chunk(
             &mut self.cache,

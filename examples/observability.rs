@@ -6,9 +6,9 @@
 //! * `core.phase.*` — per-phase latency histograms of the
 //!   Cluster–Label–Transform loop (cluster, label, synthesize, compile,
 //!   apply);
-//! * `column.builder.*` / `column.interner.*` — column-build phase timings
-//!   (dedup, merge, assemble),
-//!   interner hit/miss counters, arena byte gauges and eviction batches;
+//! * `column.builder.build_ns` / `column.interner.*` — column-build
+//!   latency, interner hit/miss counters, arena byte gauges and eviction
+//!   batches;
 //! * `engine.stream.*` — per-chunk latency and rows/s histograms, the
 //!   decision-cache hit/miss counters, memory gauges;
 //! * `engine.dispatch.*` — leaf-id dispatch hits and misses.

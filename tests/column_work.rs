@@ -5,24 +5,22 @@
 //! one test, so the counters see only the work under test. The input rows
 //! are cloned before the count starts.
 //!
-//! `Column::from_rows` and `ColumnBuilder::build` with 2 shards, over
-//! 1,000 and over 20,000 distinct `large_case` phone values, each stay
-//! under [`BUILD_CALLS`] allocation plus reallocation calls. The column
-//! keeps per distinct value an arena span, a leaf-id and a range of one
-//! flat token-slice list, each leaf pattern once, and the rows as one flat
-//! list, so what is left is the doubling growth of a few flat vectors and
-//! hash tables: `from_rows` makes 74 calls at 1,000 distinct values and 87
-//! at 20,000, the 2-shard build 129 and 165 (its block dedups, merge and
-//! worker threads). When each distinct value owned its own tokenization (a
-//! copy of its text, its leaf pattern with a `String` per literal, a
-//! `String` per token slice and its own row `Vec`), the same build made
-//! about 19.9 calls per distinct value: 19,891 at 1,000.
+//! `Column::from_rows`, over 1,000 and over 20,000 distinct `large_case`
+//! phone values, stays under [`BUILD_CALLS`] allocation plus reallocation
+//! calls. The column keeps per distinct value an arena span, a leaf-id and
+//! a range of one flat token-slice list, each leaf pattern once, and the
+//! rows as one flat list, so what is left is the doubling growth of a few
+//! flat vectors and hash tables: `from_rows` makes 74 calls at 1,000
+//! distinct values and 87 at 20,000. When each distinct value owned its
+//! own tokenization (a copy of its text, its leaf pattern with a `String`
+//! per literal, a `String` per token slice and its own row `Vec`), the
+//! same build made about 19.9 calls per distinct value: 19,891 at 1,000.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use clx::{Column, ColumnBuilder};
+use clx::Column;
 
 /// `System`, counting every `alloc` and `realloc` call.
 struct CountingAlloc;
@@ -73,19 +71,12 @@ fn column_build_calls_do_not_grow_with_distinct_values() {
 
     for n in [1_000, 20_000] {
         let rows = distinct[..n].to_vec();
-        let (sequential, from_rows) = calls_during(|| Column::from_rows(rows));
-        let rows = distinct[..n].to_vec();
-        let (sharded, built) = calls_during(|| ColumnBuilder::new().shards(2).build(rows));
-        println!("{n} distinct: from_rows {from_rows} calls, 2-shard build {built}");
-        assert_eq!(sequential.distinct_count(), n);
-        assert_eq!(sequential.to_vec(), sharded.to_vec());
+        let (column, from_rows) = calls_during(|| Column::from_rows(rows));
+        println!("{n} distinct: from_rows {from_rows} calls");
+        assert_eq!(column.distinct_count(), n);
         assert!(
             from_rows <= BUILD_CALLS,
             "from_rows: {from_rows} calls at {n} distinct"
-        );
-        assert!(
-            built <= BUILD_CALLS,
-            "2-shard build: {built} calls at {n} distinct"
         );
     }
 }

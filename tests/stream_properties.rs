@@ -20,11 +20,8 @@
 //! program re-decides nothing), and session-level `reverify` after
 //! arbitrary repair sequences equals a fresh `apply`.
 //!
-//! Also here: the sharded [`ColumnBuilder`] byte-identity property on
-//! random inputs (empty values, Unicode, single-distinct, all-distinct —
-//! not just the curated duplicate-heavy workload of
-//! `tests/column_builder.rs`), and the adversarial 1M-row bounded-memory
-//! acceptance test.
+//! Also here: the interner's eviction order against a reference model,
+//! and the adversarial 1M-row bounded-memory acceptance test.
 //!
 //! Run with `PROPTEST_CASES=256` (CI does, in release) for real coverage;
 //! the default is 64 cases per property.
@@ -38,8 +35,8 @@ use clx::pattern::automaton::MultiPatternAutomaton;
 use clx::pattern::{tokenize, Quantifier, TokenSlice};
 use clx::unifi::{transform_lenient, Branch, Expr, Program, StringExpr, TransformOutcome};
 use clx::{
-    Column, ColumnBuilder, ColumnInterner, ColumnStream, CompiledProgram, InMemorySink, MetricSink,
-    NoopSink, Pattern, RowOutcome, StreamBudget, Token, TokenClass,
+    Column, ColumnInterner, ColumnStream, CompiledProgram, InMemorySink, MetricSink, NoopSink,
+    Pattern, RowOutcome, StreamBudget, Token, TokenClass,
 };
 
 /// The phone-rewrite program every streaming test in the workspace uses:
@@ -253,30 +250,6 @@ proptest! {
             observed_summary.decision_cache_misses
         );
     }
-
-    /// Sharded column construction is byte-identical to sequential on
-    /// random inputs: same distinct order, row map, interned bytes, leaf
-    /// ids and cached token slices — for every shard count.
-    #[test]
-    fn sharded_builder_matches_sequential(rows in workload(), shards in 1..9usize) {
-        let sequential = Column::from_rows(rows.clone());
-        let sharded = ColumnBuilder::new().shards(shards).build(rows);
-        prop_assert_eq!(sequential.len(), sharded.len());
-        prop_assert_eq!(sequential.distinct_count(), sharded.distinct_count());
-        prop_assert_eq!(sequential.leaf_count(), sharded.leaf_count());
-        prop_assert_eq!(sequential.interned_bytes(), sharded.interned_bytes());
-        prop_assert_eq!(sequential.row_map().as_ref(), sharded.row_map().as_ref());
-        for (a, b) in sequential.distinct_values().zip(sharded.distinct_values()) {
-            prop_assert_eq!(a.text(), b.text());
-            prop_assert_eq!(a.leaf(), b.leaf());
-            prop_assert_eq!(a.leaf_id(), b.leaf_id());
-            prop_assert_eq!(a.token_slices(), b.token_slices());
-            prop_assert_eq!(
-                a.rows().collect::<Vec<_>>(),
-                b.rows().collect::<Vec<_>>()
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +300,6 @@ proptest! {
         // Live (value, distinct-id) pairs, coldest first.
         let mut model: Vec<(String, u32)> = Vec::new();
         for rows in &chunks {
-            let synced = interner.generation();
             let mut expected_victims = Vec::new();
             let live_bytes = |model: &Vec<(String, u32)>| -> usize {
                 model.iter().map(|(v, _)| v.len()).sum()
@@ -339,6 +311,7 @@ proptest! {
             }
 
             let chunk = interner.chunk(rows);
+            prop_assert_eq!(chunk.evicted(), expected_victims.as_slice());
             for (row, value) in rows.iter().enumerate() {
                 let id = chunk.distinct_ids()[chunk.row_map()[row] as usize];
                 match model.iter().position(|(v, _)| v == value) {
@@ -352,11 +325,6 @@ proptest! {
             }
             drop(chunk);
 
-            let victims: Vec<u32> = interner
-                .evicted_since(synced)
-                .expect("one small batch per chunk stays in the log")
-                .collect();
-            prop_assert_eq!(victims, expected_victims);
             prop_assert_eq!(interner.live_distinct_count(), model.len());
             prop_assert_eq!(interner.interned_bytes(), live_bytes(&model));
             let mut leaves: Vec<Pattern> = Vec::new();
