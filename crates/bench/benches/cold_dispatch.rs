@@ -20,11 +20,9 @@
 //!   well-behaved shape where cold decisions happen only ~1k times and the
 //!   warm leaf-id path (identical in both variants) dominates.
 //!
-//! Each workload runs three ways: `fused` (default compilation — the
+//! Each workload runs two ways: `fused` (default compilation — the
 //! winner's split boundaries are *derived from the accepting path*, so a
-//! cold decision is one pass over the tokens), `fused_split`
-//! (`CompiledProgram::without_derived_splits()`: fused classify, but the
-//! winner re-runs `Pattern::split`), and `per_branch`
+//! cold decision is one pass over the tokens) and `per_branch`
 //! (`CompiledProgram::without_fused()`, the pre-fused per-branch loop).
 //!
 //! This bench records no numbers in its source. The repository benchmark
@@ -81,13 +79,11 @@ fn program() -> Program {
     ])
 }
 
-/// The three decision-path variants under test.
+/// The two decision-path variants under test.
 enum Variant {
     /// Default compilation: fused classify + splits derived from the
     /// accepting path (single-pass first sight).
     FusedDerived,
-    /// Fused classify, winner re-runs `Pattern::split`.
-    FusedSplit,
     /// The pre-fused per-branch `Pattern::split` loop.
     PerBranch,
 }
@@ -100,7 +96,6 @@ fn compile(variant: Variant) -> Arc<CompiledProgram> {
             assert!(compiled.fused_active(), "program must fuse");
             compiled
         }
-        Variant::FusedSplit => compiled.without_derived_splits(),
         Variant::PerBranch => compiled.without_fused(),
     })
 }
@@ -159,12 +154,11 @@ fn bench_cold_dispatch(c: &mut Criterion) {
         (COLD_ROWS, ZIPF_ROWS)
     };
     let fused = compile(Variant::FusedDerived);
-    let fused_split = compile(Variant::FusedSplit);
     let per_branch = compile(Variant::PerBranch);
     let cold = all_new_leaf_rows(cold_rows);
     let zipf = zipf_rows(zipf_total, ZIPF_DISTINCT);
 
-    // Sanity outside timing: the three variants agree row-for-row, every
+    // Sanity outside timing: the two variants agree row-for-row, every
     // cold row really is a fresh leaf, the cold path is the one measured —
     // and on the derived variant *every* cold decision got its split from
     // the accepting path, with `Pattern::split` structurally absent.
@@ -172,19 +166,9 @@ fn bench_cold_dispatch(c: &mut Criterion) {
         let sample = &cold[..CHUNK.min(cold.len())];
         let mut a = ColumnStream::with_budget(Arc::clone(&fused), StreamBudget::unbounded());
         let mut b = ColumnStream::with_budget(Arc::clone(&per_branch), StreamBudget::unbounded());
-        let mut s = ColumnStream::with_budget(Arc::clone(&fused_split), StreamBudget::unbounded());
-        let (ra, rb, rs) = (
-            a.push_rows(sample),
-            b.push_rows(sample),
-            s.push_rows(sample),
-        );
         assert!(
-            ra.iter_rows().eq(rb.iter_rows()),
+            a.push_rows(sample) == b.push_rows(sample),
             "fused and per-branch streams must agree row-for-row"
-        );
-        assert!(
-            ra.iter_rows().eq(rs.iter_rows()),
-            "derived-split and Pattern::split streams must agree row-for-row"
         );
         let stats = fused.fused_stats();
         assert!(
@@ -195,10 +179,7 @@ fn bench_cold_dispatch(c: &mut Criterion) {
             stats.split_derived, stats.fused_decisions,
             "every cold decision must derive its split from the path"
         );
-        assert_eq!(stats.split_fallbacks, 0, "no fallback on this program");
-        let split_stats = fused_split.fused_stats();
-        assert_eq!(split_stats.split_derived, 0);
-        assert_eq!(split_stats.split_fallbacks, split_stats.fused_decisions);
+        assert_eq!(stats.per_branch_decisions, 0, "no fallback on this program");
         println!(
             "cold sample: {} rows, fused decided {} (splits derived {}), per_branch decided {}",
             sample.len(),
@@ -218,11 +199,6 @@ fn bench_cold_dispatch(c: &mut Criterion) {
         |b, data| b.iter(|| run_stream(&per_branch, data)),
     );
     group.bench_with_input(
-        BenchmarkId::new("all_new_leaf_fused_split", cold_rows),
-        &cold,
-        |b, data| b.iter(|| run_stream(&fused_split, data)),
-    );
-    group.bench_with_input(
         BenchmarkId::new("all_new_leaf_fused", cold_rows),
         &cold,
         |b, data| b.iter(|| run_stream(&fused, data)),
@@ -233,11 +209,6 @@ fn bench_cold_dispatch(c: &mut Criterion) {
         BenchmarkId::new("zipf_per_branch", zipf_total),
         &zipf,
         |b, data| b.iter(|| run_stream(&per_branch, data)),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("zipf_fused_split", zipf_total),
-        &zipf,
-        |b, data| b.iter(|| run_stream(&fused_split, data)),
     );
     group.bench_with_input(
         BenchmarkId::new("zipf_fused", zipf_total),

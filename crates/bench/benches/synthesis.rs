@@ -7,23 +7,26 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use clx_cluster::PatternProfiler;
+use clx_column::Column;
 use clx_datagen::study_case;
 use clx_pattern::tokenize;
-use clx_synth::{synthesize, SynthesisOptions};
+use clx_synth::{synthesize_column, SynthesisOptions};
 
 fn bench_synthesis(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthesis");
     let target = tokenize("734-422-8073");
     for &(rows, patterns) in &[(100usize, 4usize), (300, 6), (2_000, 6)] {
         let case = study_case(rows, patterns, 11);
-        let hierarchy = PatternProfiler::new().profile(&case.data);
+        let column = Column::from_rows(case.data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         group.bench_with_input(
             BenchmarkId::new("phone", format!("{rows}rows_{patterns}patterns")),
             &hierarchy,
             |b, hierarchy| {
                 b.iter(|| {
-                    let synthesis = synthesize(
+                    let synthesis = synthesize_column(
                         black_box(hierarchy),
+                        black_box(&column),
                         black_box(&target),
                         &SynthesisOptions::default(),
                     );

@@ -72,9 +72,7 @@ pub use session::{Clustered, ClxError, ClxOptions, ClxSession, LabelError, Label
 // `clx` facade) is a one-stop dependency.
 pub use clx_cluster::{ClusterNode, PatternHierarchy, PatternProfiler, ProfilerOptions};
 pub use clx_column::{Column, ColumnBuilder, ColumnChunk, ColumnInterner, DistinctValue};
-pub use clx_engine::{
-    ChunkReport, ColumnStream, CompiledProgram, RowOutcome, RowOutcomes, TransformReport,
-};
+pub use clx_engine::{ColumnStream, CompiledProgram, RowOutcome, RowOutcomes, TransformReport};
 pub use clx_pattern::{parse_pattern, tokenize, Pattern, Token, TokenClass};
 pub use clx_synth::{RankedPlan, Synthesis, SynthesisOptions};
 pub use clx_unifi::{Explanation, Program, ReplaceOp, TransformOutcome};

@@ -59,24 +59,17 @@ impl ClxSession<Labelled> {
     /// labelled session.)
     pub fn preview(&self, sample: usize) -> Result<PreviewTable, ClxError> {
         let report = self.apply()?;
+        let column = self.data();
         let mut rows = Vec::new();
-        let mut per_pattern_seen: Vec<(String, usize)> = Vec::new();
+        // Rows seen so far per leaf pattern, indexed by the column's
+        // leaf-id (one leaf pattern per leaf-id).
+        let mut per_pattern_seen = vec![0usize; column.leaf_count()];
         for (row, outcome) in report.iter_rows().enumerate() {
-            let value = self.data().distinct(self.data().distinct_index_of(row));
-            // The row's leaf pattern is already cached by the column.
-            let key = value.leaf().notation();
-            let seen = match per_pattern_seen.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, count)) => {
-                    *count += 1;
-                    *count
-                }
-                None => {
-                    per_pattern_seen.push((key, 1));
-                    1
-                }
-            };
+            let value = column.distinct(column.distinct_index_of(row));
+            let seen = &mut per_pattern_seen[value.leaf_id() as usize];
+            *seen += 1;
             // Keep at most `sample` examples per distinct pattern.
-            if seen <= sample {
+            if *seen <= sample {
                 rows.push(PreviewRow {
                     input: value.text().to_string(),
                     output: outcome.value().to_string(),
@@ -124,9 +117,27 @@ mod tests {
     fn preview_sample_limits_rows_per_pattern() {
         let s = session();
         let one = s.preview(1).unwrap().len();
-        let two = s.preview(2).unwrap().len();
-        assert!(two > one);
-        assert_eq!(two, 6); // 2 rows for the paren-space cluster, 1 each for the rest
+        let two = s.preview(2).unwrap();
+        assert!(two.len() > one);
+        assert_eq!(two.len(), 6); // 2 rows for the paren-space cluster, 1 each for the rest
+
+        // The sample is the first rows of each leaf pattern, in row order.
+        let row = |input: &str, output: &str, changed| PreviewRow {
+            input: input.into(),
+            output: output.into(),
+            changed,
+        };
+        assert_eq!(
+            two.rows,
+            vec![
+                row("(734) 645-8397", "734-645-8397", true),
+                row("(734) 763-1147", "734-763-1147", true),
+                row("(734)586-7252", "734-586-7252", true),
+                row("734-422-8073", "734-422-8073", false),
+                row("734.236.3466", "734-236-3466", true),
+                row("N/A", "N/A", false),
+            ]
+        );
     }
 
     #[test]

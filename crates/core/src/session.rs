@@ -573,8 +573,8 @@ impl ClxSession<Labelled> {
     /// into a persistent, cross-chunk id space, so streaming inherits the
     /// O(distinct) execute path — a distinct value is tokenized and decided
     /// once per stream, no matter how many chunks repeat it — and each
-    /// pushed chunk comes back as a columnar
-    /// [`ChunkReport`](clx_engine::ChunkReport).
+    /// pushed chunk comes back as a columnar [`TransformReport`], the
+    /// report type [`ClxSession::apply`] returns.
     ///
     /// The stream owns its compiled program, so it is independent of the
     /// session's lifetime and can ingest columns the session never saw

@@ -4,13 +4,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use clx_pattern::automaton::{ClassifyRun, MultiPatternAutomaton};
 use clx_pattern::{tokenize, Pattern};
 use clx_telemetry::{MetricSink, Span};
 use clx_unifi::{eval_expr, Branch, Expr, Program, StringExpr};
 
 use crate::dispatch::{DispatchCache, LeafPlan, SplitPlan, Step};
 use crate::error::CompileError;
-use crate::fused::{FusedFallback, FusedMatcher};
+use crate::fused::FusedFallback;
 use crate::report::RowOutcome;
 
 /// One compiled branch: the source pattern, its plan, and whether its
@@ -68,17 +69,14 @@ pub struct CompiledProgram {
     /// program.
     instance: u64,
     /// The fused multi-pattern decision automaton (see the `fused` module
-    /// docs): one pass over a new leaf signature decides every transparent
-    /// pattern at once, instead of up to k+1 per-branch matcher runs.
-    /// `None` when construction fell back ([`CompiledProgram::fused_fallback`]).
-    fused: Option<FusedMatcher>,
+    /// docs) over the slots `[target, branch 0, branch 1, …]`, an opaque
+    /// pattern's slot left empty: one pass over a new leaf signature
+    /// decides every transparent pattern at once, instead of up to k+1
+    /// per-branch matcher runs. Branch `i` is segment `i + 1`. `None` when
+    /// construction fell back ([`CompiledProgram::fused_fallback`]).
+    fused: Option<MultiPatternAutomaton>,
     /// Why `fused` is `None`, when it is.
     fused_fallback: Option<FusedFallback>,
-    /// Build the winning branch's split boundaries from the automaton's
-    /// accepting path instead of re-running `Pattern::split` (the default;
-    /// [`CompiledProgram::without_derived_splits`] turns it off for
-    /// differential testing and benchmarking).
-    derive_splits: bool,
     /// Cold-path decision tallies (relaxed atomics: the program is shared
     /// across executor threads; plan builds are per distinct leaf, so the
     /// increment never sits on the per-row path).
@@ -110,17 +108,15 @@ pub struct FusedStats {
     /// Cold decisions answered by the fused automaton in one leaf pass.
     pub fused_decisions: u64,
     /// Cold decisions that ran the per-branch matching loop — every
-    /// decision of a fallback program, or a non-leaf signature handed to a
-    /// fused one.
+    /// decision of a fallback program, a non-leaf signature handed to a
+    /// fused one, or a leaf whose winning branch's boundaries the
+    /// automaton could not reconstruct (a defensive arm, never reached for
+    /// tokenizer leaves).
     pub per_branch_decisions: u64,
     /// Fused branch decisions whose split boundaries were derived from the
     /// automaton's accepting path — first sight stayed single-pass, no
     /// `Pattern::split` ran.
     pub split_derived: u64,
-    /// Fused branch decisions that fell back to `Pattern::split` for the
-    /// boundaries ([`FusedFallback::SplitUnderived`]): derived splits
-    /// turned off, or the defensive reconstruction walk declined.
-    pub split_fallbacks: u64,
 }
 
 #[derive(Debug, Default)]
@@ -128,7 +124,6 @@ struct FusedTallies {
     fused: AtomicU64,
     per_branch: AtomicU64,
     split_derived: AtomicU64,
-    split_fallbacks: AtomicU64,
 }
 
 /// Source of [`CompiledProgram::instance`] ids.
@@ -168,17 +163,23 @@ impl CompiledProgram {
             });
         }
         let target_transparent = is_transparent(target);
-        let (fused, fused_fallback) = {
+        let fused = {
             let _span = Span::start(telemetry, "engine.fused.build_ns");
-            let branch_patterns: Vec<Option<&Pattern>> = branches
-                .iter()
-                .map(|b| b.transparent.then_some(&b.pattern))
-                .collect();
-            match FusedMatcher::build(target_transparent.then_some(target), &branch_patterns) {
-                Ok(matcher) => (Some(matcher), None),
-                Err(fallback) => (None, Some(fallback)),
+            let slots: Vec<Option<&Pattern>> =
+                std::iter::once(target_transparent.then_some(target))
+                    .chain(branches.iter().map(|b| b.transparent.then_some(&b.pattern)))
+                    .collect();
+            if slots.iter().all(Option::is_none) {
+                Err(FusedFallback::NothingTransparent)
+            } else {
+                MultiPatternAutomaton::build(&slots).map_err(|overflow| {
+                    FusedFallback::WidthExceeded {
+                        required: overflow.required,
+                    }
+                })
             }
         };
+        let fused_fallback = fused.as_ref().err().copied();
         if fused_fallback.is_some() {
             if let Some(sink) = telemetry {
                 sink.counter("engine.fused.fallbacks", 1);
@@ -189,9 +190,8 @@ impl CompiledProgram {
             target_transparent,
             branches,
             instance: NEXT_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            fused,
+            fused: fused.ok(),
             fused_fallback,
-            derive_splits: true,
             tallies: FusedTallies::default(),
             reachable: OnceLock::new(),
         })
@@ -230,18 +230,6 @@ impl CompiledProgram {
         self
     }
 
-    /// This compilation with derived split boundaries turned off: the
-    /// fused automaton still classifies every cold decision, but the
-    /// winning branch re-runs `Pattern::split` for its token boundaries
-    /// (the pre-single-pass cold path, each counted as a
-    /// [`FusedFallback::SplitUnderived`] split fallback). Behavior is
-    /// guaranteed identical — the derived ranges equal `split`'s, locked
-    /// by the property suite. For benchmarking and differential testing.
-    pub fn without_derived_splits(mut self) -> Self {
-        self.derive_splits = false;
-        self
-    }
-
     /// `true` when cold-path decisions go through the fused automaton.
     pub fn fused_active(&self) -> bool {
         self.fused.is_some()
@@ -252,25 +240,12 @@ impl CompiledProgram {
         self.fused_fallback
     }
 
-    /// Why fused branch decisions (if any) re-ran `Pattern::split` for
-    /// their boundaries: `Some(SplitUnderived)` when derived splits are
-    /// turned off or any decision's reconstruction declined, `None` while
-    /// every fused branch decision stayed single-pass.
-    pub fn split_fallback(&self) -> Option<FusedFallback> {
-        if !self.derive_splits || self.tallies.split_fallbacks.load(Ordering::Relaxed) > 0 {
-            Some(FusedFallback::SplitUnderived)
-        } else {
-            None
-        }
-    }
-
     /// One consistent read of the cold-path decision tallies.
     pub fn fused_stats(&self) -> FusedStats {
         FusedStats {
             fused_decisions: self.tallies.fused.load(Ordering::Relaxed),
             per_branch_decisions: self.tallies.per_branch.load(Ordering::Relaxed),
             split_derived: self.tallies.split_derived.load(Ordering::Relaxed),
-            split_fallbacks: self.tallies.split_fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -423,7 +398,8 @@ impl CompiledProgram {
     /// records the frontier journal from which the winning branch's split
     /// boundaries are reconstructed — first sight never re-runs
     /// `Pattern::split` on the fused path. Falls back to the per-branch
-    /// loop for fallback programs and for non-leaf signatures.
+    /// loop, for the whole leaf, for fallback programs, for non-leaf
+    /// signatures and if a reconstruction ever declined.
     pub(crate) fn build_plan_observed(
         &self,
         leaf: &Pattern,
@@ -433,11 +409,23 @@ impl CompiledProgram {
         if let Some(fused) = &self.fused {
             let run = {
                 let _span = Span::start(telemetry, "engine.fused.decide_ns");
-                fused.classify(leaf)
+                fused.classify_recorded(leaf)
             };
-            if let Some(run) = run {
+            if let Some(plan) = run.and_then(|run| self.build_plan_fused(fused, &run, telemetry)) {
                 self.tallies.fused.fetch_add(1, Ordering::Relaxed);
-                return self.build_plan_fused(fused, &run, value, telemetry);
+                #[cfg(debug_assertions)]
+                if let Some(Step::Apply { branch, split }) = plan.steps.last() {
+                    let slices = self.branches[*branch]
+                        .pattern
+                        .split(value)
+                        .expect("fused automaton proved the branch matches");
+                    debug_assert_eq!(
+                        split.ranges,
+                        char_ranges(value, &slices),
+                        "derived boundaries diverge from Pattern::split on {value:?}"
+                    );
+                }
+                return plan;
             }
         }
         self.tallies.per_branch.fetch_add(1, Ordering::Relaxed);
@@ -447,19 +435,22 @@ impl CompiledProgram {
     /// Turn one fused classification into a plan, preserving the §6.1
     /// step order exactly: transparent target match → `Conforming`; opaque
     /// patterns keep per-row `Check*` steps in dispatch order; the first
-    /// matching transparent branch becomes the `Apply` step.
+    /// matching transparent branch becomes the `Apply` step. `None` when
+    /// the winning branch's boundaries cannot be reconstructed from the
+    /// accepting path — unreachable for tokenizer leaves (see
+    /// [`MultiPatternAutomaton::split_boundaries`]); the caller then
+    /// decides the whole leaf on the per-branch loop.
     fn build_plan_fused(
         &self,
-        fused: &FusedMatcher,
-        run: &clx_pattern::automaton::ClassifyRun,
-        value: &str,
+        fused: &MultiPatternAutomaton,
+        run: &ClassifyRun,
         telemetry: Option<&Arc<dyn MetricSink>>,
-    ) -> LeafPlan {
+    ) -> Option<LeafPlan> {
         let mut steps = Vec::new();
         if self.target_transparent {
-            if fused.target_matches(run) {
+            if fused.matches(run.matches(), 0) {
                 steps.push(Step::Conforming);
-                return LeafPlan { steps };
+                return Some(LeafPlan { steps });
             }
         } else {
             steps.push(Step::CheckTarget);
@@ -469,67 +460,31 @@ impl CompiledProgram {
                 steps.push(Step::CheckBranch { branch: index });
                 continue;
             }
-            if !fused.branch_matches(run, index) {
+            if !fused.matches(run.matches(), index + 1) {
                 continue;
             }
             // The winning branch's token boundaries come straight from the
             // accepting path — the classification pass the automaton just
             // ran — so first sight is one pass over the tokens, no second
             // `Pattern::split` match.
-            let derived = if self.derive_splits {
+            let ranges = {
                 let _span = Span::start(telemetry, "engine.fused.split_ns");
-                fused.split_ranges(run, index)
-            } else {
-                None
+                fused.split_boundaries(run, index + 1)?
             };
-            let ranges = match derived {
-                Some(ranges) => {
-                    self.tallies.split_derived.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(debug_assertions)]
-                    {
-                        let slices = branch
-                            .pattern
-                            .split(value)
-                            .expect("fused automaton proved the branch matches");
-                        debug_assert_eq!(
-                            ranges,
-                            char_ranges(value, &slices),
-                            "derived boundaries diverge from Pattern::split on {value:?}"
-                        );
-                    }
-                    ranges
-                }
-                None => {
-                    // Never silent, never wrong: an underived boundary
-                    // ([`FusedFallback::SplitUnderived`]) re-runs
-                    // `Pattern::split` and is tallied. The automaton
-                    // proved the branch matches, so the split cannot fail;
-                    // treated as a non-match if it ever did, which is what
-                    // the per-branch loop would conclude.
-                    self.tallies.split_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let Ok(slices) = branch.pattern.split(value) else {
-                        debug_assert!(
-                            false,
-                            "fused automaton and Pattern::split disagree on {value:?}"
-                        );
-                        continue;
-                    };
-                    char_ranges(value, &slices)
-                }
-            };
+            self.tallies.split_derived.fetch_add(1, Ordering::Relaxed);
             steps.push(Step::Apply {
                 branch: index,
                 split: Arc::new(SplitPlan { ranges }),
             });
-            return LeafPlan { steps };
+            return Some(LeafPlan { steps });
         }
-        LeafPlan { steps }
+        Some(LeafPlan { steps })
     }
 
     /// The pre-fused cold path: walk the branches, one `Pattern::split`
     /// each until one fires. Kept as the recorded per-program
-    /// fallback ([`CompiledProgram::fused_fallback`]) and as the per-value
-    /// fallback for non-leaf signatures.
+    /// fallback ([`CompiledProgram::fused_fallback`]) and as the per-leaf
+    /// fallback of a fused program.
     fn build_plan_per_branch(&self, leaf: &Pattern, value: &str) -> LeafPlan {
         let mut steps = Vec::new();
         if self.target_transparent {
@@ -1001,11 +956,11 @@ mod tests {
     #[test]
     fn branch_decisions_derive_splits_from_the_accepting_path() {
         let derived = CompiledProgram::compile(&phone_program(), &phone_target()).unwrap();
-        let split = CompiledProgram::compile(&phone_program(), &phone_target())
+        let per_branch = CompiledProgram::compile(&phone_program(), &phone_target())
             .unwrap()
-            .without_derived_splits();
+            .without_fused();
         let mut derived_cache = Dispatch::new();
-        let mut split_cache = Dispatch::new();
+        let mut per_branch_cache = Dispatch::new();
         let rows = [
             "734-422-8073",
             "555-111-2222",
@@ -1016,7 +971,7 @@ mod tests {
         for row in rows {
             assert_eq!(
                 derived_cache.run(&derived, row),
-                split_cache.run(&split, row),
+                per_branch_cache.run(&per_branch, row),
                 "derived and split boundaries must agree on {row:?}"
             );
         }
@@ -1025,14 +980,6 @@ mod tests {
         // leaves derive nothing.
         let stats = derived.fused_stats();
         assert_eq!(stats.split_derived, 2);
-        assert_eq!(stats.split_fallbacks, 0);
-        assert_eq!(derived.split_fallback(), None);
-
-        // With derived splits off, the same branch decisions are recorded
-        // as split fallbacks instead.
-        let stats = split.fused_stats();
-        assert_eq!(stats.split_derived, 0);
-        assert_eq!(stats.split_fallbacks, 2);
-        assert_eq!(split.split_fallback(), Some(FusedFallback::SplitUnderived));
+        assert_eq!(stats.per_branch_decisions, 0);
     }
 }

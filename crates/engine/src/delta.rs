@@ -47,12 +47,12 @@
 
 use std::sync::Arc;
 
+use clx_pattern::automaton::MultiPatternAutomaton;
 use clx_pattern::Pattern;
 use clx_telemetry::MetricSink;
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::{LeafPlan, Step};
-use crate::fused::FusedMatcher;
 
 /// The compiled difference between an old and a new [`CompiledProgram`]:
 /// which branch slots changed, and the machinery to test whether a cached
@@ -84,7 +84,7 @@ pub(crate) struct ProgramDelta {
     /// classifies a leaf against all of them in a single pass. `None` when
     /// nothing changed, an opaque branch changed, or construction fell back
     /// — queries then answer conservatively.
-    leaf_matcher: Option<FusedMatcher>,
+    leaf_matcher: Option<MultiPatternAutomaton>,
 }
 
 impl ProgramDelta {
@@ -156,7 +156,7 @@ impl ProgramDelta {
         } else {
             let slots: Vec<Option<&Pattern>> =
                 changed_old.iter().chain(&changed_new).map(Some).collect();
-            FusedMatcher::build(None, &slots).ok()
+            MultiPatternAutomaton::build(&slots).ok()
         };
 
         let delta = ProgramDelta {
@@ -219,11 +219,9 @@ impl ProgramDelta {
         }
         let matcher = self.leaf_matcher.as_ref()?;
         let run = matcher.classify(leaf)?;
-        // Slot i is changed pattern i, old side first (the matcher was
-        // built with no target segment; `FusedMatcher` offsets internally).
+        // Slot i is changed pattern i, old side first.
         let split = self.changed_old.len();
-        let hit =
-            |mut slots: std::ops::Range<usize>| slots.any(|i| matcher.branch_matches(&run, i));
+        let hit = |mut slots: std::ops::Range<usize>| slots.any(|i| matcher.matches(&run, i));
         Some((hit(0..split), hit(split..self.branches_changed())))
     }
 }

@@ -5,12 +5,15 @@
 //! up to k+1 matcher runs (target + k branches) per distinct leaf, the
 //! exact cost profile adversarial all-new-leaf streams maximize (the dense
 //! leaf-id tier makes *repeat* leaves free, but can do nothing for a leaf
-//! it has never seen). [`FusedMatcher`] compiles the target pattern plus
-//! every transparent branch pattern into **one** bit-parallel shift-and
-//! automaton — the shared [`clx_pattern::automaton::MultiPatternAutomaton`]
+//! it has never seen). Compilation builds, over the slots `[target,
+//! branch 0, branch 1, …]` (an opaque pattern's slot left empty), **one**
+//! bit-parallel shift-and automaton — the shared [`MultiPatternAutomaton`]
 //! (also the substrate of `clx-analyze`'s language-level diagnostics) —
-//! returning which patterns match, i.e. the Conforming / branch-index /
-//! Flagged decision, in a single scan over the leaf signature.
+//! answering which patterns match, i.e. the Conforming / branch-index /
+//! Flagged decision, in a single scan over the leaf signature. Branch `i`
+//! is segment `i + 1`.
+//!
+//! [`MultiPatternAutomaton`]: clx_pattern::automaton::MultiPatternAutomaton
 //!
 //! # The abstract alphabet
 //!
@@ -32,9 +35,6 @@
 //! wrong — to the per-branch loop when the program cannot be encoded
 //! ([`FusedFallback`]): combined width beyond [`FUSED_MAX_WIDTH`]
 //! positions, or nothing transparent to decide.
-
-use clx_pattern::automaton::{ClassifyRun, MultiPatternAutomaton};
-use clx_pattern::Pattern;
 
 /// Maximum combined automaton width, in bit positions: the sum over the
 /// target and every transparent branch of their character positions. A
@@ -61,14 +61,6 @@ pub enum FusedFallback {
     /// Fused dispatch was explicitly turned off
     /// ([`crate::CompiledProgram::without_fused`]).
     Disabled,
-    /// The winning branch's split boundaries were not derived from the
-    /// accepting path — either derived splits were explicitly turned off
-    /// ([`crate::CompiledProgram::without_derived_splits`]) or the
-    /// defensive reconstruction walk declined. Unlike the other variants
-    /// this is per *decision*, not per program: classification itself
-    /// stayed fused, only that decision re-ran `Pattern::split`, counted
-    /// as `engine.fused.split_fallbacks`.
-    SplitUnderived,
 }
 
 impl std::fmt::Display for FusedFallback {
@@ -80,98 +72,34 @@ impl std::fmt::Display for FusedFallback {
             ),
             FusedFallback::NothingTransparent => write!(f, "no transparent pattern to fuse"),
             FusedFallback::Disabled => write!(f, "fused dispatch disabled"),
-            FusedFallback::SplitUnderived => {
-                write!(f, "split boundaries not derived from the accepting path")
-            }
         }
-    }
-}
-
-/// One decision automaton over a program's target + transparent branch
-/// patterns: segment 0 is the target, segment i+1 is branch i (opaque
-/// slots stay in the layout as absent segments that never match).
-/// Immutable after construction; safe to share across executor threads.
-#[derive(Debug)]
-pub(crate) struct FusedMatcher {
-    automaton: MultiPatternAutomaton,
-}
-
-impl FusedMatcher {
-    /// Compile the automaton for a program: `target` is `Some` iff the
-    /// target pattern is transparent, and `branches[i]` is `Some` iff
-    /// branch i is. Errors name the recorded per-program fallback.
-    pub(crate) fn build(
-        target: Option<&Pattern>,
-        branches: &[Option<&Pattern>],
-    ) -> Result<FusedMatcher, FusedFallback> {
-        if target.is_none() && branches.iter().all(Option::is_none) {
-            return Err(FusedFallback::NothingTransparent);
-        }
-        let mut slots: Vec<Option<&Pattern>> = Vec::with_capacity(branches.len() + 1);
-        slots.push(target);
-        slots.extend_from_slice(branches);
-        match MultiPatternAutomaton::build(&slots) {
-            Ok(automaton) => Ok(FusedMatcher { automaton }),
-            Err(overflow) => Err(FusedFallback::WidthExceeded {
-                required: overflow.required,
-            }),
-        }
-    }
-
-    /// Which fused patterns match `leaf`, in one pass over its tokens,
-    /// keeping the per-unit frontier journal [`split_ranges`] reads.
-    ///
-    /// Returns `None` when `leaf` is not a leaf signature the tokenizer
-    /// can produce (a `+` quantifier or an `<A>`/`<AN>` class) — callers
-    /// fall back to per-branch matching for that value, counted as a
-    /// fallback decision.
-    ///
-    /// [`split_ranges`]: FusedMatcher::split_ranges
-    pub(crate) fn classify(&self, leaf: &Pattern) -> Option<ClassifyRun> {
-        self.automaton.classify_recorded(leaf)
-    }
-
-    /// Did the (transparent) target pattern match? Always `false` when the
-    /// target is opaque — callers gate on the transparency flag.
-    pub(crate) fn target_matches(&self, run: &ClassifyRun) -> bool {
-        self.automaton.matches(run.matches(), 0)
-    }
-
-    /// Did (transparent) branch `index` match? Always `false` for opaque
-    /// branches.
-    pub(crate) fn branch_matches(&self, run: &ClassifyRun, index: usize) -> bool {
-        self.automaton.matches(run.matches(), index + 1)
-    }
-
-    /// Branch `index`'s token slices as half-open character ranges,
-    /// reconstructed from the classification pass's accepting path —
-    /// byte-for-byte the ranges `Pattern::split` would produce, without
-    /// running it. `None` when the branch did not match or the defensive
-    /// reconstruction walk declined ([`FusedFallback::SplitUnderived`]).
-    pub(crate) fn split_ranges(
-        &self,
-        run: &ClassifyRun,
-        index: usize,
-    ) -> Option<Vec<(usize, usize)>> {
-        self.automaton.split_boundaries(run, index + 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clx_pattern::{parse_pattern, tokenize};
+    use crate::CompiledProgram;
+    use clx_pattern::automaton::MultiPatternAutomaton;
+    use clx_pattern::{parse_pattern, tokenize, Pattern, Token};
+    use clx_unifi::{Branch, Expr, Program, StringExpr};
+
+    /// `pattern` rewritten whole by one branch, compiled against `target`.
+    fn compile_one(pattern: &Pattern, target: &Pattern) -> CompiledProgram {
+        let branch = Branch::new(pattern.clone(), Expr::concat(vec![StringExpr::extract(1)]));
+        CompiledProgram::compile(&Program::new(vec![branch]), target).unwrap()
+    }
 
     /// Single-pattern automaton acceptance must agree with the
     /// `Pattern::matches` on transparent patterns.
     fn assert_agrees(pattern_text: &str, values: &[&str]) {
         let pattern = parse_pattern(pattern_text).unwrap();
-        let matcher = FusedMatcher::build(Some(&pattern), &[]).unwrap();
+        let automaton = MultiPatternAutomaton::build(&[Some(&pattern)]).unwrap();
         for value in values {
             let leaf = tokenize(value);
-            let m = matcher.classify(&leaf).expect("leaves always classify");
+            let m = automaton.classify(&leaf).expect("leaves always classify");
             assert_eq!(
-                matcher.target_matches(&m),
+                automaton.matches(&m, 0),
                 pattern.matches(value),
                 "pattern {pattern_text} on {value:?}"
             );
@@ -223,21 +151,21 @@ mod tests {
     #[test]
     fn non_ascii_literals_are_symbols() {
         let pattern = tokenize("€42"); // '€' literal + <D>2
-        let matcher = FusedMatcher::build(Some(&pattern), &[]).unwrap();
+        let automaton = MultiPatternAutomaton::build(&[Some(&pattern)]).unwrap();
         for (value, want) in [("€42", true), ("€4", false), ("$42", false), ("42", false)] {
-            let m = matcher.classify(&tokenize(value)).unwrap();
-            assert_eq!(matcher.target_matches(&m), want, "on {value:?}");
+            let m = automaton.classify(&tokenize(value)).unwrap();
+            assert_eq!(automaton.matches(&m, 0), want, "on {value:?}");
         }
     }
 
     #[test]
     fn empty_pattern_matches_only_the_empty_value() {
         let empty = tokenize("");
-        let matcher = FusedMatcher::build(Some(&empty), &[]).unwrap();
-        let m = matcher.classify(&tokenize("")).unwrap();
-        assert!(matcher.target_matches(&m));
-        let m = matcher.classify(&tokenize("x")).unwrap();
-        assert!(!matcher.target_matches(&m));
+        let automaton = MultiPatternAutomaton::build(&[Some(&empty)]).unwrap();
+        let m = automaton.classify(&tokenize("")).unwrap();
+        assert!(automaton.matches(&m, 0));
+        let m = automaton.classify(&tokenize("x")).unwrap();
+        assert!(!automaton.matches(&m, 0));
     }
 
     #[test]
@@ -246,18 +174,18 @@ mod tests {
         // the first/second state words.
         let a = parse_pattern("<D>40'-'<D>2").unwrap();
         let b = parse_pattern("<L>38'.'<L>3").unwrap();
-        let matcher = FusedMatcher::build(Some(&a), &[Some(&b)]).unwrap();
-        assert!(matcher.automaton.words() >= 2);
+        let automaton = MultiPatternAutomaton::build(&[Some(&a), Some(&b)]).unwrap();
+        assert!(automaton.words() >= 2);
         let a_val = format!("{}-12", "7".repeat(40));
         let b_val = format!("{}.abc", "x".repeat(38));
-        let m = matcher.classify(&tokenize(&a_val)).unwrap();
-        assert!(matcher.target_matches(&m) && !matcher.branch_matches(&m, 0));
-        let m = matcher.classify(&tokenize(&b_val)).unwrap();
-        assert!(!matcher.target_matches(&m) && matcher.branch_matches(&m, 0));
+        let m = automaton.classify(&tokenize(&a_val)).unwrap();
+        assert!(automaton.matches(&m, 0) && !automaton.matches(&m, 1));
+        let m = automaton.classify(&tokenize(&b_val)).unwrap();
+        assert!(!automaton.matches(&m, 0) && automaton.matches(&m, 1));
         // One digit short: neither.
         let short = format!("{}-12", "7".repeat(39));
-        let m = matcher.classify(&tokenize(&short)).unwrap();
-        assert!(!matcher.target_matches(&m) && !matcher.branch_matches(&m, 0));
+        let m = automaton.classify(&tokenize(&short)).unwrap();
+        assert!(!automaton.matches(&m, 0) && !automaton.matches(&m, 1));
     }
 
     #[test]
@@ -268,13 +196,13 @@ mod tests {
         // match via the target's ('<D><D>') overflow.
         let target = parse_pattern("<D><D>").unwrap();
         let branch = parse_pattern("<D>").unwrap();
-        let matcher = FusedMatcher::build(Some(&target), &[Some(&branch)]).unwrap();
-        let m = matcher.classify(&tokenize("12")).unwrap();
-        assert!(matcher.target_matches(&m));
-        assert!(!matcher.branch_matches(&m, 0), "boundary leaked a thread");
-        let m = matcher.classify(&tokenize("1")).unwrap();
-        assert!(!matcher.target_matches(&m));
-        assert!(matcher.branch_matches(&m, 0));
+        let automaton = MultiPatternAutomaton::build(&[Some(&target), Some(&branch)]).unwrap();
+        let m = automaton.classify(&tokenize("12")).unwrap();
+        assert!(automaton.matches(&m, 0));
+        assert!(!automaton.matches(&m, 1), "boundary leaked a thread");
+        let m = automaton.classify(&tokenize("1")).unwrap();
+        assert!(!automaton.matches(&m, 0));
+        assert!(automaton.matches(&m, 1));
     }
 
     #[test]
@@ -283,44 +211,56 @@ mod tests {
         // without 100k steps (this test is the regression guard: it runs
         // in microseconds on the fixed-point path, seconds without it).
         let pattern = parse_pattern("<D>+").unwrap();
-        let matcher = FusedMatcher::build(Some(&pattern), &[]).unwrap();
+        let automaton = MultiPatternAutomaton::build(&[Some(&pattern)]).unwrap();
         let long = "9".repeat(100_000);
-        let m = matcher.classify(&tokenize(&long)).unwrap();
-        assert!(matcher.target_matches(&m));
+        let m = automaton.classify(&tokenize(&long)).unwrap();
+        assert!(automaton.matches(&m, 0));
     }
 
     #[test]
     fn non_leaf_patterns_decline_to_classify() {
-        let matcher = FusedMatcher::build(Some(&parse_pattern("<D>3").unwrap()), &[]).unwrap();
-        assert!(matcher.classify(&parse_pattern("<D>+").unwrap()).is_none());
-        assert!(matcher.classify(&parse_pattern("<AN>2").unwrap()).is_none());
-        assert!(matcher.classify(&parse_pattern("<A>").unwrap()).is_none());
+        let automaton =
+            MultiPatternAutomaton::build(&[Some(&parse_pattern("<D>3").unwrap())]).unwrap();
+        assert!(automaton
+            .classify(&parse_pattern("<D>+").unwrap())
+            .is_none());
+        assert!(automaton
+            .classify(&parse_pattern("<AN>2").unwrap())
+            .is_none());
+        assert!(automaton.classify(&parse_pattern("<A>").unwrap()).is_none());
     }
 
     #[test]
     fn width_overflow_is_a_recorded_fallback() {
         let wide = parse_pattern("<D>300").unwrap();
-        let err = FusedMatcher::build(Some(&wide), &[]).unwrap_err();
-        assert_eq!(err, FusedFallback::WidthExceeded { required: 300 });
+        let err = MultiPatternAutomaton::build(&[Some(&wide)]).unwrap_err();
+        assert_eq!(err.required, 300);
         // Also when the *sum* overflows.
         let half = parse_pattern("<D>200").unwrap();
-        let err = FusedMatcher::build(Some(&half), &[Some(&half)]).unwrap_err();
-        assert_eq!(err, FusedFallback::WidthExceeded { required: 400 });
-        assert!(err.to_string().contains("400"));
+        let err = MultiPatternAutomaton::build(&[Some(&half), Some(&half)]).unwrap_err();
+        assert_eq!(err.required, 400);
+        // A program over them records the overflow as its fallback.
+        let fallback = compile_one(&half, &half).fused_fallback().unwrap();
+        assert_eq!(fallback, FusedFallback::WidthExceeded { required: 400 });
+        assert!(fallback.to_string().contains("400"));
     }
 
     #[test]
     fn nothing_transparent_is_a_recorded_fallback() {
-        let err = FusedMatcher::build(None, &[None, None]).unwrap_err();
-        assert_eq!(err, FusedFallback::NothingTransparent);
+        // An opaque target and an opaque branch leave every slot empty.
+        let opaque = Pattern::new(vec![Token::literal("N/A")]);
+        assert_eq!(
+            compile_one(&opaque, &opaque).fused_fallback(),
+            Some(FusedFallback::NothingTransparent)
+        );
     }
 
     #[test]
     fn opaque_branches_never_match_through_the_automaton() {
         let target = parse_pattern("<D>2").unwrap();
-        let matcher = FusedMatcher::build(Some(&target), &[None]).unwrap();
-        let m = matcher.classify(&tokenize("42")).unwrap();
-        assert!(matcher.target_matches(&m));
-        assert!(!matcher.branch_matches(&m, 0));
+        let automaton = MultiPatternAutomaton::build(&[Some(&target), None]).unwrap();
+        let m = automaton.classify(&tokenize("42")).unwrap();
+        assert!(automaton.matches(&m, 0));
+        assert!(!automaton.matches(&m, 1));
     }
 }

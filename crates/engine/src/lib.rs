@@ -36,12 +36,13 @@
 //!
 //! * [`CompiledProgram::execute`] runs raw `&[S]` rows in contiguous
 //!   blocks over `std::thread::scope` workers, each block interned and
-//!   decided on its own, merging the per-block columnar [`ChunkReport`]s
-//!   into an order-preserving [`TransformReport`];
+//!   decided on its own into a report of its own, and merges the block
+//!   reports in row order ([`TransformReport::from_chunks`]);
 //! * [`ColumnStream`] (then [`ColumnStream::push_rows`] /
 //!   [`ColumnStream::finish`]) processes columns larger than memory:
 //!   chunks are interned through one persistent interner, so a distinct
-//!   value is tokenized and decided once per *stream*, and an optional
+//!   value is tokenized and decided once per *stream*, each pushed chunk
+//!   returns its rows as a [`TransformReport`], and an optional
 //!   [`StreamBudget`](clx_column::StreamBudget) bounds the retained state;
 //! * [`CompiledProgram::execute_column`] executes a `clx-column`
 //!   [`Column`](clx_column::Column) through its cached leaf signatures —
@@ -101,5 +102,11 @@ pub use compiled::{CompiledBranch, CompiledProgram, Decision, FusedStats};
 pub use dispatch::{DispatchCache, DispatchStats};
 pub use error::CompileError;
 pub use fused::{FusedFallback, FUSED_MAX_WIDTH};
-pub use report::{ChunkReport, ChunkStats, RowOutcome, RowOutcomes, TransformReport};
+pub use report::{ChunkStats, RowOutcome, RowOutcomes, TransformReport};
 pub use stream::{ColumnStream, StreamSummary, SwapSummary};
+
+/// The former name of a pushed chunk's report, now a [`TransformReport`].
+/// Kept only for the repository benchmark (`perfbench/`), which names it,
+/// until the next change to the benchmark; new code names
+/// [`TransformReport`].
+pub type ChunkReport = TransformReport;

@@ -6,7 +6,7 @@
 //! distinct value stored once, tokenized only when its leaf pattern is new
 //! to the block), every distinct value is decided once through the shared
 //! chunk helper ([`CompiledProgram::decide_chunk`]), and the block's
-//! columnar [`ChunkReport`] moves into the merged [`TransformReport`]. This is
+//! columnar [`TransformReport`] moves into the merged one. This is
 //! the same interned, dense leaf-id path [`crate::ColumnStream::push_rows`]
 //! runs, minus the stream's cross-chunk decision cache.
 
@@ -14,7 +14,7 @@ use clx_column::ColumnInterner;
 
 use crate::compiled::CompiledProgram;
 use crate::dispatch::DispatchCache;
-use crate::report::{ChunkReport, TransformReport};
+use crate::report::TransformReport;
 
 /// Minimum rows per block before automatic blocking bothers spawning
 /// threads.
@@ -55,13 +55,13 @@ impl CompiledProgram {
             return TransformReport::empty(self.target.clone());
         }
         let block_size = rows.len().div_ceil(blocks.clamp(1, rows.len()));
-        let mut blocks = rows.chunks(block_size).enumerate();
-        let (_, first) = blocks.next().expect("rows are non-empty");
+        let mut blocks = rows.chunks(block_size);
+        let first = blocks.next().expect("rows are non-empty");
         let reports = std::thread::scope(|scope| {
             let workers: Vec<_> = blocks
-                .map(|(index, block)| scope.spawn(move || self.execute_block(index, block)))
+                .map(|block| scope.spawn(move || self.execute_block(block)))
                 .collect();
-            let mut reports = vec![self.execute_block(0, first)];
+            let mut reports = vec![self.execute_block(first)];
             reports.extend(
                 workers
                     .into_iter()
@@ -74,12 +74,12 @@ impl CompiledProgram {
 
     /// Intern one block into a fresh interner and decide its distinct
     /// values through a fresh dispatch cache.
-    fn execute_block<S: AsRef<str>>(&self, index: usize, rows: &[S]) -> ChunkReport {
+    fn execute_block<S: AsRef<str>>(&self, rows: &[S]) -> TransformReport {
         let mut interner = ColumnInterner::new();
         let mut cache = DispatchCache::new();
         let chunk = interner.chunk(rows);
         let outcomes = self.decide_chunk(&mut cache, &chunk, None, None);
-        ChunkReport::columnar(index, outcomes, chunk.into_row_map())
+        TransformReport::of_chunk(self.target.clone(), outcomes, chunk.into_row_map())
     }
 }
 

@@ -1,17 +1,18 @@
-//! Mergeable, columnar execution reports.
+//! The one columnar execution report.
 //!
 //! Every executor stores its outcomes *columnar*: a list of stored
-//! [`RowOutcome`]s — one per distinct value — plus a row→outcome map. A
-//! [`ChunkReport`] covers one chunk (a streamed chunk, or one block of
-//! [`crate::CompiledProgram::execute`]); chunk reports merge, in chunk
-//! order, into a column-level [`TransformReport`] by moving their outcomes
-//! and offsetting their row maps. A report built over a [`Column`]
+//! [`RowOutcome`]s — one per distinct value — plus a row→outcome map, in a
+//! [`TransformReport`]. A report built over a [`Column`]
 //! ([`crate::CompiledProgram::execute_column`]) shares the column's row
-//! map by reference count. Either way a duplicate-heavy report costs
+//! map by reference count; a report of one chunk (a streamed chunk, or one
+//! block of [`crate::CompiledProgram::execute`]) owns its chunk's row map,
+//! and chunk reports merge, in order, into one report
+//! ([`TransformReport::from_chunks`]) by moving their outcomes and
+//! offsetting their row maps. Either way a duplicate-heavy report costs
 //! O(distinct) outcomes. An outcome holds its output as a shared
 //! `Arc<str>`, so even a copied outcome — a stream replaying a stored
 //! decision into a later chunk, or a row-oriented copy — is a
-//! reference-count bump, never a string copy. Both report kinds carry
+//! reference-count bump, never a string copy. Every report carries
 //! [`ChunkStats`], a small commutative summary that also powers the
 //! streaming API.
 
@@ -109,107 +110,17 @@ impl ChunkStats {
     }
 }
 
-/// The outcome of executing a compiled program over one chunk of rows.
-///
-/// Like [`TransformReport`], a chunk report stores its outcomes *columnar*: one
-/// outcome per distinct value appearing in the chunk plus the chunk's
-/// row→distinct map — O(distinct-in-chunk), no per-duplicate clones.
-/// Row-oriented access ([`ChunkReport::iter_rows`], [`ChunkReport::row`],
-/// [`ChunkReport::into_row_outcomes`]) fans the decisions back out.
-#[derive(Debug, Clone)]
-pub struct ChunkReport {
-    /// Zero-based position of the chunk within the column (or stream).
-    pub index: usize,
-    /// Stored outcomes, one per distinct-in-chunk value.
-    outcomes: Vec<RowOutcome>,
-    /// Row index -> stored outcome index.
-    map: Vec<u32>,
-    /// Counters over the chunk's rows (multiplicity-weighted).
-    pub stats: ChunkStats,
-}
-
-impl ChunkReport {
-    /// Build a columnar report: `outcomes[k]` is the decision for the
-    /// `k`-th distinct value appearing in the chunk, and `row_map[r]` names
-    /// the outcome of row `r`. Stats are multiplicity-weighted, so
-    /// construction is O(rows) integer work plus O(distinct-in-chunk)
-    /// outcomes — never a per-duplicate outcome clone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `row_map` entry does not index `outcomes`.
-    pub fn columnar(index: usize, outcomes: Vec<RowOutcome>, row_map: Vec<u32>) -> Self {
-        let mut multiplicity = vec![0usize; outcomes.len()];
-        for &stored in &row_map {
-            assert!(
-                (stored as usize) < outcomes.len(),
-                "row map entry {stored} out of bounds ({} outcomes)",
-                outcomes.len()
-            );
-            multiplicity[stored as usize] += 1;
-        }
-        let mut stats = ChunkStats::default();
-        for (outcome, &weight) in outcomes.iter().zip(&multiplicity) {
-            stats.record_weighted(outcome, weight);
-        }
-        ChunkReport {
-            index,
-            outcomes,
-            map: row_map,
-            stats,
-        }
-    }
-
-    /// Number of rows covered by this chunk.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the chunk covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The stored outcomes, one per distinct-in-chunk value.
-    pub fn outcomes(&self) -> &[RowOutcome] {
-        &self.outcomes
-    }
-
-    /// The outcome of row `index` within the chunk.
-    pub fn row(&self, index: usize) -> &RowOutcome {
-        &self.outcomes[self.map[index] as usize]
-    }
-
-    /// Every row's outcome, in chunk row order (duplicate rows yield the
-    /// same `&RowOutcome`).
-    pub fn iter_rows(&self) -> RowOutcomes<'_> {
-        RowOutcomes::new(&self.outcomes, &self.map)
-    }
-
-    /// Borrowing iterator over every row's *output value*, in chunk row
-    /// order — the allocation-free way to hand streamed rows to a sink.
-    pub fn iter_values(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        self.iter_rows().map(RowOutcome::value)
-    }
-
-    /// Materialize one outcome per row, in chunk row order (the
-    /// row-oriented escape hatch: duplicate rows share their output text,
-    /// so each extra row costs a reference-count bump).
-    pub fn into_row_outcomes(self) -> Vec<RowOutcome> {
-        self.iter_rows().cloned().collect()
-    }
-}
-
 /// A column-level report — the one report every entry point returns, and
 /// what the user verifies: every row's outcome, stored columnar — one
 /// outcome per distinct value plus a row→outcome map.
 ///
 /// Reports from [`crate::CompiledProgram::execute_column`] store one
 /// outcome per distinct value of the column and share the column's row
-/// map; reports merged from chunks ([`crate::CompiledProgram::execute`],
-/// [`TransformReport::from_chunks`]) store one outcome per distinct value
-/// of each chunk. Both answer row-oriented queries identically, and
-/// compare equal when they say the same about every row.
+/// map; a pushed chunk ([`crate::ColumnStream::push_rows`]) stores one
+/// outcome per distinct value of the chunk, and reports merged from chunks
+/// ([`crate::CompiledProgram::execute`], [`TransformReport::from_chunks`])
+/// one per distinct value of each chunk. All answer row-oriented queries
+/// identically, and compare equal when they say the same about every row.
 #[derive(Debug, Clone)]
 pub struct TransformReport {
     /// The target pattern the program was compiled against.
@@ -222,8 +133,8 @@ pub struct TransformReport {
     row_map: Arc<[u32]>,
     /// Counters over all rows (multiplicity-weighted).
     pub stats: ChunkStats,
-    /// Number of chunks merged into this report (1 for a non-empty column
-    /// report, which is built whole).
+    /// Number of chunks merged into this report (1 for a chunk's report
+    /// and for a non-empty column report, which is built whole).
     pub chunk_count: usize,
 }
 
@@ -239,30 +150,54 @@ impl TransformReport {
         }
     }
 
-    /// Merge chunk reports (sorted by `index`) into a column-level report.
-    /// The chunks' outcomes are moved, not cloned: the merged report
-    /// concatenates them and offsets each chunk's row map.
+    /// The report of one chunk: `outcomes[k]` is the decision for the
+    /// `k`-th distinct value appearing in the chunk, and `row_map[r]` names
+    /// the outcome of row `r`. Stats are multiplicity-weighted, so
+    /// construction is O(rows) integer work plus O(distinct-in-chunk)
+    /// outcomes — never a per-duplicate outcome clone.
     ///
     /// # Panics
     ///
-    /// Panics if the chunks are not in ascending `index` order — that would
-    /// silently permute the output column.
-    pub fn from_chunks(target: Pattern, chunks: Vec<ChunkReport>) -> Self {
-        let rows = chunks.iter().map(ChunkReport::len).sum();
+    /// Panics if a `row_map` entry does not index `outcomes`.
+    pub(crate) fn of_chunk(target: Pattern, outcomes: Vec<RowOutcome>, row_map: Vec<u32>) -> Self {
+        let mut multiplicity = vec![0usize; outcomes.len()];
+        for &stored in &row_map {
+            assert!(
+                (stored as usize) < outcomes.len(),
+                "row map entry {stored} out of bounds ({} outcomes)",
+                outcomes.len()
+            );
+            multiplicity[stored as usize] += 1;
+        }
+        let mut stats = ChunkStats::default();
+        for (outcome, &weight) in outcomes.iter().zip(&multiplicity) {
+            stats.record_weighted(outcome, weight);
+        }
+        TransformReport {
+            target,
+            outcomes,
+            row_map: row_map.into(),
+            stats,
+            chunk_count: 1,
+        }
+    }
+
+    /// Merge reports, in vector order, into one report over `target`. The
+    /// chunks' outcomes are moved, not cloned: the merged report
+    /// concatenates them and offsets each chunk's row map.
+    pub fn from_chunks(target: Pattern, chunks: Vec<TransformReport>) -> Self {
+        let rows = chunks.iter().map(TransformReport::len).sum();
         let mut outcomes = Vec::with_capacity(chunks.iter().map(|c| c.outcomes.len()).sum());
         let mut row_map = Vec::with_capacity(rows);
         let mut stats = ChunkStats::default();
-        let chunk_count = chunks.len();
-        for (position, chunk) in chunks.into_iter().enumerate() {
-            assert_eq!(
-                chunk.index, position,
-                "chunk reports must merge in index order"
-            );
+        let mut chunk_count = 0;
+        for chunk in chunks {
             let offset =
                 u32::try_from(outcomes.len()).expect("report exceeds u32 outcome indexing");
-            row_map.extend(chunk.map.iter().map(|&stored| stored + offset));
+            row_map.extend(chunk.row_map.iter().map(|&stored| stored + offset));
             outcomes.extend(chunk.outcomes);
             stats.absorb(&chunk.stats);
+            chunk_count += chunk.chunk_count;
         }
         TransformReport {
             target,
@@ -457,7 +392,7 @@ mod tests {
     use clx_pattern::tokenize;
 
     /// A chunk flagging every value, one stored outcome per distinct value.
-    fn chunk(index: usize, values: &[&str]) -> ChunkReport {
+    fn chunk(values: &[&str]) -> TransformReport {
         let column = Column::from_values(values);
         let outcomes = column
             .distinct_values()
@@ -465,13 +400,13 @@ mod tests {
                 value: v.text().into(),
             })
             .collect();
-        ChunkReport::columnar(index, outcomes, column.row_map().to_vec())
+        TransformReport::of_chunk(tokenize("1"), outcomes, column.row_map().to_vec())
     }
 
     #[test]
     fn chunk_report_counts() {
-        let report = ChunkReport::columnar(
-            0,
+        let report = TransformReport::of_chunk(
+            tokenize("1"),
             vec![
                 RowOutcome::Conforming { value: "a".into() },
                 RowOutcome::Transformed { to: "c".into() },
@@ -485,17 +420,14 @@ mod tests {
         assert_eq!(report.stats.rows(), 4);
         assert_eq!(report.len(), 4);
         assert_eq!(report.row(3).value(), "c");
+        assert_eq!(report.chunk_count, 1);
     }
 
     #[test]
     fn merge_preserves_chunk_order() {
         let merged = TransformReport::from_chunks(
             tokenize("1"),
-            vec![
-                chunk(0, &["a", "b", "a"]),
-                chunk(1, &["c"]),
-                chunk(2, &["d", "a"]),
-            ],
+            vec![chunk(&["a", "b", "a"]), chunk(&["c"]), chunk(&["d", "a"])],
         );
         assert_eq!(merged.values(), vec!["a", "b", "a", "c", "d", "a"]);
         assert_eq!(merged.chunk_count, 3);
@@ -505,12 +437,6 @@ mod tests {
         assert_eq!(merged.row(5).value(), "a");
         assert_eq!(merged.flagged_count(), 6);
         assert_eq!(merged.flagged_values(), vec!["a", "b", "a", "c", "d", "a"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "index order")]
-    fn out_of_order_chunks_are_rejected() {
-        TransformReport::from_chunks(tokenize("1"), vec![chunk(1, &["a"])]);
     }
 
     #[test]
@@ -603,8 +529,8 @@ mod tests {
         );
         let by_chunk = TransformReport::from_chunks(
             tokenize("a-1"),
-            vec![ChunkReport::columnar(
-                0,
+            vec![TransformReport::of_chunk(
+                tokenize("a-1"),
                 vec![conforming.clone(), flagged, conforming],
                 vec![0, 1, 2],
             )],
@@ -681,7 +607,7 @@ mod tests {
         // report's outcome k is not known to belong to its distinct k.
         assert!(!report.is_built_over(&Column::from_values(&values)));
         // A report merged from chunks shares no column's row map.
-        let merged = TransformReport::from_chunks(tokenize("X"), vec![chunk(0, &values)]);
+        let merged = TransformReport::from_chunks(tokenize("X"), vec![chunk(&values)]);
         assert!(!merged.is_built_over(&column));
     }
 }

@@ -24,7 +24,7 @@ use clx_telemetry::MetricSink;
 use crate::compiled::CompiledProgram;
 use crate::delta::ProgramDelta;
 use crate::dispatch::DispatchCache;
-use crate::report::{ChunkReport, ChunkStats, RowOutcome};
+use crate::report::{ChunkStats, RowOutcome, TransformReport};
 
 /// Estimated heap bytes retained by one stored outcome: its shared output
 /// text plus the `Arc`'s two reference counts. Replays share that
@@ -380,14 +380,15 @@ impl ColumnStream {
     }
 
     /// Intern the next chunk of rows into the stream's id space and
-    /// transform it, returning a columnar [`ChunkReport`]. Distinct values
+    /// transform it, returning the chunk's columnar [`TransformReport`]
+    /// (one stored outcome per distinct value of the chunk). Distinct values
     /// seen in earlier chunks keep their ids, so they are neither
     /// re-tokenized nor re-transformed.
     ///
     /// On a budgeted stream the interner enforces the budget at this chunk
     /// boundary first; the report's rows are exactly the unbounded
     /// stream's.
-    pub fn push_rows<S: AsRef<str>>(&mut self, rows: &[S]) -> ChunkReport {
+    pub fn push_rows<S: AsRef<str>>(&mut self, rows: &[S]) -> TransformReport {
         // The only disabled-path cost of telemetry: this `is_some()`.
         let start = self.telemetry.is_some().then(Instant::now);
         // chunk() evicts down to the budget before interning a single row.
@@ -398,7 +399,11 @@ impl ColumnStream {
             Some(&mut self.decisions),
             self.telemetry.as_ref(),
         );
-        let report = ChunkReport::columnar(self.chunks, outcomes, chunk.into_row_map());
+        let report = TransformReport::of_chunk(
+            self.program.target().clone(),
+            outcomes,
+            chunk.into_row_map(),
+        );
         self.stats.absorb(&report.stats);
         self.chunks += 1;
         self.peak_memory = self.peak_memory.max(self.memory_used());
@@ -466,10 +471,6 @@ impl ColumnStream {
         sink.counter(
             "engine.fused.split_derived",
             fused.split_derived - prev.split_derived,
-        );
-        sink.counter(
-            "engine.fused.split_fallbacks",
-            fused.split_fallbacks - prev.split_fallbacks,
         );
         self.published_fused = fused;
 
@@ -629,7 +630,7 @@ mod tests {
                 })
                 .collect();
             let report = stream.push_rows(&chunk);
-            assert_eq!(report.index, c);
+            assert_eq!(stream.chunks_pushed(), c + 1);
             assert_eq!(report.len(), 100);
             written.extend(report.iter_values().map(str::to_string));
         }
@@ -984,7 +985,6 @@ mod tests {
         let decisions = snap.counter("engine.fused.decisions").unwrap();
         assert!(decisions > 0);
         assert_eq!(snap.counter("engine.fused.split_derived"), Some(decisions));
-        assert_eq!(snap.counter("engine.fused.split_fallbacks"), Some(0));
         assert_eq!(
             snap.histogram("engine.fused.split_ns").unwrap().count,
             decisions

@@ -29,13 +29,13 @@ fn stream_counters_match_pushed_chunks() {
     let flagged: Vec<String> = (0..10).map(|_| "???".to_string()).collect();
 
     let r1 = stream.push_rows(&transformed);
-    assert_eq!(r1.index, 0);
+    assert_eq!(stream.chunks_pushed(), 1);
     assert_eq!(r1.stats.transformed, 40);
     let r2 = stream.push_rows(&conforming);
-    assert_eq!(r2.index, 1);
+    assert_eq!(stream.chunks_pushed(), 2);
     assert_eq!(r2.stats.conforming, 25);
     let r3 = stream.push_rows(&flagged);
-    assert_eq!(r3.index, 2);
+    assert_eq!(stream.chunks_pushed(), 3);
     assert_eq!(r3.stats.flagged, 10);
 
     // Running totals absorb every chunk.

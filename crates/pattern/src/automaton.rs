@@ -428,9 +428,10 @@ impl MultiPatternAutomaton {
     /// minimal-predecessor walk below always reconstructs the pointwise
     /// lowest accepting path, which assigns every character to the
     /// earliest token able to take it: exactly `Pattern::split`'s
-    /// greedy longest-first result. The `None` arm is
-    /// defensive; callers surface it as an explicit fallback, never a
-    /// wrong answer.
+    /// greedy longest-first result. The `None` arm therefore cannot be
+    /// reached for a matching fused-eligible segment; it is defensive, and
+    /// `clx-engine` answers it by deciding that whole leaf on its
+    /// per-branch loop, never with a wrong answer.
     pub fn split_boundaries(&self, run: &ClassifyRun, index: usize) -> Option<Vec<(usize, usize)>> {
         let tokens = self.token_counts[index] as usize;
         let (first, last) = match self.segments[index] {

@@ -21,19 +21,22 @@
 //!    penalty, a subset of its extracted slots and a strictly smaller
 //!    length dominates it, which never changes a class's best member. The
 //!    search never enumerates the DAG's other paths;
-//! 4. [`synthesize`] — the top-down hierarchy traversal of Algorithm 2 that
-//!    puts it all together and supports the *program repair* interaction.
+//! 4. [`synthesize_column`] — the top-down hierarchy traversal of
+//!    Algorithm 2 that puts it all together, checks every plan against the
+//!    column's own values and supports the *program repair* interaction.
 //!
 //! ```
 //! use clx_cluster::PatternProfiler;
+//! use clx_column::Column;
 //! use clx_pattern::tokenize;
-//! use clx_synth::{synthesize, SynthesisOptions};
+//! use clx_synth::{synthesize_column, SynthesisOptions};
 //! use clx_unifi::transform;
 //!
-//! let data = vec!["(734) 645-8397", "734.236.3466", "734-422-8073"];
-//! let hierarchy = PatternProfiler::new().profile(&data);
+//! let column = Column::from_values(&["(734) 645-8397", "734.236.3466", "734-422-8073"]);
+//! let hierarchy = PatternProfiler::new().profile_column(&column);
 //! let target = tokenize("734-422-8073");
-//! let synthesis = synthesize(&hierarchy, &target, &SynthesisOptions::default());
+//! let synthesis =
+//!     synthesize_column(&hierarchy, &column, &target, &SynthesisOptions::default());
 //! let program = synthesis.program();
 //! assert_eq!(
 //!     transform(&program, "(734) 645-8397").unwrap().value(),
@@ -57,6 +60,6 @@ pub use dedup::plans_equivalent;
 pub use mdl::{data_length, description_length, model_length, source_reuse_penalty};
 pub use search::{PlanSearch, RankedPlan};
 pub use synthesize::{
-    synthesize, synthesize_column, SourceSynthesis, Synthesis, SynthesisCounts, SynthesisOptions,
+    synthesize_column, SourceSynthesis, Synthesis, SynthesisCounts, SynthesisOptions,
 };
 pub use validate::{class_frequency, validate, validate_report, ValidationReport};

@@ -151,19 +151,9 @@ impl Synthesis {
     }
 }
 
-/// Algorithm 2: synthesize a UniFi program from a pattern hierarchy and a
-/// target pattern.
-pub fn synthesize(
-    hierarchy: &PatternHierarchy,
-    target: &Pattern,
-    options: &SynthesisOptions,
-) -> Synthesis {
-    synthesize_impl(hierarchy, None, target, options)
-}
-
-/// [`synthesize`] over the shared column data plane: identical search, plus
-/// a final *data check* of every ranked plan against the cluster's cached
-/// distinct values.
+/// Algorithm 2: synthesize a UniFi program from a pattern hierarchy, the
+/// column it profiles and a target pattern, with a final *data check* of
+/// every ranked plan against the cluster's cached distinct values.
 ///
 /// Alignment proves a plan maps the source **pattern** into the target
 /// pattern; the data check proves it maps the cluster's actual **values**
@@ -175,66 +165,6 @@ pub fn synthesize(
 pub fn synthesize_column(
     hierarchy: &PatternHierarchy,
     column: &Column,
-    target: &Pattern,
-    options: &SynthesisOptions,
-) -> Synthesis {
-    synthesize_impl(hierarchy, Some(column), target, options)
-}
-
-/// Number of cached distinct examples each candidate plan is checked
-/// against when a column is available.
-const DATA_CHECK_EXAMPLES: usize = 3;
-
-/// Evaluate `expr` on one distinct value of `column`, reusing the value's
-/// cached token slices when the source pattern *is* its leaf pattern (the
-/// common case; constant-folded patterns fall back to a fresh split).
-fn eval_on_distinct(
-    expr: &Expr,
-    pattern: &Pattern,
-    value: clx_column::DistinctValue<'_>,
-) -> Result<String, clx_unifi::EvalError> {
-    if pattern == value.leaf() {
-        eval_expr_on_slices(expr, value.text(), value.token_slices())
-    } else {
-        eval_expr(expr, pattern, value.text())
-    }
-}
-
-/// The data check: keep only the plans that transform every sampled
-/// distinct value of `node`'s cluster into a target-matching string.
-fn data_checked_plans(
-    plans: Vec<RankedPlan>,
-    node: &ClusterNode,
-    column: &Column,
-    target: &Pattern,
-) -> Vec<RankedPlan> {
-    let mut sample: Vec<usize> = Vec::new();
-    for &row in &node.rows {
-        let v = column.distinct_index_of(row);
-        if !sample.contains(&v) {
-            sample.push(v);
-            if sample.len() >= DATA_CHECK_EXAMPLES {
-                break;
-            }
-        }
-    }
-    plans
-        .into_iter()
-        .filter(|plan| {
-            sample.iter().all(|&v| {
-                let value = column.distinct(v);
-                matches!(
-                    eval_on_distinct(&plan.expr, &node.pattern, value),
-                    Ok(out) if target.matches(&out)
-                )
-            })
-        })
-        .collect()
-}
-
-fn synthesize_impl(
-    hierarchy: &PatternHierarchy,
-    column: Option<&Column>,
     target: &Pattern,
     options: &SynthesisOptions,
 ) -> Synthesis {
@@ -289,14 +219,12 @@ fn synthesize_impl(
         if validate(pattern, target) {
             let dag = align(pattern, target);
             let mut search = dag.ranked_plans(pattern, options.max_plans_per_source);
-            let mut plans = search.top_classes(options.top_k);
+            let plans = search.top_classes(options.top_k);
             counts.plans_explored += search.explored();
             counts.plans_dominated += search.dominated();
             counts.plans_kept += plans.len();
             counts.budget_exhausted += usize::from(search.exhausted());
-            if let Some(column) = column {
-                plans = data_checked_plans(plans, node, column, target);
-            }
+            let plans = data_checked_plans(plans, node, column, target);
             if !plans.is_empty() {
                 sources.push(SourceSynthesis {
                     pattern: pattern.clone(),
@@ -337,6 +265,57 @@ fn synthesize_impl(
         pruned,
         counts,
     }
+}
+
+/// Number of cached distinct examples each candidate plan is checked
+/// against.
+const DATA_CHECK_EXAMPLES: usize = 3;
+
+/// Evaluate `expr` on one distinct value of `column`, reusing the value's
+/// cached token slices when the source pattern *is* its leaf pattern (the
+/// common case; constant-folded patterns fall back to a fresh split).
+fn eval_on_distinct(
+    expr: &Expr,
+    pattern: &Pattern,
+    value: clx_column::DistinctValue<'_>,
+) -> Result<String, clx_unifi::EvalError> {
+    if pattern == value.leaf() {
+        eval_expr_on_slices(expr, value.text(), value.token_slices())
+    } else {
+        eval_expr(expr, pattern, value.text())
+    }
+}
+
+/// The data check: keep only the plans that transform every sampled
+/// distinct value of `node`'s cluster into a target-matching string.
+fn data_checked_plans(
+    plans: Vec<RankedPlan>,
+    node: &ClusterNode,
+    column: &Column,
+    target: &Pattern,
+) -> Vec<RankedPlan> {
+    let mut sample: Vec<usize> = Vec::new();
+    for &row in &node.rows {
+        let v = column.distinct_index_of(row);
+        if !sample.contains(&v) {
+            sample.push(v);
+            if sample.len() >= DATA_CHECK_EXAMPLES {
+                break;
+            }
+        }
+    }
+    plans
+        .into_iter()
+        .filter(|plan| {
+            sample.iter().all(|&v| {
+                let value = column.distinct(v);
+                matches!(
+                    eval_on_distinct(&plan.expr, &node.pattern, value),
+                    Ok(out) if target.matches(&out)
+                )
+            })
+        })
+        .collect()
 }
 
 /// The order-exact half of reachability pruning: with the final branch
@@ -384,9 +363,10 @@ mod tests {
             "734.236.3466",
             "N/A",
         ];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("734-422-8073");
-        let synthesis = synthesize(&hierarchy, &target, &options());
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
 
         // The target-format cluster is recognized as already correct.
         assert!(synthesis.already_correct.iter().any(|p| p == &target));
@@ -415,9 +395,10 @@ mod tests {
     fn medical_codes_with_generalized_target() {
         // Example 5 of the paper, labelling the generalized target pattern.
         let data = vec!["CPT-00350", "[CPT-00340", "[CPT-11536]", "CPT115"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = parse_pattern("'['<U>+'-'<D>+']'").unwrap();
-        let synthesis = synthesize(&hierarchy, &target, &options());
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         let program = synthesis.program();
         for (input, expected) in [
             ("CPT-00350", "[CPT-00350]"),
@@ -441,9 +422,10 @@ mod tests {
             "734.236.3466",
             "7344228073",
         ];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("734-422-8073");
-        let synthesis = synthesize(&hierarchy, &target, &options());
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         for source in &synthesis.sources {
             // Evaluate the chosen plan on one of the cluster's example rows.
             let node = hierarchy.find_pattern(&source.pattern).unwrap();
@@ -460,9 +442,10 @@ mod tests {
     #[test]
     fn plans_are_ranked_simplest_first_and_deduplicated() {
         let data = vec!["12/11/2017", "01/02/2018", "11-12-2017"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("11-12-2017");
-        let synthesis = synthesize(&hierarchy, &target, &options());
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         for source in &synthesis.sources {
             let dls: Vec<f64> = source.plans.iter().map(|p| p.description_length).collect();
             assert!(dls.windows(2).all(|w| w[0] <= w[1]), "not sorted: {dls:?}");
@@ -484,9 +467,10 @@ mod tests {
         // The date example: DD/MM/YYYY -> MM-DD-YYYY is ambiguous; repair
         // lets the user pick the swapped alternative.
         let data = vec!["12/11/2017", "03/04/2018", "11-12-2017"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("11-12-2017");
-        let mut synthesis = synthesize(&hierarchy, &target, &options());
+        let mut synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         let source_pattern = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
         let alts = synthesis.alternatives(&source_pattern).unwrap().to_vec();
         assert!(alts.len() >= 2, "expected repair alternatives");
@@ -519,9 +503,10 @@ mod tests {
     #[test]
     fn repair_rejects_bad_indices_and_unknown_patterns() {
         let data = vec!["ab-1", "cd-2", "x1"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("x1");
-        let mut synthesis = synthesize(&hierarchy, &target, &options());
+        let mut synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         assert!(!synthesis.repair(&tokenize("zzzz"), 0));
         if let Some(first) = synthesis.sources.first() {
             let pattern = first.pattern.clone();
@@ -533,9 +518,10 @@ mod tests {
     #[test]
     fn repair_choice_boundaries_are_exact() {
         let data = vec!["12/11/2017", "03/04/2018", "11-12-2017"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("11-12-2017");
-        let mut synthesis = synthesize(&hierarchy, &target, &options());
+        let mut synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         let pattern = parse_pattern("<D>2'/'<D>2'/'<D>4").unwrap();
         let len = synthesis.alternatives(&pattern).unwrap().len();
         assert!(len >= 2);
@@ -565,9 +551,10 @@ mod tests {
     #[test]
     fn noise_only_data_rejects_everything() {
         let data = vec!["N/A", "??", "-"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("734-422-8073");
-        let synthesis = synthesize(&hierarchy, &target, &options());
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         assert!(synthesis.sources.is_empty());
         assert_eq!(synthesis.program().len(), 0);
         assert!(!synthesis.rejected.is_empty());
@@ -576,9 +563,10 @@ mod tests {
     #[test]
     fn all_data_already_correct_produces_empty_program() {
         let data = vec!["734-422-8073", "555-936-2447"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("734-422-8073");
-        let synthesis = synthesize(&hierarchy, &target, &options());
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
         assert!(synthesis.sources.is_empty());
         assert!(!synthesis.already_correct.is_empty());
         assert!(synthesis.rejected.is_empty());
@@ -593,32 +581,12 @@ mod tests {
             "734.236.3466",
             "734-422-8073",
         ];
-        let hierarchy = PatternProfiler::new().profile(&data);
-        let target = tokenize("734-422-8073");
-        let synthesis = synthesize(&hierarchy, &target, &options());
-        let rows: Vec<usize> = synthesis.sources.iter().map(|s| s.rows).collect();
-        assert!(rows.windows(2).all(|w| w[0] >= w[1]), "{rows:?}");
-    }
-
-    #[test]
-    fn synthesize_column_agrees_with_synthesize_on_distinct_data() {
-        let data = vec![
-            "(734) 645-8397",
-            "(734)586-7252",
-            "734.236.3466",
-            "734-422-8073",
-            "N/A",
-        ];
-        let column = clx_column::Column::from_values(&data);
+        let column = Column::from_values(&data);
         let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("734-422-8073");
-        let plain = synthesize(&hierarchy, &target, &options());
-        let checked = synthesize_column(&hierarchy, &column, &target, &options());
-        // The data check can only drop plans, never add or reorder them;
-        // on this workload every aligned plan survives.
-        assert_eq!(plain.program(), checked.program());
-        assert_eq!(plain.rejected, checked.rejected);
-        assert_eq!(plain.already_correct, checked.already_correct);
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
+        let rows: Vec<usize> = synthesis.sources.iter().map(|s| s.rows).collect();
+        assert!(rows.windows(2).all(|w| w[0] >= w[1]), "{rows:?}");
     }
 
     #[test]
@@ -628,7 +596,7 @@ mod tests {
         // program (every row flagged). With distinct-value statistics the
         // leaf keeps its base tokens and synthesis succeeds.
         let data = vec!["Dr. Eran Yahav"; 40];
-        let column = clx_column::Column::from_values(&data);
+        let column = Column::from_values(&data);
         let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("Eran Yahav");
         let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
@@ -648,7 +616,7 @@ mod tests {
         // when the source pattern is the leaf; outputs must be identical to
         // a fresh eval_expr on the raw text.
         let data = vec!["(734) 645-8397", "(735) 646-8398", "734-422-8073"];
-        let column = clx_column::Column::from_values(&data);
+        let column = Column::from_values(&data);
         let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("734-422-8073");
         let synthesis = synthesize_column(&hierarchy, &column, &target, &options());
@@ -720,11 +688,13 @@ mod tests {
             (&["1.2.3", "11.22.33", "111.222.333"], "1-2-3"),
         ];
         for (data, target_text) in workloads {
-            let hierarchy = PatternProfiler::new().profile(data);
+            let column = Column::from_values(data);
+            let hierarchy = PatternProfiler::new().profile_column(&column);
             let target = tokenize(target_text);
-            let with_prune = synthesize(&hierarchy, &target, &options());
-            let without_prune = synthesize(
+            let with_prune = synthesize_column(&hierarchy, &column, &target, &options());
+            let without_prune = synthesize_column(
                 &hierarchy,
+                &column,
                 &target,
                 &SynthesisOptions {
                     prune_unreachable: false,
@@ -758,13 +728,14 @@ mod tests {
     #[test]
     fn top_k_limits_alternatives() {
         let data = vec!["1.2.3.4.5.6.7.8", "9-9"];
-        let hierarchy = PatternProfiler::new().profile(&data);
+        let column = Column::from_values(&data);
+        let hierarchy = PatternProfiler::new().profile_column(&column);
         let target = tokenize("9-9");
         let opts = SynthesisOptions {
             top_k: 2,
             ..options()
         };
-        let synthesis = synthesize(&hierarchy, &target, &opts);
+        let synthesis = synthesize_column(&hierarchy, &column, &target, &opts);
         for s in &synthesis.sources {
             assert!(s.plans.len() <= 2);
         }

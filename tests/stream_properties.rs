@@ -625,39 +625,6 @@ proptest! {
             }
         }
     }
-
-    /// Deriving splits from the accepting path is an optimization, never a
-    /// behavior change: over the same random programs, rows, chunking and
-    /// budget, a derived-splits stream and a `Pattern::split` stream are
-    /// row-for-row identical end to end.
-    #[test]
-    fn derived_split_stream_equals_pattern_split_stream(
-        program_and_target in any_program(),
-        rows in workload(),
-        splits in chunk_splits(),
-        budget in budgets(),
-        reps in 1..3usize,
-    ) {
-        let (program, target) = program_and_target;
-        let derived =
-            Arc::new(CompiledProgram::compile(&program, &target).unwrap());
-        let split = Arc::new(
-            CompiledProgram::compile(&program, &target)
-                .unwrap()
-                .without_derived_splits(),
-        );
-
-        let mut rows = rows;
-        for branch in &program.branches {
-            rows.push(sample_value(&branch.pattern, reps));
-        }
-        rows.push(sample_value(&target, reps));
-
-        let (a, a_summary) = stream_program_in_chunks(&derived, &rows, &splits, budget);
-        let (b, b_summary) = stream_program_in_chunks(&split, &rows, &splits, budget);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(a_summary.stats, b_summary.stats);
-    }
 }
 
 // ---------------------------------------------------------------------------
