@@ -9,7 +9,10 @@
 //! CPU above 16,384 rows) and decides each distinct value once per block;
 //! the stream decides it once per stream and reports chunk by chunk.
 //!
-//! Run with: `cargo bench --bench stream_ingest`
+//! Run with: `cargo bench --bench stream_ingest`.
+//! `CLX_BENCH_SMOKE=1` shrinks the workload to 10k rows, so CI can execute
+//! the binary end to end on every change; smoke numbers are not comparable
+//! to a full-size run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -20,9 +23,23 @@ use clx_core::ClxSession;
 use clx_datagen::duplicate_heavy_case;
 use clx_engine::{ColumnStream, CompiledProgram};
 
-const ROWS: usize = 100_000;
 const DISTINCT: usize = 1_000;
 const CHUNK: usize = 8_192;
+
+/// `CLX_BENCH_SMOKE=1`: a tiny workload so CI can execute (not just
+/// compile) this binary on every change.
+fn smoke() -> bool {
+    std::env::var_os("CLX_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Rows per stream.
+fn rows() -> usize {
+    if smoke() {
+        10_000
+    } else {
+        100_000
+    }
+}
 
 fn compile_for(case_data: &[String], target_example: &str) -> CompiledProgram {
     let sample: Vec<String> = case_data.iter().take(2_000).cloned().collect();
@@ -44,19 +61,20 @@ fn stream_columns(program: &Arc<CompiledProgram>, data: &[String]) -> usize {
 }
 
 fn bench_stream_ingest(c: &mut Criterion) {
-    let case = duplicate_heavy_case(ROWS, DISTINCT, 7);
+    let rows = rows();
+    let case = duplicate_heavy_case(rows, DISTINCT, 7);
     let program = Arc::new(compile_for(&case.data, &case.target_example));
 
     let mut group = c.benchmark_group("stream_ingest");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(ROWS as u64));
+    group.throughput(Throughput::Elements(rows as u64));
 
-    group.bench_with_input(BenchmarkId::new("execute", ROWS), &case.data, |b, data| {
+    group.bench_with_input(BenchmarkId::new("execute", rows), &case.data, |b, data| {
         b.iter(|| black_box(program.execute(black_box(data)).len()))
     });
 
     group.bench_with_input(
-        BenchmarkId::new("push_rows", ROWS),
+        BenchmarkId::new("push_rows", rows),
         &case.data,
         |b, data| b.iter(|| black_box(stream_columns(&program, black_box(data)))),
     );
@@ -65,10 +83,10 @@ fn bench_stream_ingest(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("from_rows");
     group.sample_size(10);
-    group.throughput(Throughput::Elements(ROWS as u64));
+    group.throughput(Throughput::Elements(rows as u64));
 
     group.bench_with_input(
-        BenchmarkId::new("sequential", ROWS),
+        BenchmarkId::new("sequential", rows),
         &case.data,
         |b, data| b.iter(|| black_box(Column::from_rows(black_box(data).clone()))),
     );

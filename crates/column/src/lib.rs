@@ -12,7 +12,10 @@
 //!   gets a *distinct-id* (its index in the interner) and every distinct
 //!   leaf pattern gets a *leaf-id*; both id spaces are append-only, so ids
 //!   stay stable as more data streams in. Per value it keeps only an arena
-//!   span, a leaf-id and LRU links; each leaf pattern is stored once.
+//!   span, its hash, a leaf-id and LRU links (kept only under a
+//!   [`StreamBudget`], the one reader of the LRU list); each leaf pattern
+//!   is stored once. A new value is scanned once and hashed once: eviction
+//!   removes it from the dedup map under its stored hash.
 //! * [`Column`] — a finished column, stored the way the interner stores a
 //!   stream: per distinct value an arena span, a leaf-id and a range of one
 //!   flat list of token slices (byte ranges), each leaf pattern once per
@@ -117,7 +120,7 @@ use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use clx_pattern::{leaf_key, leaf_slices, tokenize, Pattern, TokenSlice};
+use clx_pattern::{leaf_key, leaf_key_and_slices, tokenize, Pattern, TokenSlice};
 use clx_telemetry::{MetricSink, Span};
 
 /// Source of process-unique [`ColumnInterner::instance`] ids (also used for
@@ -195,18 +198,24 @@ impl StreamBudget {
 /// The "no id" sentinel of the LRU links and the dedup table.
 const NIL: u32 = u32::MAX;
 
-/// One interned distinct value: its arena span, the dense id of its leaf
-/// pattern, and its place in the LRU list.
+/// One interned distinct value: its arena span, its `seen` hash, the dense
+/// id of its leaf pattern, and its place in the LRU list.
 #[derive(Debug, Clone)]
 struct InternedEntry {
     /// Half-open byte span of the value inside the arena.
     span: (usize, usize),
+    /// The value's `seen` hash, kept so eviction removes it from the dedup
+    /// map without hashing the text again. It fills what was padding, so a
+    /// [`Slot`] stays 48 bytes.
+    hash: u32,
     /// Dense id of this value's leaf pattern (shared by every distinct
     /// value with the same leaf; the pattern lives in its [`LeafSlot`]).
     leaf_id: u32,
-    /// The next-colder live distinct-id, or [`NIL`] at the LRU head.
+    /// The next-colder live distinct-id, or [`NIL`] at the LRU head (and
+    /// always [`NIL`] in an unbounded interner, which keeps no LRU list).
     prev: u32,
-    /// The next-hotter live distinct-id, or [`NIL`] at the LRU tail.
+    /// The next-hotter live distinct-id, or [`NIL`] at the LRU tail (and
+    /// always [`NIL`] in an unbounded interner).
     next: u32,
 }
 
@@ -314,6 +323,12 @@ impl SpanTable {
 /// A persistent, reusable value interner for streams: an arena, a dedup
 /// map keyed by arena span, and an LRU list over the live values.
 ///
+/// A new value costs one scan (its leaf key) and one hash: the hash is
+/// stored with the value, and eviction reuses it. Only budget enforcement
+/// reads the LRU list, and a budget is fixed when the interner is built,
+/// so an unbounded interner keeps no LRU list at all: a repeated value
+/// costs its hash and one dedup probe, with no relinking.
+///
 /// The interner hands out two dense integer id spaces:
 ///
 /// * **distinct-ids** — `intern` returns the index of the value in the
@@ -354,7 +369,8 @@ pub struct ColumnInterner {
     /// The most recently evicted slot, heading the list of slots awaiting
     /// reuse (threaded through [`SlotState::Free`]), or [`NIL`].
     free_head: u32,
-    /// The coldest live distinct-id (next to evict), or [`NIL`].
+    /// The coldest live distinct-id (next to evict), or [`NIL`]; always
+    /// [`NIL`] while [`ColumnInterner::keeps_lru`] is false.
     lru_head: u32,
     /// The most recently interned live distinct-id, or [`NIL`].
     lru_tail: u32,
@@ -608,7 +624,16 @@ impl ColumnInterner {
 
     /// The `seen` hash of a value's text.
     fn hash(&self, value: &str) -> u32 {
+        #[cfg(test)]
+        work::HASHES.with(|n| n.set(n.get() + 1));
         self.hasher.hash_one(value) as u32
+    }
+
+    /// `true` when the interner keeps its LRU list: only under a bounded
+    /// budget, since budget enforcement is the list's one reader and an
+    /// unbounded budget never evicts.
+    fn keeps_lru(&self) -> bool {
+        !self.budget.is_unbounded()
     }
 
     /// Intern one value, tokenizing it only on first sight. Returns the
@@ -623,7 +648,7 @@ impl ColumnInterner {
         if let Some(id) = found {
             self.stats.intern_hits += 1;
             // An LRU touch: the value becomes the last to be evicted.
-            if self.lru_tail != id {
+            if self.keeps_lru() && self.lru_tail != id {
                 self.lru_unlink(id);
                 self.lru_push_hot(id);
             }
@@ -637,6 +662,7 @@ impl ColumnInterner {
         self.live_bytes += value.len();
         let entry = InternedEntry {
             span: (start, self.arena.len()),
+            hash,
             leaf_id,
             prev: NIL,
             next: NIL,
@@ -663,13 +689,17 @@ impl ColumnInterner {
                 id
             }
         };
-        self.lru_push_hot(id);
+        if self.keeps_lru() {
+            self.lru_push_hot(id);
+        }
         self.seen.insert(hash, id);
         id
     }
 
     /// Append live `id` (not in the list) at the hot end of the LRU list.
     fn lru_push_hot(&mut self, id: u32) {
+        #[cfg(test)]
+        work::RELINKS.with(|n| n.set(n.get() + 1));
         let tail = self.lru_tail;
         let entry = self.live_entry_mut(id);
         entry.prev = tail;
@@ -683,6 +713,8 @@ impl ColumnInterner {
 
     /// Take live `id` out of the LRU list.
     fn lru_unlink(&mut self, id: u32) {
+        #[cfg(test)]
+        work::RELINKS.with(|n| n.set(n.get() + 1));
         let InternedEntry { prev, next, .. } = *self.live_entry(id);
         match prev {
             NIL => self.lru_head = next,
@@ -749,8 +781,9 @@ impl ColumnInterner {
     }
 
     /// Evict one live slot: unlink it from the LRU list, drop its dedup key
-    /// and leaf reference (recycling the leaf-id when it was the last), and
-    /// free the slot for reuse under a bumped generation.
+    /// (under its stored hash) and leaf reference (recycling the leaf-id
+    /// when it was the last), and free the slot for reuse under a bumped
+    /// generation.
     fn evict_slot(&mut self, id: u32) {
         self.lru_unlink(id);
         let slot = &mut self.entries[id as usize];
@@ -762,7 +795,7 @@ impl ColumnInterner {
         slot.generation += 1;
         self.free_head = id;
         let (start, end) = entry.span;
-        self.seen.remove(self.hash(&self.arena[start..end]), id);
+        self.seen.remove(entry.hash, id);
         self.live -= 1;
         self.live_bytes -= end - start;
         let leaf = self.leaf_slots[entry.leaf_id as usize]
@@ -1078,7 +1111,8 @@ impl Column {
     /// the *output* column of a transformation in O(distinct outputs). The
     /// column owns a fresh id space: leaf-ids are assigned in order of each
     /// leaf's first value, and only a value with a leaf not seen yet is
-    /// tokenized; the others cost a leaf key and their token slices.
+    /// tokenized; the others cost one scan, which yields both the leaf key
+    /// and the token slices.
     ///
     /// # Panics
     ///
@@ -1098,7 +1132,8 @@ impl Column {
         let mut key = Vec::new();
         for value in values {
             let text = value.as_ref();
-            leaf_key(text, &mut key);
+            let first_slice = slices.len();
+            leaf_key_and_slices(text, &mut key, &mut slices);
             let leaf_id = match leaf_ids.get(key.as_slice()) {
                 Some(&l) => l,
                 None => {
@@ -1110,8 +1145,6 @@ impl Column {
             };
             let start = arena.len();
             arena.push_str(text);
-            let first_slice = slices.len();
-            leaf_slices(text, &mut slices);
             entries.push(DistinctEntry {
                 span: (start, arena.len()),
                 first_slice,
@@ -1370,10 +1403,33 @@ impl<'a> DistinctValue<'a> {
     }
 }
 
+/// Per-thread work tallies for the unit tests' work gates.
+#[cfg(test)]
+mod work {
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Value texts hashed for the `seen` dedup map.
+        pub static HASHES: Cell<u64> = const { Cell::new(0) };
+        /// LRU list operations: unlinks plus pushes at the hot end.
+        pub static RELINKS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Run `f` and return the (hashes, relinks) it made on this thread.
+    pub fn count(f: impl FnOnce()) -> (u64, u64) {
+        let before = (HASHES.with(Cell::get), RELINKS.with(Cell::get));
+        f();
+        (
+            HASHES.with(Cell::get) - before.0,
+            RELINKS.with(Cell::get) - before.1,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clx_pattern::tokenize_detailed;
+    use clx_pattern::{leaf_slices, tokenize_detailed};
 
     fn sample() -> Column {
         Column::from_rows(vec![
@@ -1706,6 +1762,73 @@ mod tests {
             assert_eq!(table.find(hash(id), |found| found == id), expected, "{id}");
         }
         assert_eq!(table.len, 200);
+    }
+
+    #[test]
+    fn an_interner_slot_stays_48_bytes() {
+        // The stored hash fills padding: the slot table does not grow.
+        assert_eq!(size_of::<Slot>(), 48);
+    }
+
+    #[test]
+    fn a_new_value_is_hashed_once_even_when_evicted() {
+        let rows: Vec<String> = (0..20_000).map(|i| format!("{i:05}-x")).collect();
+        let mut interner = ColumnInterner::with_budget(StreamBudget::max_distinct(1_000));
+        let (hashes, _) = work::count(|| {
+            for chunk in rows.chunks(1_000) {
+                drop(interner.chunk(chunk));
+            }
+        });
+        assert_eq!(interner.evictions(), 18_000);
+        assert_eq!(hashes, 20_000, "an eviction must not hash its value again");
+    }
+
+    #[test]
+    fn an_unbounded_interner_keeps_no_lru_list() {
+        let rows: Vec<String> = (0..5_000).map(|i| format!("{:03}", i % 100)).collect();
+        let mut interner = ColumnInterner::new();
+        let (hashes, relinks) = work::count(|| {
+            for chunk in rows.chunks(1_000) {
+                drop(interner.chunk(chunk));
+            }
+        });
+        assert_eq!((hashes, relinks), (5_000, 0));
+        assert_eq!(interner.stats().intern_hits, 4_900);
+        // A bounded interner does keep it: each repeat is a touch.
+        let mut bounded = ColumnInterner::with_budget(StreamBudget::max_distinct(1_000));
+        let (_, relinks) = work::count(|| drop(bounded.chunk(&rows)));
+        assert!(relinks > 0);
+    }
+
+    #[test]
+    fn single_scan_build_matches_the_two_scan_build() {
+        let values = [
+            "",
+            "734-422-8073",
+            "555-123-4567",
+            "(734) 645-8397",
+            "a€b",
+            "Ünïcödé-7",
+            "N/A",
+            "z€q",
+            "McMillan",
+        ];
+        let long = "9".repeat(200);
+        let values: Vec<&str> = values.into_iter().chain([long.as_str()]).collect();
+        let column = Column::from_distinct(&values, (0..values.len() as u32).collect());
+        // The two-scan build: a leaf key, then the slices, per value.
+        let mut leaf_ids: HashMap<Vec<u8>, u32> = HashMap::new();
+        let mut key = Vec::new();
+        for (value, built) in values.iter().zip(column.distinct_values()) {
+            leaf_key(value, &mut key);
+            let next = leaf_ids.len() as u32;
+            let leaf_id = *leaf_ids.entry(key.clone()).or_insert(next);
+            let mut slices = Vec::new();
+            leaf_slices(value, &mut slices);
+            assert_eq!(built.leaf_id(), leaf_id, "{value:?}");
+            assert_eq!(built.token_slices(), slices, "{value:?}");
+        }
+        assert_eq!(column.leaf_count(), leaf_ids.len());
     }
 
     // ---- budgets & eviction ------------------------------------------------

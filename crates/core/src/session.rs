@@ -986,7 +986,7 @@ mod tests {
     #[test]
     fn reverify_accepts_only_reports_over_the_session_column() {
         let session = labelled(phone_data(), tokenize("734-422-8073"));
-        let hand_built = TransformReport::empty(tokenize("734-422-8073"));
+        let hand_built = TransformReport::empty(tokenize("734-422-8073").into());
         assert_eq!(
             session.reverify(&hand_built).unwrap_err(),
             ClxError::ForeignReport

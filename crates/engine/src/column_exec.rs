@@ -51,7 +51,7 @@ impl CompiledProgram {
                 )
             })
             .collect();
-        TransformReport::columnar(self.target().clone(), decided, column)
+        TransformReport::columnar(Arc::clone(&self.target), decided, column)
     }
 
     /// Decide the distinct ids of an interned chunk, in chunk order, each

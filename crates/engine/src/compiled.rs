@@ -61,7 +61,9 @@ impl CompiledBranch {
 /// rewrites the row, otherwise the row is flagged unchanged (§6.1).
 #[derive(Debug)]
 pub struct CompiledProgram {
-    pub(crate) target: Pattern,
+    /// Shared by every report the program builds, so a report holds the
+    /// target by reference count instead of a copy.
+    pub(crate) target: Arc<Pattern>,
     target_transparent: bool,
     branches: Vec<CompiledBranch>,
     /// Process-unique id of this compilation; [`crate::DispatchCache`]s
@@ -186,7 +188,7 @@ impl CompiledProgram {
             }
         }
         Ok(CompiledProgram {
-            target: target.clone(),
+            target: Arc::new(target.clone()),
             target_transparent,
             branches,
             instance: NEXT_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
@@ -329,7 +331,8 @@ impl CompiledProgram {
     ///
     /// Every executor builds its outcomes here, with one allocation per
     /// decided value: a rewrite is assembled in the cache's reusable
-    /// buffer and copied once into the outcome's shared text.
+    /// buffer (taken out of the cache for the call, so the plan can stay
+    /// borrowed from it) and copied once into the outcome's shared text.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn transform_one_by_leaf_id_observed(
         &self,
@@ -342,12 +345,12 @@ impl CompiledProgram {
         telemetry: Option<&Arc<dyn MetricSink>>,
     ) -> RowOutcome {
         debug_assert_eq!(leaf, &tokenize(value), "leaf must be the value's own");
+        let mut rewrite = std::mem::take(&mut cache.rewrite);
         let plan =
             cache.plan_for_leaf_id(self.instance, source, source_generation, leaf_id, || {
                 self.build_plan_observed(leaf, value, telemetry)
             });
-        let rewrite = &mut cache.rewrite;
-        match self.run_plan(&plan, value, rewrite) {
+        let outcome = match self.run_plan(plan, value, &mut rewrite) {
             Decision::Branch(_) => RowOutcome::Transformed {
                 to: Arc::from(rewrite.as_str()),
             },
@@ -357,7 +360,9 @@ impl CompiledProgram {
             Decision::Flagged => RowOutcome::Flagged {
                 value: Arc::from(value),
             },
-        }
+        };
+        cache.rewrite = rewrite;
+        outcome
     }
 
     /// Replay one leaf's decision sequence against a concrete row. When a

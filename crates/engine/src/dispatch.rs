@@ -176,10 +176,10 @@ pub struct DispatchCache {
 
 /// One dense slot: a plan and its serial (see "Plan serials" in the module
 /// docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DensePlan {
     serial: u32,
-    plan: Arc<LeafPlan>,
+    plan: LeafPlan,
 }
 
 /// Lifetime hit/miss counters of a [`DispatchCache`].
@@ -309,7 +309,7 @@ impl DispatchCache {
     /// interner instance `source` at leaf generation `leaf_generation`)
     /// under program `instance`, building it on first sight. Pure array
     /// indexing on the hit path — the leaf pattern itself is never hashed
-    /// or compared.
+    /// or compared, and the plan is lent, not reference-counted.
     ///
     /// A leaf generation change (the interner freed a leaf-id, which it may
     /// recycle) resets the cache, so a stale plan is never served under a
@@ -321,25 +321,25 @@ impl DispatchCache {
         leaf_generation: u64,
         leaf_id: u32,
         build: impl FnOnce() -> LeafPlan,
-    ) -> Arc<LeafPlan> {
+    ) -> &LeafPlan {
         self.bind(instance, source, leaf_generation);
         let slot = leaf_id as usize;
-        if let Some(Some(dense)) = self.dense.get(slot) {
+        if self.dense.get(slot).is_some_and(Option::is_some) {
             self.stats.dense_hits += 1;
-            return Arc::clone(&dense.plan);
+        } else {
+            self.stats.dense_misses += 1;
+            let plan = build();
+            let serial = self.fresh_serial();
+            if slot >= self.dense.len() {
+                self.dense.resize_with(slot + 1, || None);
+            }
+            self.dense[slot] = Some(DensePlan { serial, plan });
+            self.dense_decided += 1;
         }
-        self.stats.dense_misses += 1;
-        let plan = Arc::new(build());
-        let serial = self.fresh_serial();
-        if slot >= self.dense.len() {
-            self.dense.resize(slot + 1, None);
-        }
-        self.dense[slot] = Some(DensePlan {
-            serial,
-            plan: Arc::clone(&plan),
-        });
-        self.dense_decided += 1;
-        plan
+        &self.dense[slot]
+            .as_ref()
+            .expect("the slot was decided above")
+            .plan
     }
 }
 
@@ -376,7 +376,7 @@ mod tests {
         let src = interner.instance();
         // Decide a-1's leaf with the sentinel.
         let plan = cache.plan_for_leaf_id(1, src, interner.leaf_generation(), leaf, poisoned);
-        assert!(is_poisoned(&plan));
+        assert!(is_poisoned(plan));
 
         // A value-eviction batch that frees no leaf-id (b-2 keeps a-1's
         // leaf live) keeps every plan: served from the dense tier.
@@ -385,7 +385,7 @@ mod tests {
         let plan = cache.plan_for_leaf_id(1, src, interner.leaf_generation(), leaf, || {
             panic!("a value eviction that frees no leaf-id must keep the plan")
         });
-        assert!(is_poisoned(&plan));
+        assert!(is_poisoned(plan));
         assert_eq!(cache.dense_len(), 1);
 
         // Evicting b-2 frees the leaf-id, and "1.2" recycles it for a
@@ -397,12 +397,12 @@ mod tests {
         drop(chunk);
         assert_eq!(interner.leaf_id(id), leaf, "the freed leaf-id was recycled");
         let plan = cache.plan_for_leaf_id(1, src, interner.leaf_generation(), leaf, benign);
-        assert!(!is_poisoned(&plan));
+        assert!(!is_poisoned(plan));
         assert_eq!(cache.dense_len(), 1);
         // The poisoned plan is gone for good, even if the old leaf
         // generation were ever replayed.
         let plan = cache.plan_for_leaf_id(1, src, 0, leaf, benign);
-        assert!(!is_poisoned(&plan));
+        assert!(!is_poisoned(plan));
     }
 
     #[test]
@@ -410,7 +410,7 @@ mod tests {
         let mut cache = DispatchCache::new();
         cache.plan_for_leaf_id(1, 7, 0, 0, poisoned);
         let plan = cache.plan_for_leaf_id(1, 8, 0, 0, benign);
-        assert!(!is_poisoned(&plan));
+        assert!(!is_poisoned(plan));
         assert_eq!(cache.dense_len(), 1);
     }
 

@@ -10,6 +10,8 @@
 //! the same interned, dense leaf-id path [`crate::ColumnStream::push_rows`]
 //! runs, minus the stream's cross-chunk decision cache.
 
+use std::sync::Arc;
+
 use clx_column::ColumnInterner;
 
 use crate::compiled::CompiledProgram;
@@ -52,7 +54,7 @@ impl CompiledProgram {
         blocks: usize,
     ) -> TransformReport {
         if rows.is_empty() {
-            return TransformReport::empty(self.target.clone());
+            return TransformReport::empty(Arc::clone(&self.target));
         }
         let block_size = rows.len().div_ceil(blocks.clamp(1, rows.len()));
         let mut blocks = rows.chunks(block_size);
@@ -69,7 +71,7 @@ impl CompiledProgram {
             );
             reports
         });
-        TransformReport::from_chunks(self.target.clone(), reports)
+        TransformReport::from_chunks(Arc::clone(&self.target), reports)
     }
 
     /// Intern one block into a fresh interner and decide its distinct
@@ -79,7 +81,7 @@ impl CompiledProgram {
         let mut cache = DispatchCache::new();
         let chunk = interner.chunk(rows);
         let outcomes = self.decide_chunk(&mut cache, &chunk, None, None);
-        TransformReport::of_chunk(self.target.clone(), outcomes, chunk.into_row_map())
+        TransformReport::of_chunk(Arc::clone(&self.target), outcomes, chunk.into_row_map())
     }
 }
 

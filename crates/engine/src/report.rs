@@ -123,8 +123,9 @@ impl ChunkStats {
 /// identically, and compare equal when they say the same about every row.
 #[derive(Debug, Clone)]
 pub struct TransformReport {
-    /// The target pattern the program was compiled against.
-    pub target: Pattern,
+    /// The target pattern the program was compiled against, shared with
+    /// the program and with every other report it built.
+    pub target: Arc<Pattern>,
     /// Stored outcomes, one per distinct value (per chunk, for merged
     /// reports).
     outcomes: Vec<RowOutcome>,
@@ -140,7 +141,7 @@ pub struct TransformReport {
 
 impl TransformReport {
     /// An empty report for `target`.
-    pub fn empty(target: Pattern) -> Self {
+    pub fn empty(target: Arc<Pattern>) -> Self {
         TransformReport {
             target,
             outcomes: Vec::new(),
@@ -159,7 +160,11 @@ impl TransformReport {
     /// # Panics
     ///
     /// Panics if a `row_map` entry does not index `outcomes`.
-    pub(crate) fn of_chunk(target: Pattern, outcomes: Vec<RowOutcome>, row_map: Vec<u32>) -> Self {
+    pub(crate) fn of_chunk(
+        target: Arc<Pattern>,
+        outcomes: Vec<RowOutcome>,
+        row_map: Vec<u32>,
+    ) -> Self {
         let mut multiplicity = vec![0usize; outcomes.len()];
         for &stored in &row_map {
             assert!(
@@ -185,7 +190,7 @@ impl TransformReport {
     /// Merge reports, in vector order, into one report over `target`. The
     /// chunks' outcomes are moved, not cloned: the merged report
     /// concatenates them and offsets each chunk's row map.
-    pub fn from_chunks(target: Pattern, chunks: Vec<TransformReport>) -> Self {
+    pub fn from_chunks(target: Arc<Pattern>, chunks: Vec<TransformReport>) -> Self {
         let rows = chunks.iter().map(TransformReport::len).sum();
         let mut outcomes = Vec::with_capacity(chunks.iter().map(|c| c.outcomes.len()).sum());
         let mut row_map = Vec::with_capacity(rows);
@@ -218,7 +223,7 @@ impl TransformReport {
     ///
     /// Panics if `outcomes` does not have exactly one entry per distinct
     /// value of `column`.
-    pub fn columnar(target: Pattern, outcomes: Vec<RowOutcome>, column: &Column) -> Self {
+    pub fn columnar(target: Arc<Pattern>, outcomes: Vec<RowOutcome>, column: &Column) -> Self {
         assert_eq!(
             outcomes.len(),
             column.distinct_count(),
@@ -400,13 +405,13 @@ mod tests {
                 value: v.text().into(),
             })
             .collect();
-        TransformReport::of_chunk(tokenize("1"), outcomes, column.row_map().to_vec())
+        TransformReport::of_chunk(tokenize("1").into(), outcomes, column.row_map().to_vec())
     }
 
     #[test]
     fn chunk_report_counts() {
         let report = TransformReport::of_chunk(
-            tokenize("1"),
+            tokenize("1").into(),
             vec![
                 RowOutcome::Conforming { value: "a".into() },
                 RowOutcome::Transformed { to: "c".into() },
@@ -426,7 +431,7 @@ mod tests {
     #[test]
     fn merge_preserves_chunk_order() {
         let merged = TransformReport::from_chunks(
-            tokenize("1"),
+            tokenize("1").into(),
             vec![chunk(&["a", "b", "a"]), chunk(&["c"]), chunk(&["d", "a"])],
         );
         assert_eq!(merged.values(), vec!["a", "b", "a", "c", "d", "a"]);
@@ -446,7 +451,7 @@ mod tests {
             RowOutcome::Transformed { to: "A".into() },
             RowOutcome::Flagged { value: "b".into() },
         ];
-        let report = TransformReport::columnar(tokenize("X"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("X").into(), outcomes, &column);
         assert_eq!(report.outcomes().len(), 2);
         assert_eq!(report.len(), 5);
         // Stats are multiplicity-weighted.
@@ -469,7 +474,8 @@ mod tests {
 
     #[test]
     fn columnar_report_of_empty_column_is_empty() {
-        let report = TransformReport::columnar(tokenize("X"), Vec::new(), &Column::default());
+        let report =
+            TransformReport::columnar(tokenize("X").into(), Vec::new(), &Column::default());
         assert!(report.is_empty());
         assert_eq!(report.chunk_count, 0);
         assert_eq!(report.iter_rows().count(), 0);
@@ -489,12 +495,12 @@ mod tests {
                 value: "N/A".into(),
             },
         ];
-        let report = TransformReport::columnar(tokenize("734-422-8073"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("734-422-8073").into(), outcomes, &column);
         assert!(!report.is_perfect());
         assert!((report.conformance_ratio() - 2.0 / 3.0).abs() < 1e-9);
 
         let perfect = TransformReport::columnar(
-            tokenize("734-422-8073"),
+            tokenize("734-422-8073").into(),
             vec![RowOutcome::Transformed {
                 to: "555-111-2222".into(),
             }],
@@ -506,7 +512,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_perfect() {
-        let report = TransformReport::empty(tokenize("1"));
+        let report = TransformReport::empty(tokenize("1").into());
         assert!(report.is_perfect());
         assert!(report.is_empty());
         assert_eq!(report.conformance_ratio(), 1.0);
@@ -523,14 +529,14 @@ mod tests {
             value: "N/A".into(),
         };
         let by_column = TransformReport::columnar(
-            tokenize("a-1"),
+            tokenize("a-1").into(),
             vec![conforming.clone(), flagged.clone()],
             &column,
         );
         let by_chunk = TransformReport::from_chunks(
-            tokenize("a-1"),
+            tokenize("a-1").into(),
             vec![TransformReport::of_chunk(
-                tokenize("a-1"),
+                tokenize("a-1").into(),
                 vec![conforming.clone(), flagged, conforming],
                 vec![0, 1, 2],
             )],
@@ -540,7 +546,7 @@ mod tests {
         assert_eq!(by_chunk.outcomes().len(), 3);
         // The same rows under another target are another report.
         let retargeted = TransformReport {
-            target: tokenize("X"),
+            target: tokenize("X").into(),
             ..by_column.clone()
         };
         assert_ne!(retargeted, by_chunk);
@@ -553,7 +559,7 @@ mod tests {
             RowOutcome::Conforming { value: "a".into() },
             RowOutcome::Conforming { value: "b".into() },
         ];
-        let report = TransformReport::columnar(tokenize("X"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("X").into(), outcomes, &column);
         let mut iter = report.iter_rows();
         assert_eq!(iter.len(), 3);
         iter.next();
@@ -601,13 +607,13 @@ mod tests {
                 value: v.text().into(),
             })
             .collect();
-        let report = TransformReport::columnar(tokenize("X"), outcomes, &column);
+        let report = TransformReport::columnar(tokenize("X").into(), outcomes, &column);
         assert!(report.is_built_over(&column));
         // Same values, separately built: a different row map, so the
         // report's outcome k is not known to belong to its distinct k.
         assert!(!report.is_built_over(&Column::from_values(&values)));
         // A report merged from chunks shares no column's row map.
-        let merged = TransformReport::from_chunks(tokenize("X"), vec![chunk(&values)]);
+        let merged = TransformReport::from_chunks(tokenize("X").into(), vec![chunk(&values)]);
         assert!(!merged.is_built_over(&column));
     }
 }

@@ -400,7 +400,7 @@ impl ColumnStream {
             self.telemetry.as_ref(),
         );
         let report = TransformReport::of_chunk(
-            self.program.target().clone(),
+            Arc::clone(&self.program.target),
             outcomes,
             chunk.into_row_map(),
         );
@@ -518,7 +518,7 @@ impl ColumnStream {
     /// Finish the run, returning the whole-stream summary.
     pub fn finish(self) -> StreamSummary {
         StreamSummary {
-            target: self.program.target().clone(),
+            target: Arc::clone(&self.program.target),
             chunks: self.chunks,
             stats: self.stats,
             evictions: self.interner.evictions(),
@@ -552,8 +552,8 @@ pub struct SwapSummary {
 /// The O(1)-sized result of a finished streaming run.
 #[derive(Debug, Clone)]
 pub struct StreamSummary {
-    /// The target pattern of the compiled program.
-    pub target: Pattern,
+    /// The target pattern of the compiled program (shared with it).
+    pub target: Arc<Pattern>,
     /// Number of chunks pushed.
     pub chunks: usize,
     /// Counters over every row pushed.

@@ -48,7 +48,7 @@ fn stream_counters_match_pushed_chunks() {
     assert_eq!(summary.stats.transformed, 40);
     assert_eq!(summary.stats.conforming, 25);
     assert_eq!(summary.stats.flagged, 10);
-    assert_eq!(summary.target, tokenize("734-422-8073"));
+    assert_eq!(*summary.target, tokenize("734-422-8073"));
 }
 
 #[test]

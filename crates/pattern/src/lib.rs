@@ -59,7 +59,9 @@ pub use error::PatternError;
 pub use parse::parse_pattern;
 pub use pattern::{Pattern, TokenSlice};
 pub use token::{Quantifier, Token, TokenClass};
-pub use tokenizer::{leaf_key, leaf_slices, tokenize, tokenize_detailed, TokenizedString};
+pub use tokenizer::{
+    leaf_key, leaf_key_and_slices, leaf_slices, tokenize, tokenize_detailed, TokenizedString,
+};
 
 /// All base token classes, in the fixed order used by the paper
 /// (`T = [<D>, <L>, <U>, <A>, <AN>]`, Section 6.1).

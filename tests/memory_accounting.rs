@@ -35,12 +35,11 @@
 //!   the budget binds, so stream length does not move either number).
 //!
 //! The allocation phases measured, on the same host: interner 0.01
-//! allocations per new value; warm repeat 0.008 per pushed row (8 per
+//! allocations per new value; warm repeat 0.005 per pushed row (5 per
 //! 1k-row chunk, all bookkeeping: the chunk's id buffer, reserved once,
-//! its row map and the report's shared copy of it, the outcome `Vec`, the
-//! multiplicity `Vec`, and the report's clone of the target pattern, three
-//! allocations for `<D>3'-'<D>3'-'<D>4`); distinct 1.02 per newly decided
-//! value (release).
+//! its row map and the report's shared copy of it, the outcome `Vec` and
+//! the multiplicity `Vec`; the report shares the program's target pattern
+//! by reference count); distinct 1.01 per newly decided value (release).
 //!
 //! The test asserts the ratio stays in `[1.0, 3.0]`: the model may never
 //! *over*-state what the allocator saw (it skips real overheads, so
